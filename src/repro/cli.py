@@ -27,6 +27,11 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core.pipeline import SOLVERS, Pyxis, PyxisConfig
+from repro.db.sql.compile_plan import (
+    DEFAULT_SQL_EXEC,
+    SQL_EXEC_ENV_VAR,
+    SQL_EXEC_MODES,
+)
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -148,7 +153,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.bench import serve_experiments as serve_mod
     from repro.bench import report as report_mod
-    from repro.db.sql.compile_plan import SQL_EXEC_ENV_VAR
 
     if args.sql_exec is not None:
         # The workload factories open their own connections; the env
@@ -555,11 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--seed", type=int, default=17)
     p_serve.add_argument(
-        "--sql-exec", default=None, choices=["tree", "compiled"],
-        help="SQL executor for the embedded engine: 'compiled' fuses "
-             "each plan into a closure at prepare time, 'tree' walks "
-             "the operator tree (sets REPRO_SQL_EXEC for the run; "
-             "default: compiled)",
+        "--sql-exec", default=None, choices=SQL_EXEC_MODES,
+        help="SQL executor for the embedded engine: 'source' generates "
+             "one Python function per plan at prepare time, 'compiled' "
+             "fuses each plan into closures, 'tree' walks the operator "
+             f"tree (sets {SQL_EXEC_ENV_VAR} for the run; default: "
+             f"{DEFAULT_SQL_EXEC})",
     )
     p_serve.add_argument(
         "--shards", type=int, default=1,

@@ -531,7 +531,8 @@ def connect(
     """Open a connection to ``database`` (the module-level entry point).
 
     ``sql_exec`` selects the statement executor (``tree`` /
-    ``compiled``); None reads ``REPRO_SQL_EXEC`` (default: compiled).
+    ``compiled`` / ``source``); None reads ``REPRO_SQL_EXEC``
+    (default: source).
     """
     return Connection(
         database, lock_manager,

@@ -1334,9 +1334,9 @@ def connect_sharded(
     """Open a router connection to ``database``.
 
     ``sql_exec`` selects the statement executor for single-shard /
-    broadcast statements (``tree`` / ``compiled``); scatter-gather
-    statements always merge at the router.  None reads
-    ``REPRO_SQL_EXEC`` (default: compiled).  ``replica_reads`` lets
+    broadcast statements (``tree`` / ``compiled`` / ``source``);
+    scatter-gather statements always merge at the router.  None reads
+    ``REPRO_SQL_EXEC`` (default: source).  ``replica_reads`` lets
     out-of-transaction point reads run on a replica that has caught up
     to this session's commit watermark (read-your-writes).
     """

@@ -32,13 +32,15 @@ yields byte-identical source (CI checks this), and every module can be
 dumped for inspection via ``REPRO_DUMP_CODEGEN`` / ``--dump-codegen``.
 
 Observable semantics match the tree executor bit-for-bit -- identical
-StatementResults, notify charges, lock order and undo contents -- with
-two documented batch-evaluation caveats (see DESIGN.md): when several
-expressions over *different* rows can raise, batching can surface a
-different row's error first, and join strategies are chosen from table
-sizes at prepare time.  ``REPRO_SQL_EXEC=source`` selects this rung;
+StatementResults, notify charges, lock order, undo contents and MVCC
+writer registration -- with two documented batch-evaluation caveats
+(DESIGN.md, "Source codegen rung": the *Batch-at-a-time operators* and
+*Hybrid hash join* paragraphs): when several expressions over
+*different* rows can raise, batching can surface a different row's
+error first, and join strategies are chosen from table sizes at
+prepare time.  This rung is the default (``REPRO_SQL_EXEC=source``);
 plans it cannot generate fall back to the closure compiler and then to
-the tree executor.
+the tree executor, and ``PlanCacheStats`` counts them.
 """
 
 from __future__ import annotations
@@ -394,11 +396,16 @@ class _PlanCodegen:
         w.dedent()
 
     def emit_record_undo(self, undo_var: str) -> None:
-        """Inline record_undo_unchecked: a list append, plus the redo
-        capture call on replicated primaries."""
+        """Inline record_undo_unchecked: the MVCC writer registration
+        (one attribute test when MVCC is off), a list append, plus the
+        redo capture call on replicated primaries."""
         w = self.w
         w.line("if txn is not None:")
         w.indent()
+        w.line("if txn._mvcc is not None:")
+        w.indent()
+        w.line("txn._register_mvcc()")
+        w.dedent()
         w.line(f"txn._undo.append({undo_var})")
         w.line("if txn._redo is not None:")
         w.indent()

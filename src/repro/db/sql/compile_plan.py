@@ -34,8 +34,14 @@ identical :class:`~repro.db.sql.executor.StatementResult` (columns,
 rows, rowcount, rows_touched), identical ``Database.notify`` charges,
 identical lock acquisition order and identical undo-log contents --
 ``tests/db/test_sql_exec_equivalence.py`` checks this differentially,
-including rollback paths.  ``REPRO_SQL_EXEC=tree`` restores the tree
-executor for debugging.
+including rollback paths.
+
+This rung is no longer the default: ``REPRO_SQL_EXEC`` defaults to
+``source`` (:mod:`repro.db.sql.codegen_plan`), and these closures are
+what a plan shape the generator does not emit falls back to
+(``PlanCacheStats.compiled_plans - source_plans`` counts those).
+``REPRO_SQL_EXEC=compiled`` selects them outright,
+``REPRO_SQL_EXEC=tree`` the tree executor.
 """
 
 from __future__ import annotations
@@ -82,16 +88,16 @@ from repro.db.sql.planner import (
 if False:  # pragma: no cover - import cycle guard for type checkers
     from repro.db.txn import Transaction
 
-# SQL executor selection: "compiled" runs statements through the plan
-# compilation in this module; "source" generates Python source text per
-# plan (repro.db.sql.codegen_plan, falling back to this module's
-# closures for shapes it does not emit); "tree" walks the planner's
-# operator tree (the debugging / differential-testing reference).  All
-# rungs produce bit-identical StatementResults; see the module
-# docstrings.
+# SQL executor selection: "source" (the default) generates Python
+# source text per plan (repro.db.sql.codegen_plan, falling back to this
+# module's closures for shapes it does not emit); "compiled" runs
+# statements through the plan compilation in this module; "tree" walks
+# the planner's operator tree (the debugging / differential-testing
+# reference).  All rungs produce bit-identical StatementResults; see
+# the module docstrings.
 SQL_EXEC_ENV_VAR = "REPRO_SQL_EXEC"
 SQL_EXEC_MODES = ("tree", "compiled", "source")
-DEFAULT_SQL_EXEC = "compiled"
+DEFAULT_SQL_EXEC = "source"
 
 
 def resolve_sql_exec_mode(mode: Optional[str] = None) -> str:

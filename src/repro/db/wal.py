@@ -354,7 +354,9 @@ class ShardWal:
         }
         tmp = self.checkpoint_path.with_suffix(".ckpt.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh, separators=(",", ":"))
+            # dumps, not dump: dump streams through the pure-Python
+            # _iterencode, dumps through the C encoder (same bytes).
+            fh.write(json.dumps(snapshot, separators=(",", ":")))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.checkpoint_path)
@@ -613,7 +615,9 @@ class WalManager:
         path = self.directory / META_FILE
         tmp = path.with_suffix(".json.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
+            fh.write(
+                json.dumps(payload, separators=(",", ":"), sort_keys=True)
+            )
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -21,7 +21,6 @@ Design notes
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
@@ -188,13 +187,6 @@ LValue = Union[VarLV, FieldLV, IndexLV]
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------
-
-_sid_counter = itertools.count(1)
-
-
-def next_sid() -> int:
-    return next(_sid_counter)
-
 
 @dataclass
 class Stmt:
@@ -400,8 +392,9 @@ class ProgramIR:
             seen.add(stmt.sid)
 
 
-def assign_sids(block: Block) -> None:
-    """Assign fresh sids to every statement in ``block`` (idempotent-safe)."""
+def assign_sids(block: Block, sids: Iterator[int]) -> None:
+    """Give every unnumbered statement in ``block`` the next of ``sids``
+    (idempotent-safe)."""
     for stmt in block.walk():
         if stmt.sid == 0:
-            stmt.sid = next_sid()
+            stmt.sid = next(sids)

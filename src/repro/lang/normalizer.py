@@ -14,6 +14,7 @@ validates structural invariants, and records per-class field lists
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -92,11 +93,18 @@ class StmtBuilder:
 
 
 def normalize_program(program: ProgramIR) -> ProgramIR:
-    """Finalize a parsed program: assign sids, validate, collect fields."""
+    """Finalize a parsed program: assign sids, validate, collect fields.
+
+    Statements are numbered from 1 within the program, so everything
+    derived from them -- PyxIL listings, allocation-site ids, generated
+    block source -- depends on the program alone, not on what else the
+    process parsed before it.
+    """
+    sids = itertools.count(1)
     for cls in program.classes.values():
         fields: set[str] = set()
         for func in cls.methods.values():
-            assign_sids(func.body)
+            assign_sids(func.body, sids)
             _validate_function(func)
             fields.update(_written_fields(func))
         # Fields read but never written still need declarations.

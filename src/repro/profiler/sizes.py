@@ -18,6 +18,8 @@ from typing import Any
 
 # Fixed overhead per heap object reference shipped across the wire.
 REF_SIZE = 8
+# An int or a float.
+NUMBER_SIZE = 8
 CONTAINER_OVERHEAD = 16
 
 # Value-keyed cache for tuples of primitives.  bool is deliberately
@@ -38,14 +40,22 @@ def _primitive_tuple(value: tuple) -> bool:
 
 def estimate_size(value: Any) -> int:
     """Estimated wire size of ``value`` in bytes."""
+    # Exact types first: nearly every sized value is a plain int, float
+    # or str (type(True) is bool, so bools take the ladder below, as do
+    # subclasses).
+    kind = type(value)
+    if kind is int or kind is float:
+        return NUMBER_SIZE
+    if kind is str:
+        return CONTAINER_OVERHEAD + (
+            len(value) if value.isascii() else len(value.encode("utf-8"))
+        )
     if value is None:
         return 1
     if isinstance(value, bool):
         return 1
-    if isinstance(value, int):
-        return 8
-    if isinstance(value, float):
-        return 8
+    if isinstance(value, (int, float)):
+        return NUMBER_SIZE
     if isinstance(value, str):
         return CONTAINER_OVERHEAD + len(value.encode("utf-8"))
     if isinstance(value, tuple):

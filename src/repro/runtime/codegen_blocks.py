@@ -76,7 +76,8 @@ from repro.runtime.compile_blocks import (
 )
 from repro.runtime.heap import _MISSING, HeapError, NativeRef, ObjRef
 from repro.runtime.interpreter import NATIVE_CPU_COSTS, RuntimeError_, _Frame
-from repro.runtime.rpc import DbRequestMessage, DbResponseMessage
+from repro.runtime.rpc import MESSAGE_OVERHEAD
+from repro.runtime.serializer import wire_size
 
 
 class BlockCodegenError(RuntimeError_):
@@ -153,8 +154,7 @@ _BASE_NAMESPACE: dict[str, Any] = {
     "_CONTAINERS": _CONTAINER_TYPES,
     "RuntimeError_": RuntimeError_,
     "HeapError": HeapError,
-    "DbRequestMessage": DbRequestMessage,
-    "DbResponseMessage": DbResponseMessage,
+    "_wire_size": wire_size,
     "_apply_binop": _apply_binop,
     "_raise_rt": _raise_rt,
     "_heap_missing": _heap_missing,
@@ -576,15 +576,14 @@ class _FnEmitter:
             "    _raise_rt('DB call needs a SQL string first argument')"
         )
         self.w("ex.stats.db_calls += 1")
-        params_tuple = (
-            "(" + ", ".join(params) + ("," if len(params) == 1 else "") + ")"
-        )
         if remote:
-            self.w(
-                "ex.cluster.record_message("
-                f"DbRequestMessage({api!r}, {sql}, {params_tuple}).nbytes(), "
-                "to_db=True)"
+            # DbRequestMessage.nbytes() without building the message:
+            # the envelope and the API name fold into one constant.
+            size = " + ".join(
+                [f"{MESSAGE_OVERHEAD + len(api)} + len({sql})"]
+                + [f"_wire_size({p})" for p in params]
             )
+            self.w(f"ex.cluster.record_message({size}, to_db=True)")
             self.w("ex.stats.db_round_trips += 1")
         if api not in ("query", "query_one", "query_scalar", "execute"):
             self.w(f"_raise_rt({self.bind(f'unknown DB API {api!r}')})")
@@ -610,18 +609,12 @@ class _FnEmitter:
             f"ex._cost_model.db_operation(int({touched})))"
         )
         if remote:
-            if api == "query":
-                payload = f"{result}.rows"
-            elif api == "execute":
-                payload = result
-            else:
-                payload = (
-                    f"({result}.rows if isinstance({result}, ResultSet) "
-                    f"else {result})"
-                )
+            # DbResponseMessage.nbytes() likewise.  A ResultSet sizes
+            # as its row list does (container overhead plus its rows),
+            # and keeps the sum on the instance for a later transfer.
             self.w(
                 "ex.cluster.record_message("
-                f"DbResponseMessage({payload}).nbytes(), to_db=False)"
+                f"{MESSAGE_OVERHEAD} + _wire_size({result}), to_db=False)"
             )
         if api == "query":
             wrapped = self.tmp()
@@ -1460,9 +1453,24 @@ def generate_program_source(
     return writer.text(), module.namespace
 
 
+def _exec_module_text(text: str, filename: str, namespace: dict) -> None:
+    """``exec`` a generated module one top-level definition at a time.
+
+    Compiling the whole text at once holds the AST of every function
+    together -- a transient of several MB that stays in the process's
+    peak RSS.  A blank line ends each definition (the emitters write
+    none inside one); every piece is padded with the newlines before
+    it, so line numbers still refer to the module text.
+    """
+    line = 0
+    for piece in text.split("\n\n"):
+        exec(compile("\n" * line + piece, filename, "exec"), namespace)
+        line += piece.count("\n") + 2
+
+
 def _build_source_program(compiled: CompiledProgram, model) -> SourceProgram:
     text, namespace = generate_program_source(compiled, model)
-    exec(compile(text, f"<codegen:{compiled.name}>", "exec"), namespace)
+    _exec_module_text(text, f"<codegen:{compiled.name}>", namespace)
     fns = namespace["ENTRY_FNS"]
     max_bid = max(compiled.blocks) if compiled.blocks else -1
     meta: list[Optional[tuple]] = [None] * (max_bid + 1)

@@ -30,7 +30,12 @@ successful runs: identical results, identical :class:`ExecutionStats`
 error messages.  After a mid-block error the batched accounting may
 include the whole failing block where the tree-walker stops counting
 at the failing op (see DESIGN.md for the accepted divergences).
-``REPRO_INTERP=tree`` restores the tree-walker for debugging.
+
+This rung is no longer the default: ``REPRO_INTERP`` defaults to
+``source`` (:mod:`repro.runtime.codegen_blocks`), which still builds
+this module's :class:`CostCounts` to verify its own cost accounting
+against.  ``REPRO_INTERP=compiled`` selects these closures,
+``REPRO_INTERP=tree`` the tree-walker.
 """
 
 from __future__ import annotations

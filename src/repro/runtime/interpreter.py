@@ -68,17 +68,17 @@ NATIVE_CPU_COSTS: dict[str, float] = {
     "print": 2e-6,
 }
 
-# Interpreter selection: "compiled" runs blocks through the closure
-# compilation layer (repro.runtime.compile_blocks); "source" runs
+# Interpreter selection: "source" (the default) runs
 # generated-Python-source block functions (repro.runtime.codegen_blocks);
-# "tree" walks the Expr trees directly.  On successful runs all three
-# produce identical results and identical ExecutionStats (after a
-# mid-block error the batched op/CPU accounting of the compiled rungs
-# may cover the whole failing block); the tree-walker is the debugging
-# reference.
+# "compiled" runs blocks through the closure compilation layer
+# (repro.runtime.compile_blocks); "tree" walks the Expr trees directly.
+# On successful runs all three produce identical results and identical
+# ExecutionStats (after a mid-block error the batched op/CPU accounting
+# of the compiled rungs may cover the whole failing block); the
+# tree-walker is the debugging reference.
 INTERP_ENV_VAR = "REPRO_INTERP"
 INTERP_MODES = ("tree", "compiled", "source")
-DEFAULT_INTERP = "compiled"
+DEFAULT_INTERP = "source"
 
 
 def resolve_interp_mode(interp: Optional[str] = None) -> str:

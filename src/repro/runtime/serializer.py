@@ -19,7 +19,7 @@ from typing import Any
 
 from repro.db.jdbc import ResultSet, Row
 from repro.db.sql.executor import StatementResult
-from repro.profiler.sizes import estimate_size
+from repro.profiler.sizes import NUMBER_SIZE, estimate_size
 from repro.runtime.heap import NativeRef, ObjRef
 
 
@@ -66,6 +66,11 @@ def wire_copy(value: Any) -> Any:
 
 def wire_size(value: Any) -> int:
     """Estimated encoded size in bytes (see repro.profiler.sizes)."""
-    if isinstance(value, (ObjRef, NativeRef)):
+    # Exact types first: most sized values are statement parameters,
+    # and most of those plain numbers (type(True) is bool, not int).
+    kind = type(value)
+    if kind is int or kind is float:
+        return NUMBER_SIZE
+    if kind is ObjRef or kind is NativeRef:
         return 12  # oid + tag
     return estimate_size(value)

@@ -244,6 +244,15 @@ class FaultInjector:
         schedule_at(when, fire)
 
 
+# The recorder's pending-CPU side for the application server (database
+# shards are their own index), and the stage kinds bound once.
+_APP_SIDE = -1
+_APP_CPU = StageKind.APP_CPU
+_DB_CPU = StageKind.DB_CPU
+_NET_TO_DB = StageKind.NET_TO_DB
+_NET_TO_APP = StageKind.NET_TO_APP
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Configuration mirroring the paper's testbed.
@@ -312,12 +321,15 @@ class Cluster:
             per_message_overhead=self.config.per_message_overhead,
         )
         self._stages: list[Stage] = []
-        # CPU accumulates lazily per server and is flushed into a Stage
-        # when a message interleaves (or the trace ends); this keeps
-        # per-operation accounting cheap on the runtime's hot path.
-        # Keys are "app" and "db:<shard>".
-        self._pending_cpu: dict[str, float] = {"app": 0.0, "db:0": 0.0}
-        self._last_cpu_side: str = "app"
+        # CPU accumulates lazily and is flushed into a Stage when a
+        # message interleaves, the charged side changes or the trace
+        # ends; this keeps per-operation accounting cheap on the
+        # runtime's hot path.  record_cpu flushes before it charges a
+        # different side, so at most one side ever holds pending CPU:
+        # one float plus the side it belongs to (-1 = the application
+        # server, n = database shard n) is the whole pending state.
+        self._pending = 0.0
+        self._pending_side = _APP_SIDE
         # Which database shard the router last executed a statement on
         # -- "db" CPU charges from the runtime land there.
         self._statement_shard = 0
@@ -387,75 +399,70 @@ class Cluster:
 
     # -- trace recording ----------------------------------------------------
 
-    def _cpu_key(self, server: str) -> str:
-        if server == "app":
-            return "app"
-        if server == "db":
-            return f"db:{self._statement_shard}"
-        if server.startswith("db"):
-            return f"db:{int(server[2:] or 0)}"
-        raise KeyError(f"unknown server {server!r}")
-
     def record_cpu(self, server: str, seconds: float) -> None:
         """Charge CPU time on ``server`` and extend the current trace."""
         if seconds <= 0:
             if seconds < 0:
                 raise ValueError("cannot charge negative CPU time")
             return
-        key = self._cpu_key(server)
-        if key != "app" and self._shard_slowdowns:
-            factor = self._shard_slowdowns.get(int(key.split(":", 1)[1]))
-            if factor is not None:
-                seconds *= factor
-        if key != self._last_cpu_side and self._pending_cpu.get(
-            self._last_cpu_side
-        ):
-            self._flush_cpu(self._last_cpu_side)
-        self._last_cpu_side = key
-        self._pending_cpu[key] = self._pending_cpu.get(key, 0.0) + seconds
-
-    def _flush_cpu(self, key: str) -> None:
-        seconds = self._pending_cpu.get(key, 0.0)
-        if seconds <= 0:
-            return
-        self._pending_cpu[key] = 0.0
-        if key == "app":
-            kind, shard = StageKind.APP_CPU, 0
+        if server == "app":
+            side = _APP_SIDE
         else:
-            kind, shard = StageKind.DB_CPU, int(key.split(":", 1)[1])
+            if server == "db":
+                side = self._statement_shard
+            elif server.startswith("db"):
+                side = int(server[2:])
+            else:
+                raise KeyError(f"unknown server {server!r}")
+            if self._shard_slowdowns:
+                factor = self._shard_slowdowns.get(side)
+                if factor is not None:
+                    seconds *= factor
+        if side != self._pending_side:
+            if self._pending:
+                self._flush_cpu()
+            self._pending_side = side
+        self._pending += seconds
+
+    def _flush_cpu(self) -> None:
+        seconds = self._pending
+        if not seconds:
+            return
+        self._pending = 0.0
+        side = self._pending_side
+        if side == _APP_SIDE:
+            kind, shard = _APP_CPU, 0
+        else:
+            kind, shard = _DB_CPU, side
         self.clock.advance(seconds)
-        if self._stages:
-            prev = self._stages[-1]
-            if prev.kind == kind and prev.shard == shard:
-                self._stages[-1] = Stage(
+        stages = self._stages
+        # Only a message that failed after its flush (a partitioned
+        # link) leaves a CPU stage last; extend it rather than split.
+        if stages:
+            prev = stages[-1]
+            if prev.kind is kind and prev.shard == shard:
+                stages[-1] = Stage(
                     kind, prev.duration + seconds, prev.nbytes, shard
                 )
                 return
-        self._stages.append(Stage(kind, seconds, shard=shard))
-
-    def _flush_all_cpu(self) -> None:
-        # Preserve causal order: the side that ran last flushes last.
-        last = self._last_cpu_side
-        for key in sorted(self._pending_cpu):
-            if key != last:
-                self._flush_cpu(key)
-        self._flush_cpu(last)
+        stages.append(Stage(kind, seconds, 0, shard))
 
     def record_message(self, nbytes: int, *, to_db: bool) -> float:
         """Record a one-way message; returns its delivery delay."""
-        self._flush_all_cpu()
+        self._flush_cpu()
         delay = self.network.send(nbytes, to_db=to_db)
         self.clock.advance(delay)
-        kind = StageKind.NET_TO_DB if to_db else StageKind.NET_TO_APP
-        self._stages.append(Stage(kind, nbytes=nbytes))
+        self._stages.append(
+            Stage(_NET_TO_DB if to_db else _NET_TO_APP, 0.0, nbytes)
+        )
         return delay
 
     def start_trace(self) -> None:
-        self._flush_all_cpu()
+        self._flush_cpu()
         self._stages = []
 
     def finish_trace(self, name: str) -> TransactionTrace:
-        self._flush_all_cpu()
+        self._flush_cpu()
         trace = TransactionTrace(name=name, stages=tuple(self._stages))
         self._stages = []
         return trace
@@ -467,6 +474,6 @@ class Cluster:
             server.reset()
         self.network.reset_stats()
         self._stages = []
-        self._pending_cpu = {"app": 0.0, "db:0": 0.0}
+        self._pending = 0.0
         self._statement_shard = 0
         self._shard_slowdowns = {}

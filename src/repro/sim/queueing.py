@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -36,8 +36,9 @@ class StageKind(enum.Enum):
     NET_TO_APP = "net_to_app"
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(
+    namedtuple("Stage", ("kind", "duration", "nbytes", "shard"))
+):
     """One stage of a transaction trace.
 
     ``duration`` is CPU seconds for CPU stages and is ignored for
@@ -45,18 +46,27 @@ class Stage:
     network model).  ``shard`` identifies which database server of a
     sharded tier a DB_CPU stage occupies (0 in the classic
     single-server deployment).
+
+    An immutable record built on ``tuple`` rather than a frozen
+    dataclass: the live path mints four of these per statement, and a
+    frozen dataclass constructs through one ``object.__setattr__`` per
+    field.
     """
 
-    kind: StageKind
-    duration: float = 0.0
-    nbytes: int = 0
-    shard: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.duration < 0:
+    def __new__(
+        cls,
+        kind: StageKind,
+        duration: float = 0.0,
+        nbytes: int = 0,
+        shard: int = 0,
+    ) -> "Stage":
+        if duration < 0:
             raise ValueError("stage duration must be non-negative")
-        if self.nbytes < 0:
+        if nbytes < 0:
             raise ValueError("stage bytes must be non-negative")
+        return tuple.__new__(cls, (kind, duration, nbytes, shard))
 
     @property
     def is_cpu(self) -> bool:

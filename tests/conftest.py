@@ -73,6 +73,29 @@ def make_order_database() -> tuple[Database, "object"]:
     return db, conn
 
 
+def tpcc_invocations(scale, seed: int, rounds: int) -> list[tuple]:
+    """``(class, method, args)`` for every TPC-C entry point, ``rounds``
+    times over, from a seeded input generator."""
+    from repro.workloads.tpcc import TpccInputGenerator
+
+    gen = TpccInputGenerator(scale, seed=seed)
+    invocations = []
+    for _ in range(rounds):
+        order = gen.new_order(rollback_fraction=0.0)
+        pay = gen.payment()
+        invocations.extend([
+            ("TpccTransactions", "new_order",
+             (order.w_id, order.d_id, order.c_id,
+              order.item_ids, order.supply_w_ids, order.quantities)),
+            ("TpccTransactions", "payment",
+             (pay.w_id, pay.d_id, pay.c_w_id, pay.c_d_id, pay.c_id,
+              pay.amount)),
+            ("TpccTransactions", "order_status",
+             (order.w_id, order.d_id, order.c_id)),
+        ])
+    return invocations
+
+
 @pytest.fixture()
 def order_db():
     return make_order_database()

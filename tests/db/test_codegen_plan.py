@@ -90,6 +90,62 @@ class TestHybridHashJoin:
         assert src.columns == tree.columns
 
 
+# The two TPC-W browsing joins, and the scale field that sizes each
+# one's build side (the inner table its hash is built over).
+TPCW_JOINS = {
+    "best_sellers": (
+        "SELECT i.i_id, i.i_title, SUM(ol.ol_qty) AS sold "
+        "FROM tw_order_line ol JOIN tw_item i ON ol.ol_i_id = i.i_id "
+        "WHERE i.i_subject = ? GROUP BY i.i_id, i.i_title "
+        "ORDER BY sold DESC LIMIT 10",
+        "items", "i", ("ARTS", "COOKING", "HISTORY"),
+    ),
+    "search_by_author": (
+        "SELECT i.i_id, i.i_title FROM tw_item i JOIN author a "
+        "ON i.i_a_id = a.a_id WHERE a.a_lname = ? "
+        "ORDER BY i.i_title LIMIT 20",
+        "authors", "a", ("last3", "last11", "last96"),
+    ),
+}
+
+
+class TestHashJoinBoundaries:
+    """The default rung picks its join strategy from the build side's
+    size at fixed thresholds; one row either side of each threshold the
+    workload's joins must still return exactly the tree oracle's rows."""
+
+    @pytest.mark.parametrize("join", TPCW_JOINS)
+    @pytest.mark.parametrize("build_rows,expected", [
+        (HASH_JOIN_MIN_ROWS - 1, "nested"),
+        (HASH_JOIN_MIN_ROWS, "hash"),
+        (HASH_JOIN_MIN_ROWS + 1, "hash"),
+        (HASH_JOIN_SPILL_ROWS - 1, "hash"),
+        (HASH_JOIN_SPILL_ROWS, "hash_spill"),
+        (HASH_JOIN_SPILL_ROWS + 1, "hash_spill"),
+    ])
+    def test_tpcw_joins_match_tree_across_thresholds(
+        self, join, build_rows, expected, monkeypatch
+    ):
+        from repro.workloads.tpcw import TpcwScale, make_tpcw_database
+
+        monkeypatch.delenv("REPRO_SQL_EXEC", raising=False)
+        sql, sized_by, inner, params = TPCW_JOINS[join]
+        sizes = {"items": 120, "authors": 40, "customers": 40, "orders": 300}
+        sizes[sized_by] = build_rows
+        db, conn = make_tpcw_database(TpcwScale(**sizes))
+        assert conn.sql_exec == "source"  # the default
+        assert dict(conn.prepare(sql).compiled.join_meta)[inner] == expected
+        tree = connect(db, sql_exec="tree")
+        returned = 0
+        for param in params:
+            got, want = conn.query(sql, param), tree.query(sql, param)
+            assert got.columns == want.columns
+            assert [r.as_tuple() for r in got] == [r.as_tuple() for r in want]
+            assert got.rows_touched == want.rows_touched
+            returned += len(want)
+        assert returned > 0
+
+
 class TestDeterminism:
     def test_regenerating_a_plan_is_byte_identical(self):
         db = _join_db(200)

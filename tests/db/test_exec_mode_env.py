@@ -2,7 +2,9 @@
 
 ``REPRO_INTERP`` (block runtime) and ``REPRO_SQL_EXEC`` (SQL executor)
 must reject unknown values with the allowed choices in the error --
-never silently fall back to a default.
+never silently fall back to a default.  What the defaults are, and that
+they run every workload like the tree oracle, is pinned in
+``tests/test_interp_equivalence.py``.
 """
 
 import pytest
@@ -16,7 +18,6 @@ from repro.db.sql.compile_plan import (
     resolve_sql_exec_mode,
 )
 from repro.runtime.interpreter import (
-    DEFAULT_INTERP,
     INTERP_ENV_VAR,
     INTERP_MODES,
     RuntimeError_,
@@ -25,10 +26,6 @@ from repro.runtime.interpreter import (
 
 
 class TestSqlExecMode:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(SQL_EXEC_ENV_VAR, raising=False)
-        assert resolve_sql_exec_mode() == DEFAULT_SQL_EXEC == "compiled"
-
     def test_empty_env_means_default(self, monkeypatch):
         monkeypatch.setenv(SQL_EXEC_ENV_VAR, "")
         assert resolve_sql_exec_mode() == DEFAULT_SQL_EXEC
@@ -140,10 +137,6 @@ class TestModeKeyedPlanCache:
 
 
 class TestInterpMode:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(INTERP_ENV_VAR, raising=False)
-        assert resolve_interp_mode() == DEFAULT_INTERP == "compiled"
-
     @pytest.mark.parametrize("mode", INTERP_MODES)
     def test_valid_env_values(self, monkeypatch, mode):
         monkeypatch.setenv(INTERP_ENV_VAR, mode)

@@ -24,6 +24,17 @@ def make_db():
     return db
 
 
+# One statement per mutation path of the executors: the source rung
+# inlines the point insert and the point update of non-key columns.
+SINGLE_WRITES = {
+    "point insert": "INSERT INTO acct (id, owner, bal) VALUES (9, 'x', 9.0)",
+    "point update": "UPDATE acct SET bal = -5.0 WHERE id = 4",
+    "range update": "UPDATE acct SET bal = bal + 1.0 WHERE id > 3",
+    "key update": "UPDATE acct SET id = 40 WHERE id = 4",
+    "delete": "DELETE FROM acct WHERE id = 5",
+}
+
+
 class TestSnapshotVisibility:
     @pytest.mark.parametrize("mode", SQL_EXEC_MODES)
     def test_reader_pins_pre_update_state(self, mode):
@@ -81,14 +92,15 @@ class TestSnapshotVisibility:
         assert ids == [1, 2, 4, 5]
         reader.commit()
 
-    def test_two_snapshots_see_their_own_epochs(self):
+    @pytest.mark.parametrize("mode", SQL_EXEC_MODES)
+    def test_two_snapshots_see_their_own_epochs(self, mode):
         db = make_db()
         lm = LockManager()
-        writer = connect(db, lm)
-        r1 = connect(db, lm)
+        writer = connect(db, lm, sql_exec=mode)
+        r1 = connect(db, lm, sql_exec=mode)
         r1.begin(snapshot=True)
         writer.execute("UPDATE acct SET bal = 1.0 WHERE id = 1")
-        r2 = connect(db, lm)
+        r2 = connect(db, lm, sql_exec=mode)
         r2.begin(snapshot=True)
         writer.execute("UPDATE acct SET bal = 2.0 WHERE id = 1")
         assert r1.query_scalar("SELECT bal FROM acct WHERE id = 1") == 100.0
@@ -98,11 +110,12 @@ class TestSnapshotVisibility:
         r1.commit()
         r2.commit()
 
-    def test_snapshot_aggregates_over_old_epoch(self):
+    @pytest.mark.parametrize("mode", SQL_EXEC_MODES)
+    def test_snapshot_aggregates_over_old_epoch(self, mode):
         db = make_db()
         lm = LockManager()
-        writer = connect(db, lm)
-        reader = connect(db, lm)
+        writer = connect(db, lm, sql_exec=mode)
+        reader = connect(db, lm, sql_exec=mode)
         reader.begin(snapshot=True)
         total = reader.query_scalar("SELECT SUM(bal) FROM acct")
         writer.execute("UPDATE acct SET bal = bal + 1000.0 WHERE id > 0")
@@ -111,19 +124,23 @@ class TestSnapshotVisibility:
 
 
 class TestSnapshotRules:
-    def test_snapshot_txn_rejects_mutations(self):
+    @pytest.mark.parametrize("mode", SQL_EXEC_MODES)
+    @pytest.mark.parametrize("sql", SINGLE_WRITES.values(),
+                             ids=SINGLE_WRITES.keys())
+    def test_snapshot_txn_rejects_mutations(self, mode, sql):
         db = make_db()
-        conn = connect(db, LockManager())
+        conn = connect(db, LockManager(), sql_exec=mode)
         conn.begin(snapshot=True)
         with pytest.raises(TransactionError):
-            conn.execute("UPDATE acct SET bal = 0.0 WHERE id = 1")
+            conn.execute(sql)
         conn.rollback()
 
-    def test_snapshot_reader_takes_no_locks_and_never_blocks(self):
+    @pytest.mark.parametrize("mode", SQL_EXEC_MODES)
+    def test_snapshot_reader_takes_no_locks_and_never_blocks(self, mode):
         db = make_db()
         lm = LockManager()
-        reader = connect(db, lm)
-        writer = connect(db, lm)
+        reader = connect(db, lm, sql_exec=mode)
+        writer = connect(db, lm, sql_exec=mode)
         txn = reader.begin(snapshot=True)
         reader.query("SELECT id FROM acct ORDER BY id")
         assert not lm.held_by(txn.id)
@@ -136,11 +153,12 @@ class TestSnapshotRules:
         writer.commit()
         reader.commit()
 
-    def test_writer_rollback_restores_snapshot_fast_path(self):
+    @pytest.mark.parametrize("mode", SQL_EXEC_MODES)
+    def test_writer_rollback_restores_snapshot_fast_path(self, mode):
         db = make_db()
         lm = LockManager()
-        reader = connect(db, lm)
-        writer = connect(db, lm)
+        reader = connect(db, lm, sql_exec=mode)
+        writer = connect(db, lm, sql_exec=mode)
         reader.begin(snapshot=True)
         writer.begin()
         writer.execute("UPDATE acct SET bal = -5.0 WHERE id = 4")
@@ -150,6 +168,42 @@ class TestSnapshotRules:
         assert reader.query_scalar(
             "SELECT bal FROM acct WHERE id = 4") == 400.0
         reader.commit()
+
+    @pytest.mark.parametrize("mode", SQL_EXEC_MODES)
+    @pytest.mark.parametrize("sql", SINGLE_WRITES.values(),
+                             ids=SINGLE_WRITES.keys())
+    def test_single_statement_writer_is_invisible_until_commit(
+        self, mode, sql
+    ):
+        """A writer whose *only* mutation takes one executor path must
+        register with the version store on that path: the source rung
+        inlines the point insert and the point update, and a writer
+        that never ran another kind of statement went unregistered."""
+        db = make_db()
+        lm = LockManager()
+        reader = connect(db, lm, sql_exec=mode)
+        writer = connect(db, lm, sql_exec=mode)
+        def rows(conn):
+            return [r.as_tuple() for r in conn.query(
+                "SELECT id, bal FROM acct ORDER BY id")]
+
+        reader.begin(snapshot=True)
+        before = rows(reader)
+        writer.begin()
+        writer.execute(sql)
+        assert rows(reader) == before
+        late = connect(db, lm, sql_exec=mode)
+        late.begin(snapshot=True)  # pinned beside the open writer
+        assert rows(late) == before
+        writer.commit()
+        assert rows(reader) == before
+        assert rows(late) == before
+        reader.commit()
+        late.commit()
+        fresh = connect(db, lm, sql_exec=mode)
+        fresh.begin(snapshot=True)
+        assert rows(fresh) != before
+        fresh.commit()
 
 
 class TestVersionGc:

@@ -106,7 +106,20 @@ def assert_shard_equivalence(
     assert single_log == sharded_log
     assert _single_state(single_db) == _sharded_state(sharded_db)
     _assert_replicas_consistent(sharded_db)
+    if single_conn.sql_exec == "source":
+        _assert_no_fallback(single_conn, sharded_conn)
     return txn_single, txn_sharded
+
+
+def _assert_no_fallback(single_conn, sharded_conn):
+    """The source rung generated every statement of the script: none
+    fell back to the closure compiler or the tree executor.  (The
+    router compiles a statement once per shard it reaches, so only the
+    single server's count also equals its cache misses.)"""
+    single = single_conn.plan_cache_stats
+    assert single.source_plans == single.compiled_plans == single.misses > 0
+    sharded = sharded_conn.plan_cache_stats
+    assert sharded.source_plans == sharded.compiled_plans > 0
 
 
 def make_pair(factory, scheme, shards, sql_exec):

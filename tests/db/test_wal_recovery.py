@@ -9,6 +9,8 @@ checkpoint low-water mark must not block recovery; damage above it
 must fail fast with the offending LSN quoted.
 """
 
+import io
+import json
 import random
 
 import pytest
@@ -205,6 +207,53 @@ class TestShardedRecovery:
         assert _sdb_state(recovered) == _sdb_state(sdb)
         assert report.decisions == 1
         assert sum(r.resolves_applied for r in report.shard_reports) == 2
+
+    def test_checkpoint_files_are_the_streaming_encoders_bytes(
+        self, tmp_path
+    ):
+        """Checkpoints and ``meta.json`` are written with ``json.dumps``
+        (the C encoder); the bytes must be exactly what streaming
+        ``json.dump`` (the pure-Python encoder they used to go through)
+        produces, and recovery from them must still round-trip."""
+        sdb = ShardedDatabase(
+            "r", shards=2,
+            scheme=ShardingScheme(
+                {"t": TableSharding(columns=("k",), strategy="mod")}
+            ),
+        )
+        sdb.create_table(
+            "t",
+            [("k", "int", False), ("name", "text"), ("score", "float")],
+            primary_key=["k"],
+        )
+        names = ["plain", "na\u00efve \u2713", 'quote " back \\ slash',
+                 "line\nbreak\ttab", None, ""]
+        for k in range(12):
+            score = None if k == 5 else (k - 3) / 7.0 * 1e-5 ** (k % 3)
+            sdb.insert("t", (k, names[k % len(names)], score))
+        manager = attach_wal(sdb, tmp_path)
+        conn = connect_sharded(sdb)
+        conn.execute("UPDATE t SET score = ? WHERE k = ?", 2.0 ** 70, 1)
+        conn.execute("INSERT INTO t (k, name, score) VALUES (?, ?, ?)",
+                     2 ** 40, "big key", -0.0)
+        conn.execute("DELETE FROM t WHERE k = ?", 4)
+        assert None not in manager.checkpoint(sdb.shards)
+        conn.execute("UPDATE t SET name = ? WHERE k = ?", "after", 2)
+        manager.close()
+
+        def streamed(text, **kwargs):
+            out = io.StringIO()
+            json.dump(json.loads(text), out, separators=(",", ":"), **kwargs)
+            return out.getvalue()
+
+        for wal in manager.wals:
+            text = wal.checkpoint_path.read_bytes().decode("utf-8")
+            assert len(json.loads(text)["tables"][0]["rows"]) >= 5
+            assert streamed(text) == text
+        meta = (tmp_path / "meta.json").read_bytes().decode("utf-8")
+        assert streamed(meta, sort_keys=True) == meta
+        recovered, _ = recover_sharded(tmp_path)
+        assert _sdb_state(recovered) == _sdb_state(sdb)
 
     def test_recover_dispatches_on_meta(self, tmp_path):
         single_db = make_kv_db()

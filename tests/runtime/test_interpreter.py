@@ -204,13 +204,6 @@ class TestInterpSelection:
         executor = PyxisExecutor(part.compiled, Cluster(), conn)
         assert executor.interp == "tree"
 
-    def test_default_is_compiled(self, order_partitions, monkeypatch):
-        monkeypatch.delenv("REPRO_INTERP", raising=False)
-        part = order_partitions.lowest()
-        _, conn = make_order_database()
-        executor = PyxisExecutor(part.compiled, Cluster(), conn)
-        assert executor.interp == "compiled"
-
     def test_unknown_mode_rejected(self, order_partitions):
         part = order_partitions.lowest()
         _, conn = make_order_database()

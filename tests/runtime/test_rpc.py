@@ -1,13 +1,26 @@
 """RPC message byte accounting."""
 
+from enum import IntEnum
+
 import pytest
 
+from repro.db.jdbc import ResultSet, Row
+from repro.db.sql.executor import StatementResult
+from repro.runtime.heap import NativeRef, ObjRef
 from repro.runtime.rpc import (
     MESSAGE_OVERHEAD,
     ControlTransferMessage,
     DbRequestMessage,
     DbResponseMessage,
 )
+from repro.runtime.serializer import wire_size
+
+
+def _result_set(rows):
+    return ResultSet(StatementResult(
+        columns=["a", "b"], rows=rows, rowcount=len(rows),
+        rows_touched=len(rows),
+    ))
 
 
 class TestControlTransferMessage:
@@ -56,3 +69,65 @@ class TestDbMessages:
 
     def test_overhead_floor(self):
         assert DbResponseMessage(None).nbytes() >= MESSAGE_OVERHEAD
+
+
+class TestPinnedByteCounts:
+    """Byte counts are part of the virtual-clock results: every number
+    below was computed on commit fcd66e5, before the exact-type fast
+    paths in ``estimate_size`` / ``wire_size`` and the generated size
+    expressions, and must not move by one."""
+
+    VALUES = [
+        (None, 1),
+        (True, 1),
+        (False, 1),
+        (1, 8),
+        (0, 8),
+        (2 ** 80, 8),
+        (-1.5, 8),
+        (IntEnum("E", "A").A, 8),          # an int subclass
+        ("", 16),
+        ("new-order", 25),
+        ("prix: 12 €", 28),                # non-ASCII: UTF-8 bytes
+        ((1, True), 25),                   # bools keep tuples off the cache
+        ((1, 1), 32),
+        ([1, [2.0, [None, "x"]], True], 83),
+        ({"k": [1, 2]}, 65),
+        (ObjRef(3, "Order"), 12),
+        (NativeRef(4, 17), 12),
+        ([ObjRef(3, "Order")], 24),        # nested refs travel as 8 bytes
+        (Row(["a", "b"], (7, "seven")), 45),
+        (_result_set([(1, "x"), (2, None)]), 82),
+        (_result_set([]), 16),
+        (object(), 8),
+    ]
+
+    @pytest.mark.parametrize("value,expected", VALUES, ids=repr)
+    def test_wire_size(self, value, expected):
+        assert wire_size(value) == expected
+        assert DbResponseMessage(value).nbytes() == MESSAGE_OVERHEAD + expected
+
+    def test_a_result_set_sizes_as_its_row_list(self):
+        # The generated DB-call code sizes a query response from the
+        # ResultSet itself (memoized) instead of from ``.rows``.
+        rs = _result_set([(1, "x"), (2, None), (3, "three")])
+        assert wire_size(rs) == wire_size(rs.rows) == 127
+
+    def test_request(self):
+        msg = DbRequestMessage(
+            "query_one", "SELECT a FROM t WHERE k = ? AND f = ?",
+            (1, True, None, "p", 2.5, ObjRef(1, "T")),
+        )
+        assert msg.nbytes() == 125
+
+    def test_control_transfer(self):
+        msg = ControlTransferMessage(
+            next_bid=9,
+            stack_updates={"0:self": ObjRef(1, "T"), "0:flag": True,
+                           "1:n": 1, "1:rs": _result_set([(1, "x")])},
+            field_updates={(1, "T", "total"): 2.5,
+                           (1, "T", "items"): NativeRef(2, 5)},
+            native_updates={2: [1, True, None, ObjRef(7, "U")],
+                            3: Row(["a"], (1,))},
+        )
+        assert msg.nbytes() == 251

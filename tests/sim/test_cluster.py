@@ -1,6 +1,8 @@
 """Cluster trace recording."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.queueing import StageKind
@@ -114,3 +116,77 @@ class TestTraceRecording:
         assert cluster.db.cores == 3
         delay = cluster.record_message(0, to_db=True)
         assert delay >= 0.01
+
+
+# ---------------------------------------------------------------------------
+# The recorder's invariants under arbitrary call sequences
+# ---------------------------------------------------------------------------
+
+SHARDS = 3
+# Every quantity is a dyadic rational (charges in 2**-20 s, slowdowns
+# powers of two, a network whose delays are multiples of 2**-20 s), so
+# float sums are exact in any order and the checks can use ==.
+TICK = 2.0 ** -20
+recorder_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("cpu"),
+                  st.sampled_from(["app", "db", "db0", "db1", "db2"]),
+                  st.integers(0, 4000)),
+        st.tuples(st.just("message"), st.integers(0, 5000), st.booleans()),
+        st.tuples(st.just("shard"), st.integers(0, SHARDS - 1)),
+        st.tuples(st.just("slow"), st.integers(0, SHARDS - 1),
+                  st.sampled_from([0.5, 1.0, 2.0, 4.0])),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(recorder_ops)
+def test_recorder_invariants(ops):
+    cluster = Cluster(ClusterConfig(
+        db_shards=SHARDS, one_way_latency=64 * TICK,
+        bandwidth=2.0 ** 20, per_message_overhead=64,
+    ))
+    cluster.start_trace()
+    charged = {}          # (kind, shard) -> seconds, slowdown applied
+    messages = []         # (kind, nbytes) in order
+    delays = 0.0
+    shard, slow = 0, {}
+    for op in ops:
+        if op[0] == "cpu":
+            _, server, ticks = op
+            if server == "app":
+                key, factor = (StageKind.APP_CPU, 0), 1.0
+            else:
+                target = shard if server == "db" else int(server[2:])
+                key, factor = (StageKind.DB_CPU, target), slow.get(target, 1.0)
+            cluster.record_cpu(server, ticks * TICK)
+            charged[key] = charged.get(key, 0.0) + ticks * TICK * factor
+        elif op[0] == "message":
+            _, nbytes, to_db = op
+            delays += cluster.record_message(nbytes, to_db=to_db)
+            messages.append((
+                StageKind.NET_TO_DB if to_db else StageKind.NET_TO_APP, nbytes,
+            ))
+        elif op[0] == "shard":
+            shard = op[1]
+            cluster.set_statement_shard(shard)
+        else:
+            _, target, factor = op
+            slow[target] = factor
+            cluster.set_shard_slowdown(target, factor)
+    stages = cluster.finish_trace("t").stages
+
+    for first, second in zip(stages, stages[1:]):
+        if first.is_cpu and second.is_cpu:
+            assert (first.kind, first.shard) != (second.kind, second.shard)
+    recorded = {}
+    for stage in stages:
+        if stage.is_cpu:
+            assert stage.duration > 0
+            key = (stage.kind, stage.shard)
+            recorded[key] = recorded.get(key, 0.0) + stage.duration
+    assert recorded == {k: v for k, v in charged.items() if v}
+    assert [(s.kind, s.nbytes) for s in stages if s.is_network] == messages
+    assert cluster.clock.now == sum(recorded.values()) + delays

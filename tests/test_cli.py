@@ -3,6 +3,11 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.db.sql.compile_plan import (
+    DEFAULT_SQL_EXEC,
+    SQL_EXEC_ENV_VAR,
+    SQL_EXEC_MODES,
+)
 from tests.conftest import ORDER_SOURCE
 
 
@@ -126,6 +131,34 @@ class TestServeCommand:
         code = main(["serve", "--clients", "0"])
         assert code == 2
         assert "positive" in capsys.readouterr().err
+
+    def test_sql_exec_offers_every_rung(self, capsys, monkeypatch):
+        parser = build_parser()
+        for mode in SQL_EXEC_MODES:
+            args = parser.parse_args(["serve", "--sql-exec", mode])
+            assert args.sql_exec == mode
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "--help"])
+        assert f"default: {DEFAULT_SQL_EXEC}" in " ".join(
+            capsys.readouterr().out.split()
+        )
+        # The flag exports the variable; keep it out of later tests.
+        monkeypatch.setenv(SQL_EXEC_ENV_VAR, "")
+        code = main([
+            "serve", "--workload", "micro", "--clients", "2",
+            "--duration", "1", "--sql-exec", "source",
+        ])
+        assert code == 0
+        assert "serve load sweep: micro" in capsys.readouterr().out
+
+    def test_unknown_sql_exec_refused_naming_the_options(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--sql-exec", "turbo"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "turbo" in err
+        for mode in SQL_EXEC_MODES:
+            assert repr(mode) in err
 
     def test_serve_switching_registered(self):
         args = build_parser().parse_args(["serve", "--switching"])
