@@ -13,7 +13,11 @@ Two invariants are asserted, not just recorded:
 * the traced run's *virtual* results (completions, aborts, retries)
   are identical to the untraced run's -- tracing observes, never
   perturbs;
-* the enabled-vs-disabled wall overhead stays under 15%.
+* a recorded span costs at most ``SPAN_BUDGET_US`` of wall time:
+  ``(enabled - disabled) / spans_recorded``.  The budget is absolute
+  because the relative overhead's denominator is the simulator's own
+  speed: halving the event loop's cost doubles the fraction without
+  tracing getting any dearer.  The fraction is still recorded.
 
 Only executes under ``-m perfsmoke``; run as a script for a quick
 local check: ``PYTHONPATH=src python benchmarks/obs_smoke.py``.
@@ -38,7 +42,10 @@ CLIENTS = 32
 DB_CORES = 3
 DURATION = 20.0
 SEED = 17
-OVERHEAD_CEILING = 0.15
+# 1.5x what the commit before the closure-free event core (bad5b61)
+# measured on the development sandbox: 5.9-6.5 us per span (7% of a
+# 6.5-7.0 s run).
+SPAN_BUDGET_US = 9.0
 REPEATS = 2
 
 
@@ -103,7 +110,8 @@ def run_obs_smoke() -> dict:
         "wall_seconds_tracing_disabled": disabled,
         "wall_seconds_tracing_enabled": enabled,
         "tracing_overhead_fraction": overhead,
-        "overhead_ceiling": OVERHEAD_CEILING,
+        "tracing_us_per_span": 1e6 * (enabled - disabled) / spans,
+        "span_budget_us": SPAN_BUDGET_US,
         "trace_artifact": TRACE_OUTPUT.name,
         "trace_artifact_bytes": TRACE_OUTPUT.stat().st_size,
     }
@@ -118,7 +126,9 @@ def test_obs_smoke(request):
     payload = run_obs_smoke()
     print()
     print(
-        f"obs perf smoke: tracing overhead "
+        f"obs perf smoke: tracing costs "
+        f"{payload['tracing_us_per_span']:.2f} us per span "
+        f"(budget {SPAN_BUDGET_US:g}), overhead "
         f"{100 * payload['tracing_overhead_fraction']:.1f}% "
         f"({payload['wall_seconds_tracing_disabled']:.2f}s -> "
         f"{payload['wall_seconds_tracing_enabled']:.2f}s wall, "
@@ -126,7 +136,7 @@ def test_obs_smoke(request):
     )
     assert payload["completed_txns"] > 0
     assert payload["spans_recorded"] > 0
-    assert payload["tracing_overhead_fraction"] <= OVERHEAD_CEILING
+    assert payload["tracing_us_per_span"] <= SPAN_BUDGET_US
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ controller on a 3-core database server and writes ``BENCH_serve.json``
 at the repository root -- transactions per *virtual* second (the
 modeled system's throughput, deterministic across machines) plus the
 wall-clock cost of simulating it (machine-dependent, recorded for the
-performance trajectory).
+performance trajectory): the wall of all three configurations, and the
+adaptive run's event count with its wall time per event, the
+discrete-event core's own number.
 
 Like the interpreter smoke, it only executes under ``-m perfsmoke``
 (``pytest benchmarks/serve_smoke.py -m perfsmoke``) so plain test runs
@@ -16,10 +18,12 @@ check: ``PYTHONPATH=src python benchmarks/serve_smoke.py``.
 import json
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.bench.serve_experiments import serve_load_sweep
+from repro.sim.clock import EventLoop
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_serve.json"
@@ -30,16 +34,27 @@ DURATION = 20.0
 
 
 def run_serve_smoke() -> dict:
+    loop_runs = []  # (events, wall seconds) of each engine's event loop
+    inner = EventLoop.run
+
+    def timed_run(loop, *args, **kwargs):
+        begin = time.perf_counter()
+        events = inner(loop, *args, **kwargs)
+        loop_runs.append((events, time.perf_counter() - begin))
+        return events
+
     start = time.perf_counter()
-    sweep = serve_load_sweep(
-        fast=True,
-        client_counts=[CLIENTS],
-        db_cores=DB_CORES,
-        duration=DURATION,
-        seed=17,
-    )
+    with mock.patch.object(EventLoop, "run", timed_run):
+        sweep = serve_load_sweep(
+            fast=True,
+            client_counts=[CLIENTS],
+            db_cores=DB_CORES,
+            duration=DURATION,
+            seed=17,
+        )
     wall = time.perf_counter() - start
     point = sweep.curves["adaptive"][0]
+    events, loop_wall = loop_runs[-1]  # the sweep runs adaptive last
     payload = {
         "workload": "tpcc-new-order",
         "clients": CLIENTS,
@@ -53,6 +68,8 @@ def run_serve_smoke() -> dict:
         "static_high_txn_per_virtual_second":
             sweep.curves["static_high"][0].throughput,
         "wall_seconds_all_configs": wall,
+        "adaptive_events": events,
+        "adaptive_wall_us_per_event": 1e6 * loop_wall / events,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -70,7 +87,9 @@ def test_serve_smoke(request):
         f"{CLIENTS} clients "
         f"(static {payload['static_low_txn_per_virtual_second']:.1f} / "
         f"{payload['static_high_txn_per_virtual_second']:.1f}), "
-        f"{payload['wall_seconds_all_configs']:.1f}s wall -> {OUTPUT.name}"
+        f"{payload['wall_seconds_all_configs']:.1f}s wall, "
+        f"{payload['adaptive_wall_us_per_event']:.2f} us per event -> "
+        f"{OUTPUT.name}"
     )
     # Non-failing perf record, but the modeled throughput is virtual-
     # clock deterministic, so a hard floor is safe: the adaptive config

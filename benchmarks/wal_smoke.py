@@ -6,13 +6,15 @@ in-memory, once with per-shard write-ahead logs under group commit
 then recovers the logged run from disk.  Writes ``BENCH_wal.json`` at
 the repository root with two acceptance numbers:
 
-* **Overhead ceiling** -- logging must cost at most
-  ``OVERHEAD_CEILING`` (15%) over the in-memory run.  Wall-clock
-  deltas of two multi-second runs are noisy, so two estimators are
-  recorded and the ceiling holds if *either* clears it: the
-  median-wall delta, and the in-situ attribution (time actually spent
-  inside ``commit_ops``/``sync``, captured by wrapping the log's hot
-  methods, over the in-memory median).
+* **Frame budget** -- logging must cost at most ``FRAME_BUDGET_US``
+  of wall time per appended frame, measured in situ (time actually
+  spent inside ``commit_ops``/``sync``, captured by wrapping the
+  log's hot methods).  The budget is absolute because the relative
+  overhead's denominator is the in-memory run, i.e. the simulator's
+  own speed: every time the engine or the event loop got faster the
+  fraction rose with the WAL's seconds unchanged.  Both fractions
+  (median-wall delta and in-situ attribution over the in-memory
+  median) are still recorded.
 * **Recovery floor** -- redo replay must process at least
   ``RECOVERY_RATE_FLOOR`` frames per wall second (the measured rate
   is orders of magnitude higher; the floor guards regressions, not
@@ -50,7 +52,10 @@ THINK_TIME = 0.01
 SYNC_INTERVAL = 0.25  # virtual seconds between group fsyncs
 TRIALS = 3
 
-OVERHEAD_CEILING = 0.15
+# 1.5x what the commit before the closure-free event core (bad5b61)
+# measured on the development sandbox: 21 us per frame (0.30 s for
+# 14 275 frames).
+FRAME_BUDGET_US = 32.0
 RECOVERY_RATE_FLOOR = 5000.0  # replayed frames per wall second
 
 
@@ -126,7 +131,8 @@ def run_wal_smoke() -> dict:
         base_median = statistics.median(base_walls)
         wal_median = statistics.median(wal_walls)
         overhead_wall = (wal_median - base_median) / base_median
-        overhead_attributed = statistics.median(wal_in_situ) / base_median
+        in_situ_median = statistics.median(wal_in_situ)
+        overhead_attributed = in_situ_median / base_median
         # Recover the last trial's directories (never checkpointed
         # mid-run, so replay walks every logged frame).
         recoveries = []
@@ -162,7 +168,8 @@ def run_wal_smoke() -> dict:
         "wal_in_situ_seconds": wal_in_situ,
         "overhead_wall_fraction": overhead_wall,
         "overhead_attributed_fraction": overhead_attributed,
-        "overhead_ceiling": OVERHEAD_CEILING,
+        "wal_us_per_frame": 1e6 * in_situ_median / stats["appends"],
+        "frame_budget_us": FRAME_BUDGET_US,
         "recovery": recoveries,
         "recovery_rate_floor": RECOVERY_RATE_FLOOR,
     }
@@ -179,11 +186,12 @@ def test_wal_smoke(request):
     print(
         "wal perf smoke: "
         f"{payload['frames_appended']} frames / "
-        f"{payload['group_fsyncs']} group fsyncs; overhead "
+        f"{payload['group_fsyncs']} group fsyncs; "
+        f"{payload['wal_us_per_frame']:.1f} us per frame (budget "
+        f"{FRAME_BUDGET_US:g}), overhead "
         f"{100 * payload['overhead_wall_fraction']:+.1f}% wall / "
         f"{100 * payload['overhead_attributed_fraction']:.1f}% "
-        "attributed (ceiling "
-        f"{100 * payload['overhead_ceiling']:.0f}%); recovery "
+        "attributed; recovery "
         f"{payload['recovery'][0]['frames_per_second']:,.0f} frames/s "
         f"-> {OUTPUT.name}"
     )
@@ -191,13 +199,7 @@ def test_wal_smoke(request):
     assert payload["group_fsyncs"] > 0
     # Group commit batches fsyncs: far fewer syncs than frames.
     assert payload["group_fsyncs"] < payload["frames_appended"] / 10
-    assert (
-        min(
-            payload["overhead_wall_fraction"],
-            payload["overhead_attributed_fraction"],
-        )
-        <= OVERHEAD_CEILING
-    )
+    assert payload["wal_us_per_frame"] <= FRAME_BUDGET_US
     for recovery in payload["recovery"]:
         assert recovery["commits_applied"] > 0
         assert recovery["frames_per_second"] >= RECOVERY_RATE_FLOOR

@@ -9,16 +9,19 @@ control, per-server multi-core run queues, row-group locks and an
 online controller that can switch partitionings mid-run.
 
 Everything runs on one :class:`~repro.sim.clock.VirtualClock`, so a
-"ten minute" run with 64 clients finishes in well under a second of
-wall time while still producing contention-accurate latency
-percentiles and throughput.
+"ten minute" run with 64 clients finishes in seconds of wall time
+while still producing contention-accurate latency percentiles and
+throughput.  The engine is a :class:`~repro.sim.queueing.StageWalker`
+-- the stage walk it shares with the open-loop simulator -- and adds
+what is closed-loop: clients, sessions, the controller, live draws,
+aborts with retry, and the client-level spans.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.db.errors import ShardDownError, TwoPhaseAbortError
 from repro.obs.metrics import MetricsRegistry
@@ -32,14 +35,7 @@ from repro.serve.stats import (
     TxnSample,
 )
 from repro.serve.workload import ServeWorkload
-from repro.sim.clock import EventLoop, VirtualClock
-from repro.sim.queueing import (
-    CorePool,
-    LockTable,
-    SimNetworkParams,
-    StageKind,
-    TransactionTrace,
-)
+from repro.sim.queueing import SimNetworkParams, StageWalker, Txn
 
 
 @dataclass
@@ -92,7 +88,19 @@ class ServeConfig:
             raise ValueError("trace_sample must be at least 1")
 
 
-class ServeEngine:
+class _ServeTxn(Txn):
+    """A client's transaction: the walk plus who runs it and how."""
+
+    __slots__ = ("cid", "session", "option")
+
+    def __init__(self, cid: int, session: Session, arrived: float, root):
+        Txn.__init__(self, arrived)
+        self.cid = cid
+        self.session = session
+        self.root = root
+
+
+class ServeEngine(StageWalker):
     """Drive a workload with N closed-loop clients on the virtual clock."""
 
     def __init__(
@@ -108,33 +116,17 @@ class ServeEngine:
             controller if controller is not None else StaticController(-1)
         )
         self.config = config if config is not None else ServeConfig()
-        self.network = (
-            self.config.network
-            if self.config.network is not None
-            else SimNetworkParams()
+        super().__init__(
+            self.config.network, self.config.app_cores,
+            self.config.db_cores, self.config.db_shards,
         )
-        self.loop = EventLoop(VirtualClock())
-        self.app = CorePool("app", self.config.app_cores)
-        shards = self.config.db_shards
-        # One run queue and one row-group lock table per database
-        # shard: the sharded tier's servers queue independently.
-        self.dbs = [
-            CorePool("db" if shards == 1 else f"db{i}", self.config.db_cores)
-            for i in range(shards)
-        ]
-        self.db = self.dbs[0]
-        self.lock_tables = [LockTable() for _ in range(shards)]
-        self.locks = self.lock_tables[0]
         self.rng = random.Random(self.config.seed)
         self.pool: Optional[SessionPool] = None
         self._result: Optional[ServeResult] = None
         self._clients: list[ClientStats] = []
         self._horizon = 0.0
-        # Fault-injection state: a down shard aborts transactions that
-        # touch it until the supervisor promotes a replica; a slowdown
-        # factor stretches that shard's DB stage durations.
-        self.shard_down = [False] * shards
-        self.shard_slowdowns = [1.0] * shards
+        # Fault-injection state (beside the walker's shard_down and
+        # shard_slowdowns, which the supervisor clears on promotion).
         self.failovers: list[FailoverEvent] = []
         self._crash_times: dict[int, float] = {}
         self._databases: list = []
@@ -161,39 +153,6 @@ class ServeEngine:
         self._m_completed_by_option: dict = {}
         self._client_tracks: list[str] = []
         self._trace_seq = 0
-
-    # -- clock and monitoring hooks --------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.loop.clock.now
-
-    def schedule(self, delay: float, action: Callable[[], None]) -> None:
-        """Expose event scheduling for load scripts and monitors."""
-        self.loop.schedule(delay, action)
-
-    def db_utilization_window(self) -> float:
-        """DB-tier utilization since the last call (adaptive controller
-        feed): the mean across shard servers, so the controller keeps
-        seeing one load signal whatever the shard count."""
-        now = self.now
-        return sum(
-            pool.window_utilization(now) for pool in self.dbs
-        ) / len(self.dbs)
-
-    def set_db_external_load(self, fraction: float) -> None:
-        """Reserve a fraction of DB cores for external work, effective
-        now (applied uniformly across the shard servers)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("external load fraction must be in [0, 1]")
-        now = self.now
-        for pool in self.dbs:
-            reserved = int(round(fraction * pool.cores))
-            pool.set_reserved(now, reserved)
-            pool.drain(now)
-
-    def _lock_table_for(self, group: int) -> LockTable:
-        return self.lock_tables[group % len(self.lock_tables)]
 
     # -- fault injection and failover --------------------------------------
 
@@ -306,12 +265,6 @@ class ServeEngine:
 
     # -- client lifecycle -------------------------------------------------
 
-    def _think_delay(self) -> float:
-        mean = self.config.think_time
-        if mean <= 0:
-            return 0.0
-        return self.rng.expovariate(1.0 / mean)
-
     def _client_next(self, cid: int) -> None:
         """Schedule this client's next transaction (or retire it).
 
@@ -321,19 +274,19 @@ class ServeEngine:
         """
         if self.now >= self._horizon:
             return
-        delay = self._think_delay()
+        mean = self.config.think_time
+        delay = self.rng.expovariate(1.0 / mean) if mean > 0 else 0.0
         if self.tracer.enabled and self._sample_trace():
             think = self.tracer.span(
-                "client.think", track=self._client_track(cid), client=cid
+                "client.think", track=self._client_tracks[cid], client=cid
             )
-
-            def after_think() -> None:
-                think.finish()
-                self._submit(cid, detail=True)
-
-            self.loop.schedule(delay, after_think)
+            self.loop.schedule(delay, self._after_think, cid, think)
         else:
-            self.loop.schedule(delay, lambda: self._submit(cid))
+            self.loop.schedule(delay, self._submit, cid)
+
+    def _after_think(self, cid: int, think) -> None:
+        think.finish()
+        self._submit(cid, detail=True)
 
     def _sample_trace(self) -> bool:
         """Deterministic head sampling: trace every Nth transaction."""
@@ -341,27 +294,20 @@ class ServeEngine:
         self._trace_seq = seq + 1
         return seq % self.config.trace_sample == 0
 
-    def _client_track(self, cid: int) -> str:
-        tracks = self._client_tracks
-        return tracks[cid] if cid < len(tracks) else f"client/{cid}"
-
     def _submit(self, cid: int, detail: bool = False) -> None:
         if self.now >= self._horizon:
             return
         arrived = self.now
         if detail and self.tracer.enabled:
-            root = self.tracer.span(
-                "client.txn", track=self._client_track(cid), client=cid
-            )
-            queue = self.tracer.span(
-                "client.queue", parent=root, track=self._client_track(cid)
-            )
+            track = self._client_tracks[cid]
+            root = self.tracer.span("client.txn", track=track, client=cid)
+            queue = self.tracer.span("client.queue", parent=root, track=track)
         else:
             root = queue = NULL_SPAN
 
         def work(session: Session) -> None:
             queue.finish()
-            self._begin_txn(cid, session, arrived, root)
+            self._begin_txn(_ServeTxn(cid, session, arrived, root))
 
         assert self.pool is not None
         if not self.pool.submit(work):
@@ -371,50 +317,42 @@ class ServeEngine:
             root.annotate(outcome="rejected")
             root.finish()
             self.loop.schedule(
-                self.config.retry_backoff,
-                lambda: self._submit(cid, detail),
+                self.config.retry_backoff, self._submit, cid, detail
             )
 
-    def _abort_txn(
-        self,
-        cid: int,
-        session: Session,
-        lock_group: Optional[int] = None,
-        root=NULL_SPAN,
-    ) -> None:
-        """A shard failure aborted this transaction: release whatever
+    def _abort(self, txn: _ServeTxn) -> None:
+        """A shard failure aborted this transaction (live, or at a
+        replayed stage pinned to the dead primary): release whatever
         it holds, count the abort, and resubmit after the backoff (the
         same retry loop a rejected admission uses)."""
-        if lock_group is not None:
-            self._lock_table_for(lock_group).release(lock_group)
+        group = txn.lock_group
+        if group is not None:
+            self._lock_table_for(group).release(group)
         result = self._result
         assert result is not None and self.pool is not None
         result.aborted += 1
-        self._clients[cid].aborted += 1
+        self._clients[txn.cid].aborted += 1
         self._m_aborted.inc()
+        root = txn.root
         root.annotate(outcome="aborted")
         root.finish()
-        self.pool.release(session)
+        self.pool.release(txn.session)
         if self.now < self._horizon:
             result.txn_retries += 1
             self._m_retried.inc()
             # A sampled transaction's retry stays sampled, so the
             # trace shows the whole abort/backoff/retry story.
-            detail = root is not NULL_SPAN
             self.loop.schedule(
                 self.config.retry_backoff,
-                lambda: self._submit(cid, detail),
+                self._submit, txn.cid, root is not NULL_SPAN,
             )
 
-    def _begin_txn(
-        self,
-        cid: int,
-        session: Session,
-        arrived: float,
-        root=NULL_SPAN,
-    ) -> None:
-        option = self.controller.choose_index(self.workload.n_options)
+    def _begin_txn(self, txn: _ServeTxn) -> None:
+        option = txn.option = self.controller.choose_index(
+            self.workload.n_options
+        )
         tracer = self.tracer
+        root = txn.root
         if tracer.enabled:
             # Statement-level spans (router dispatch, 2PC, log
             # shipping) emitted during the live execution follow this
@@ -426,7 +364,7 @@ class ServeEngine:
             # A live execution hit the dead primary (directly or via an
             # in-flight two-phase branch).  The router already rolled
             # the transaction back; the client backs off and retries.
-            self._abort_txn(cid, session, root=root)
+            self._abort(txn)
             return
         finally:
             if tracer.enabled:
@@ -439,141 +377,52 @@ class ServeEngine:
                 f"trace {trace.name!r} has no stages and think_time is 0; "
                 "a closed-loop client cannot advance the virtual clock"
             )
+        txn.trace = trace
+        txn.stages = trace.stages
+        if root is not NULL_SPAN:
+            txn.track = self._client_tracks[txn.cid]
         if trace.lock_groups:
-            group = self.rng.randrange(trace.lock_groups)
-            lock_from = self.now
-
-            def begin() -> None:
-                waited = self.now - lock_from
-                self._m_lock_wait.observe(waited)
-                if waited > 0 and root is not NULL_SPAN:
-                    self.tracer.span(
-                        "client.lock_wait",
-                        parent=root,
-                        track=self._client_track(cid),
-                        start=lock_from,
-                        group=group,
-                    ).finish()
-                self._run_stage(
-                    trace, 0, cid, session, arrived, option, group, root
-                )
-
-            self._lock_table_for(group).acquire(group, begin)
+            group = txn.lock_group = self.rng.randrange(trace.lock_groups)
+            self._lock_table_for(group).acquire(
+                group, self._locked, txn, self.now
+            )
         else:
-            self._run_stage(trace, 0, cid, session, arrived, option, None, root)
+            self.advance(txn)
 
-    _STAGE_SPAN_NAMES = {
-        StageKind.APP_CPU: "stage.app_cpu",
-        StageKind.DB_CPU: "stage.db_cpu",
-    }
+    def _locked(self, txn: _ServeTxn, lock_from: float) -> None:
+        """The transaction holds its row-group lock: start walking."""
+        waited = self.now - lock_from
+        self._m_lock_wait.observe(waited)
+        if waited > 0 and txn.track is not None:
+            self.tracer.span(
+                "client.lock_wait", parent=txn.root, track=txn.track,
+                start=lock_from, group=txn.lock_group,
+            ).finish()
+        self.advance(txn)
 
-    def _run_stage(
-        self,
-        trace: TransactionTrace,
-        idx: int,
-        cid: int,
-        session: Session,
-        arrived: float,
-        option: int,
-        lock_group: Optional[int],
-        root=NULL_SPAN,
-    ) -> None:
-        if idx >= len(trace.stages):
-            if lock_group is not None:
-                self._lock_table_for(lock_group).release(lock_group)
-            self._complete(trace, cid, session, arrived, option, root)
-            return
-        stage = trace.stages[idx]
-        if stage.is_cpu:
-            duration = stage.duration
-            if stage.kind == StageKind.APP_CPU:
-                pool = self.app
-            else:
-                dbs = self.dbs
-                shard = stage.shard if stage.shard < len(dbs) else 0
-                if self.shard_down[shard]:
-                    # Replayed trace pinned to a dead primary: the
-                    # server is gone, so the transaction aborts here.
-                    self._abort_txn(cid, session, lock_group, root)
-                    return
-                pool = dbs[shard]
-                duration *= self.shard_slowdowns[shard]
-            if root is not NULL_SPAN:
-                args = (
-                    {"shard": stage.shard}
-                    if stage.kind == StageKind.DB_CPU
-                    else {}
-                )
-                span = self.tracer.span(
-                    self._STAGE_SPAN_NAMES.get(stage.kind, "stage.cpu"),
-                    parent=root,
-                    track=self._client_track(cid),
-                    **args,
-                )
-            else:
-                span = NULL_SPAN
-
-            def occupy() -> None:
-                def finish() -> None:
-                    span.finish()
-                    pool.release(self.now)
-                    self._run_stage(
-                        trace, idx + 1, cid, session, arrived, option,
-                        lock_group, root,
-                    )
-
-                self.loop.schedule(duration, finish)
-
-            pool.acquire(self.now, occupy)
-        else:
-            delay = self.network.message_delay(stage.nbytes)
-            if root is not NULL_SPAN:
-                span = self.tracer.span(
-                    "stage.net",
-                    parent=root,
-                    track=self._client_track(cid),
-                    nbytes=stage.nbytes,
-                )
-            else:
-                span = NULL_SPAN
-
-            def after_net() -> None:
-                span.finish()
-                self._run_stage(
-                    trace, idx + 1, cid, session, arrived, option,
-                    lock_group, root,
-                )
-
-            self.loop.schedule(delay, after_net)
-
-    def _complete(
-        self,
-        trace: TransactionTrace,
-        cid: int,
-        session: Session,
-        arrived: float,
-        option: int,
-        root=NULL_SPAN,
-    ) -> None:
+    def _complete(self, txn: _ServeTxn) -> None:
         assert self.pool is not None
         result = self._result
         assert result is not None
         now = self.now
-        latency = now - arrived
+        latency = now - txn.arrived
+        name = txn.trace.name
+        cid = txn.cid
+        option = txn.option
         result.samples.append(
             TxnSample(
-                when=now, latency=latency, trace_name=trace.name,
+                when=now, latency=latency, trace_name=name,
                 client_id=cid, option=option,
             )
         )
         self._m_completed.inc()
         self._m_latency.observe(latency)
-        by_trace = self._m_latency_by_trace.get(trace.name)
+        by_trace = self._m_latency_by_trace.get(name)
         if by_trace is None:
             by_trace = self.metrics.histogram(
-                "serve.latency.seconds", trace=trace.name
+                "serve.latency.seconds", trace=name
             )
-            self._m_latency_by_trace[trace.name] = by_trace
+            self._m_latency_by_trace[name] = by_trace
         by_trace.observe(latency)
         by_option = self._m_completed_by_option.get(option)
         if by_option is None:
@@ -582,15 +431,17 @@ class ServeEngine:
             )
             self._m_completed_by_option[option] = by_option
         by_option.inc()
-        root.annotate(outcome="ok")
-        root.finish()
+        txn.root.annotate(outcome="ok")
+        txn.root.finish()
         if result.warmup <= now <= result.duration:
             result.completed += 1
             result.latencies.append(latency)
             stats = self._clients[cid]
             stats.completed += 1
             stats.latencies.append(latency)
-        self.pool.release(session)
+        # Release before the next think-time draw: the release may
+        # start a waiting submission, which draws from rng first.
+        self.pool.release(txn.session)
         self._client_next(cid)
 
     # -- top-level run -----------------------------------------------------
@@ -640,7 +491,7 @@ class ServeEngine:
             self._supervisor.start(until=duration)
         for cid in range(clients):
             offset = config.ramp * cid / clients if config.ramp > 0 else 0.0
-            self.loop.schedule(offset, lambda cid=cid: self._client_next(cid))
+            self.loop.schedule(offset, self._client_next, cid)
         self.loop.run()
 
         result = self._result
@@ -829,9 +680,7 @@ class ReplicaSupervisor:
                 if lags:
                     entries += min(lags)
             delay = self.base_delay + self.per_entry_delay * entries
-            engine.loop.schedule(
-                delay, lambda s=shard, t=detected_at: self._promote(s, t)
-            )
+            engine.loop.schedule(delay, self._promote, shard, detected_at)
 
     def _promote(self, shard: int, detected_at: float) -> None:
         engine = self.engine

@@ -5,13 +5,20 @@ Every latency number reported by the reproduction is measured against a
 cover "10 minutes" of benchmark time complete in well under a second of
 real time.  The clock only moves when a component explicitly charges
 time to it (CPU work, network transfers, or event-loop scheduling).
+
+:class:`EventLoop` is the discrete-event core under both simulators.
+A heap entry is the list ``[when, seq, action, args]``: ``heapq``
+orders entries with the C list comparison (``seq`` is unique, so
+``action`` is never compared) and an action needs no closure.  Events
+at the same instant are common and run in scheduling order, so where
+``seq`` is taken is part of the model (DESIGN.md, "Event-order
+contract").
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Callable, Optional
 
 
@@ -57,18 +64,21 @@ class VirtualClock:
         return f"VirtualClock(now={self._now:.6f})"
 
 
-@dataclass(order=True)
-class Event:
-    """A scheduled callback in the discrete-event loop."""
+class Event(list):
+    """A scheduled callback: the heap entry ``[when, seq, action, args]``."""
 
-    when: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ()
+    when = property(itemgetter(0))
+    seq = property(itemgetter(1))
+    action = property(itemgetter(2))
+
+    @property
+    def cancelled(self) -> bool:
+        return self[2] is None
 
     def cancel(self) -> None:
-        """Mark the event so the loop skips it when popped."""
-        self.cancelled = True
+        """Blank the action so the loop skips the entry when popped."""
+        self[2] = None
 
 
 class PeriodicTask:
@@ -132,22 +142,32 @@ class EventLoop:
     def __init__(self, clock: Optional[VirtualClock] = None) -> None:
         self.clock = clock if clock is not None else VirtualClock()
         self._heap: list[Event] = []
-        self._counter = itertools.count()
+        self._seq = 0
 
-    def schedule(self, delay: float, action: Callable[[], None]) -> Event:
-        """Schedule ``action`` to run ``delay`` seconds from now."""
+    def schedule(
+        self, delay: float, action: Callable[..., None], *args
+    ) -> Event:
+        """Schedule ``action(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule event in the past (delay={delay})")
-        return self.schedule_at(self.clock.now + delay, action)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event((self.clock._now + delay, seq, action, args))
+        heappush(self._heap, event)
+        return event
 
-    def schedule_at(self, when: float, action: Callable[[], None]) -> Event:
-        """Schedule ``action`` at absolute virtual time ``when``."""
-        if when < self.clock.now - 1e-12:
+    def schedule_at(
+        self, when: float, action: Callable[..., None], *args
+    ) -> Event:
+        """Schedule ``action(*args)`` at absolute virtual time ``when``."""
+        if when < self.clock._now - 1e-12:
             raise ValueError(
                 f"cannot schedule event at {when} before now={self.clock.now}"
             )
-        event = Event(when=when, seq=next(self._counter), action=action)
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event((when, seq, action, args))
+        heappush(self._heap, event)
         return event
 
     def schedule_periodic(
@@ -170,12 +190,13 @@ class EventLoop:
 
     def step(self) -> bool:
         """Process the next event.  Returns False when the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+        heap = self._heap
+        while heap:
+            when, _, action, args = heappop(heap)
+            if action is None:
                 continue
-            self.clock.advance_to(event.when)
-            event.action()
+            self.clock.advance_to(when)
+            action(*args)
             return True
         return False
 
@@ -185,20 +206,31 @@ class EventLoop:
         Returns the number of events processed.  ``max_events`` guards
         against runaway simulations in tests.
         """
+        heap = self._heap
+        clock = self.clock
         processed = 0
-        while self._heap:
+        while heap:
             if processed >= max_events:
                 raise RuntimeError(
                     f"event loop exceeded max_events={max_events}; "
                     "likely a runaway simulation"
                 )
-            head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
+            when, _, action, args = heap[0]
+            if action is None:
+                heappop(heap)
                 continue
-            if until is not None and head.when > until:
-                self.clock.advance_to(until)
+            if until is not None and when > until:
+                clock.advance_to(until)
                 break
-            if self.step():
-                processed += 1
+            heappop(heap)
+            # VirtualClock.advance_to, inlined: this is the hot loop.
+            now = clock._now
+            if when > now:
+                clock._now = when
+            elif when < now - 1e-12:
+                raise ValueError(
+                    f"cannot move clock backwards from {now} to {when}"
+                )
+            action(*args)
+            processed += 1
         return processed

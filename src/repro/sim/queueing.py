@@ -13,6 +13,11 @@ This separation -- execute once to obtain a trace, then simulate
 contention -- keeps the partitioned-program interpreter single-threaded
 while still modeling the queueing effects that dominate the paper's
 figures 9, 10, 12 and 13.
+
+The walk itself -- servers, locks, one event per stage -- is
+:class:`StageWalker`, shared with the closed-loop engine in
+:mod:`repro.serve`; :class:`QueueingSimulator` adds the arrivals, the
+trace selector and the network totals.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.obs.summary import percentile as _percentile
+from repro.obs.trace import NULL_TRACER
 from repro.sim.clock import EventLoop, VirtualClock
 
 
@@ -153,8 +159,8 @@ class CorePool:
     takes effect as running work drains.
 
     The pool is clock-agnostic: every scheduling hook takes the current
-    virtual time explicitly, so both the open-loop replay simulator and
-    the closed-loop serving engine (:mod:`repro.serve`) share it.
+    virtual time explicitly.  Work is a callable plus its arguments, so
+    a waiter queues as ``(work, args)`` and no closure is made for it.
     """
 
     def __init__(self, name: str, cores: int) -> None:
@@ -163,6 +169,8 @@ class CorePool:
         self.name = name
         self.cores = cores
         self.reserved = 0
+        # Cores open to transactions; only set_reserved changes it.
+        self.available = cores
         self.busy = 0
         self.queue: deque = deque()
         self.busy_time = 0.0
@@ -170,10 +178,6 @@ class CorePool:
         # Monitor window for window_utilization().
         self._window_start = 0.0
         self._window_busy = 0.0
-
-    @property
-    def available(self) -> int:
-        return max(self.cores - self.reserved, 1)
 
     @property
     def queued(self) -> int:
@@ -190,12 +194,12 @@ class CorePool:
     def set_reserved(self, now: float, reserved: int) -> None:
         self._account(now)
         self.reserved = max(0, min(reserved, self.cores - 1))
+        self.available = max(self.cores - self.reserved, 1)
 
-    def utilization(self, now: float, since: float = 0.0) -> float:
-        """Average fraction of cores busy over [since, now]."""
+    def utilization(self, now: float) -> float:
+        """Average fraction of cores busy over [0, now]."""
         self._account(now)
-        elapsed = max(now - since, 1e-12)
-        return min(self.busy_time / (self.cores * elapsed), 1.0)
+        return min(self.busy_time / (self.cores * max(now, 1e-12)), 1.0)
 
     def busy_seconds(self, now: float) -> float:
         """Integrated busy-core-seconds up to ``now`` (monotonic).
@@ -217,34 +221,39 @@ class CorePool:
         return min(busy / (self.cores * elapsed), 1.0)
 
     # -- scheduler hooks --------------------------------------------------
+    # acquire and release run once per CPU stage, so they inline
+    # _account -- same operands, same order: the utilization floats are
+    # part of the pinned results.
 
-    def acquire(self, now: float, work: Callable[[], None]) -> None:
-        """Run ``work`` on a free core now, or queue it FCFS."""
+    def acquire(self, now: float, work: Callable[..., None], *args) -> None:
+        """Run ``work(*args)`` on a free core now, or queue it FCFS."""
         if self.busy < self.available:
-            self._account(now)
+            self.busy_time += (self.busy + self.reserved) * (
+                now - self._last_change
+            )
+            self._last_change = now
             self.busy += 1
-            work()
+            work(*args)
         else:
-            self.queue.append(work)
+            self.queue.append((work, args))
 
     def release(self, now: float) -> None:
         """Free one core and start queued work that now fits."""
-        self._account(now)
+        self.busy_time += (self.busy + self.reserved) * (now - self._last_change)
+        self._last_change = now
         self.busy -= 1
-        self.drain(now)
+        if self.queue:
+            self.drain(now)
 
     def drain(self, now: float) -> None:
         """Start queued work while cores are available (e.g. after the
         external-load reservation shrinks)."""
-        while self.queue and self.busy < self.available:
-            work = self.queue.popleft()
+        queue = self.queue
+        while queue and self.busy < self.available:
+            work, args = queue.popleft()
             self._account(now)
             self.busy += 1
-            work()
-
-
-# Backwards-compatible alias (the pool predates the serving subsystem).
-_CorePool = CorePool
+            work(*args)
 
 
 class LockTable:
@@ -260,19 +269,19 @@ class LockTable:
         self._waiters: dict[int, deque] = {}
         self._held: set[int] = set()
 
-    def acquire(self, group: int, work: Callable[[], None]) -> None:
-        """Run ``work`` under the group lock now, or queue it FIFO."""
+    def acquire(self, group: int, work: Callable[..., None], *args) -> None:
+        """Run ``work(*args)`` under the group lock now, or queue it FIFO."""
         if group not in self._held:
             self._held.add(group)
-            work()
+            work(*args)
         else:
-            self._waiters.setdefault(group, deque()).append(work)
+            self._waiters.setdefault(group, deque()).append((work, args))
 
     def release(self, group: int) -> None:
         waiters = self._waiters.get(group)
         if waiters:
-            work = waiters.popleft()
-            work()  # lock passes directly to the next waiter
+            work, args = waiters.popleft()
+            work(*args)  # lock passes directly to the next waiter
         else:
             self._held.discard(group)
 
@@ -359,10 +368,182 @@ class SimResult:
         return out
 
 
+class Txn:
+    """One in-flight transaction: where it stands in its trace.
+
+    ``pool`` / ``duration`` describe the CPU stage being served and
+    ``span`` the open span of the current phase; ``root`` and ``track``
+    are set only for a transaction whose stages are traced.  Drivers
+    subclass it to carry their own payload.
+    """
+
+    __slots__ = (
+        "trace", "stages", "index", "arrived", "lock_group",
+        "pool", "duration", "span", "root", "track",
+    )
+
+    def __init__(self, arrived: float) -> None:
+        self.arrived = arrived
+        self.index = 0
+        self.lock_group: Optional[int] = None
+        self.span = None
+        self.root = None
+        self.track: Optional[str] = None
+
+
+_APP_CPU = StageKind.APP_CPU
+_DB_CPU = StageKind.DB_CPU
+_NET_TO_DB = StageKind.NET_TO_DB
+_NET_TO_APP = StageKind.NET_TO_APP
+
+
+class StageWalker:
+    """The stage walk both simulators drive: servers, locks, an event
+    loop, and four step methods -- scheduled as ``(bound method,
+    txn)``, no closure per stage -- that move a :class:`Txn` through
+    its trace at exactly one event per stage.
+
+    A driver subclasses the walker, starts transactions with
+    :meth:`advance` (directly, or as the work of a lock acquisition)
+    and supplies :meth:`_complete`; the closed-loop engine also
+    supplies :meth:`_abort` and a ``tracer``.  Ties are broken by
+    scheduling order, so the order of the steps below is part of the
+    model (DESIGN.md, "Event-order contract").
+    """
+
+    tracer = NULL_TRACER
+
+    def __init__(
+        self, network: Optional[SimNetworkParams], app_cores: int,
+        db_cores: int, db_shards: int = 1,
+    ) -> None:
+        self.network = network if network is not None else SimNetworkParams()
+        self.loop = EventLoop(VirtualClock())
+        self.app = CorePool("app", app_cores)
+        # One run queue and one row-group lock table per database
+        # shard: the sharded tier's servers queue independently.
+        self.dbs = [
+            CorePool("db" if db_shards == 1 else f"db{i}", db_cores)
+            for i in range(db_shards)
+        ]
+        self.db = self.dbs[0]
+        self.lock_tables = [LockTable() for _ in range(db_shards)]
+        self.locks = self.lock_tables[0]
+        # A down shard aborts the transactions that reach it; a
+        # slowdown factor stretches that shard's DB stage durations.
+        self.shard_down = [False] * db_shards
+        self.shard_slowdowns = [1.0] * db_shards
+
+    # -- clock and load-monitoring hooks ----------------------------------
+
+    @property
+    def now(self) -> float:
+        return self.loop.clock.now
+
+    def schedule(self, delay: float, action: Callable, *args) -> None:
+        """Expose event scheduling for load scripts and monitors."""
+        self.loop.schedule(delay, action, *args)
+
+    def db_utilization_window(self) -> float:
+        """DB-tier utilization since the last call (the load monitor's
+        feed): the mean across shard servers, so a controller sees one
+        load signal whatever the shard count."""
+        now = self.now
+        return sum(
+            pool.window_utilization(now) for pool in self.dbs
+        ) / len(self.dbs)
+
+    def set_db_external_load(self, fraction: float) -> None:
+        """Reserve a fraction of DB cores for external work, effective
+        now (applied uniformly across the shard servers)."""
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError("external load fraction must be in [0, 1]")
+        now = self.now
+        for pool in self.dbs:
+            pool.set_reserved(now, int(round(fraction * pool.cores)))
+            pool.drain(now)
+
+    def _lock_table_for(self, group: int) -> LockTable:
+        return self.lock_tables[group % len(self.lock_tables)]
+
+    # -- driver hooks ------------------------------------------------------
+
+    def _complete(self, txn: Txn) -> None:
+        """The transaction ran its last stage (its lock is released)."""
+        raise NotImplementedError
+
+    def _abort(self, txn: Txn) -> None:
+        """The transaction reached a database shard that is down."""
+        raise NotImplementedError
+
+    # -- the walk ------------------------------------------------------------
+
+    def advance(self, txn: Txn) -> None:
+        """Start the transaction's next stage, or finish it."""
+        index = txn.index
+        stages = txn.stages
+        if index >= len(stages):
+            group = txn.lock_group
+            if group is not None:
+                self._lock_table_for(group).release(group)
+            self._complete(txn)
+            return
+        txn.index = index + 1
+        kind, duration, nbytes, shard = stages[index]
+        track = txn.track
+        if kind is _APP_CPU:
+            pool = self.app
+            if track is not None:
+                txn.span = self.tracer.span(
+                    "stage.app_cpu", parent=txn.root, track=track
+                )
+        elif kind is _DB_CPU:
+            dbs = self.dbs
+            server = shard if shard < len(dbs) else 0
+            if self.shard_down[server]:
+                self._abort(txn)
+                return
+            pool = dbs[server]
+            duration *= self.shard_slowdowns[server]
+            if track is not None:
+                txn.span = self.tracer.span(
+                    "stage.db_cpu", parent=txn.root, track=track, shard=shard
+                )
+        else:
+            if track is not None:
+                txn.span = self.tracer.span(
+                    "stage.net", parent=txn.root, track=track, nbytes=nbytes
+                )
+            self.loop.schedule(
+                self.network.message_delay(nbytes), self.after_net, txn
+            )
+            return
+        txn.pool = pool
+        txn.duration = duration
+        pool.acquire(self.loop.clock._now, self.occupy, txn)
+
+    def occupy(self, txn: Txn) -> None:
+        """A core is free: hold it for the stage's duration."""
+        self.loop.schedule(txn.duration, self.finish_cpu, txn)
+
+    def finish_cpu(self, txn: Txn) -> None:
+        if txn.track is not None:
+            txn.span.finish()
+        # Release first: a waiter this starts schedules its finish
+        # before this transaction's next stage is scheduled.
+        txn.pool.release(self.loop.clock._now)
+        self.advance(txn)
+
+    def after_net(self, txn: Txn) -> None:
+        if txn.track is not None:
+            txn.span.finish()
+        self.advance(txn)
+
+
 TraceSelector = Callable[[float, "QueueingSimulator"], TransactionTrace]
 
 
-class QueueingSimulator:
+class QueueingSimulator(StageWalker):
     """Replay transaction traces under open-loop Poisson arrivals.
 
     Parameters
@@ -383,109 +564,51 @@ class QueueingSimulator:
         network: Optional[SimNetworkParams] = None,
         seed: int = 17,
     ) -> None:
-        self.network = network if network is not None else SimNetworkParams()
-        self.loop = EventLoop(VirtualClock())
-        self.app = CorePool("app", app_cores)
-        self.db = CorePool("db", db_cores)
+        super().__init__(network, app_cores, db_cores)
         self.rng = random.Random(seed)
         self._result: Optional[SimResult] = None
-        self._bytes_to_db = 0
-        self._bytes_to_app = 0
-        self._messages = 0
-        self.locks = LockTable()
 
-    # -- load monitoring hooks -------------------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.loop.clock.now
-
-    def db_utilization_window(self) -> float:
-        """DB utilization since the last call (used by the load monitor)."""
-        return self.db.window_utilization(self.now)
-
-    def set_db_external_load(self, fraction: float) -> None:
-        """Reserve a fraction of DB cores for external work, effective now."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("external load fraction must be in [0, 1]")
-        reserved = int(round(fraction * self.db.cores))
-        self.db.set_reserved(self.now, reserved)
-        self._drain(self.db)
-
-    def schedule(self, delay: float, action: Callable[[], None]) -> None:
-        """Expose event scheduling for load-change scripts and monitors."""
-        self.loop.schedule(delay, action)
-
-    # -- core pool mechanics ---------------------------------------------
-
-    def _acquire(self, pool: CorePool, work: Callable[[], None]) -> None:
-        pool.acquire(self.now, work)
-
-    def _release(self, pool: CorePool) -> None:
-        pool.release(self.now)
-
-    def _drain(self, pool: CorePool) -> None:
-        pool.drain(self.now)
-
-    # -- transaction lifecycle -------------------------------------------
-
-    def _start_transaction(self, trace: TransactionTrace, arrived: float) -> None:
-        if trace.lock_groups:
-            group = self.rng.randrange(trace.lock_groups)
-
-            def begin() -> None:
-                self._run_stage(trace, 0, arrived, lock_group=group)
-
-            self.locks.acquire(group, begin)
-        else:
-            self._run_stage(trace, 0, arrived)
-
-    def _run_stage(
-        self,
-        trace: TransactionTrace,
-        idx: int,
-        arrived: float,
-        lock_group: Optional[int] = None,
+    def _arrive(
+        self, selector: TraceSelector, rate: float, horizon: float
     ) -> None:
-        if idx >= len(trace.stages):
-            if lock_group is not None:
-                self.locks.release(lock_group)
-            self._complete(trace, arrived)
+        now = self.now
+        if now >= horizon:
             return
-        stage = trace.stages[idx]
-        if stage.is_cpu:
-            pool = self.app if stage.kind == StageKind.APP_CPU else self.db
-
-            def occupy() -> None:
-                def finish() -> None:
-                    self._release(pool)
-                    self._run_stage(trace, idx + 1, arrived, lock_group)
-
-                self.loop.schedule(stage.duration, finish)
-
-            self._acquire(pool, occupy)
-        else:
-            delay = self.network.message_delay(stage.nbytes)
-            self._messages += 1
-            wire = stage.nbytes + self.network.per_message_overhead
-            if stage.kind == StageKind.NET_TO_DB:
-                self._bytes_to_db += wire
-            else:
-                self._bytes_to_app += wire
-            self.loop.schedule(
-                delay,
-                lambda: self._run_stage(trace, idx + 1, arrived, lock_group),
-            )
-
-    def _complete(self, trace: TransactionTrace, arrived: float) -> None:
+        # rng order is part of the model: selection, the lock group,
+        # then the next inter-arrival gap.
+        trace = selector(now, self)
+        txn = Txn(now)
+        txn.trace = trace
+        txn.stages = trace.stages
+        # Every arrival runs to completion (the run drains), so its
+        # messages are counted up front rather than stage by stage.
         result = self._result
-        if result is None:  # pragma: no cover - defensive
-            return
-        latency = self.now - arrived
+        overhead = self.network.per_message_overhead
+        for kind, _, nbytes, _ in trace.stages:
+            if kind is _NET_TO_DB:
+                result.bytes_to_db += nbytes + overhead
+            elif kind is _NET_TO_APP:
+                result.bytes_to_app += nbytes + overhead
+            else:
+                continue
+            result.messages += 1
+        if trace.lock_groups:
+            group = txn.lock_group = self.rng.randrange(trace.lock_groups)
+            self.locks.acquire(group, self.advance, txn)
+        else:
+            self.advance(txn)
+        self.loop.schedule(
+            self.rng.expovariate(rate), self._arrive, selector, rate, horizon
+        )
+
+    def _complete(self, txn: Txn) -> None:
+        result = self._result
+        now = self.now
+        latency = now - txn.arrived
         result.completed += 1
         result.latencies.append(latency)
-        result.samples.append((self.now, latency))
-        result.trace_names.append((self.now, trace.name))
+        result.samples.append((now, latency))
+        result.trace_names.append((now, txn.trace.name))
 
     # -- top-level run -----------------------------------------------------
 
@@ -519,30 +642,18 @@ class QueueingSimulator:
                 raise ValueError("need at least one trace")
             selector = lambda now, sim: self.rng.choice(options)  # noqa: E731
 
-        self._result = SimResult(
+        result = self._result = SimResult(
             name=name, offered_rate=rate, duration=duration, completed=0
         )
-        horizon = duration
-
-        def arrive() -> None:
-            now = self.now
-            if now >= horizon:
-                return
-            chosen = selector(now, self)
-            self._start_transaction(chosen, now)
-            self.loop.schedule(self.rng.expovariate(rate), arrive)
-
-        self.loop.schedule(self.rng.expovariate(rate), arrive)
+        self.loop.schedule(
+            self.rng.expovariate(rate), self._arrive, selector, rate, duration
+        )
         # Run past the horizon so in-flight transactions drain.
         self.loop.run()
 
-        result = self._result
         end = max(self.now, duration)
         result.app_utilization = self.app.utilization(end)
         result.db_utilization = self.db.utilization(end)
-        result.bytes_to_db = self._bytes_to_db
-        result.bytes_to_app = self._bytes_to_app
-        result.messages = self._messages
         if warmup > 0:
             result.latencies = [
                 lat for when, lat in result.samples if when >= warmup

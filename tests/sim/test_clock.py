@@ -1,8 +1,13 @@
 """Virtual clock and event loop."""
 
+import types
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.clock import Event, EventLoop, PeriodicTask, VirtualClock
+from repro.sim.queueing import StageWalker
 
 
 class TestVirtualClock:
@@ -175,3 +180,268 @@ class TestPeriodicTask:
         loop.schedule(2.0, lambda: order.append("event"))
         loop.run(until=2.0)
         assert order == ["poll", "event"]
+
+
+# -- the loop against a reference model -------------------------------------
+#
+# Random programs of schedule / schedule_at / cancel / schedule_periodic /
+# nested scheduling from inside actions / run(until=...) / step() run on
+# the real loop and on a model that keeps a plain list and always fires
+# the live entry with the least (when, seq).  Delays come from a coarse
+# grid, so most programs contain ties.
+
+
+class ModelEntry:
+    def __init__(self, when, seq, action, args):
+        self.when, self.seq, self.action, self.args = when, seq, action, args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class ModelPeriodic:
+    def __init__(self, loop, interval, action, until):
+        self.loop, self.interval = loop, interval
+        self.action, self.until = action, until
+        self.cancelled = False
+        self.entry = None
+        self.arm()
+
+    def arm(self):
+        when = self.loop.now + self.interval
+        if self.until is None or when <= self.until + 1e-12:
+            self.entry = self.loop.schedule_at(when, self.fire)
+
+    def fire(self):
+        self.action()
+        if not self.cancelled:
+            self.arm()
+
+    def cancel(self):
+        if not self.cancelled:
+            self.cancelled = True
+            if self.entry is not None:
+                self.entry.cancel()
+
+
+class ModelLoop:
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.entries = []
+
+    def schedule(self, delay, action, *args):
+        assert delay >= 0
+        return self.schedule_at(self.now + delay, action, *args)
+
+    def schedule_at(self, when, action, *args):
+        assert when >= self.now - 1e-12
+        entry = ModelEntry(when, self.seq, action, args)
+        self.seq += 1
+        self.entries.append(entry)
+        return entry
+
+    def schedule_periodic(self, interval, action, until=None):
+        return ModelPeriodic(self, interval, action, until)
+
+    @property
+    def pending(self):
+        return len(self.entries)
+
+    def _head(self):
+        return min(self.entries, key=lambda e: (e.when, e.seq))
+
+    def _fire(self, entry):
+        self.entries.remove(entry)
+        self.now = max(self.now, entry.when)
+        entry.action(*entry.args)
+
+    def step(self):
+        while self.entries:
+            head = self._head()
+            if head.cancelled:
+                self.entries.remove(head)
+                continue
+            self._fire(head)
+            return True
+        return False
+
+    def run(self, until=None):
+        processed = 0
+        while self.entries:
+            head = self._head()
+            if head.cancelled:
+                self.entries.remove(head)
+            elif until is not None and head.when > until:
+                self.now = max(self.now, until)
+                break
+            else:
+                self._fire(head)
+                processed += 1
+        return processed
+
+
+class RealLoop(EventLoop):
+    @property
+    def now(self):
+        return self.clock.now
+
+
+_DELAYS = st.sampled_from([0.0, 0.0, 0.25, 0.25, 0.5, 1.0, 1.75])
+# What a fired action does next: cancel some handle, or schedule
+# children (relative or absolute) that act in turn.
+_NESTED = st.recursive(
+    st.tuples(st.just("cancel"), st.integers(0, 40)),
+    lambda children: st.tuples(
+        st.sampled_from(["schedule", "schedule_at"]),
+        _DELAYS,
+        st.lists(children, max_size=3),
+    ),
+    max_leaves=8,
+)
+_COMMANDS = st.one_of(
+    _NESTED,
+    st.tuples(
+        st.just("periodic"),
+        st.sampled_from([0.25, 0.5, 1.0]),
+        st.one_of(st.none(), st.sampled_from([0.5, 1.0, 3.0])),
+        st.lists(_NESTED, max_size=2),
+    ),
+    st.tuples(st.just("run_until"), _DELAYS),
+    st.tuples(st.just("step")),
+)
+
+
+def _interpret(loop, program):
+    """Run ``program`` on ``loop``; return everything observable."""
+    log = []
+    handles = []
+    periodics = []
+    labels = iter(range(10**9))
+
+    def fire(label, payload, then):
+        # *args must arrive intact: payload is checked against label.
+        log.append(("fired", label, payload, loop.now))
+        for command in then:
+            execute(command)
+
+    def execute(command):
+        kind = command[0]
+        if kind == "cancel":
+            if handles:
+                handles[command[1] % len(handles)].cancel()
+        elif kind in ("schedule", "schedule_at"):
+            _, delay, then = command
+            label = next(labels)
+            args = (label, [label, delay], then)
+            if kind == "schedule":
+                handles.append(loop.schedule(delay, fire, *args))
+            else:
+                handles.append(loop.schedule_at(loop.now + delay, fire, *args))
+        elif kind == "periodic":
+            _, interval, horizon, then = command
+            label = next(labels)
+            until = None if horizon is None else loop.now + horizon
+            task = loop.schedule_periodic(
+                interval, lambda: fire(label, "tick", then), until=until
+            )
+            handles.append(task)
+            periodics.append(task)
+        elif kind == "run_until":
+            log.append(("ran", loop.run(until=loop.now + command[1])))
+        else:
+            log.append(("stepped", loop.step()))
+        log.append(("pending", loop.pending, loop.now))
+
+    for command in program:
+        execute(command)
+    for task in periodics:  # an unbounded periodic task never drains
+        task.cancel()
+    log.append(("drained", loop.run(), loop.pending, loop.now))
+    return log
+
+
+class TestEventLoopAgainstModel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_COMMANDS, max_size=10))
+    def test_same_firings_clock_counts_and_pending(self, program):
+        assert _interpret(RealLoop(), program) == _interpret(
+            ModelLoop(), program
+        )
+
+    def test_cancelling_a_fired_event_is_a_no_op(self):
+        loop = EventLoop()
+        fired = []
+        event = loop.schedule(1.0, fired.append, "once")
+        loop.schedule(2.0, fired.append, "later")
+        assert loop.step() is True
+        event.cancel()
+        assert event.cancelled
+        assert loop.pending == 1
+        assert loop.run() == 1
+        assert fired == ["once", "later"]
+
+    def test_pending_counts_cancelled_entries_until_popped(self):
+        loop = EventLoop()
+        first = loop.schedule(1.0, lambda: None)
+        loop.schedule(2.0, lambda: None)
+        first.cancel()
+        assert loop.pending == 2
+        assert loop.run(until=0.5) == 0  # the cancelled head is dropped
+        assert loop.pending == 1
+
+    def test_event_keeps_its_public_surface(self):
+        loop = EventLoop()
+        action = lambda: None  # noqa: E731
+        event = loop.schedule_at(2.0, action)
+        assert isinstance(event, Event)
+        assert (event.when, event.seq, event.action) == (2.0, 0, action)
+        assert not event.cancelled
+        event.cancel()
+        assert event.cancelled and event.action is None
+
+    @given(st.floats(max_value=-1e-9, allow_nan=False, allow_infinity=False))
+    def test_negative_delay_names_the_value(self, delay):
+        with pytest.raises(ValueError, match="delay=") as raised:
+            EventLoop().schedule(delay, lambda: None)
+        assert repr(delay) in str(raised.value)
+
+    @given(st.floats(min_value=2e-12, max_value=5.0))
+    def test_past_when_names_the_value(self, behind):
+        loop = EventLoop(VirtualClock(5.0))
+        when = 5.0 - behind
+        with pytest.raises(ValueError) as raised:
+            loop.schedule_at(when, lambda: None)
+        assert repr(when) in str(raised.value)
+
+    def test_when_inside_the_tolerance_is_accepted(self):
+        loop = EventLoop(VirtualClock(5.0))
+        seen = []
+        loop.schedule_at(5.0 - 5e-13, lambda: seen.append(loop.clock.now))
+        assert loop.run() == 1
+        assert seen == [5.0]  # fired without moving the clock back
+
+    def test_clock_moved_past_an_entry_is_refused(self):
+        loop = EventLoop()
+        loop.schedule(1.0, lambda: None)
+        loop.clock.advance_to(2.0)
+        with pytest.raises(ValueError, match="backwards"):
+            loop.run()
+
+
+def test_no_closure_per_event():
+    """The per-event path allocates no function object: the walker's
+    four step methods and the loop's schedule / run contain no nested
+    code (no lambda, def or comprehension), so a closure per stage
+    cannot come back unnoticed."""
+    for function in (
+        StageWalker.advance, StageWalker.occupy, StageWalker.finish_cpu,
+        StageWalker.after_net, EventLoop.schedule, EventLoop.schedule_at,
+        EventLoop.run,
+    ):
+        nested = [
+            const for const in function.__code__.co_consts
+            if isinstance(const, types.CodeType)
+        ]
+        assert not nested, (function.__qualname__, nested)
