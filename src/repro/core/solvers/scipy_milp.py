@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-
 from repro.core.ilp import ILPProblem
 
 
@@ -14,7 +11,14 @@ def solve_with_scipy(problem: ILPProblem) -> list[int]:
     Variables: ``n`` node variables (binary) followed by ``m`` edge
     variables (continuous in [0, 1]; they take 0/1 automatically at the
     optimum because edge weights are non-negative).
+
+    NumPy and SciPy are imported here, not at module import: they are
+    two thirds of ``import repro``'s time and most processes (recovery,
+    the database tier, the simulators) never solve.
     """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     n = problem.num_vars
     m = len(problem.edges)
     if n == 0:
@@ -26,7 +30,7 @@ def solve_with_scipy(problem: ILPProblem) -> list[int]:
     for k, (_, _, weight) in enumerate(problem.edges):
         cost[n + k] = weight
 
-    rows: list[np.ndarray] = []
+    rows: list = []
     uppers: list[float] = []
     for k, (i, j, _) in enumerate(problem.edges):
         row = np.zeros(n + m)

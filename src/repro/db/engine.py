@@ -193,11 +193,7 @@ class Table:
         yield from self._rows.keys()
 
     def lookup_pk(self, key: tuple) -> Optional[int]:
-        found = self.primary_index.lookup(key)
-        if not found:
-            return None
-        (rowid,) = found
-        return rowid
+        return self.primary_index.get_unique(key)
 
     def index_key(self, spec_name: str, row: Sequence[Any]) -> tuple:
         return self._index_getters[spec_name](row)

@@ -7,18 +7,26 @@ Two index kinds back the planner's access paths:
   kept sorted with binary insertion (adequate at benchmark scale and
   fully deterministic).
 
-Both map key tuples to sets of row ids; ``unique`` indexes enforce at
-most one row per key.
+Both map key tuples to **buckets**, and one rule gives a bucket its
+shape: a bare rowid ``int`` while its key has one row, a ``set`` of
+rowids from the second row on, canonically (shrinking back to one row
+returns to the ``int``, so equal contents mean equal buckets whatever
+the history).  ``unique`` indexes enforce at most one row per key and
+so never allocate a set -- that is every primary index.  The point of
+the shape is the cyclic collector: an ``int`` is not a GC-tracked
+container, a one-element ``set`` is (216 bytes, walked by every full
+collection), and nearly every bucket of a real table holds one row.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterable, Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from repro.db.errors import IntegrityError
 
 Key = tuple
+Bucket = Union[int, "set[int]"]
 
 
 class _MaxKey:
@@ -59,64 +67,67 @@ def _sortable(key: Key) -> tuple:
 
 
 class HashIndex:
-    """Hash index from key tuples to row-id sets."""
+    """Hash index from key tuples to row ids (see the module docstring
+    for the bucket shape)."""
 
     def __init__(self, name: str, unique: bool = False) -> None:
         self.name = name
         self.unique = unique
-        self._map: dict[Key, set[int]] = {}
+        self._map: dict[Key, Bucket] = {}
         self._entries = 0
 
     @property
-    def buckets(self) -> dict[Key, set[int]]:
-        """The live key -> row-id-set mapping.  The plan compiler binds
-        this (and probes it directly) in point-lookup closures; treat
-        it as read-only."""
+    def buckets(self) -> dict[Key, Bucket]:
+        """The live key -> bucket mapping: a bare rowid ``int`` while
+        the key has one row, a ``set`` of rowids from the second row on
+        -- so on a unique index ``buckets.get(key)`` *is* the rowid.
+        Test the result with ``is not None``, never truthiness: 0 is a
+        legal rowid.  The plan compilers bind this dict and probe it
+        directly; treat it as read-only."""
         return self._map
 
     def insert(self, key: Key, rowid: int) -> None:
         bucket = self._map.get(key)
         if bucket is None:
-            # Fresh key: no set allocated until needed (inserts of new
-            # keys are the common case on primary indexes).
-            self._map[key] = {rowid}
-            self._entries += 1
+            self._map[key] = rowid
+        elif bucket == rowid or (type(bucket) is set and rowid in bucket):
             return
-        if self.unique and rowid not in bucket:
+        elif self.unique:
             raise IntegrityError(
                 f"unique index {self.name!r} already has key {key!r}"
             )
-        if rowid not in bucket:
+        elif type(bucket) is set:
             bucket.add(rowid)
-            self._entries += 1
+        else:
+            self._map[key] = {bucket, rowid}
+        self._entries += 1
 
     def delete(self, key: Key, rowid: int) -> None:
         bucket = self._map.get(key)
-        if bucket is None or rowid not in bucket:
-            raise KeyError(f"index {self.name!r} has no entry {key!r}->{rowid}")
-        bucket.discard(rowid)
-        self._entries -= 1
-        if not bucket:
+        if bucket == rowid:
             del self._map[key]
+        elif type(bucket) is set and rowid in bucket:
+            bucket.discard(rowid)
+            if len(bucket) == 1:
+                # Back to the canonical shape: one row <=> bare int.
+                (self._map[key],) = bucket
+        else:
+            raise KeyError(f"index {self.name!r} has no entry {key!r}->{rowid}")
+        self._entries -= 1
 
     def lookup(self, key: Key) -> frozenset[int]:
-        return frozenset(self._map.get(key, frozenset()))
+        return frozenset(self.lookup_sorted(key))
 
     def lookup_sorted(self, key: Key) -> list[int]:
-        """Row ids for ``key`` as a sorted list (compiled-plan fast path:
-        no intermediate frozenset)."""
+        """Row ids for ``key`` in ascending order."""
         bucket = self._map.get(key)
-        return sorted(bucket) if bucket else []
+        if bucket is None:
+            return []
+        return sorted(bucket) if type(bucket) is set else [bucket]
 
     def get_unique(self, key: Key) -> Optional[int]:
-        """The single row id for ``key`` on a unique index (None if
-        absent).  Avoids the frozenset round trip of :meth:`lookup`."""
-        bucket = self._map.get(key)
-        if not bucket:
-            return None
-        for rowid in bucket:
-            return rowid
-        return None  # pragma: no cover - empty buckets are deleted
+        """The row id for ``key`` on a unique index (None if absent)."""
+        return self._map.get(key)
 
     def contains(self, key: Key) -> bool:
         return key in self._map
@@ -132,73 +143,34 @@ class HashIndex:
         self._entries = 0
 
 
-class OrderedIndex:
-    """Sorted index supporting equality and range scans.
+class OrderedIndex(HashIndex):
+    """A :class:`HashIndex` that also supports range scans.
 
-    Keys are kept in a list sorted by a type-ranked encoding (so NULLs
-    and mixed types order deterministically, NULL first); each key maps
-    to a set of row ids.  Range scans yield row ids in key order, which
-    the planner uses to satisfy ``ORDER BY`` on the indexed column
-    without sorting.
+    Beside the bucket map, keys are kept in a list sorted by a
+    type-ranked encoding (so NULLs and mixed types order
+    deterministically, NULL first).  Range scans yield row ids in key
+    order, which the planner uses to satisfy ``ORDER BY`` on the indexed
+    column without sorting.
     """
 
     def __init__(self, name: str, unique: bool = False) -> None:
-        self.name = name
-        self.unique = unique
+        super().__init__(name, unique)
         # Sorted list of (sortable encoding, original key).
         self._keys: list[tuple[tuple, Key]] = []
-        self._map: dict[Key, set[int]] = {}
-        self._entries = 0
 
     def insert(self, key: Key, rowid: int) -> None:
-        bucket = self._map.get(key)
-        if bucket is None:
-            entry = (_sortable(key), key)
-            idx = bisect.bisect_left(self._keys, entry)
-            self._keys.insert(idx, entry)
-            bucket = self._map[key] = set()
-        elif self.unique and bucket and rowid not in bucket:
-            raise IntegrityError(
-                f"unique index {self.name!r} already has key {key!r}"
-            )
-        if rowid not in bucket:
-            bucket.add(rowid)
-            self._entries += 1
+        if key not in self._map:
+            # A fresh key cannot fail the uniqueness check below.
+            bisect.insort_left(self._keys, (_sortable(key), key))
+        super().insert(key, rowid)
 
     def delete(self, key: Key, rowid: int) -> None:
-        bucket = self._map.get(key)
-        if bucket is None or rowid not in bucket:
-            raise KeyError(f"index {self.name!r} has no entry {key!r}->{rowid}")
-        bucket.discard(rowid)
-        self._entries -= 1
-        if not bucket:
-            del self._map[key]
+        super().delete(key, rowid)
+        if key not in self._map:
             entry = (_sortable(key), key)
             idx = bisect.bisect_left(self._keys, entry)
             if idx < len(self._keys) and self._keys[idx][1] == key:
                 self._keys.pop(idx)
-
-    def lookup(self, key: Key) -> frozenset[int]:
-        return frozenset(self._map.get(key, frozenset()))
-
-    def lookup_sorted(self, key: Key) -> list[int]:
-        """Row ids for ``key`` as a sorted list (compiled-plan fast path:
-        no intermediate frozenset)."""
-        bucket = self._map.get(key)
-        return sorted(bucket) if bucket else []
-
-    def get_unique(self, key: Key) -> Optional[int]:
-        """The single row id for ``key`` on a unique index (None if
-        absent).  Avoids the frozenset round trip of :meth:`lookup`."""
-        bucket = self._map.get(key)
-        if not bucket:
-            return None
-        for rowid in bucket:
-            return rowid
-        return None  # pragma: no cover - empty buckets are deleted
-
-    def contains(self, key: Key) -> bool:
-        return key in self._map
 
     def _range_bounds(
         self,
@@ -250,9 +222,8 @@ class OrderedIndex:
         if reverse:
             selected = list(reversed(selected))
         for _, key in selected:
-            # Sort row ids for determinism within duplicate keys.
-            for rowid in sorted(self._map[key]):
-                yield rowid
+            # Ascending row ids: determinism within duplicate keys.
+            yield from self.lookup_sorted(key)
 
     def range_rowids(
         self,
@@ -271,10 +242,10 @@ class OrderedIndex:
         rowmap = self._map
         for _, key in self._keys[start:stop]:
             bucket = rowmap[key]
-            if len(bucket) == 1:
-                rowids.extend(bucket)
-            else:
+            if type(bucket) is set:
                 rowids.extend(sorted(bucket))
+            else:
+                rowids.append(bucket)
         return rowids
 
     def keys(self) -> Iterator[Key]:
@@ -286,10 +257,6 @@ class OrderedIndex:
     def max_key(self) -> Optional[Key]:
         return self._keys[-1][1] if self._keys else None
 
-    def __len__(self) -> int:
-        return self._entries
-
     def clear(self) -> None:
+        super().clear()
         self._keys.clear()
-        self._map.clear()
-        self._entries = 0

@@ -17,6 +17,14 @@ applied LSN, lowest index on ties), replays the tail of the commit log
 into it (catch-up recovery), and swaps it in as the new primary under
 a bumped ``generation`` -- routers compare generations to notice the
 swap and refresh any state bound to the dead database object.
+
+The in-memory log **empties itself**: after every commit and every
+catch-up the group drops the entries below the minimum applied LSN
+over *all* of its replicas, connected or not -- an entry goes only
+when nobody can still ask for it, so a healthy group holds none
+between commits and its ``RedoOp`` objects die young instead of
+piling up for the cyclic collector to walk.  ``retention`` bounds what
+a *partitioned* replica may pin (past it that replica will resync).
 """
 
 from __future__ import annotations
@@ -84,9 +92,10 @@ class CommitLog:
     """Ordered, append-only log of committed transactions.
 
     ``base_lsn`` is the truncation low-water mark: entries at or below
-    it have been dropped (every connected replica had applied them),
-    so in-memory growth stays bounded on long serve runs.  LSNs keep
-    counting from where they were -- truncation never renumbers.
+    it have been dropped (every replica that could still ask for them
+    had applied them), so in-memory growth stays bounded on long serve
+    runs.  LSNs keep counting from where they were -- truncation never
+    renumbers.
     """
 
     def __init__(self) -> None:
@@ -183,9 +192,9 @@ class ReplicaGroup:
         # Durability: attach_wal points this at the shard's ShardWal,
         # and every committed batch is logged before it ships.
         self.wal = None
-        # Retention policy: keep at most this many in-memory entries
-        # before truncating below the minimum applied LSN of the
-        # connected replicas (None = unbounded, the historic default).
+        # Retention policy: past this many in-memory entries a
+        # *partitioned* replica stops pinning the log and will resync
+        # (None = it is always caught up from the log, however long).
         self.retention: Optional[int] = None
         primary.redo_collector = self.commit_redo
 
@@ -236,14 +245,26 @@ class ReplicaGroup:
             )
         for replica in self.replicas:
             self._deliver(replica)
+        self._drop_applied()
         self._enforce_retention()
         return lsn
 
+    def _drop_applied(self) -> None:
+        """Drop the in-memory entries nobody can still ask for: those
+        at or below the minimum applied LSN over *all* replicas,
+        connected or not.  Runs after every commit and every catch-up,
+        so a healthy group holds no entry between commits while a
+        lagging or partitioned replica still finds its whole tail."""
+        self.log.truncate_below(
+            min((r.applied_lsn for r in self.replicas), default=self.log.tip)
+        )
+
     def _enforce_retention(self) -> None:
-        """Truncate the in-memory log per the retention policy.
+        """Past ``retention`` entries, truncate further than
+        :meth:`_drop_applied` does.
 
         The floor is the minimum applied LSN across *connected*
-        replicas: a partitioned replica does not pin the log (it will
+        replicas: a partitioned replica stops pinning the log (it will
         resync on reconnect), but while every replica is partitioned
         nothing is truncated -- dropping entries nobody applied would
         turn every reconnect into a full resync.
@@ -319,12 +340,14 @@ class ReplicaGroup:
         replica.connected = connected
         if connected:
             self._deliver(replica)
+            self._drop_applied()
 
     def catch_up(self, index: int) -> int:
         """Apply any pending tail to one replica; new applied LSN."""
         replica = self.replicas[index]
         behind = self.log.tip - replica.applied_lsn
         self._deliver(replica)
+        self._drop_applied()
         if behind > 0 and self.tracer.active:
             self.tracer.instant(
                 "replication.catch_up", track="replication",
@@ -414,6 +437,7 @@ class ReplicaGroup:
         # Surviving replicas keep following the same log.
         for replica in self.replicas:
             self._deliver(replica)
+        self._drop_applied()
         return report
 
     # -- verification --------------------------------------------------------

@@ -583,10 +583,9 @@ class _PlanCodegen:
             key = self.key_tuple(access.key_asts, scope, None)
             w.line(f"{match_var} = []")
             w.line("touched = 0")
-            w.line(f"bucket = {pkb}.get({key})")
-            w.line("if bucket:")
+            w.line(f"rowid = {pkb}.get({key})")
+            w.line("if rowid is not None:")
             w.indent()
-            w.line("(rowid,) = bucket")
             w.line(f"row = {binds['fetch']}(rowid)")
             w.line("if row is not None:")
             w.indent()
@@ -713,10 +712,9 @@ class _PlanCodegen:
                 # with constant rowcounts (the TPC-C hot shape -- no
                 # merge variables, no len() call, no empty-list
                 # allocation on the hit path).
-                w.line(f"bucket = {pkb}.get({key})")
-                w.line("if bucket:")
+                w.line(f"rowid = {pkb}.get({key})")
+                w.line("if rowid is not None:")
                 w.indent()
-                w.line("(rowid,) = bucket")
                 w.line(f"row = {binds['fetch']}(rowid)")
                 w.line("if row is not None:")
                 w.indent()
@@ -737,10 +735,9 @@ class _PlanCodegen:
                 return
             w.line("touched = 0")
             w.line("rows = []")
-            w.line(f"bucket = {pkb}.get({key})")
-            w.line("if bucket:")
+            w.line(f"rowid = {pkb}.get({key})")
+            w.line("if rowid is not None:")
             w.indent()
-            w.line("(rowid,) = bucket")
             w.line(f"row = {binds['fetch']}(rowid)")
             w.line("if row is not None:")
             w.indent()
@@ -1466,8 +1463,9 @@ class _PlanCodegen:
             w.dedent()
             w.line(f"rowid = next({tbl}._next_rowid)")
             # Fresh-key HashIndex.insert: the duplicate probe above
-            # guarantees the bucket does not exist.
-            w.line(f"{pkm}[_pk] = {{rowid}}")
+            # guarantees the bucket does not exist, and a one-row
+            # bucket is the bare rowid.
+            w.line(f"{pkm}[_pk] = rowid")
             w.line(f"{pki}._entries += 1")
             for iname, index in table.secondary.items():
                 ins = self.bind(index.insert, f"ins_{iname}")
@@ -1575,10 +1573,9 @@ class _PlanCodegen:
             key = self.key_tuple(access.key_asts, scope, None)
             w.line("rowids = []")
             w.line("touched = 0")
-            w.line(f"bucket = {pkb}.get({key})")
-            w.line("if bucket:")
+            w.line(f"rowid = {pkb}.get({key})")
+            w.line("if rowid is not None:")
             w.indent()
-            w.line("(rowid,) = bucket")
             w.line(f"row = {binds['fetch']}(rowid)")
             w.line("if row is not None:")
             w.indent()
@@ -1695,10 +1692,9 @@ class _PlanCodegen:
             key = self.key_tuple(access.key_asts, scope, None)
             w.line("touched = 0")
             w.line("count = 0")
-            w.line(f"bucket = {pkb}.get({key})")
-            w.line("if bucket:")
+            w.line(f"rowid = {pkb}.get({key})")
+            w.line("if rowid is not None:")
             w.indent()
-            w.line("(rowid,) = bucket")
             w.line(f"row = {binds['fetch']}(rowid)")
             w.line("if row is not None:")
             w.indent()

@@ -397,10 +397,9 @@ def make_select_gather(
         pk_buckets = table.primary_index.buckets
 
         def gather_pk(params: Sequence[Any]) -> tuple[list[tuple], int]:
-            bucket = pk_buckets.get(key_fn(None, params))
-            if not bucket:
+            rowid = pk_buckets.get(key_fn(None, params))
+            if rowid is None:
                 return [], 0
-            (rowid,) = bucket
             row = fetch(rowid)
             if row is None:
                 return [], 0
@@ -512,10 +511,9 @@ def make_rowid_collector(
         pk_buckets = table.primary_index.buckets
 
         def collect_pk(params: Sequence[Any]) -> tuple[list[int], int]:
-            bucket = pk_buckets.get(key_fn(None, params))
-            if not bucket:
+            rowid = pk_buckets.get(key_fn(None, params))
+            if rowid is None:
                 return [], 0
-            (rowid,) = bucket
             row = fetch(rowid)
             if row is None:
                 return [], 0
@@ -786,9 +784,8 @@ def _compile_select(
                         txn.lock_table(first_table, exclusive=False)
                 touched = 0
                 rows: list[tuple] = []
-                bucket = pk_buckets.get(key_fn(None, params))
-                if bucket:
-                    (rowid,) = bucket
+                rowid = pk_buckets.get(key_fn(None, params))
+                if rowid is not None:
                     row = fetch(rowid)
                     if row is not None:
                         touched = 1
@@ -1286,9 +1283,8 @@ def _compile_update(
         ) -> StatementResult:
             touched = 0
             count = 0
-            bucket = pk_buckets.get(key_fn(None, params))
-            if bucket:
-                (rowid,) = bucket
+            rowid = pk_buckets.get(key_fn(None, params))
+            if rowid is not None:
                 row = fetch(rowid)
                 if row is not None:
                     touched = 1

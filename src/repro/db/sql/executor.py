@@ -319,7 +319,7 @@ class Executor:
             assert access.index_name is not None
             index = table.secondary[access.index_name]
             key = tuple(expr(env, params) for expr in access.key_exprs)
-            yield from sorted(index.lookup(key))
+            yield from index.lookup_sorted(key)
             return
         if access.kind == "index_range":
             assert access.index_name is not None

@@ -33,6 +33,12 @@ Checkpoints snapshot every table (schema, rows in scan order, rowid
 allocator position) into ``shard<i>.ckpt`` via write-temp + fsync +
 atomic rename, then truncate the log below the checkpoint LSN (frames
 of still-pending prepares are retained regardless of age).
+
+Rows and after-images reach the JSON encoder as the tuples the engine
+stores (a checkpoint's rows are ``list(row_store.items())``): the
+encoder writes a tuple as an array, so the bytes are those of the
+nested lists the format describes, without a list -- a GC-tracked
+container -- built per row on the way.
 """
 
 from __future__ import annotations
@@ -72,12 +78,8 @@ def _encode_payload(record: dict) -> bytes:
 
 
 def encode_ops(ops: Iterable[RedoOp]) -> list:
-    """Redo after-images as JSON-ready lists."""
-    return [
-        [op.table, op.kind, op.rowid,
-         None if op.after is None else list(op.after)]
-        for op in ops
-    ]
+    """Redo after-images, JSON-ready (tuples encode as arrays)."""
+    return [(op.table, op.kind, op.rowid, op.after) for op in ops]
 
 
 def decode_ops(encoded: Iterable[Sequence]) -> list[RedoOp]:
@@ -445,7 +447,8 @@ def _serialize_table(table: Table) -> dict:
         "next_rowid": (
             allocator.peek() if isinstance(allocator, RowidAllocator) else None
         ),
-        "rows": [[rowid, list(row)] for rowid, row in table.scan()],
+        # [rowid, [..]] on disk, no list per row (module docstring).
+        "rows": list(table.row_store.items()),
     }
 
 

@@ -251,6 +251,7 @@ _APP_CPU = StageKind.APP_CPU
 _DB_CPU = StageKind.DB_CPU
 _NET_TO_DB = StageKind.NET_TO_DB
 _NET_TO_APP = StageKind.NET_TO_APP
+_new_stage = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -434,27 +435,30 @@ class Cluster:
             kind, shard = _APP_CPU, 0
         else:
             kind, shard = _DB_CPU, side
-        self.clock.advance(seconds)
+        # record_cpu refused negative charges, so the clock's and
+        # Stage's own re-validation is skipped here and below.
+        self.clock._now += seconds  # noqa: SLF001
         stages = self._stages
         # Only a message that failed after its flush (a partitioned
         # link) leaves a CPU stage last; extend it rather than split.
         if stages:
             prev = stages[-1]
             if prev.kind is kind and prev.shard == shard:
-                stages[-1] = Stage(
-                    kind, prev.duration + seconds, prev.nbytes, shard
+                stages[-1] = _new_stage(
+                    Stage, (kind, prev.duration + seconds, prev.nbytes, shard)
                 )
                 return
-        stages.append(Stage(kind, seconds, 0, shard))
+        stages.append(_new_stage(Stage, (kind, seconds, 0, shard)))
 
     def record_message(self, nbytes: int, *, to_db: bool) -> float:
         """Record a one-way message; returns its delivery delay."""
-        self._flush_cpu()
+        if self._pending:
+            self._flush_cpu()
         delay = self.network.send(nbytes, to_db=to_db)
-        self.clock.advance(delay)
-        self._stages.append(
-            Stage(_NET_TO_DB if to_db else _NET_TO_APP, 0.0, nbytes)
-        )
+        self.clock._now += delay  # noqa: SLF001
+        self._stages.append(_new_stage(
+            Stage, (_NET_TO_DB if to_db else _NET_TO_APP, 0.0, nbytes, 0)
+        ))
         return delay
 
     def start_trace(self) -> None:

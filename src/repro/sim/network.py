@@ -123,16 +123,24 @@ class NetworkModel:
         drop) when the direction is partitioned; counts the message as
         delayed when a degradation multiplier is active.
         """
-        stats = self.app_to_db if to_db else self.db_to_app
-        down = self.link_down_to_db if to_db else self.link_down_to_app
+        if to_db:
+            stats, down = self.app_to_db, self.link_down_to_db
+        else:
+            stats, down = self.db_to_app, self.link_down_to_app
         if down:
             stats.dropped += 1
             raise NetworkPartitionedError("to_db" if to_db else "to_app")
-        delay = self.transfer_time(nbytes)
-        stats.record(nbytes + self.per_message_overhead)
-        if self.latency_multiplier != 1.0:
+        # transfer_time + NetworkStats.record, in this frame: the live
+        # recorder sends two messages per statement.
+        if nbytes < 0:
+            raise ValueError("cannot send a negative number of bytes")
+        wire_bytes = nbytes + self.per_message_overhead
+        multiplier = self.latency_multiplier
+        stats.messages += 1
+        stats.bytes += wire_bytes
+        if multiplier != 1.0:
             stats.delayed += 1
-        return delay
+        return self.one_way_latency * multiplier + wire_bytes / self.bandwidth
 
     def total_bytes(self) -> int:
         return self.app_to_db.bytes + self.db_to_app.bytes

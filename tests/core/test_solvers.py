@@ -1,11 +1,16 @@
 """Solver cross-checks, including exhaustive optimality properties."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.ilp import (
     ILPProblem,
     InfeasibleError,
@@ -174,3 +179,20 @@ class TestIlpConstruction:
         g = self.make_graph()
         with pytest.raises(ValueError, match="solver returned"):
             solve_partitioning(g, 10.0, lambda p: [0], "broken")
+
+
+def test_importing_repro_does_not_import_scipy():
+    """SciPy and NumPy load inside ``solve_with_scipy``: a process that
+    never solves (recovery, the database tier, the simulators) must not
+    pay their import (two thirds of ``import repro``'s time)."""
+    probe = (
+        "import sys, repro, repro.core.pipeline, repro.db, repro.serve.engine\n"
+        "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
