@@ -10,10 +10,10 @@ Times the TPC-C partitioning pipeline twice and writes
   -- it is environment, not pipeline);
 * **incremental** -- the warm session absorbing the same observations:
   no instrumented re-profiling (live statement counts arrive for free
-  from the serve layer), cached structure, reweight only, warm-start
-  seeds offered to the solver (consumed by greedy/bnb; the exact
-  scipy backend ignores them), and PyxIL reuse whenever the
-  assignment hash is unchanged.
+  from the serve layer), cached structure, reweight only, the previous
+  placement handed to the solver as its first incumbent
+  (``warm_solves``), and PyxIL reuse whenever the assignment hash is
+  unchanged.
 
 Like the other smokes it only executes under ``-m perfsmoke``
 (``pytest benchmarks/pipeline_smoke.py -m perfsmoke``) so plain test
@@ -128,6 +128,8 @@ def test_pipeline_smoke(request):
     )
     stats = payload["session_stats"]
     assert stats["structure_builds"] == 1
+    # The default solver takes warm-start seeds: every re-solve got one.
+    assert stats["warm_solves"] > 0
     # Every incremental pass reused the cached PyxIL artifacts.
     assert stats["pyxil_reuses"] >= 2 * REPEATS
     # The incremental path must beat the cold pipeline clearly; the

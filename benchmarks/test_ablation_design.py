@@ -2,7 +2,7 @@
 
 * Statement reordering (Section 4.4): how many control transfers does
   the dual-queue topological sort save?
-* Solver choice: exact (scipy / branch-and-bound) versus the greedy
+* Solver choice: exact (the native branch-and-bound) versus the greedy
   heuristic -- objective quality on the real TPC-C partition graph.
 * JDBC co-location (Section 4.3): how much objective the constraint
   costs (it buys correctness, not speed).
@@ -13,7 +13,7 @@ import time
 from benchmarks.conftest import run_once
 from repro.core.ilp import build_ilp, solve_partitioning
 from repro.core.pipeline import Pyxis, PyxisConfig
-from repro.core.solvers import solve_greedy, solve_with_scipy
+from repro.core.solvers import solve_branch_and_bound, solve_greedy
 from repro.runtime.entrypoints import PartitionedApp
 from repro.sim.cluster import Cluster
 from repro.workloads.tpcc import (
@@ -102,7 +102,7 @@ def test_ablation_solver_quality(benchmark):
         budget = profile.total_statement_weight() * 0.5
         results = {}
         for name, solver in (
-            ("scipy", solve_with_scipy), ("greedy", solve_greedy),
+            ("exact", solve_branch_and_bound), ("greedy", solve_greedy),
         ):
             start = time.perf_counter()
             outcome = solve_partitioning(graph, budget, solver, name)
@@ -116,9 +116,9 @@ def test_ablation_solver_quality(benchmark):
         print(f"{name:<8} objective={objective * 1000:.3f}ms  "
               f"solve_time={elapsed * 1000:.1f}ms")
     # Greedy is never better than the exact optimum.
-    assert results["greedy"][0] >= results["scipy"][0] - 1e-12
+    assert results["greedy"][0] >= results["exact"][0] - 1e-12
     # And stays within 2x on this graph.
-    assert results["greedy"][0] <= max(results["scipy"][0] * 2.0, 1e-9)
+    assert results["greedy"][0] <= max(results["exact"][0] * 2.0, 1e-9)
 
 
 def test_ablation_jdbc_colocation(benchmark):
@@ -131,7 +131,7 @@ def test_ablation_jdbc_colocation(benchmark):
         graph = pset.graph
         budget = profile.total_statement_weight() * 0.5
         constrained = solve_partitioning(
-            graph, budget, solve_with_scipy, "scipy"
+            graph, budget, solve_branch_and_bound, "bnb"
         ).objective
         saved_groups = graph.colocate_groups
         try:
@@ -140,7 +140,7 @@ def test_ablation_jdbc_colocation(benchmark):
                 if not any(n.startswith("s") for n in g) or len(g) == 2
             ]
             relaxed_problem = build_ilp(graph, budget)
-            relaxed_values = solve_with_scipy(relaxed_problem)
+            relaxed_values = solve_branch_and_bound(relaxed_problem)
             relaxed = relaxed_problem.objective_of(relaxed_values)
         finally:
             graph.colocate_groups = saved_groups

@@ -72,6 +72,12 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         print(f"\n=== budget {part.budget:.0f} "
               f"({part.fraction_on_db * 100:.0f}% of statements on DB, "
               f"objective {part.result.objective * 1000:.3f} ms) ===")
+        stats = part.result.solve_stats
+        if stats:
+            print(f"proven lower bound "
+                  f"{stats['lower_bound'] * 1000:.3f} ms after "
+                  f"{stats['nodes']} node(s), "
+                  f"{stats['max_flows']} max-flow(s)")
         if args.pyxil:
             print(format_pyxil(part.placed))
     if args.dump_codegen:
@@ -502,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="CPU budget (repeatable)")
     p_part.add_argument("--latency", type=float, default=0.001,
                         help="one-way network latency in seconds")
-    p_part.add_argument("--solver", default="scipy",
+    p_part.add_argument("--solver", default=PyxisConfig().solver,
                         choices=sorted(SOLVERS))
     p_part.add_argument("--pyxil", action="store_true",
                         help="print the PyxIL listing per budget")

@@ -5,9 +5,10 @@
 * :mod:`repro.core.builder` -- builds the graph from the static
   analyses plus profile data.
 * :mod:`repro.core.ilp` -- the binary integer program of Figure 5.
-* :mod:`repro.core.solvers` -- interchangeable solvers: scipy/HiGHS
-  MILP, a from-scratch branch-and-bound, and a greedy local-search
-  heuristic (the reproduction's stand-ins for Gurobi and lpsolve).
+* :mod:`repro.core.solvers` -- interchangeable solvers: a from-scratch
+  exact branch-and-bound (the default), a greedy local-search
+  heuristic and SciPy/HiGHS as an optional oracle (the reproduction's
+  stand-ins for Gurobi and lpsolve).
 * :mod:`repro.core.budgets` -- CPU-budget ladder generation.
 * :mod:`repro.core.pipeline` -- the end-to-end Pyxis pipeline:
   profile -> analyze -> partition -> compile -> deploy.
@@ -28,7 +29,6 @@ from repro.core.solvers import (
     solve_with_scipy,
     solve_branch_and_bound,
     solve_greedy,
-    default_solver,
 )
 from repro.core.budgets import budget_ladder
 from repro.core.pipeline import Pyxis, PartitionSet, PyxisConfig
@@ -49,7 +49,6 @@ __all__ = [
     "solve_with_scipy",
     "solve_branch_and_bound",
     "solve_greedy",
-    "default_solver",
     "budget_ladder",
     "Pyxis",
     "PartitionSet",

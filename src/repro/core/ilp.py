@@ -60,6 +60,8 @@ class PartitioningResult:
     # seed mapped onto the problem, was feasible, and the solver
     # accepts one) -- telemetry for the incremental session.
     warm_started: bool = False
+    # The solver's own report (bnb: nodes, max_flows, lower_bound).
+    solve_stats: dict = field(default_factory=dict)
 
     def placement_of(self, node_id: str) -> Placement:
         return self.assignment[node_id]
@@ -92,6 +94,10 @@ class InfeasibleError(Exception):
     """No assignment satisfies the pins within the budget."""
 
 
+class SolverError(Exception):
+    """A solver failed to produce a usable solution."""
+
+
 @dataclass
 class ILPProblem:
     """The reduced problem over merged free variables.
@@ -112,6 +118,7 @@ class ILPProblem:
     pinned_db_load: float = 0.0
     group_of: dict[str, int] = field(default_factory=dict)
     pinned: dict[str, Placement] = field(default_factory=dict)
+    solve_stats: dict = field(default_factory=dict)  # left by the solver
 
     # -- evaluation -------------------------------------------------------------
 
@@ -150,6 +157,7 @@ class ILPProblem:
             db_load=self.db_load_of(values),
             budget=self.budget,
             solver=solver,
+            solve_stats=self.solve_stats,
         )
 
 
@@ -293,9 +301,9 @@ def resolve(
     ``warm_start`` is a previous :class:`PartitioningResult` for the
     same graph structure (typically the last solve at this budget, or
     an adjacent budget rung).  Solvers that accept a ``warm_start``
-    keyword (greedy: extra hill-climbing start; branch-and-bound:
+    keyword (greedy: extra hill-climbing start; the exact solver:
     initial incumbent) are seeded with the mapped variable values; the
-    exact MILP backend ignores seeds and stays exact.
+    SciPy oracle takes no seed.
     """
     problem = build_ilp(graph, budget)
     seed = (

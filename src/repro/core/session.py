@@ -13,9 +13,9 @@ re-solving as live observations arrive:
   ProfileData` only re-evaluates the recorded weight recipes
   (:func:`repro.core.builder.reweight_graph`); no analysis re-runs.
 * **Incremental solving** -- each budget re-solve is seeded with the
-  previous placement (:func:`repro.core.ilp.resolve`); the greedy and
-  branch-and-bound solvers climb from the old assignment, the exact
-  MILP backend stays exact.
+  previous placement (:func:`repro.core.ilp.resolve`); the default
+  exact solver takes it as its first incumbent, greedy climbs from it,
+  the SciPy oracle ignores it.
 * **PyxIL artifact reuse** -- solved assignments are content-hashed
   (:meth:`PartitioningResult.signature`); sync plans and compiled
   block programs are cached by that hash, so a re-solve that lands on
@@ -44,6 +44,7 @@ from repro.core.builder import (
 from repro.core.ilp import PartitioningResult, resolve
 from repro.core.partition_graph import PartitionGraph
 from repro.core.solvers import SOLVERS
+from repro.core.solvers.scipy_milp import load_scipy
 from repro.db.jdbc import Connection
 from repro.lang.interp import NativeRegistry
 from repro.lang.ir import ProgramIR
@@ -60,14 +61,15 @@ from repro.pyxil.sync_insertion import SyncPlan, compute_sync_plan
 class PyxisConfig:
     """Tunables of the partitioning pipeline.
 
-    The solver name is validated here, at construction, so a typo
-    fails immediately instead of after the (expensive) graph build.
+    The solver name is validated here, at construction, so a typo --
+    or ``scipy`` where SciPy is not installed -- fails immediately
+    instead of after the (expensive) graph build.
     """
 
     latency: float = 0.001
     bandwidth: float = 125_000_000.0
     budget_fractions: Sequence[float] = DEFAULT_FRACTIONS
-    solver: str = "scipy"
+    solver: str = "bnb"
     reorder: bool = True
 
     def __post_init__(self) -> None:
@@ -76,6 +78,8 @@ class PyxisConfig:
                 f"unknown solver {self.solver!r}; "
                 f"options: {sorted(SOLVERS)}"
             )
+        if self.solver == "scipy":
+            load_scipy()
 
     def builder_config(self) -> BuilderConfig:
         return BuilderConfig(latency=self.latency, bandwidth=self.bandwidth)

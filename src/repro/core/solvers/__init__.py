@@ -2,30 +2,23 @@
 
 The paper uses Gurobi or lpsolve; here:
 
-* :func:`solve_with_scipy` -- ``scipy.optimize.milp`` (HiGHS), the
-  default production solver;
-* :func:`solve_branch_and_bound` -- a from-scratch exact solver used
-  to cross-check optimality in tests and as an offline fallback;
-* :func:`solve_greedy` -- hill-climbing local search, used to seed the
-  branch-and-bound incumbent and as a fast approximate mode.
+* :func:`solve_branch_and_bound` -- the default: a from-scratch exact
+  solver (max-flow bound on the budget-relaxed min cut, branch and
+  bound only where the budget binds), pure Python;
+* :func:`solve_with_scipy` -- ``scipy.optimize.milp`` (HiGHS), kept as
+  a named solver and as the tests' cross-check oracle; NumPy and SciPy
+  are imported only when it is called;
+* :func:`solve_greedy` -- hill-climbing local search, a fast
+  approximate mode.
 """
 
+from repro.core.ilp import SolverError
 from repro.core.solvers.scipy_milp import solve_with_scipy
-from repro.core.solvers.branch_and_bound import solve_branch_and_bound
+from repro.core.solvers.branch_and_bound import (
+    NodeLimitError,
+    solve_branch_and_bound,
+)
 from repro.core.solvers.greedy import solve_greedy
-
-
-class SolverError(Exception):
-    """A solver failed to produce a usable solution."""
-
-
-def default_solver(problem):
-    """Scipy/HiGHS when available, otherwise exact branch-and-bound."""
-    try:
-        return solve_with_scipy(problem)
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        return solve_branch_and_bound(problem)
-
 
 # The registry of named solvers the pipeline (and the CLI) selects
 # from.  ``repro.core.pipeline`` re-exports it as ``SOLVERS`` for
@@ -39,9 +32,9 @@ SOLVERS = {
 
 __all__ = [
     "SOLVERS",
+    "NodeLimitError",
     "SolverError",
     "solve_with_scipy",
     "solve_branch_and_bound",
     "solve_greedy",
-    "default_solver",
 ]

@@ -2,8 +2,8 @@
 
 Hill climbing over single-variable flips from two starting points
 (everything on APP; everything that fits on DB), keeping the better
-local optimum.  Used to seed the branch-and-bound incumbent and as a
-fast approximate solver for very large graphs.
+local optimum.  A fast approximate solver for very large graphs, and
+the baseline the ablation bench compares the exact solver with.
 
 An optional ``warm_start`` (a feasible value list, typically mapped
 from a previous solve of the same graph) adds a third starting point,

@@ -2,7 +2,24 @@
 
 from __future__ import annotations
 
-from repro.core.ilp import ILPProblem
+from repro.core.ilp import ILPProblem, SolverError
+from repro.core.solvers.branch_and_bound import solve_branch_and_bound
+
+
+def load_scipy():
+    """``(numpy, scipy.optimize)``, or a :class:`SolverError` naming
+    the package that is missing."""
+    try:  # SciPy first: installing it brings NumPy, so it is the one to name
+        from scipy import optimize
+        import numpy
+    except ImportError as exc:
+        from repro.core.solvers import SOLVERS
+
+        raise SolverError(
+            f"solver 'scipy' needs the {exc.name!r} package, which is "
+            f"not installed; solvers: {sorted(SOLVERS)}"
+        ) from exc
+    return numpy, optimize
 
 
 def solve_with_scipy(problem: ILPProblem) -> list[int]:
@@ -12,12 +29,11 @@ def solve_with_scipy(problem: ILPProblem) -> list[int]:
     variables (continuous in [0, 1]; they take 0/1 automatically at the
     optimum because edge weights are non-negative).
 
-    NumPy and SciPy are imported here, not at module import: they are
-    two thirds of ``import repro``'s time and most processes (recovery,
-    the database tier, the simulators) never solve.
+    NumPy and SciPy are imported here, not at module import: they cost
+    half a second and 57 MB, and only a process that asks for this
+    solver by name should pay that.
     """
-    import numpy as np
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    np, optimize = load_scipy()
 
     n = problem.num_vars
     m = len(problem.edges)
@@ -29,6 +45,13 @@ def solve_with_scipy(problem: ILPProblem) -> list[int]:
         cost[i] = coeff
     for k, (_, _, weight) in enumerate(problem.edges):
         cost[n + k] = weight
+    # HiGHS stops at an absolute gap of 1e-6 (not settable through
+    # ``milp``) and a relative one of 1e-4; costs here are seconds,
+    # down to 1e-8.  Rescaled, the absolute gap is 1e-10 of the
+    # largest coefficient, and the relative one is switched off.
+    peak = float(np.abs(cost).max())
+    if peak > 0:
+        cost *= 1e4 / peak
 
     rows: list = []
     uppers: list[float] = []
@@ -48,40 +71,25 @@ def solve_with_scipy(problem: ILPProblem) -> list[int]:
     rows.append(budget_row)
     uppers.append(problem.budget - problem.pinned_db_load)
 
-    constraints = LinearConstraint(
+    constraints = optimize.LinearConstraint(
         np.vstack(rows), lb=-np.inf, ub=np.array(uppers)
     )
     integrality = np.concatenate([np.ones(n), np.zeros(m)])
-    bounds = Bounds(lb=np.zeros(n + m), ub=np.ones(n + m))
+    bounds = optimize.Bounds(lb=np.zeros(n + m), ub=np.ones(n + m))
 
-    result = milp(
+    result = optimize.milp(
         c=cost,
         constraints=constraints,
         integrality=integrality,
         bounds=bounds,
+        options={"mip_rel_gap": 0.0},
     )
     if not result.success or result.x is None:
-        from repro.core.solvers import SolverError
-
         raise SolverError(f"scipy milp failed: {result.message}")
     values = [int(round(v)) for v in result.x[:n]]
     if not problem.feasible(values):
         # HiGHS accepts budget violations within its primal feasibility
         # tolerance (~1e-7), which the strict check rejects when loads
-        # are tiny or the budget sits exactly on a boundary.  Small
-        # problems re-solve exactly; larger ones (where exhaustive
-        # search could blow past the branch-and-bound node cap) get a
-        # bounded repair -- the violation is tolerance-level, so moving
-        # the lightest DB assignments to APP restores feasibility with
-        # minimal objective damage.
-        if n <= 20:
-            from repro.core.solvers import solve_branch_and_bound
-
-            return solve_branch_and_bound(problem)
-        for _, i in sorted(
-            (problem.loads[i], i) for i, v in enumerate(values) if v
-        ):
-            values[i] = 0
-            if problem.feasible(values):
-                break
+        # are tiny or the budget sits exactly on a boundary.
+        return solve_branch_and_bound(problem)
     return values

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import importlib.util
+
 import pytest
 
 from repro.core.pipeline import Pyxis
 from repro.db import Database, connect
 from repro.db.catalog import IndexSpec
+
+# SciPy is the optional cross-check oracle, not a dependency: tests
+# that call it skip where it is not installed.
+needs_scipy = pytest.mark.skipif(
+    importlib.util.find_spec("scipy") is None,
+    reason="SciPy (the cross-check oracle) is not installed",
+)
 
 # The running example from the paper (Figure 2), in the partitionable
 # subset.  Used by front-end, analysis, pipeline and runtime tests.

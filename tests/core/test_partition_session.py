@@ -11,7 +11,12 @@ import pytest
 from repro.core.builder import build_partition_graph, reweight_graph
 from repro.core.pipeline import Pyxis, PyxisConfig
 from repro.core.session import PartitionService
-from tests.conftest import ORDER_ENTRY_POINTS, ORDER_SOURCE, make_order_database
+from tests.conftest import (
+    ORDER_ENTRY_POINTS,
+    ORDER_SOURCE,
+    make_order_database,
+    needs_scipy,
+)
 
 BUDGET_SETS = [
     [0.0, 1e9],          # the two-rung ladder used across the suite
@@ -19,7 +24,7 @@ BUDGET_SETS = [
     None,                # default ladder (DEFAULT_FRACTIONS)
 ]
 
-EXACT_SOLVERS = ["scipy", "bnb"]
+EXACT_SOLVERS = [pytest.param("scipy", marks=needs_scipy), "bnb"]
 
 
 def make_profile(pyxis, invocations=1):
@@ -53,8 +58,8 @@ class TestDifferentialIncrementalVsCold:
         incremental = session.partition(profile_b, budgets=budgets)
         assert session.stats.structure_builds == 1
         if solver == "bnb":
-            # bnb consumes warm-start seeds; scipy is exact and
-            # ignores them, so its solves are (honestly) cold.
+            # bnb takes the seed as its first incumbent; scipy takes
+            # none, so its solves are (honestly) cold.
             assert session.stats.warm_solves > 0
         else:
             assert session.stats.warm_solves == 0
@@ -190,14 +195,14 @@ class TestReweightEqualsRebuild:
 class TestWarmStarts:
     def test_warm_start_values_mapping(self):
         from repro.core.ilp import build_ilp, resolve, warm_start_values
-        from repro.core.solvers import solve_with_scipy
+        from repro.core.solvers import solve_branch_and_bound
 
         session = PartitionService.from_source(
             ORDER_SOURCE, ORDER_ENTRY_POINTS
         )
         profile = make_profile(session)
         graph = session.update_profile(profile)
-        previous = resolve(graph, 1e9, solve_with_scipy, "scipy")
+        previous = resolve(graph, 1e9, solve_branch_and_bound, "bnb")
         problem = build_ilp(graph, 1e9)
         seed = warm_start_values(problem, previous)
         assert seed is not None

@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.partition_graph import Placement
 from repro.core.pipeline import Pyxis, PyxisConfig
-from tests.conftest import ORDER_ENTRY_POINTS, ORDER_SOURCE, make_order_database
+from tests.conftest import (
+    ORDER_ENTRY_POINTS,
+    ORDER_SOURCE,
+    make_order_database,
+    needs_scipy,
+)
 
 
 class TestPartitionSet:
@@ -64,19 +69,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown solver"):
             pyxis.partition(profile, budgets=[0.0])
 
-    def test_all_solvers_produce_valid_partitions(self):
-        for solver in ("scipy", "bnb", "greedy"):
-            pyx = Pyxis.from_source(
-                ORDER_SOURCE, ORDER_ENTRY_POINTS,
-                PyxisConfig(solver=solver),
-            )
-            _, conn = make_order_database()
-            profile = pyx.profile_with(
-                conn, lambda p: p.invoke("Order", "place_order", 7, 0.9)
-            )
-            pset = pyx.partition(profile, budgets=[1e9])
-            part = pset.partitions[0]
-            pset.graph.check_assignment(part.result.assignment)
+    @pytest.mark.parametrize(
+        "solver", [pytest.param("scipy", marks=needs_scipy), "bnb", "greedy"]
+    )
+    def test_all_solvers_produce_valid_partitions(self, solver):
+        pyx = Pyxis.from_source(
+            ORDER_SOURCE, ORDER_ENTRY_POINTS, PyxisConfig(solver=solver),
+        )
+        _, conn = make_order_database()
+        profile = pyx.profile_with(
+            conn, lambda p: p.invoke("Order", "place_order", 7, 0.9)
+        )
+        pset = pyx.partition(profile, budgets=[1e9])
+        part = pset.partitions[0]
+        pset.graph.check_assignment(part.result.assignment)
+
+    def test_default_solver_is_the_native_exact_one(self):
+        assert PyxisConfig().solver == "bnb"
 
     def test_default_budget_ladder_used(self, order_pyxis):
         _, conn = make_order_database()

@@ -27,6 +27,17 @@ class TestPartitionCommand:
         out = capsys.readouterr().out
         assert "PartitionGraph" in out
         assert "budget" in out
+        # Why this plan: both extremes are one max-flow, proven optimal.
+        assert out.count(
+            "proven lower bound 6.000 ms after 1 node(s), 1 max-flow(s)"
+        ) == 1
+        assert "objective 6.000 ms" in out
+
+    def test_solver_default_follows_the_config(self):
+        from repro.core.pipeline import PyxisConfig
+
+        args = build_parser().parse_args(["partition", "app.py"])
+        assert args.solver == PyxisConfig().solver == "bnb"
 
     def test_partition_with_pyxil_listing(self, order_file, capsys):
         code = main([
