@@ -11,9 +11,10 @@ instances, and a :class:`ShardedConnection` routes planned statements:
   planner's recorded ASTs and :class:`~repro.db.sql.planner.Scope`),
   so the whole plan executes point-to-point on one shard, through the
   tree executor or a per-shard compiled plan;
-* **scatter-gather** -- an unkeyed scan/aggregate over one sharded
-  table fans out to every shard and the router merges the per-shard
-  streams back into *global scan order* before running the shared
+* **scatter-gather** -- one sharded table without its full key (every
+  other table replicated) fans out to every shard at whatever level of
+  the join the planner placed it, and the router merges the per-shard
+  candidates back into *global scan order* before running the shared
   SELECT tail (:func:`~repro.db.sql.executor.select_output_rows`), so
   ORDER BY / GROUP BY / DISTINCT / LIMIT semantics -- including group
   emission order and sort-tie order -- are bit-identical to a single
@@ -512,7 +513,8 @@ class RoutePlan:
 
     ``single`` routes point-to-point via ``keyed`` shard-key getters
     (evaluated per execution, since keys are usually ``?`` parameters);
-    ``scatter`` fans ``scatter_target`` out to every shard and merges;
+    ``scatter`` fans ``scatter_target`` (at any join level) out to
+    every shard and merges;
     ``broadcast`` applies a replicated-table mutation to every copy;
     ``pinned`` runs a replicated-only read on the affinity shard.
     """
@@ -631,15 +633,23 @@ def route_statement(
     if isinstance(plan, (UpdatePlan, DeletePlan)):
         return RoutePlan(mode="scatter", scatter_target=plan.target)
 
-    if len(sharded) == 1 and unkeyed[0] is plan.tables[0]:
-        return RoutePlan(mode="scatter", scatter_target=plan.tables[0])
+    if len(sharded) == 1:
+        return RoutePlan(mode="scatter", scatter_target=unkeyed[0])
 
-    names = sorted({a.table_name for a in unkeyed})
+    missing = {
+        access.table_name: [
+            col for col in sharding.columns
+            if (access.binding, col) not in equalities
+        ]
+        for access, sharding in sharded
+        if access in unkeyed
+    }
     raise ShardRoutingError(
-        f"cannot route SELECT: sharded table(s) {names} lack full "
-        "shard-key equality predicates, and scatter-gather requires "
-        "the statement's only sharded table to drive the join (all "
-        "other tables replicated)"
+        "cannot route SELECT over sharded tables "
+        f"{sorted(a.table_name for a, _ in sharded)}: no equality "
+        f"predicate binds shard-key column(s) {missing}, and "
+        "scatter-gather fans out one sharded table only (every other "
+        "table replicated)"
     )
 
 
@@ -958,7 +968,9 @@ class ShardedConnection:
             return self._run_broadcast(prepared, params, txn)
         assert route.scatter_target is not None
         if isinstance(plan, SelectPlan):
-            return self._scatter_select(plan, params, txn)
+            return self._scatter_select(
+                plan, route.scatter_target, params, txn
+            )
         if isinstance(plan, UpdatePlan):
             return self._scatter_update(plan, params, txn)
         assert isinstance(plan, DeletePlan)
@@ -1088,22 +1100,24 @@ class ShardedConnection:
         target: TableAccess,
         params: Sequence[Any],
         touched: list[int],
-        *,
-        apply_residual: bool,
+        env: dict,
     ) -> Iterator[tuple[tuple, int, tuple]]:
         """Yield (order_key, rowid, row) for one shard's share of the
-        scatter target, counting touched rows like the executor."""
+        scatter target under the outer rows bound in ``env``, counting
+        touched rows and filtering like the executor."""
         self._shard_ready(shard)
         executor = self.executors[shard]
         table = self.database.shards[shard].table(target.table_name)
         access = target.access
-        for rowid in executor.candidate_rowids(table, access, {}, params):
+        for rowid in executor.candidate_rowids(table, access, env, params):
             row = table.fetch(rowid)
             if row is None:
                 continue
             touched[0] += 1
-            if apply_residual and target.residual is not None:
-                verdict = target.residual({target.binding: row}, params)
+            if target.residual is not None:
+                verdict = target.residual(
+                    {**env, target.binding: row}, params
+                )
                 if verdict is None or not verdict:
                     continue
             yield (
@@ -1112,45 +1126,70 @@ class ShardedConnection:
                 row,
             )
 
+    def _gather(
+        self,
+        target: TableAccess,
+        params: Sequence[Any],
+        per_touched: list[list[int]],
+        env: dict,
+    ) -> list[tuple[tuple, int, int, tuple]]:
+        """(order_key, shard, rowid, row) for the scatter target from
+        every shard, merged into the single server's candidate order
+        (rowids are globally allocated, so the order keys are too).
+        Materialized before the caller acts on any row: a scatter
+        mutation, like the single server's, fails mid-statement at the
+        same global row."""
+        items = [
+            (okey, shard, rowid, row)
+            for shard in range(self.database.n_shards)
+            for okey, rowid, row in self._iter_shard_outer(
+                shard, target, params, per_touched[shard], env
+            )
+        ]
+        items.sort(key=lambda item: item[0])
+        return items
+
     def _scatter_select(
         self,
         plan: SelectPlan,
+        target: TableAccess,
         params: Sequence[Any],
         txn: Optional[ShardedTransaction],
     ) -> StatementResult:
+        """Router-side nested loop with the sharded ``target`` at any
+        join level.  Levels above it read replicated tables on the
+        affinity shard; at its level every shard's candidates are
+        gathered per outer row and merged; levels below it read
+        replicated tables on the shard that holds the gathered row.
+        Each row is touched where the single server would touch it and
+        in the same order, so rows, row order and rows_touched match."""
         if txn is not None:
             for shard in range(self.database.n_shards):
                 branch = txn.branch(shard)
-                for access in plan.tables:
-                    branch.lock_table(access.table_name, exclusive=False)
-        target = plan.tables[0]
+                for name in plan.lock_tables:
+                    branch.lock_table(name, exclusive=False)
+        level = plan.tables.index(target)
+        self._shard_ready(self._affinity)
+        outer_touched = [0]
         per_touched = [[0] for _ in self.database.shards]
-        outer: list[tuple[tuple, int, dict]] = []
-        for shard in range(self.database.n_shards):
-            for okey, _, row in self._iter_shard_outer(
-                shard, target, params, per_touched[shard],
-                apply_residual=True,
-            ):
-                outer.append((okey, shard, {target.binding: row}))
-        outer.sort(key=lambda item: item[0])
-
-        has_joins = len(plan.tables) > 1
 
         def env_stream() -> Iterator[dict]:
-            for _, shard, env in outer:
-                if has_joins:
-                    # Inner tables are replicated: every shard holds
-                    # the full copy, so the local join is the global
-                    # join for this outer row.
+            for env in self.executors[self._affinity].join_envs(
+                plan.tables[:level], params, outer_touched
+            ):
+                for _, shard, _, row in self._gather(
+                    target, params, per_touched, env
+                ):
                     yield from self.executors[shard].join_envs(
                         plan.tables, params, per_touched[shard],
-                        start=1, env=env,
+                        start=level + 1, env={**env, target.binding: row},
                     )
-                else:
-                    yield env
 
         rows = select_output_rows(plan, env_stream(), params)
-        total = self._notify_scatter("select", target.table_name, per_touched)
+        total = self._notify_scatter(
+            "select", plan.tables[0].table_name, per_touched,
+            outer_touched[0],
+        )
         result = StatementResult(columns=list(plan.column_names))
         result.rows = rows
         result.rowcount = len(rows)
@@ -1158,7 +1197,11 @@ class ShardedConnection:
         return result
 
     def _notify_scatter(
-        self, operation: str, table_name: str, per_touched: list[list[int]]
+        self,
+        operation: str,
+        table_name: str,
+        per_touched: list[list[int]],
+        outer_touched: int = 0,
     ) -> int:
         """Report per-shard row touches; returns the total.
 
@@ -1166,10 +1209,14 @@ class ShardedConnection:
         shard fires last: the simulated cluster's observer attributes
         the statement's subsequent DB-CPU charge to the most recent
         shard, and the heaviest participant is the least-wrong home
-        for a scatter statement's cost.  Untouched shards stay silent
-        (no work, no attribution change); a statement that touched
-        nothing anywhere still notifies the affinity shard once,
-        mirroring the single server's unconditional notify.
+        for a scatter statement's cost.  ``outer_touched`` (replicated
+        levels above the sharded one, read on the affinity shard) is
+        reported there but does not rank: every shard holds those rows,
+        so only the sharded level's touches say where the work was.
+        Untouched shards stay silent (no work, no attribution change);
+        a statement that touched nothing anywhere still notifies the
+        affinity shard once, mirroring the single server's
+        unconditional notify.
         """
         ranked = sorted(
             range(self.database.n_shards),
@@ -1178,6 +1225,8 @@ class ShardedConnection:
         total = 0
         for shard in ranked:
             touched = per_touched[shard][0]
+            if shard == self._affinity:
+                touched += outer_touched
             if touched > 0:
                 self.database.shards[shard].notify(
                     operation, table_name, touched
@@ -1189,26 +1238,6 @@ class ShardedConnection:
             )
         return total
 
-    def _scatter_targets(
-        self,
-        target: TableAccess,
-        params: Sequence[Any],
-        per_touched: list[list[int]],
-    ) -> list[tuple[tuple, int, int]]:
-        """Materialize (order_key, shard, rowid) for a scatter
-        mutation, then sort into global order -- the single-server
-        executor also fully materializes targets before mutating, so
-        mid-statement failures happen at the same global row."""
-        items: list[tuple[tuple, int, int]] = []
-        for shard in range(self.database.n_shards):
-            for okey, rowid, _ in self._iter_shard_outer(
-                shard, target, params, per_touched[shard],
-                apply_residual=True,
-            ):
-                items.append((okey, shard, rowid))
-        items.sort(key=lambda item: item[0])
-        return items
-
     def _scatter_update(
         self,
         plan: UpdatePlan,
@@ -1217,8 +1246,8 @@ class ShardedConnection:
     ) -> StatementResult:
         target = plan.target
         per_touched = [[0] for _ in self.database.shards]
-        items = self._scatter_targets(target, params, per_touched)
-        for _, shard, rowid in items:
+        items = self._gather(target, params, per_touched, {})
+        for _, shard, rowid, _ in items:
             branch = self._branch(txn, shard)
             if branch is not None:
                 branch.lock_row(target.table_name, rowid)
@@ -1243,8 +1272,8 @@ class ShardedConnection:
     ) -> StatementResult:
         target = plan.target
         per_touched = [[0] for _ in self.database.shards]
-        items = self._scatter_targets(target, params, per_touched)
-        for _, shard, rowid in items:
+        items = self._gather(target, params, per_touched, {})
+        for _, shard, rowid, _ in items:
             branch = self._branch(txn, shard)
             if branch is not None:
                 branch.lock_row(target.table_name, rowid)

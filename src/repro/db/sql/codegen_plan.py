@@ -14,13 +14,15 @@ with :func:`compile` and ``exec``'d once at prepare time -- in which
   batch once and run residual filters / projections as comprehension
   loops; aggregates fold column lists; point statements collapse to
   straight-line code;
-* **joins use a hybrid hash strategy** -- an inner table probed by an
-  equality key is hash-partitioned at generation time: tiny inputs
-  fall back to the closure rung's nested-loop probes, mid-size inputs
-  build one hash table per statement, and inputs past a deterministic
-  spill threshold build :data:`HASH_JOIN_PARTITIONS` partitioned
-  tables (bounding per-dict size the way a grace hash join bounds
-  per-partition memory);
+* **joins pick a strategy per level** -- in the planner's order, an
+  outer-dependent key probe under an indexed or filtered driver is an
+  index nested loop; where every driver row probes (an unfiltered
+  driving scan) or the inner has no index to probe (a scan with an
+  equality key) the level builds a hash table, sized at generation
+  time: tiny inputs keep nested-loop probes, mid-size inputs build one
+  table per statement, and inputs past a deterministic spill threshold
+  build :data:`HASH_JOIN_PARTITIONS` partitioned tables (bounding
+  per-dict size the way a grace hash join bounds per-partition memory);
 * **mutations inline the engine** -- column validators become exact
   ``type(x) is T`` fast paths over the schema's fused closures, the
   no-secondary-index insert path writes the primary index bucket and
@@ -81,17 +83,17 @@ from repro.db.sql.planner import (
     TableAccess,
     UpdatePlan,
     _like_matcher,
-    classify_join_access,
     extract_equi_conjuncts,
 )
 
 if False:  # pragma: no cover - import cycle guard for type checkers
     from repro.db.txn import Transaction
 
-# Hybrid hash join thresholds, fixed at generation time from the inner
-# table's size.  Below MIN_ROWS a hash build costs more than it saves
-# (the closure rung's index probe is already one dict lookup), so the
-# generated code keeps nested-loop probes; at or past SPILL_ROWS the
+# Hash-build thresholds for the levels that build at all (the planner's
+# ``hash`` / ``hash_scan`` classes), fixed at generation time from the
+# inner table's size.  Below MIN_ROWS a hash build costs more than it
+# saves (the closure rung's index probe is already one dict lookup), so
+# the generated code keeps nested-loop probes; at or past SPILL_ROWS the
 # build partitions into HASH_JOIN_PARTITIONS separate dicts so no
 # single table grows unboundedly (the in-memory analogue of a grace
 # hash join's spill files).  Deterministic by construction: the
@@ -160,6 +162,7 @@ class _PlanCodegen:
         self._temps = 0
         self._tbinds: dict[tuple[int, str], dict[str, str]] = {}
         self.join_meta: list[tuple[str, str]] = []
+        self.join_header: Optional[str] = None
 
     # -- binding -------------------------------------------------------------
 
@@ -668,8 +671,8 @@ class _PlanCodegen:
         first = plan.tables[0].table_name
         self.emit_txn_check(
             [
-                f"txn.lock_table({ta.table_name!r}, exclusive=False)"
-                for ta in plan.tables
+                f"txn.lock_table({name!r}, exclusive=False)"
+                for name in plan.lock_tables
             ]
         )
         names = self.bind(list(plan.column_names), "names")
@@ -859,17 +862,13 @@ class _PlanCodegen:
 
     # -- joins ----------------------------------------------------------------
 
-    def _choose_strategy(
-        self, level: int, ta: TableAccess, table: Table, scope: Scope
-    ) -> str:
+    def _choose_strategy(self, ta: TableAccess, table: Table) -> str:
         """Resolve the planner's static strategy class for one join
         level against the inner table's current size (a prepare-time
         snapshot, like every other binding a prepared plan carries).
         Hash candidates degrade to scan/nested below MIN_ROWS and
         upgrade to partitioned spill builds at SPILL_ROWS."""
         static = ta.join_strategy
-        if static is None:
-            static = classify_join_access(level, ta, scope)
         if static in ("driver", "lookup", "scan", "nested"):
             return static
         size = len(table)
@@ -1264,7 +1263,7 @@ class _PlanCodegen:
         levels: list = []
         for L, ta in enumerate(plan.tables):
             table = self.database.table(ta.table_name)
-            strategy = self._choose_strategy(L, ta, table, scope)
+            strategy = self._choose_strategy(ta, table)
             equi = None
             if strategy in ("hash_scan", "hash_scan_spill"):
                 # A scanned inner table is the nested-loop worst case;
@@ -1292,6 +1291,13 @@ class _PlanCodegen:
                 (ta, table, residual, positions[ta.binding], strategy, equi)
             )
             self.join_meta.append((ta.binding, strategy))
+        if len(levels) > 1:
+            # Why this order and these strategies, readable from a dump.
+            self.join_header = " | ".join(
+                f"{ta.binding} {ta.access.kind} {strategy} "
+                f"rank={ta.join_rank}"
+                for ta, _, _, _, strategy, _ in levels
+            )
 
         w.line("touched = 0")
         for L, (ta, table, _, _, strategy, equi) in enumerate(levels):
@@ -1878,7 +1884,7 @@ def generate_plan_source(
     keys = ", ".join(f"_B{i}" for i in range(len(gen._bind_names)))
     text = (
         "# generated by repro.db.sql.codegen_plan\n"
-        f"# plan: {kind} {', '.join(table_names)}\n"
+        f"# plan: {kind} {gen.join_header or ', '.join(table_names)}\n"
         f"def _make({names}):\n"
         "    def run(params, txn):\n"
         f"{body}"

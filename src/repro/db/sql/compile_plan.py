@@ -741,7 +741,7 @@ def _compile_select(
     names = list(plan.column_names)
     first_table = tables[0].table_name
     notify = database.notify
-    lock_names = [ta.table_name for ta in tables]
+    lock_names = plan.lock_tables
     aggregate = bool(plan.aggregates or plan.group_exprs)
 
     lock = _make_select_lock(lock_names)

@@ -528,8 +528,8 @@ class Executor:
     ) -> StatementResult:
         if isinstance(plan, SelectPlan):
             if txn is not None:
-                for access in plan.tables:
-                    txn.lock_table(access.table_name, exclusive=False)
+                for name in plan.lock_tables:
+                    txn.lock_table(name, exclusive=False)
             return self.execute_select(plan, params)
         if isinstance(plan, InsertPlan):
             return self.execute_insert(plan, params, txn)

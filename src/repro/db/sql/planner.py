@@ -10,8 +10,11 @@ a simple RDBMS would do:
 4. otherwise -> full table scan.
 
 Predicates consumed by the access path are removed from the residual
-filter.  Joins are nested-loop, using an index on the inner table's
-join key when one exists.
+filter.  Joins are nested-loop in a greedy order: at each step the
+unplaced table whose access path -- given the tables already placed --
+ranks best in the list above (unique before non-unique index, a
+filtered scan before a bare one), ties keeping the written order.  The
+order reads the schema and the statement only, never a table size.
 """
 
 from __future__ import annotations
@@ -297,7 +300,7 @@ class TableAccess:
     ``join_strategy`` is the planner's static classification of how
     this level can fetch join candidates (``driver`` / ``lookup`` /
     ``hash_scan`` / ``scan`` / ``hash`` / ``nested``); the codegen rung
-    resolves the hash candidates against prepare-time table sizes
+    resolves the two hash classes against prepare-time table sizes
     (falling back to nested loops on tiny inners, partitioned spill
     builds on large ones) and records the final pick per plan.
     """
@@ -308,6 +311,8 @@ class TableAccess:
     residual: Optional[Compiled] = None
     residual_ast: Optional[Expr] = None
     join_strategy: Optional[str] = None
+    # Access-path rank that placed this table in a SELECT's join order.
+    join_rank: Optional[int] = None
 
 
 @dataclass
@@ -358,6 +363,10 @@ class SelectPlan:
     group_asts: list[Expr] = field(default_factory=list)
     limit_ast: Optional[Expr] = None
     scope: Optional[Scope] = None
+    # ``tables`` and ``scope`` are in join (placement) order;
+    # ``lock_tables`` keeps the written order, so two statements lock
+    # in the order each was written whatever order their joins run in.
+    lock_tables: list[str] = field(default_factory=list)
     # Batch metadata: single-table, non-aggregate, non-point shapes can
     # run scan/filter/project batch-at-a-time (materialize candidates
     # once, then comprehension passes) instead of row-at-a-time.
@@ -459,15 +468,18 @@ def extract_equi_conjuncts(
 
 
 def classify_join_access(
-    position: int, ta: TableAccess, scope: Scope
+    position: int, ta: TableAccess, scope: Scope, driver: TableAccess
 ) -> str:
     """Static strategy class for one join level.
 
     ``driver`` (outermost), ``lookup`` (constant probe, hoistable),
     ``hash_scan`` (scanned inner with peelable equi conjuncts --
     hash-join candidate), ``scan`` (scanned inner, no equi key),
-    ``hash`` (outer-dependent pk/index_eq probe -- hash-build
-    candidate), ``nested`` (outer-dependent range probe).
+    ``hash`` (outer-dependent pk/index_eq probe under an unfiltered
+    driving scan -- every driver row probes, so one build per execution
+    can pay), ``nested`` (any other outer-dependent probe: under an
+    indexed or filtered driver few rows reach it, and the index it
+    probes is already built).
     """
     kind = ta.access.kind
     if position == 0:
@@ -490,7 +502,9 @@ def classify_join_access(
         return "lookup"
     if kind == "index_range":
         return "nested"
-    return "hash"
+    if driver.access.kind == "scan" and driver.residual_ast is None:
+        return "hash"
+    return "nested"
 
 
 def _split_conjuncts(expr: Optional[Expr]) -> list[Expr]:
@@ -546,41 +560,40 @@ class Planner:
     # -- SELECT -----------------------------------------------------------------
 
     def plan_select(self, stmt: Select) -> SelectPlan:
-        scope = Scope()
-        base_schema = self.catalog.get(stmt.table.name)
-        scope.add(stmt.table.binding, base_schema)
-        join_schemas = []
-        for join in stmt.joins:
-            schema = self.catalog.get(join.table.name)
-            scope.add(join.table.binding, schema)
-            join_schemas.append(schema)
+        refs = [stmt.table] + [j.table for j in stmt.joins]
+        # Names resolve, ``SELECT *`` expands and table locks are taken
+        # in the order the query was written; only the join runs in
+        # placement order.
+        written = Scope()
+        for ref in refs:
+            written.add(ref.binding, self.catalog.get(ref.name))
 
-        conjuncts = _split_conjuncts(stmt.where)
+        remaining = _split_conjuncts(stmt.where)
         for join in stmt.joins:
-            conjuncts.extend(_split_conjuncts(join.condition))
+            remaining.extend(_split_conjuncts(join.condition))
 
         tables: list[TableAccess] = []
         placed: set[str] = set()
-        ordered_refs = [stmt.table] + [j.table for j in stmt.joins]
-        remaining = list(conjuncts)
-        for ref in ordered_refs:
-            placed_after = placed | {ref.binding}
-            usable = [
-                c for c in remaining if _refs_only(c, placed_after, scope)
-            ]
-            schema = self.catalog.get(ref.name)
-            access, used = self._choose_access(
-                ref, schema, usable, placed, scope
+        unplaced = list(refs)
+        while unplaced:
+            # Greedy: the unplaced table with the best access-path rank
+            # given what is already placed; ties keep the written order.
+            rank, ref, access, usable, used = min(
+                (
+                    self._rank_access(ref, remaining, placed, written)
+                    for ref in unplaced
+                ),
+                key=lambda candidate: candidate[0],
             )
-            residual_conjuncts = [c for c in usable if c not in used]
-            remaining = [
-                c for c in remaining if c not in usable
-            ] + []
+            unplaced.remove(ref)
+            remaining = [c for c in remaining if c not in usable]
             # Conjuncts usable at this table but not consumed stay as the
             # residual filter here; conjuncts mentioning later tables wait.
-            residual_expr = _join_conjuncts(residual_conjuncts)
+            residual_expr = _join_conjuncts(
+                [c for c in usable if c not in used]
+            )
             residual = (
-                compile_expr(residual_expr, scope)
+                compile_expr(residual_expr, written)
                 if residual_expr is not None
                 else None
             )
@@ -591,17 +604,25 @@ class Planner:
                     access=access,
                     residual=residual,
                     residual_ast=residual_expr,
+                    join_rank=rank,
                 )
             )
-            placed = placed_after
+            placed.add(ref.binding)
 
         if remaining:
             leftover = _join_conjuncts(remaining)
             raise PlanError(f"could not place predicate {leftover!r}")
 
+        # Executors index rows by scope position: placement order.
+        scope = Scope()
+        for access_entry in tables:
+            scope.add(
+                access_entry.binding,
+                self.catalog.get(access_entry.table_name),
+            )
         for position, access_entry in enumerate(tables):
             access_entry.join_strategy = classify_join_access(
-                position, access_entry, scope
+                position, access_entry, scope, tables[0]
             )
 
         # Projection.
@@ -613,7 +634,7 @@ class Planner:
             if item.star:
                 if has_aggregates:
                     raise PlanError("cannot mix * with aggregates")
-                for binding, schema in scope.bindings:
+                for binding, schema in written.bindings:
                     for col in schema.column_names:
                         ref = ColumnRef(column=col, table=binding)
                         columns.append(
@@ -681,6 +702,7 @@ class Planner:
             group_asts=list(stmt.group_by),
             limit_ast=stmt.limit,
             scope=scope,
+            lock_tables=[ref.name for ref in refs],
             batch_eligible=(
                 len(tables) == 1
                 and not has_aggregates
@@ -723,6 +745,38 @@ class Planner:
         return sort_keys
 
     # -- access-path selection -----------------------------------------------
+
+    def _rank_access(
+        self,
+        ref: TableRef,
+        conjuncts: list[Expr],
+        placed: set[str],
+        scope: Scope,
+    ) -> tuple[int, TableRef, AccessPath, list[Expr], list[Expr]]:
+        """``ref``'s access path if it were joined next, ranked: full
+        primary key (0), unique index equality (1), index equality (2),
+        index range (3), filtered scan (4), bare scan (5).  Schema and
+        statement only -- no table size -- so the single server and
+        every shard place identically."""
+        schema = self.catalog.get(ref.name)
+        usable = [
+            c for c in conjuncts
+            if _refs_only(c, placed | {ref.binding}, scope)
+        ]
+        access, used = self._choose_access(ref, schema, usable, placed, scope)
+        if access.kind == "pk":
+            rank = 0
+        elif access.kind == "index_eq":
+            unique = any(
+                spec.unique and spec.name == access.index_name
+                for spec in schema.indexes
+            )
+            rank = 1 if unique else 2
+        elif access.kind == "index_range":
+            rank = 3
+        else:
+            rank = 4 if usable else 5
+        return rank, ref, access, usable, used
 
     def _choose_access(
         self,

@@ -40,8 +40,11 @@ def _join_db(inner_rows):
     return db
 
 
+# Both sides carry a local filter, so the access-path ranks tie and the
+# written order stands: ``o`` drives and the scanned ``l`` is the
+# hash-join candidate whose size the sweeps below vary.
 JOIN_SQL = ("SELECT o.oid, l.v FROM o JOIN l ON o.k = l.ok "
-            "WHERE l.v < 50 ORDER BY o.oid, l.v")
+            "WHERE o.oid < 100 AND l.v < 50 ORDER BY o.oid, l.v")
 
 
 def _plan(db, sql):
@@ -55,6 +58,16 @@ class TestPlannerMetadata:
         assert [(t.binding, t.join_strategy) for t in plan.tables] == [
             ("o", "driver"), ("l", "hash_scan"),
         ]
+
+    def test_filtered_side_drives_whatever_the_written_order(self):
+        db = _join_db(8)
+        plan = _plan(db, "SELECT o.oid, l.v FROM o JOIN l ON o.k = l.ok "
+                         "WHERE l.v < 50")
+        assert [(t.binding, t.join_strategy) for t in plan.tables] == [
+            ("l", "driver"), ("o", "hash_scan"),
+        ]
+        assert [t.join_rank for t in plan.tables] == [4, 4]
+        assert plan.lock_tables == ["o", "l"]
 
     def test_single_table_batch_eligible(self):
         db = _join_db(8)
@@ -90,32 +103,48 @@ class TestHybridHashJoin:
         assert src.columns == tree.columns
 
 
-# The two TPC-W browsing joins, and the scale field that sizes each
-# one's build side (the inner table its hash is built over).
+# TPC-W joins and the scale field that sizes the table each one probes.
+# The first two are the browsing mix's own: their driver is an index
+# range or a filtered scan, so the probe is an index nested loop at any
+# size.  The unfiltered variants drive with a bare scan -- every driver
+# row probes -- and still resolve hash / spill builds on the probed
+# table's size.
 TPCW_JOINS = {
     "best_sellers": (
         "SELECT i.i_id, i.i_title, SUM(ol.ol_qty) AS sold "
         "FROM tw_order_line ol JOIN tw_item i ON ol.ol_i_id = i.i_id "
         "WHERE i.i_subject = ? GROUP BY i.i_id, i.i_title "
         "ORDER BY sold DESC LIMIT 10",
-        "items", "i", ("ARTS", "COOKING", "HISTORY"),
+        "orders", "ol", (("ARTS",), ("COOKING",), ("HISTORY",)), False,
     ),
     "search_by_author": (
         "SELECT i.i_id, i.i_title FROM tw_item i JOIN author a "
         "ON i.i_a_id = a.a_id WHERE a.a_lname = ? "
         "ORDER BY i.i_title LIMIT 20",
-        "authors", "a", ("last3", "last11", "last96"),
+        "items", "i", tuple((f"last{n}",) for n in range(1, 41)), False,
+    ),
+    "all_sellers": (
+        "SELECT i.i_id, i.i_title, SUM(ol.ol_qty) AS sold "
+        "FROM tw_order_line ol JOIN tw_item i ON ol.ol_i_id = i.i_id "
+        "GROUP BY i.i_id, i.i_title ORDER BY sold DESC LIMIT 10",
+        "items", "i", ((),), True,
+    ),
+    "items_with_authors": (
+        "SELECT i.i_id, a.a_lname FROM tw_item i JOIN author a "
+        "ON i.i_a_id = a.a_id ORDER BY i.i_title LIMIT 20",
+        "authors", "a", ((),), True,
     ),
 }
 
 
 class TestHashJoinBoundaries:
-    """The default rung picks its join strategy from the build side's
-    size at fixed thresholds; one row either side of each threshold the
-    workload's joins must still return exactly the tree oracle's rows."""
+    """Where the default rung still builds, it picks the strategy from
+    the build side's size at fixed thresholds; one row either side of
+    each threshold every join must return exactly the tree oracle's
+    rows, and the workload's own joins must not build at any size."""
 
     @pytest.mark.parametrize("join", TPCW_JOINS)
-    @pytest.mark.parametrize("build_rows,expected", [
+    @pytest.mark.parametrize("probed_rows,expected", [
         (HASH_JOIN_MIN_ROWS - 1, "nested"),
         (HASH_JOIN_MIN_ROWS, "hash"),
         (HASH_JOIN_MIN_ROWS + 1, "hash"),
@@ -124,21 +153,25 @@ class TestHashJoinBoundaries:
         (HASH_JOIN_SPILL_ROWS + 1, "hash_spill"),
     ])
     def test_tpcw_joins_match_tree_across_thresholds(
-        self, join, build_rows, expected, monkeypatch
+        self, join, probed_rows, expected, monkeypatch
     ):
         from repro.workloads.tpcw import TpcwScale, make_tpcw_database
 
         monkeypatch.delenv("REPRO_SQL_EXEC", raising=False)
-        sql, sized_by, inner, params = TPCW_JOINS[join]
+        sql, sized_by, inner, param_sets, builds = TPCW_JOINS[join]
         sizes = {"items": 120, "authors": 40, "customers": 40, "orders": 300}
-        sizes[sized_by] = build_rows
+        # ~3 lines an order: "orders" puts tw_order_line past the size.
+        sizes[sized_by] = probed_rows
         db, conn = make_tpcw_database(TpcwScale(**sizes))
+        if sized_by == "orders":
+            assert len(db.table("tw_order_line")) >= probed_rows
         assert conn.sql_exec == "source"  # the default
-        assert dict(conn.prepare(sql).compiled.join_meta)[inner] == expected
+        strategy = dict(conn.prepare(sql).compiled.join_meta)[inner]
+        assert strategy == (expected if builds else "nested")
         tree = connect(db, sql_exec="tree")
         returned = 0
-        for param in params:
-            got, want = conn.query(sql, param), tree.query(sql, param)
+        for params in param_sets:
+            got, want = conn.query(sql, *params), tree.query(sql, *params)
             assert got.columns == want.columns
             assert [r.as_tuple() for r in got] == [r.as_tuple() for r in want]
             assert got.rows_touched == want.rows_touched
@@ -160,6 +193,17 @@ class TestDeterminism:
             first = generate_plan_source(_plan(db, sql), db)[0]
             second = generate_plan_source(_plan(db, sql), db)[0]
             assert first == second, sql
+
+    def test_join_header_states_order_and_strategy(self):
+        # Per level: binding, access kind, resolved strategy and the
+        # access-path rank that placed it -- the "why" a dump answers.
+        db = _join_db(200)
+        header = generate_plan_source(_plan(db, JOIN_SQL), db)[0]
+        assert header.splitlines()[1] == (
+            "# plan: select o scan driver rank=4 | l scan hash_scan rank=4"
+        )
+        single = generate_plan_source(_plan(db, "SELECT v FROM l"), db)[0]
+        assert single.splitlines()[1] == "# plan: select l"
 
     def test_identically_built_databases_generate_identical_source(self):
         # Two separately-seeded but identical databases must produce the

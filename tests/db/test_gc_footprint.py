@@ -10,6 +10,7 @@ log is empty between commits.
 """
 
 import gc
+import types
 
 from repro.db import Database
 from repro.db.catalog import IndexSpec
@@ -23,6 +24,27 @@ from repro.workloads.tpcc import (
 def _tracked_objects() -> int:
     gc.collect()
     return len(gc.get_objects())
+
+
+def _tracked_reachable(root) -> int:
+    """GC-tracked objects reachable from ``root``, stopping at code and
+    classes (through which everything is reachable).  Not a process-wide
+    census: what an earlier test left behind -- the frames a failure's
+    traceback pins, say -- must not move this count."""
+    gc.collect()  # also untracks row tuples of atomic values
+    shared = (type, types.ModuleType, types.FunctionType,
+              types.BuiltinFunctionType, types.MethodType)
+    seen = {id(root)}
+    stack = [root]
+    tracked = 0
+    while stack:
+        obj = stack.pop()
+        tracked += gc.is_tracked(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, shared):
+                seen.add(id(ref))
+                stack.append(ref)
+    return tracked
 
 
 def _tracked_sets() -> int:
@@ -58,9 +80,9 @@ def test_tracked_objects_do_not_grow_with_rows():
             table.insert((k, f"code-{k}", k / 8.0))
 
     load(0)
-    before = _tracked_objects()
+    before = _tracked_reachable(table)
     load(n)
-    grown = _tracked_objects() - before
+    grown = _tracked_reachable(table) - before
     assert len(table) == 2 * n
     assert grown < 0.05 * n, f"{grown} tracked objects for {n} added rows"
     for index in _indexes(table):

@@ -289,6 +289,119 @@ class TestTpcwMix:
 
 
 # ---------------------------------------------------------------------------
+# Scatter with the sharded table below a replicated driver
+# ---------------------------------------------------------------------------
+
+
+def _star_factory():
+    """A sharded fact table between two replicated dimensions."""
+    from repro.db.catalog import IndexSpec
+
+    db = Database("star")
+    db.create_table(
+        "cat", [("c_id", "int", False), ("c_name", "text")],
+        primary_key=["c_id"],
+    )
+    db.create_table(
+        "fact",
+        [("f_id", "int", False), ("f_c_id", "int"), ("f_d_id", "int"),
+         ("qty", "int")],
+        primary_key=["f_id"],
+        indexes=[IndexSpec("fact_by_cat", ("f_c_id",))],
+    )
+    db.create_table(
+        "dim", [("d_id", "int", False), ("d_label", "text")],
+        primary_key=["d_id"],
+    )
+    conn = connect(db)
+    for c in range(6):
+        conn.execute("INSERT INTO cat (c_id, c_name) VALUES (?, ?)",
+                     c, f"cat{c % 3}")
+    for d in range(4):
+        conn.execute("INSERT INTO dim (d_id, d_label) VALUES (?, ?)",
+                     d, f"dim{d}")
+    for f in range(60):
+        conn.execute(
+            "INSERT INTO fact (f_id, f_c_id, f_d_id, qty) "
+            "VALUES (?, ?, ?, ?)", f, (f * 7) % 6, f % 5, f % 4,
+        )
+    return db, conn
+
+
+STAR_SCHEME = ShardingScheme({"fact": TableSharding(("f_id",), "hash")})
+# Placed cat (filtered scan) -> fact (fact_by_cat) -> dim (pk): the
+# sharded table is gathered per cat row, in the middle of the join.
+STAR_SQL = (
+    "SELECT c.c_id, f.f_id, d.d_label FROM fact f "
+    "JOIN cat c ON f.f_c_id = c.c_id JOIN dim d ON d.d_id = f.f_d_id "
+    "WHERE c.c_name = ?"
+)
+
+
+@pytest.mark.parametrize("sql_exec", MODES)
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+class TestScatterBelowReplicatedDriver:
+    def test_sharded_table_in_the_middle(self, shards, sql_exec):
+        single, sharded = make_pair(
+            _star_factory, STAR_SCHEME, shards, sql_exec
+        )
+        plan = sharded[1].prepare(STAR_SQL).plan
+        assert [t.table_name for t in plan.tables] == ["cat", "fact", "dim"]
+        script = [(STAR_SQL, (name,)) for name in ("cat0", "cat2", "none")]
+        script.append((
+            "SELECT c.c_name, SUM(f.qty) AS total FROM fact f "
+            "JOIN cat c ON f.f_c_id = c.c_id WHERE c.c_id < ? "
+            "GROUP BY c.c_name ORDER BY total DESC", (4,),
+        ))
+        # Keyed and pinned neighbours, which do run per-shard plans.
+        script.append(("SELECT qty FROM fact WHERE f_id = ?", (17,)))
+        script.append(("SELECT d_label FROM dim WHERE d_id = ?", (2,)))
+        assert_shard_equivalence(single, sharded, script, use_txn=True)
+
+    def test_dominant_shard_is_decided_by_the_sharded_level(
+        self, shards, sql_exec
+    ):
+        """Per-shard notifies under a replicated driver: the driver's
+        rows are charged to the affinity shard but do not rank it; the
+        shard that fetched the most fact rows still fires last, which
+        is where the cluster then attributes the statement's DB CPU."""
+        from repro.sim.cluster import Cluster, ClusterConfig
+
+        _, (sdb, conn) = make_pair(
+            _star_factory, STAR_SCHEME, shards, sql_exec
+        )
+        cluster = Cluster(ClusterConfig(db_shards=shards))
+        cluster.attach_sharded_database(sdb)
+        notified = []
+        for index, shard_db in enumerate(sdb.shards):
+            steer = shard_db.observer
+            shard_db.observer = (
+                lambda op, table, rows, index=index, steer=steer: (
+                    notified.append((index, op, table, rows)),
+                    steer(op, table, rows),
+                )
+            )
+        result = conn.query(STAR_SQL, "cat1")
+        assert {n[1:3] for n in notified} == {("select", "cat")}
+        assert sum(n[3] for n in notified) == result.rows_touched
+        # cat1 is c_id 1 and 4: 20 facts, each with at most one dim row.
+        fact_rows = {
+            index: sum(
+                1 for _, row in shard_db.table("fact").scan()
+                if row[1] in (1, 4)
+            )
+            for index, shard_db in enumerate(sdb.shards)
+        }
+        assert sum(fact_rows.values()) == 20
+        dominant = max(fact_rows, key=lambda i: (fact_rows[i], i))
+        assert notified[-1][0] == dominant
+        assert cluster._statement_shard == dominant
+        # The six cat rows were read once, on the affinity shard.
+        touched = {index: rows for index, _, _, rows in notified}
+        assert touched[conn._affinity] >= 6
+
+
+# ---------------------------------------------------------------------------
 # Micro key-value mix
 # ---------------------------------------------------------------------------
 

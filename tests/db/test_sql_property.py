@@ -397,3 +397,146 @@ def test_generated_scripts_are_reproducible():
     first = StatementScriptGenerator(99).script()
     second = StatementScriptGenerator(99).script()
     assert first == second
+
+
+# -- join order: any written order, any placement, same answer -----------------
+#
+# Random two- and three-table equi-joins over small tables with a
+# primary key, a hash index, an ordered index and a plain column each,
+# so the planner's greedy placement sees every access-path rank.  ``t1``
+# is the sharded table of the router deployments and lands first, in
+# the middle or last depending on the statement.
+
+JOIN_TABLES = ("t0", "t1", "t2")
+JOIN_COLUMNS = ("id", "a", "b", "c")
+_OPS = {
+    "=": lambda x, y: x == y,
+    "<": lambda x, y: x < y,
+    ">": lambda x, y: x > y,
+}
+
+# NULLs live in the unindexed column only: an index probe with a NULL
+# key finds the rows whose key is NULL where a scan's ``=`` finds none
+# (all rungs agree, and did before join orders moved; ROADMAP records
+# it), so which of the two a conjunct becomes must not decide a case.
+cells = st.integers(0, 3)
+join_rows = st.lists(
+    st.tuples(cells, cells, st.one_of(st.none(), cells)), max_size=6
+)
+
+
+@st.composite
+def join_statements(draw):
+    """(sql, params, tables, equi conditions, filters)."""
+    count = draw(st.integers(2, 3))
+    tables = list(draw(st.permutations(JOIN_TABLES)))[:count]
+    column = st.sampled_from(JOIN_COLUMNS)
+    sql = "SELECT {} FROM {}".format(
+        ", ".join(f"{t}.id, {t}.c" for t in tables), tables[0]
+    )
+    conditions = []
+    for position in range(1, count):
+        condition = (
+            tables[position], draw(column),
+            draw(st.sampled_from(tables[:position])), draw(column),
+        )
+        conditions.append(condition)
+        sql += " JOIN {0} ON {0}.{1} = {2}.{3}".format(*condition)
+    filters = draw(st.lists(
+        st.tuples(st.sampled_from(tables), column,
+                  st.sampled_from(sorted(_OPS)), st.integers(0, 3)),
+        max_size=2,
+    ))
+    if filters:
+        sql += " WHERE " + " AND ".join(
+            f"{t}.{col} {op} ?" for t, col, op, _ in filters
+        )
+    return sql, tuple(f[3] for f in filters), tables, conditions, filters
+
+
+def _brute_force_join(data, tables, conditions, filters):
+    """The answer by a Python nested loop over the raw rows."""
+    import itertools
+
+    offset = {name: i for i, name in enumerate(JOIN_COLUMNS)}
+    out = []
+    for combo in itertools.product(*(data[t] for t in tables)):
+        row = dict(zip(tables, combo))
+        keep = all(
+            row[lt][offset[lc]] is not None
+            and row[lt][offset[lc]] == row[rt][offset[rc]]
+            for lt, lc, rt, rc in conditions
+        ) and all(
+            row[t][offset[col]] is not None
+            and _OPS[op](row[t][offset[col]], value)
+            for t, col, op, value in filters
+        )
+        if keep:
+            out.append(tuple(
+                v for t in tables for v in (row[t][0], row[t][3])
+            ))
+    return out
+
+
+def _join_deployments(data):
+    """tree / compiled / source single servers, then the 1- and 3-shard
+    router (``t1`` hash-sharded, the other tables replicated)."""
+    from repro.db import (
+        ShardedDatabase,
+        ShardingScheme,
+        TableSharding,
+        connect_sharded,
+    )
+    from repro.db.catalog import IndexSpec
+
+    def load():
+        db = Database("joins")
+        for name in JOIN_TABLES:
+            db.create_table(
+                name,
+                [("id", "int", False), ("a", "int"), ("b", "int"),
+                 ("c", "int")],
+                primary_key=["id"],
+                indexes=[
+                    IndexSpec(f"{name}_a", ("a",)),
+                    IndexSpec(f"{name}_b", ("b",), ordered=True),
+                ],
+            )
+            for row in data[name]:
+                db.table(name).insert(row)
+        return db
+
+    scheme = ShardingScheme({"t1": TableSharding(("id",), "hash")})
+    conns = [
+        (mode, connect(load(), sql_exec=mode))
+        for mode in ("tree", "compiled", "source")
+    ]
+    for shards in (1, 3):
+        sdb = ShardedDatabase.from_database(load(), shards, scheme)
+        conns.append((f"router-{shards}", connect_sharded(sdb)))
+    return conns
+
+
+@settings(max_examples=120, deadline=None)
+@given(join_rows, join_rows, join_rows, join_statements())
+def test_join_order_differential(rows0, rows1, rows2, statement):
+    sql, params, tables, conditions, filters = statement
+    data = {
+        name: [(i,) + row for i, row in enumerate(rows)]
+        for name, rows in zip(JOIN_TABLES, (rows0, rows1, rows2))
+    }
+    outcomes = []
+    for name, conn in _join_deployments(data):
+        rs = conn.query(sql, *params)
+        outcomes.append(
+            (name, [row.as_tuple() for row in rs.rows], rs.rows_touched)
+        )
+    _, reference_rows, reference_touched = outcomes[0]
+    # Whatever order the planner chose, the answer is the join.
+    assert sorted(reference_rows, key=repr) == sorted(
+        _brute_force_join(data, tables, conditions, filters), key=repr
+    ), sql
+    # Rows, row order and rows_touched: exact across rungs and router.
+    for name, rows, touched in outcomes[1:]:
+        assert rows == reference_rows, (sql, name)
+        assert touched == reference_touched, (sql, name)

@@ -459,9 +459,20 @@ class TestShardConfigurationFailFast:
         sdb.create_table("a", [("id", "int", False)], primary_key=["id"])
         sdb.create_table("b", [("id", "int", False)], primary_key=["id"])
         conn = connect_sharded(sdb)
-        with pytest.raises(ShardRoutingError):
+        # Names the sharded tables and the shard-key columns no
+        # equality predicate binds.
+        with pytest.raises(
+            ShardRoutingError,
+            match=r"\['a', 'b'\].*\{'a': \['id'\], 'b': \['id'\]\}",
+        ):
             conn.prepare(
                 "SELECT a.id FROM a a JOIN b b ON a.id < b.id"
+            )
+        # One keyed, one not: only the unbound table is reported.
+        with pytest.raises(ShardRoutingError, match=r"\{'b': \['id'\]\}"):
+            conn.prepare(
+                "SELECT a.id FROM a a JOIN b b ON a.id < b.id "
+                "WHERE a.id = ?"
             )
 
     def test_unknown_strategy_rejected(self):
