@@ -4,7 +4,7 @@ Runs the 32-client adaptive TPC-C serve configuration twice -- once
 in-memory, once with per-shard write-ahead logs under group commit
 (one fsync per virtual sync interval, not per transaction) -- and
 then recovers the logged run from disk.  Writes ``BENCH_wal.json`` at
-the repository root with two acceptance numbers:
+the repository root with three acceptance numbers:
 
 * **Frame budget** -- logging must cost at most ``FRAME_BUDGET_US``
   of wall time per appended frame, measured in situ (time actually
@@ -19,6 +19,13 @@ the repository root with two acceptance numbers:
   ``RECOVERY_RATE_FLOOR`` frames per wall second (the measured rate
   is orders of magnitude higher; the floor guards regressions, not
   the margin).
+* **Checkpoint repeat** -- one TPC-C shard grown past
+  ``CHECKPOINT_ROWS`` rows by new-order transactions is checkpointed
+  cold (nothing cached), then again after about 1% of its rows changed
+  the way new-order changes them (order lines appended, stock and
+  district rows updated).  The repeat re-encodes only the row chunks
+  that changed, so it must take at most ``CHECKPOINT_REPEAT_CEILING``
+  of the cold checkpoint's wall time (medians over the trials).
 
 Like the other smokes, it only executes under ``-m perfsmoke``
 (``pytest benchmarks/wal_smoke.py -m perfsmoke``); run as a script
@@ -35,11 +42,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.db import wal as wal_module
 from repro.db.recovery import recover_sharded
-from repro.db.wal import attach_wal
+from repro.db.wal import ShardWal, attach_wal
 from repro.serve.controller import AdaptiveController
 from repro.serve.engine import ServeConfig, ServeEngine
 from repro.serve.workload import make_tpcc_workload
+from repro.workloads.tpcc import (
+    TpccScale,
+    make_tpcc_database,
+    new_order_statement_script,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_wal.json"
@@ -57,6 +70,10 @@ TRIALS = 3
 # 14 275 frames).
 FRAME_BUDGET_US = 32.0
 RECOVERY_RATE_FLOOR = 5000.0  # replayed frames per wall second
+
+CHECKPOINT_ROWS = 20_000
+CHECKPOINT_CHANGED_FRACTION = 0.01
+CHECKPOINT_REPEAT_CEILING = 0.5  # repeat / cold wall time
 
 
 def _timed(fn, acc):
@@ -118,6 +135,66 @@ def _serve_once(wal_dir=None):
     return wall, result.completed, wal_seconds[0], stats
 
 
+def _new_orders(scale: TpccScale, count: int) -> list[list[tuple]]:
+    """The new-order script split into transactions."""
+    transactions: list[list[tuple]] = []
+    for sql, params in new_order_statement_script(scale, transactions=count):
+        if sql.startswith("SELECT w_tax"):  # a transaction's first statement
+            transactions.append([])
+        transactions[-1].append((sql, params))
+    return transactions
+
+
+def _checkpoint_case(directory: Path) -> dict:
+    """Cold vs repeat checkpoint wall time of one grown TPC-C shard."""
+    scale = TpccScale(warehouses=1)
+    database, conn = make_tpcc_database(scale)
+    pending = iter(_new_orders(scale, 4000))
+
+    def run_one() -> None:
+        for sql, params in next(pending):
+            conn.prepare(sql).execute(*params)
+
+    while database.total_rows() < CHECKPOINT_ROWS:
+        run_one()
+    cold_ms, repeat_ms, changed = [], [], []
+    for trial in range(TRIALS):
+        (directory / f"ckpt{trial}").mkdir()
+        wal = ShardWal(directory / f"ckpt{trial}" / "shard0.wal")  # cold
+        start = time.perf_counter()
+        wal.write_checkpoint(database)
+        cold_ms.append(1e3 * (time.perf_counter() - start))
+        # Kept alive here, so no identity below can be a recycled one.
+        before = [
+            row for t in database.tables() for row in t.row_store.values()
+        ]
+        seen = {id(row) for row in before}
+        target = CHECKPOINT_CHANGED_FRACTION * database.total_rows()
+        moved = 0
+        while moved < target:
+            run_one()
+            moved = sum(
+                id(row) not in seen
+                for t in database.tables() for row in t.row_store.values()
+            )
+        changed.append(moved)
+        start = time.perf_counter()
+        wal.write_checkpoint(database)
+        repeat_ms.append(1e3 * (time.perf_counter() - start))
+        wal.close()
+    return {
+        "rows": database.total_rows(),
+        "chunk_rows": wal_module.CHECKPOINT_CHUNK_ROWS,
+        "changed_rows": changed,
+        "cold_ms": cold_ms,
+        "repeat_ms": repeat_ms,
+        "repeat_over_cold": (
+            statistics.median(repeat_ms) / statistics.median(cold_ms)
+        ),
+        "repeat_ceiling": CHECKPOINT_REPEAT_CEILING,
+    }
+
+
 def run_wal_smoke() -> dict:
     base_walls = [_serve_once()[0] for _ in range(TRIALS)]
     wal_root = Path(tempfile.mkdtemp(prefix="wal_smoke_"))
@@ -149,6 +226,7 @@ def run_wal_smoke() -> dict:
                 "wall_ms": elapsed * 1e3,
                 "frames_per_second": frames / elapsed if elapsed else 0.0,
             })
+        checkpoint = _checkpoint_case(wal_root)
     finally:
         shutil.rmtree(wal_root, ignore_errors=True)
     payload = {
@@ -172,6 +250,7 @@ def run_wal_smoke() -> dict:
         "frame_budget_us": FRAME_BUDGET_US,
         "recovery": recoveries,
         "recovery_rate_floor": RECOVERY_RATE_FLOOR,
+        "checkpoint": checkpoint,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -192,8 +271,10 @@ def test_wal_smoke(request):
         f"{100 * payload['overhead_wall_fraction']:+.1f}% wall / "
         f"{100 * payload['overhead_attributed_fraction']:.1f}% "
         "attributed; recovery "
-        f"{payload['recovery'][0]['frames_per_second']:,.0f} frames/s "
-        f"-> {OUTPUT.name}"
+        f"{payload['recovery'][0]['frames_per_second']:,.0f} frames/s; "
+        f"checkpoint of {payload['checkpoint']['rows']} rows: repeat / "
+        f"cold {payload['checkpoint']['repeat_over_cold']:.2f} (ceiling "
+        f"{CHECKPOINT_REPEAT_CEILING:g}) -> {OUTPUT.name}"
     )
     assert payload["frames_appended"] > 0
     assert payload["group_fsyncs"] > 0
@@ -203,6 +284,9 @@ def test_wal_smoke(request):
     for recovery in payload["recovery"]:
         assert recovery["commits_applied"] > 0
         assert recovery["frames_per_second"] >= RECOVERY_RATE_FLOOR
+    checkpoint = payload["checkpoint"]
+    assert checkpoint["rows"] >= CHECKPOINT_ROWS
+    assert checkpoint["repeat_over_cold"] <= CHECKPOINT_REPEAT_CEILING
 
 
 if __name__ == "__main__":

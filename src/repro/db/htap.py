@@ -21,6 +21,8 @@ the row store and never take locks.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import repeat
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.db.engine import Database
@@ -214,45 +216,61 @@ def group_aggregate(
     ``{"count", "sum", "min", "max", "avg"}`` (column None for count).
     Returns ``[(group_key..., agg...)...]`` sorted by group key so the
     output is deterministic regardless of mirror row order.
+
+    One pass per aggregate over the zipped key and value columns, each
+    folding into a dict keyed by group; every group folds its rows in
+    scan order, so sums are the same floats a row-at-a-time fold gives.
+    Each group keeps the first of its numerically equal keys (1, 1.0,
+    True), as that fold does.
     """
-    key_cols = [table.column(c) for c in group_columns]
+
+    def picked(column: str) -> list[Any]:
+        values = table.column(column)
+        return values if positions is None else [values[i] for i in positions]
+
+    key_cols = [picked(c) for c in group_columns]
+    # A value-less aggregate folds the constant 1 per row.
     agg_cols = [
-        table.column(c) if c is not None else None for _, c in aggregates
+        picked(c) if c is not None else repeat(1) for _, c in aggregates
     ]
-    ops = [op for op, _ in aggregates]
-    scan = range(len(table)) if positions is None else positions
-    groups: dict[tuple, list] = {}
-    for i in scan:
-        key = tuple(col[i] for col in key_cols)
-        state = groups.get(key)
-        if state is None:
-            state = groups[key] = [None] * len(ops)
-        for j, op in enumerate(ops):
-            value = agg_cols[j][i] if agg_cols[j] is not None else 1
-            acc = state[j]
-            if op == "count":
-                state[j] = (acc or 0) + 1
-            elif op == "sum":
-                state[j] = (acc or 0) + value
-            elif op == "min":
-                state[j] = value if acc is None else min(acc, value)
-            elif op == "max":
-                state[j] = value if acc is None else max(acc, value)
-            elif op == "avg":
-                if acc is None:
-                    acc = state[j] = [0, 0]
-                acc[0] += value
-                acc[1] += 1
-            else:
-                raise ExecutionError(f"unknown aggregate {op!r}")
-    out = []
-    for key in sorted(groups):
-        state = groups[key]
-        folded = tuple(
-            (s[0] / s[1]) if isinstance(s, list) else s for s in state
-        )
-        out.append(key + folded)
-    return out
+    rows = len(table) if positions is None else len(positions)
+    # One key column groups by its raw values: they hash, compare and
+    # sort as the 1-tuples reported, without building one per row.
+    single = len(key_cols) == 1
+    if single:
+        keys = key_cols[0]
+    else:
+        keys = list(zip(*key_cols)) if key_cols else [()] * rows
+    folds: list[dict] = []
+    for (op, _), values in zip(aggregates, agg_cols):
+        acc: dict = {}
+        get = acc.get
+        if op == "count":
+            acc = Counter(keys)  # (acc or 0) + 1 per row, in C
+        elif op == "sum":
+            for key, value in zip(keys, values):
+                acc[key] = (get(key) or 0) + value
+        elif op == "min" or op == "max":
+            better = min if op == "min" else max
+            for key, value in zip(keys, values):
+                held = get(key)
+                acc[key] = value if held is None else better(held, value)
+        elif op == "avg":
+            for key, value in zip(keys, values):
+                state = get(key)
+                if state is None:
+                    state = acc[key] = [0, 0]
+                state[0] += value
+                state[1] += 1
+            acc = {key: total / count for key, (total, count) in acc.items()}
+        else:
+            raise ExecutionError(f"unknown aggregate {op!r}")
+        folds.append(acc)
+    groups = folds[0] if folds else dict.fromkeys(keys)
+    return [
+        ((key,) if single else key) + tuple(acc[key] for acc in folds)
+        for key in sorted(groups)
+    ]
 
 
 def hash_join_lookup(

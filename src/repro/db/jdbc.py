@@ -254,10 +254,7 @@ class PreparedStatement:
         self.sql = sql
         self.plan = plan
         self.compiled = compiled
-
-    @property
-    def is_query(self) -> bool:
-        return isinstance(self.plan, SelectPlan)
+        self.is_query = isinstance(plan, SelectPlan)
 
     def query(self, *params: Any) -> ResultSet:
         if not self.is_query:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from repro.db.catalog import Column, IndexSpec, TableSchema
 from repro.db.engine import Database, RowidAllocator, Table
@@ -500,19 +500,12 @@ class ShardedDatabase:
 
 
 @dataclass(frozen=True)
-class _KeyedTable:
-    """One sharded table with shard-key value closures ((env, params))."""
-
-    table: str
-    getters: tuple[Compiled, ...]
-
-
-@dataclass(frozen=True)
 class RoutePlan:
     """Where a prepared statement executes.
 
-    ``single`` routes point-to-point via ``keyed`` shard-key getters
-    (evaluated per execution, since keys are usually ``?`` parameters);
+    ``single`` routes point-to-point through ``shard_of(params)``, the
+    shard function resolved at prepare (keys are usually ``?``
+    parameters, so only the key values are left to evaluate);
     ``scatter`` fans ``scatter_target`` (at any join level) out to
     every shard and merges;
     ``broadcast`` applies a replicated-table mutation to every copy;
@@ -520,11 +513,56 @@ class RoutePlan:
     """
 
     mode: str  # single | scatter | broadcast | pinned
-    keyed: tuple[_KeyedTable, ...] = ()
+    shard_of: Optional[Callable[[Sequence[Any]], int]] = None
     scatter_target: Optional[TableAccess] = None
 
 
 _NULL_GETTER: Compiled = lambda env, params: None  # noqa: E731
+
+# (the table's sharding, its shard-key value closures ((env, params)))
+_Keyed = tuple[TableSharding, tuple[Compiled, ...]]
+
+
+def _single_shard_of(
+    keyed: Sequence[_Keyed], n_shards: int
+) -> Callable[[Sequence[Any]], int]:
+    """The shard function of a single-shard route.
+
+    One keyed table with one key column (every TPC-C statement)
+    evaluates its getter and applies the partition function, with
+    ``mod`` on an exact ``int`` inlined; every other value goes through
+    :meth:`TableSharding.shard_for`, so canonicalization stays in one
+    place.  Several keyed tables must agree on one shard.
+    """
+    if len(keyed) == 1 and len(keyed[0][1]) == 1:
+        sharding, (getter,) = keyed[0]
+        shard_for = sharding.shard_for
+        if sharding.strategy == "mod":
+            def shard_of(params: Sequence[Any]) -> int:
+                value = getter({}, params)
+                if type(value) is int:
+                    return value % n_shards
+                return shard_for((value,), n_shards)
+        else:
+            def shard_of(params: Sequence[Any]) -> int:
+                return shard_for((getter({}, params),), n_shards)
+        return shard_of
+
+    def shard_of(params: Sequence[Any]) -> int:
+        shards = {
+            sharding.shard_for(
+                tuple(getter({}, params) for getter in getters), n_shards
+            )
+            for sharding, getters in keyed
+        }
+        if len(shards) != 1:
+            raise ShardRoutingError(
+                "statement binds shard keys on different shards "
+                f"{sorted(shards)}; cross-shard joins are not supported"
+            )
+        return shards.pop()
+
+    return shard_of
 
 
 def _equality_conjuncts(
@@ -558,7 +596,7 @@ def _equality_conjuncts(
 
 
 def route_statement(
-    scheme: ShardingScheme, stmt: Statement, plan: Plan
+    scheme: ShardingScheme, stmt: Statement, plan: Plan, n_shards: int
 ) -> RoutePlan:
     """Decide the routing mode for one planned statement."""
     if isinstance(plan, InsertPlan):
@@ -577,7 +615,9 @@ def route_statement(
             )
         return RoutePlan(
             mode="single",
-            keyed=(_KeyedTable(plan.table_name, tuple(getters)),),
+            shard_of=_single_shard_of(
+                [(sharding, tuple(getters))], n_shards
+            ),
         )
 
     if isinstance(plan, SelectPlan):
@@ -613,7 +653,7 @@ def route_statement(
             "cannot route a plan without planner scope metadata"
         )
     equalities = _equality_conjuncts(stmt, scope)
-    keyed: list[_KeyedTable] = []
+    keyed: list[_Keyed] = []
     unkeyed: list[TableAccess] = []
     for access, sharding in sharded:
         getters = []
@@ -623,12 +663,14 @@ def route_statement(
                 break
             getters.append(compile_expr(ast, Scope()))
         else:
-            keyed.append(_KeyedTable(access.table_name, tuple(getters)))
+            keyed.append((sharding, tuple(getters)))
             continue
         unkeyed.append(access)
 
     if not unkeyed:
-        return RoutePlan(mode="single", keyed=tuple(keyed))
+        return RoutePlan(
+            mode="single", shard_of=_single_shard_of(keyed, n_shards)
+        )
 
     if isinstance(plan, (UpdatePlan, DeletePlan)):
         return RoutePlan(mode="scatter", scatter_target=plan.target)
@@ -676,6 +718,7 @@ class ShardPreparedStatement:
         self.sql = sql
         self.plan = plan
         self.route = route
+        self.is_query = isinstance(plan, SelectPlan)
         # Keyed by shard; the value remembers the replica-group
         # generation the plan was compiled under, because a compiled
         # plan binds the primary's table/index objects and must be
@@ -683,10 +726,6 @@ class ShardPreparedStatement:
         self._compiled: dict[
             int, tuple[int, Optional[CompiledPlan | SourcePlan]]
         ] = {}
-
-    @property
-    def is_query(self) -> bool:
-        return isinstance(self.plan, SelectPlan)
 
     def compiled_for(self, shard: int) -> Optional[CompiledPlan | SourcePlan]:
         mode = self.connection.sql_exec
@@ -807,7 +846,9 @@ class ShardedConnection:
         stats.misses += 1
         stmt = parse(sql)
         plan = self.planner.plan(stmt)
-        route = route_statement(self.scheme, stmt, plan)
+        route = route_statement(
+            self.scheme, stmt, plan, self.database.n_shards
+        )
         prepared = ShardPreparedStatement(self, sql, plan, route)
         cache[cache_key] = prepared
         if len(cache) > self.plan_cache_size:
@@ -941,68 +982,43 @@ class ShardedConnection:
         span,
     ) -> StatementResult:
         route = prepared.route
-        plan = prepared.plan
-        if route.mode == "single":
-            shard = self._resolve_single_shard(route, params)
-            self._affinity = shard
-            if span is not None:
-                span.annotate(shard=shard)
-            if self._can_read_replica(prepared, txn):
-                result = self._run_on_replica(prepared, shard, params)
-                if result is not None:
-                    if span is not None:
-                        span.annotate(replica=True)
-                    return result
-            return self._run_on_shard(prepared, shard, params, txn)
-        if route.mode == "pinned":
-            if span is not None:
-                span.annotate(shard=self._affinity)
-            if self._can_read_replica(prepared, txn):
-                result = self._run_on_replica(prepared, self._affinity, params)
-                if result is not None:
-                    if span is not None:
-                        span.annotate(replica=True)
-                    return result
-            return self._run_on_shard(prepared, self._affinity, params, txn)
-        if route.mode == "broadcast":
+        mode = route.mode
+        if mode == "single":
+            shard = self._affinity = route.shard_of(params)
+        elif mode == "pinned":
+            shard = self._affinity
+        elif mode == "broadcast":
             return self._run_broadcast(prepared, params, txn)
-        assert route.scatter_target is not None
-        if isinstance(plan, SelectPlan):
-            return self._scatter_select(
-                plan, route.scatter_target, params, txn
-            )
-        if isinstance(plan, UpdatePlan):
-            return self._scatter_update(plan, params, txn)
-        assert isinstance(plan, DeletePlan)
-        return self._scatter_delete(plan, params, txn)
-
-    def _resolve_single_shard(
-        self, route: RoutePlan, params: Sequence[Any]
-    ) -> int:
-        shards = set()
-        for keyed in route.keyed:
-            values = tuple(getter({}, params) for getter in keyed.getters)
-            shards.add(
-                self.scheme.shard_for(
-                    keyed.table, values, self.database.n_shards
+        else:
+            plan = prepared.plan
+            assert route.scatter_target is not None
+            if isinstance(plan, SelectPlan):
+                return self._scatter_select(
+                    plan, route.scatter_target, params, txn
                 )
-            )
-        if len(shards) != 1:
-            raise ShardRoutingError(
-                "statement binds shard keys on different shards "
-                f"{sorted(shards)}; cross-shard joins are not supported"
-            )
-        return shards.pop()
-
-    def _can_read_replica(
-        self,
-        prepared: ShardPreparedStatement,
-        txn: Optional[ShardedTransaction],
-    ) -> bool:
-        """Read-your-writes replica offload applies to plain reads
-        only: a query outside any transaction (open transactions must
-        see their own uncommitted branch state on the primary)."""
-        return self.replica_reads and txn is None and prepared.is_query
+            if isinstance(plan, UpdatePlan):
+                return self._scatter_update(plan, params, txn)
+            assert isinstance(plan, DeletePlan)
+            return self._scatter_delete(plan, params, txn)
+        if span is not None:
+            span.annotate(shard=shard)
+        # Read-your-writes replica offload applies to plain reads only:
+        # a query outside any transaction (open transactions must see
+        # their own uncommitted branch state on the primary).
+        if txn is None and self.replica_reads and prepared.is_query:
+            result = self._run_on_replica(prepared, shard, params)
+            if result is not None:
+                if span is not None:
+                    span.annotate(replica=True)
+                return result
+        # Crash and promotion are checked per statement: either can
+        # happen between two statements of one transaction.
+        self._shard_ready(shard)
+        branch = self._branch(txn, shard)
+        compiled = prepared.compiled_for(shard)
+        if compiled is not None:
+            return compiled.run(params, branch)
+        return self.executors[shard].execute(prepared.plan, params, branch)
 
     def _run_on_replica(
         self,
@@ -1025,20 +1041,6 @@ class ShardedConnection:
             self._replica_executors[shard] = cached
         self.replica_read_count += 1
         return cached[1].execute(prepared.plan, params, None)
-
-    def _run_on_shard(
-        self,
-        prepared: ShardPreparedStatement,
-        shard: int,
-        params: Sequence[Any],
-        txn: Optional[ShardedTransaction],
-    ) -> StatementResult:
-        self._shard_ready(shard)
-        branch = self._branch(txn, shard)
-        compiled = prepared.compiled_for(shard)
-        if compiled is not None:
-            return compiled.run(params, branch)
-        return self.executors[shard].execute(prepared.plan, params, branch)
 
     def _run_broadcast(
         self,

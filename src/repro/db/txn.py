@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Optional
 
 from repro.db.engine import Database, UndoRecord
@@ -42,20 +41,14 @@ class LockMode(enum.Enum):
         return self is LockMode.SHARED and other is LockMode.SHARED
 
 
-@dataclass
 class _LockState:
     """Holders and waiters for one resource."""
 
-    holders: dict[int, LockMode] = field(default_factory=dict)
-    waiters: deque = field(default_factory=deque)  # (txn_id, mode)
+    __slots__ = ("holders", "waiters")
 
-    @property
-    def max_mode(self) -> Optional[LockMode]:
-        if not self.holders:
-            return None
-        if any(m is LockMode.EXCLUSIVE for m in self.holders.values()):
-            return LockMode.EXCLUSIVE
-        return LockMode.SHARED
+    def __init__(self) -> None:
+        self.holders: dict[int, LockMode] = {}
+        self.waiters: deque = deque()  # (txn_id, mode)
 
 
 Resource = Hashable
@@ -119,7 +112,9 @@ class LockManager:
         :class:`DeadlockError` is raised (the requester is the victim).
         With ``wait=False`` a conflict raises :class:`LockTimeoutError`.
         """
-        state = self._locks.setdefault(resource, _LockState())
+        state = self._locks.get(resource)
+        if state is None:
+            state = self._locks[resource] = _LockState()
         held = state.holders.get(txn_id)
         if held is not None:
             if held is LockMode.EXCLUSIVE or held is mode:
@@ -314,6 +309,12 @@ class Transaction:
         self.wait_for_locks = wait_for_locks
         self.state = TxnState.ACTIVE
         self._undo: list[UndoRecord] = []
+        # Table resource -> the mode of our last granted request for it
+        # (never stronger than what the manager holds for us), so a
+        # statement re-locking a table in a covered mode skips the
+        # manager.  Filled only after a grant; emptied at commit and
+        # rollback, when the manager releases everything.
+        self._table_locks: dict[Resource, LockMode] = {}
         # Redo capture is on only when the database is a replica-group
         # primary (its group installed a collector); unreplicated
         # databases pay nothing for the replication path.
@@ -362,12 +363,17 @@ class Transaction:
             return  # snapshot readers never take read locks
         if self.lock_manager is None:
             return
+        resource = ("table", table.lower())
+        held = self._table_locks.get(resource)
+        if held is LockMode.EXCLUSIVE or (held is not None and not exclusive):
+            return
         mode = LockMode.EXCLUSIVE if exclusive else LockMode.SHARED
         granted = self.lock_manager.acquire(
-            self.id, ("table", table.lower()), mode, wait=self.wait_for_locks
+            self.id, resource, mode, wait=self.wait_for_locks
         )
         if not granted:
-            raise LockTimeoutError(self.id, ("table", table.lower()))
+            raise LockTimeoutError(self.id, resource)
+        self._table_locks[resource] = mode
 
     def lock_row(self, table: str, rowid: int, *, exclusive: bool = True) -> None:
         self._check_active()
@@ -505,6 +511,7 @@ class Transaction:
                 self._mvcc.note_commit(self)
         self._undo.clear()
         self.state = TxnState.COMMITTED
+        self._table_locks.clear()
         if self.lock_manager is not None:
             self.lock_manager.release_all(self.id)
 
@@ -533,6 +540,7 @@ class Transaction:
                 self._mvcc.forget(self)
         self._undo.clear()
         self.state = TxnState.ABORTED
+        self._table_locks.clear()
         if self.lock_manager is not None:
             self.lock_manager.release_all(self.id)
 

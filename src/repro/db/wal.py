@@ -35,21 +35,32 @@ atomic rename, then truncate the log below the checkpoint LSN (frames
 of still-pending prepares are retained regardless of age).
 
 Rows and after-images reach the JSON encoder as the tuples the engine
-stores (a checkpoint's rows are ``list(row_store.items())``): the
-encoder writes a tuple as an array, so the bytes are those of the
-nested lists the format describes, without a list -- a GC-tracked
-container -- built per row on the way.
+stores: the encoder writes a tuple as an array, so the bytes are those
+of the nested lists the format describes, without a list -- a
+GC-tracked container -- built per row on the way.
+
+A checkpoint's bytes are those of one ``json.dumps`` of the snapshot
+dict, but each table's rows are encoded in chunks of
+``CHECKPOINT_CHUNK_ROWS`` consecutive ``(rowid, row)`` pairs whose text
+the :class:`ShardWal` keeps, with the rowids and row tuples it
+encoded, until the next checkpoint.  A chunk whose rowids and rows are
+all the *same objects* as last time is written from that text, so a
+checkpoint re-encodes only what changed since the previous one.
+Identity is sound here: rows are immutable tuples, every write stores
+a new one, and the cache's own references keep an object's identity
+from being reused while it is compared against.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.db.catalog import IndexSpec
 from repro.db.engine import Database, RowidAllocator, Table
@@ -72,9 +83,15 @@ _CODE_KINDS = {code: name for name, code in _KIND_CODES.items()}
 
 SYNC_POLICIES = ("commit", "group")
 
+# Rows per cached checkpoint chunk (module docstring).
+CHECKPOINT_CHUNK_ROWS = 256
+
+# json.dumps(obj, separators=(",", ":")) without a new encoder per call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def _encode_payload(record: dict) -> bytes:
-    return json.dumps(record, separators=(",", ":")).encode("utf-8")
+    return _encode(record).encode("utf-8")
 
 
 def encode_ops(ops: Iterable[RedoOp]) -> list:
@@ -219,6 +236,9 @@ class ShardWal:
         # commit: the next redo batch resolves this gtid's prepare
         # frame instead of duplicating its ops in a commit frame.
         self._resolving: Optional[str] = None
+        # Table key -> the last checkpoint's row chunks, each
+        # (rowids, rows, encoded text) -- see the module docstring.
+        self._chunks: dict[str, list[tuple[list, list, str]]] = {}
         self._file = open(self.path, "ab")
 
     # -- appending -----------------------------------------------------------
@@ -347,25 +367,78 @@ class ShardWal:
         if not self.sync():
             return None
         lsn = self.tip
-        snapshot = {
-            "lsn": lsn,
-            "name": database.name,
-            "tables": [
-                _serialize_table(table) for table in database.tables()
-            ],
-        }
+        # Tables absent from this checkpoint (dropped) leave the cache.
+        chunks: dict[str, list[tuple[list, list, str]]] = {}
         tmp = self.checkpoint_path.with_suffix(".ckpt.tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
-            # dumps, not dump: dump streams through the pure-Python
-            # _iterencode, dumps through the C encoder (same bytes).
-            fh.write(json.dumps(snapshot, separators=(",", ":")))
+            # The bytes of json.dumps({"lsn", "name", "tables"}) with
+            # compact separators, written fragment by fragment.
+            fh.write(f'{{"lsn":{lsn},"name":{_encode(database.name)},')
+            fh.write('"tables":[')
+            for position, table in enumerate(database.tables()):
+                if position:
+                    fh.write(",")
+                fh.writelines(self._table_fragments(table, chunks))
+            fh.write("]}")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.checkpoint_path)
+        self._chunks = chunks
         self.stats.checkpoints += 1
         if truncate:
             self.truncate_below(lsn)
         return lsn
+
+    def _table_fragments(
+        self, table: Table, chunks: dict[str, list[tuple[list, list, str]]]
+    ) -> Iterator[str]:
+        """One table's checkpoint object as text fragments, reusing the
+        previous checkpoint's text for every unchanged row chunk and
+        recording this checkpoint's chunks in ``chunks``."""
+        schema = table.schema
+        allocator = table._next_rowid  # noqa: SLF001
+        table.ensure_scan_order()
+        header = _encode({
+            "name": schema.name,
+            "columns": [
+                [c.name, c.type.value, c.nullable] for c in schema.columns
+            ],
+            "primary_key": list(schema.primary_key),
+            "indexes": [
+                [s.name, list(s.columns), s.unique, s.ordered]
+                for s in table._index_specs.values()  # noqa: SLF001
+            ],
+            "next_rowid": (
+                allocator.peek()
+                if isinstance(allocator, RowidAllocator) else None
+            ),
+            "rows": [],
+        })
+        yield header[:-2]  # up to and including the rows' "["
+        rows = table.row_store
+        rowids = list(rows)
+        values = list(rows.values())
+        previous = self._chunks.get(schema.name.lower(), ())
+        current = chunks[schema.name.lower()] = []
+        size = CHECKPOINT_CHUNK_ROWS
+        same = operator.is_
+        for index, start in enumerate(range(0, len(rowids), size)):
+            ids = rowids[start:start + size]
+            vals = values[start:start + size]
+            entry = previous[index] if index < len(previous) else None
+            if (
+                entry is None
+                or len(entry[0]) != len(ids)
+                or not all(map(same, ids, entry[0]))
+                or not all(map(same, vals, entry[1]))
+            ):
+                # [rowid, [..]] pairs, no list per row (module docstring).
+                entry = (ids, vals, _encode(list(zip(ids, vals)))[1:-1])
+            current.append(entry)
+            if index:
+                yield ","
+            yield entry[2]
+        yield "]}"
 
     def truncate_below(self, lsn: int) -> int:
         """Drop frames at or below ``lsn`` except pending prepares.
@@ -428,28 +501,6 @@ class ShardWal:
             fh.seek(target.offset + FRAME_HEADER.size)
             fh.write(bytes([byte[0] ^ 0xFF]))
         return target.lsn
-
-
-def _serialize_table(table: Table) -> dict:
-    schema = table.schema
-    allocator = table._next_rowid  # noqa: SLF001
-    table.ensure_scan_order()
-    return {
-        "name": schema.name,
-        "columns": [
-            [c.name, c.type.value, c.nullable] for c in schema.columns
-        ],
-        "primary_key": list(schema.primary_key),
-        "indexes": [
-            [s.name, list(s.columns), s.unique, s.ordered]
-            for s in table._index_specs.values()  # noqa: SLF001
-        ],
-        "next_rowid": (
-            allocator.peek() if isinstance(allocator, RowidAllocator) else None
-        ),
-        # [rowid, [..]] on disk, no list per row (module docstring).
-        "rows": list(table.row_store.items()),
-    }
 
 
 class CoordinatorLog:

@@ -2,6 +2,8 @@
 stream, collector chaining, and analytics vs the SQL oracle."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.db import Database, LockManager, ReplicaGroup, connect
 from repro.db.errors import TransactionError, UnknownTableError
@@ -31,6 +33,47 @@ def make_db():
             i, f"owner{i % 2}", 100.0 * i,
         )
     return db
+
+
+def _group_aggregate_oracle(table, group_columns, aggregates, positions=None):
+    """The row-at-a-time GROUP BY fold ``group_aggregate`` replaced:
+    the reference its one-pass-per-aggregate form must equal."""
+    key_cols = [table.column(c) for c in group_columns]
+    agg_cols = [
+        table.column(c) if c is not None else None for _, c in aggregates
+    ]
+    ops = [op for op, _ in aggregates]
+    scan = range(len(table)) if positions is None else positions
+    groups: dict[tuple, list] = {}
+    for i in scan:
+        key = tuple(col[i] for col in key_cols)
+        state = groups.get(key)
+        if state is None:
+            state = groups[key] = [None] * len(ops)
+        for j, op in enumerate(ops):
+            value = agg_cols[j][i] if agg_cols[j] is not None else 1
+            acc = state[j]
+            if op == "count":
+                state[j] = (acc or 0) + 1
+            elif op == "sum":
+                state[j] = (acc or 0) + value
+            elif op == "min":
+                state[j] = value if acc is None else min(acc, value)
+            elif op == "max":
+                state[j] = value if acc is None else max(acc, value)
+            else:
+                if acc is None:
+                    acc = state[j] = [0, 0]
+                acc[0] += value
+                acc[1] += 1
+    out = []
+    for key in sorted(groups):
+        state = groups[key]
+        folded = tuple(
+            (s[0] / s[1]) if isinstance(s, list) else s for s in state
+        )
+        out.append(key + folded)
+    return out
 
 
 def mirror_rows(mirror, name):
@@ -173,6 +216,59 @@ class TestBatchOperators:
         assert group_aggregate(t, ("g",), (("sum", "v"),), pos) == [
             ("a", 90.0)
         ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 2, 1.0, -0.0, 0.0, True, 2.5]),
+                st.sampled_from(["a", "b"]),
+                st.one_of(
+                    st.integers(-3, 3),
+                    # Bounded: a sum that overflows to inf - inf = nan
+                    # would compare unequal to itself.
+                    st.floats(-1e300, 1e300),
+                    st.sampled_from([0.0, -0.0, 1e16, -1e16, 0.1]),
+                ),
+            ),
+            max_size=40,
+        ),
+        group_columns=st.sampled_from([(), ("k",), ("g",), ("k", "g")]),
+        aggregates=st.lists(
+            st.tuples(
+                st.sampled_from(["count", "sum", "min", "max", "avg"]),
+                st.sampled_from(["v", None]),
+            ),
+            min_size=1, max_size=4,
+        ),
+        positions=st.one_of(
+            st.none(), st.lists(st.integers(0, 39), max_size=50)
+        ),
+    )
+    # (0.0 or 0) is the int 0: the sum after it is 1, not 1.0.
+    @example(
+        rows=[(0, "a", 0.0), (0, "a", 1), (1.0, "b", -0.0), (True, "b", 2)],
+        group_columns=("k",), aggregates=[("sum", "v")], positions=None,
+    )
+    def test_group_aggregate_matches_the_row_at_a_time_fold(
+        self, rows, group_columns, aggregates, positions
+    ):
+        """Repeated and numerically-equal keys (1 / 1.0 / True, 0.0 /
+        -0.0) keep their first occurrence; every group folds in scan
+        order with the same arithmetic: equal results, equal reprs."""
+        from repro.db.replica import RedoOp
+
+        t = ColumnTable("t", ["k", "g", "v"])
+        for rowid, row in enumerate(rows, start=1):
+            t.apply(RedoOp("t", "insert", rowid, row))
+        if positions is not None:
+            positions = [p for p in positions if p < len(rows)]
+        got = group_aggregate(t, group_columns, aggregates, positions)
+        expected = _group_aggregate_oracle(
+            t, group_columns, aggregates, positions
+        )
+        assert got == expected
+        assert repr(got) == repr(expected)
 
     def test_hash_join_lookup_and_top_k(self):
         t = self.make_column_table()

@@ -285,3 +285,59 @@ class TestTwoPhaseFailureEdges:
         assert dict(copies[0])[1] == "label-1"
         _assert_replicas_consistent(sdb)
         sdb.assert_replica_groups_consistent()
+
+
+# ---------------------------------------------------------------------------
+# Faults between two statements of one open transaction
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sql_exec", MODES)
+class TestFaultBetweenStatements:
+    """The route is resolved at prepare, but crash and promotion are
+    still checked on every statement: a prepared statement reused
+    inside one transaction must notice either."""
+
+    def test_crash_refuses_the_next_statement_on_that_shard(self, sql_exec):
+        sdb = make_replicated_sdb()
+        conn = connect_sharded(sdb, sql_exec=sql_exec)
+        txn = conn.begin()
+        update = "UPDATE kv SET v = ? WHERE k = ?"
+        conn.execute(update, 111, 0)  # shard 0
+        sdb.crash_primary(0)
+        with pytest.raises(ShardDownError):
+            conn.execute(update, 112, 2)  # shard 0 again, same statement
+        with pytest.raises(ShardDownError):
+            conn.query_scalar("SELECT v FROM kv WHERE k = ?", 4)
+        assert conn.execute(update, 113, 1) == 1  # shard 1 still serves
+        with pytest.raises(TwoPhaseAbortError):
+            conn.commit()
+        assert txn.state is TxnState.ABORTED
+        sdb.promote(0)
+        assert kv_values(sdb) == {k: 10 * k for k in range(8)}
+        sdb.assert_replica_groups_consistent()
+
+    def test_promotion_re_mints_executor_and_plan(self, sql_exec):
+        sdb = make_replicated_sdb()
+        conn = connect_sharded(sdb, sql_exec=sql_exec)
+        select = conn.prepare("SELECT v FROM kv WHERE k = ?")
+        txn = conn.begin()
+        assert select.query(2).scalar() == 20  # shard 0
+        old_executor = conn.executors[0]
+        sdb.crash_primary(0)
+        sdb.promote(0)
+        # The same prepared statement, same transaction: it runs on the
+        # promoted primary through a fresh executor and compiled plan.
+        assert select.query(4).scalar() == 40
+        assert conn.executors[0] is not old_executor
+        assert conn.executors[0].database is sdb.shards[0]
+        if sql_exec != "tree":
+            generation, plan = select._compiled[0]  # noqa: SLF001
+            assert generation == 1 and plan is not None
+        # The transaction branched on the dead primary: presumed abort.
+        with pytest.raises(TwoPhaseAbortError):
+            conn.commit()
+        assert txn.state is TxnState.ABORTED
+        assert conn.execute("UPDATE kv SET v = ? WHERE k = ?", 44, 4) == 1
+        assert kv_values(sdb)[4] == 44
+        sdb.assert_replica_groups_consistent()

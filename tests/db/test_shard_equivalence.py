@@ -18,6 +18,8 @@ mid-statement-failure cases.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import (
     Database,
@@ -28,6 +30,7 @@ from repro.db import (
     connect,
     connect_sharded,
 )
+from repro.db.errors import ShardRoutingError
 
 MODES = ("tree", "compiled", "source")
 SHARD_COUNTS = (1, 3)
@@ -533,3 +536,122 @@ class TestFailureCases:
             conn.rollback()
         assert _run_statement(single_conn, *probe) == before_single
         assert _run_statement(sharded_conn, *probe) == before_single
+
+
+# ---------------------------------------------------------------------------
+# Route resolution at prepare
+# ---------------------------------------------------------------------------
+
+ROUTE_SCHEMES = {
+    "mod": TableSharding(columns=("k",), strategy="mod"),
+    "hash": TableSharding(columns=("k",), strategy="hash"),
+    "range": TableSharding(
+        columns=("k",), strategy="range", boundaries=(10, 20, 30)
+    ),
+}
+
+# The shard each key routes to on 4 shards, recorded from the router
+# before single-shard routes were resolved at prepare (when every
+# execution looked up the table's sharding and called ``shard_for``).
+ROUTE_KEYS = (0, 1, 7, -3, 41, 2**70, True, False, 3.0, -2.0, 2.5, -0.5,
+              1e300, "a", "wh-7", "", None)
+ROUTE_DECISIONS = {
+    "mod": (0, 1, 3, 1, 1, 0, 1, 0, 3, 2, 2, 3, 0, 1, 2, 0, 0),
+    "hash": (3, 2, 2, 3, 3, 0, 2, 3, 1, 2, 2, 3, 1, 1, 2, 0, 0),
+    "range": (0, 0, 0, 0, 3, 3, 0, 0, 0, 0, 0, 0, 3, 1, 2, 0, 3),
+}
+# Two-column keys and two keyed tables; a string is the error message.
+ROUTE_MULTI_DECISIONS = [
+    ("pair", (1, "x"), 2), ("pair", (2, "x"), 1), ("pair", (1.0, "y"), 1),
+    ("pair", (True, "y"), 1), ("pair", (None, "z"), 2),
+    ("pair", (7, ""), 2),
+    ("join", (1, 1), "statement binds shard keys on different shards "
+                     "[1, 2]; cross-shard joins are not supported"),
+    ("join", (0, 4), 0),
+    ("join", (2, "x"), "statement binds shard keys on different shards "
+                       "[0, 2]; cross-shard joins are not supported"),
+]
+
+ROUTE_SQL = {
+    "pair": "SELECT v FROM pair WHERE a = ? AND b = ?",
+    "join": (
+        "SELECT t_mod.v FROM t_mod JOIN t_hash ON t_mod.v = t_hash.v "
+        "WHERE t_mod.k = ? AND t_hash.k = ?"
+    ),
+    **{name: f"SELECT v FROM t_{name} WHERE k = ?" for name in ROUTE_SCHEMES},
+}
+
+
+def _route_conn():
+    tables = {f"t_{name}": sharding for name, sharding in ROUTE_SCHEMES.items()}
+    tables["pair"] = TableSharding(columns=("a", "b"), strategy="hash")
+    sdb = ShardedDatabase("r", shards=4, scheme=ShardingScheme(tables))
+    for name in ROUTE_SCHEMES:
+        sdb.create_table(
+            f"t_{name}", [("k", "int", False), ("v", "int")],
+            primary_key=["k"],
+        )
+    sdb.create_table(
+        "pair", [("a", "int", False), ("b", "text", False), ("v", "int")],
+        primary_key=["a", "b"],
+    )
+    return connect_sharded(sdb)
+
+
+def _resolve(conn, name, params):
+    """The shard the prepared route picks, or its routing error text."""
+    route = conn.prepare(ROUTE_SQL[name]).route
+    assert route.mode == "single"
+    try:
+        return route.shard_of(params)
+    except ShardRoutingError as exc:
+        return str(exc)
+
+
+_route_keys = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.booleans(),
+    st.integers(-10**6, 10**6).map(float),  # integral floats
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+    st.none(),
+)
+
+
+class TestRouteResolvedAtPrepare:
+    def test_recorded_decisions(self):
+        conn = _route_conn()
+        for name, shards in ROUTE_DECISIONS.items():
+            for key, expected in zip(ROUTE_KEYS, shards):
+                assert _resolve(conn, name, (key,)) == expected, (name, key)
+        for name, params, expected in ROUTE_MULTI_DECISIONS:
+            assert _resolve(conn, name, params) == expected, (name, params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scheme=st.sampled_from(sorted(ROUTE_SCHEMES)), key=_route_keys,
+           other=_route_keys)
+    def test_shard_of_equals_the_scheme_lookup(self, scheme, key, other):
+        """``shard_of`` equals what each execution used to compute:
+        the table's ``shard_for`` over the evaluated key values, and
+        for several keyed tables one shard or the routing error."""
+        conn = _route_conn()
+        scheme_of = conn.scheme
+        expected = scheme_of.shard_for(f"t_{scheme}", (key,), 4)
+        assert _resolve(conn, scheme, (key,)) == expected
+        insert = conn.prepare(f"INSERT INTO t_{scheme} (v, k) VALUES (?, ?)")
+        assert insert.route.shard_of((0, key)) == expected
+        assert _resolve(conn, "pair", (key, "x")) == scheme_of.shard_for(
+            "pair", (key, "x"), 4
+        )
+        shards = {
+            scheme_of.shard_for("t_mod", (key,), 4),
+            scheme_of.shard_for("t_hash", (other,), 4),
+        }
+        got = _resolve(conn, "join", (key, other))
+        if len(shards) == 1:
+            assert got == shards.pop()
+        else:
+            assert got == (
+                f"statement binds shard keys on different shards "
+                f"{sorted(shards)}; cross-shard joins are not supported"
+            )

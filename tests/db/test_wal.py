@@ -7,12 +7,34 @@ semantics and the storage-fault injection hooks.
 """
 
 import json
+import operator
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
-from repro.db import ShardWal, WalManager, attach_wal
-from repro.db.engine import Database
-from repro.db.errors import WalCorruptionError, WalError
+from repro.db import (
+    ShardedDatabase,
+    ShardingScheme,
+    ShardWal,
+    TableSharding,
+    WalManager,
+    attach_wal,
+    connect_sharded,
+)
+from repro.db import wal as wal_module
+from repro.db.engine import Database, RowidAllocator
+from repro.db.errors import IntegrityError, WalCorruptionError, WalError
+from repro.db.recovery import recover_sharded
 from repro.db.replica import RedoOp
 from repro.db.wal import (
     FRAME_HEADER,
@@ -436,3 +458,268 @@ class TestWalManager:
         manager.close()
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["shards"] == 1 and meta["replicas"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint bytes under the chunk cache
+# ---------------------------------------------------------------------------
+
+
+def full_snapshot_bytes(database: Database, lsn: int) -> bytes:
+    """One ``json.dumps`` of the whole snapshot dict: how every
+    checkpoint was written before row chunks were cached, and what each
+    checkpoint file must still equal byte for byte."""
+    tables = []
+    for table in database.tables():
+        schema = table.schema
+        allocator = table._next_rowid
+        table.ensure_scan_order()
+        tables.append({
+            "name": schema.name,
+            "columns": [
+                [c.name, c.type.value, c.nullable] for c in schema.columns
+            ],
+            "primary_key": list(schema.primary_key),
+            "indexes": [
+                [s.name, list(s.columns), s.unique, s.ordered]
+                for s in table._index_specs.values()
+            ],
+            "next_rowid": (
+                allocator.peek()
+                if isinstance(allocator, RowidAllocator) else None
+            ),
+            "rows": list(table.row_store.items()),
+        })
+    snapshot = {"lsn": lsn, "name": database.name, "tables": tables}
+    return json.dumps(snapshot, separators=(",", ":")).encode("utf-8")
+
+
+KV_COLUMNS = [("k", "int", False), ("v", "float"), ("s", "text")]
+TAG_COLUMNS = [("id", "int", False), ("label", "text")]
+_floats = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, 1e16, 0.1, 2.5]), st.none()
+)
+_texts = st.one_of(st.text(max_size=4), st.none())
+
+
+class CheckpointMachine(RuleBasedStateMachine):
+    """Random committed / rolled-back writes, truncation, drop and
+    re-create, reopen and promotion, interleaved with checkpoints of a
+    replicated one-shard tier under a 3-row chunk: every checkpoint file
+    equals ``json.dumps`` of the full snapshot."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.chunk_rows = wal_module.CHECKPOINT_CHUNK_ROWS
+        wal_module.CHECKPOINT_CHUNK_ROWS = 3
+        self.directory = Path(tempfile.mkdtemp(prefix="ckpt-machine-"))
+        self.sdb = ShardedDatabase(
+            "ck", shards=1, replicas=2,
+            scheme=ShardingScheme({"kv": TableSharding(("k",), "mod")}),
+        )
+        self.sdb.create_table("kv", KV_COLUMNS, primary_key=["k"])
+        self.sdb.create_table("tag", TAG_COLUMNS, primary_key=["id"])
+        self.manager = None
+        self.conn = connect_sharded(self.sdb)
+        self.open_wal()
+
+    def teardown(self) -> None:
+        self.manager.close()
+        wal_module.CHECKPOINT_CHUNK_ROWS = self.chunk_rows
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    # -- helpers -------------------------------------------------------------
+
+    def open_wal(self) -> None:
+        """Attach (or re-attach) the logs: fresh ShardWals, empty chunk
+        caches, and a bootstrap checkpoint to compare."""
+        if self.manager is not None:
+            self.manager.close()
+        self.manager = attach_wal(self.sdb, self.directory, sync_policy="group")
+        self.check_checkpoint(self.manager.wals[0].tip)
+
+    def check_checkpoint(self, lsn) -> None:
+        wal = self.manager.wals[0]
+        primary = self.sdb.shards[0]
+        assert wal.checkpoint_path.read_bytes() == full_snapshot_bytes(
+            primary, lsn
+        )
+        # Dropped tables leave the cache with their checkpoint.
+        assert set(wal._chunks) == {
+            t.schema.name.lower() for t in primary.tables()
+        }
+
+    def copies(self):
+        group = self.sdb.groups[0]
+        return [group.primary] + [r.database for r in group.replicas]
+
+    def run(self, sql, *params) -> None:
+        try:
+            self.conn.execute(sql, *params)
+        except IntegrityError:
+            pass
+
+    # -- rules ---------------------------------------------------------------
+
+    @precondition(lambda self: not self.conn.in_transaction)
+    @rule()
+    def begin(self):
+        self.conn.begin()
+
+    @precondition(lambda self: self.conn.in_transaction)
+    @rule(commit=st.booleans())
+    def finish(self, commit):
+        if commit:
+            self.conn.commit()
+        else:
+            self.conn.rollback()
+
+    @rule(k=st.integers(0, 12), v=_floats, s=_texts)
+    def insert(self, k, v, s):
+        self.run("INSERT INTO kv (k, v, s) VALUES (?, ?, ?)", k, v, s)
+
+    @rule(k=st.integers(0, 12), v=_floats)
+    def update(self, k, v):
+        self.run("UPDATE kv SET v = ? WHERE k = ?", v, k)
+
+    @rule(k=st.integers(0, 12))
+    def negate(self, k):
+        """0.0 -> -0.0: an equal row that encodes differently."""
+        self.run("UPDATE kv SET v = -v WHERE k = ?", k)
+
+    @rule(k=st.integers(0, 12))
+    def rewrite_unchanged(self, k):
+        """A new row tuple with equal values: identity moves, bytes
+        do not."""
+        self.run("UPDATE kv SET s = s WHERE k = ?", k)
+
+    @rule(k=st.integers(0, 12))
+    def delete(self, k):
+        self.run("DELETE FROM kv WHERE k = ?", k)
+
+    @precondition(lambda self: not self.conn.in_transaction)
+    @rule(k=st.integers(0, 12))
+    def delete_rolled_back(self, k):
+        """A delete-undo below the tail: rollback defers the reorder and
+        ensure_scan_order rebuilds the row store."""
+        self.conn.begin()
+        self.run("DELETE FROM kv WHERE k = ?", k)
+        self.run("INSERT INTO kv (k, v, s) VALUES (?, ?, ?)", 99, 1.0, "t")
+        self.conn.rollback()
+
+    @precondition(lambda self: not self.conn.in_transaction)
+    @rule()
+    def truncate(self):
+        for database in self.copies():
+            database.table("kv").truncate()
+
+    @precondition(lambda self: not self.conn.in_transaction)
+    @rule(labels=st.lists(_texts, max_size=5))
+    def recreate_tag(self, labels):
+        if self.sdb.has_table("tag"):
+            self.sdb.drop_table("tag")
+        self.sdb.create_table("tag", TAG_COLUMNS, primary_key=["id"])
+        # Prepared plans bind the dropped table's objects.
+        self.conn = connect_sharded(self.sdb)
+        for index, label in enumerate(labels):
+            self.run("INSERT INTO tag (id, label) VALUES (?, ?)", index, label)
+
+    @precondition(
+        lambda self: not self.conn.in_transaction
+        and self.sdb.has_table("tag")
+    )
+    @rule()
+    def drop_tag(self):
+        self.sdb.drop_table("tag")
+        self.conn = connect_sharded(self.sdb)
+
+    @invariant()
+    def checkpoint(self):
+        """Checkpoint after every step, so each change meets a cache
+        filled by the state just before it."""
+        (lsn,) = self.manager.checkpoint(self.sdb.shards)
+        self.check_checkpoint(lsn)
+
+    @precondition(lambda self: not self.conn.in_transaction)
+    @rule()
+    def reopen(self):
+        self.open_wal()
+
+    @precondition(
+        lambda self: not self.conn.in_transaction
+        and self.sdb.groups[0].replicas
+    )
+    @rule()
+    def promote(self):
+        self.sdb.crash_primary(0)
+        self.sdb.promote(0)
+
+
+TestCheckpointMachine = CheckpointMachine.TestCase
+TestCheckpointMachine.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None
+)
+
+
+class TestChunkCache:
+    def test_unchanged_chunks_are_reused_and_changed_ones_re_encoded(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(wal_module, "CHECKPOINT_CHUNK_ROWS", 2)
+        db = make_kv_database([(k, k) for k in range(7)])
+        wal = make_wal(tmp_path)
+        wal.write_checkpoint(db)
+        first = list(wal._chunks["kv"])
+        assert [len(ids) for ids, _, _ in first] == [2, 2, 2, 1]
+        wal.write_checkpoint(db)
+        assert all(map(operator.is_, wal._chunks["kv"], first))
+        db.table("kv").update(3, {"v": 30})  # rowid 3: the second chunk
+        wal.write_checkpoint(db)
+        again = wal._chunks["kv"]
+        assert [a is b for a, b in zip(again, first)] == [
+            True, False, True, True
+        ]
+        assert wal.checkpoint_path.read_bytes() == full_snapshot_bytes(db, 0)
+        wal.close()
+
+    def test_equal_rows_that_encode_differently_are_re_encoded(
+        self, tmp_path
+    ):
+        """Reuse is decided by identity, not equality: 0.0 == -0.0."""
+        db = Database("zeros")
+        table = db.create_table("z", KV_COLUMNS, primary_key=["k"])
+        table.insert((1, 0.0, "a"))
+        wal = make_wal(tmp_path)
+        wal.write_checkpoint(db)
+        table.update(1, {"v": -0.0})
+        wal.write_checkpoint(db)
+        assert b"-0.0" in wal.checkpoint_path.read_bytes()
+        assert wal.checkpoint_path.read_bytes() == full_snapshot_bytes(db, 0)
+        wal.close()
+
+    def test_recovered_and_replica_applied_rows_are_tuples(self, tmp_path):
+        """The identity check is sound only for immutable rows: every
+        path that installs rows without the engine's insert -- replica
+        apply, checkpoint load and redo replay in recovery -- stores
+        tuples."""
+        sdb = ShardedDatabase(
+            "tup", shards=2, replicas=1,
+            scheme=ShardingScheme({"kv": TableSharding(("k",), "mod")}),
+        )
+        sdb.create_table("kv", KV_COLUMNS, primary_key=["k"])
+        manager = attach_wal(sdb, tmp_path, sync_policy="commit")
+        conn = connect_sharded(sdb)
+        for k in range(6):
+            conn.execute(
+                "INSERT INTO kv (k, v, s) VALUES (?, ?, ?)", k, k / 2, "x"
+            )
+        manager.checkpoint(sdb.shards)
+        conn.execute("UPDATE kv SET v = ? WHERE k = ?", 9.5, 1)
+        conn.execute("INSERT INTO kv (k, v, s) VALUES (?, ?, ?)", 7, 0.0, "y")
+        recovered, _ = recover_sharded(tmp_path)
+        manager.close()
+        replicas = [g.replicas[0].database for g in sdb.groups]
+        for database in [*replicas, *recovered.shards]:
+            rows = list(database.table("kv").scan())
+            assert rows and all(type(row) is tuple for _, row in rows)
+        assert recovered.logical_rows("kv") == sdb.logical_rows("kv")
