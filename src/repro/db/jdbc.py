@@ -29,20 +29,35 @@ from repro.db.sql.parser import parse
 from repro.db.sql.planner import Plan, Planner, SelectPlan
 from repro.db.txn import LockManager, Transaction
 
+_NO_INDEX: dict[str, int] = {}  # a row built without one scans
+
+
+def column_index(columns: Sequence[str]) -> dict[str, int]:
+    """Column name -> position of the first column equal to it ignoring
+    case (:class:`Row`'s scan), built once per prepared statement."""
+    first: dict[str, int] = {}
+    return {n: first.setdefault(n.lower(), i) for i, n in enumerate(columns)}
+
 
 class Row:
-    """One result row with access by column name or position."""
+    """One result row, by column name (:func:`column_index`) or position."""
 
-    __slots__ = ("_columns", "_values", "_wire_size")
+    __slots__ = ("_columns", "_values", "_wire_size", "_index")
 
-    def __init__(self, columns: Sequence[str], values: tuple) -> None:
+    def __init__(self, columns: Sequence[str], values: tuple,
+                 index: Optional[dict[str, int]] = None) -> None:
         self._columns = columns
         self._values = values
         # Memoized estimate_size result; rows are immutable records.
         self._wire_size: Optional[int] = None
+        self._index = _NO_INDEX if index is None else index
 
     def __getitem__(self, key: int | str) -> Any:
-        if isinstance(key, int):
+        if key.__class__ is str:
+            position = self._index.get(key)
+            if position is not None:
+                return self._values[position]
+        elif isinstance(key, int):
             return self._values[key]
         lowered = key.lower()
         for i, name in enumerate(self._columns):
@@ -88,9 +103,11 @@ class Row:
 class ResultSet:
     """A materialized query result with cursor-style and list-style access."""
 
-    def __init__(self, result: StatementResult) -> None:
+    def __init__(self, result: StatementResult,
+                 index: Optional[dict[str, int]] = None) -> None:
         self.columns = list(result.columns)
-        self._rows = [Row(self.columns, values) for values in result.rows]
+        self._index = index  # the producing statement's column_index
+        self._rows = [Row(self.columns, v, index) for v in result.rows]
         self.rows_touched = result.rows_touched
         self._cursor = -1
         # Memoized estimate_size result; the row list is fixed.
@@ -255,6 +272,9 @@ class PreparedStatement:
         self.plan = plan
         self.compiled = compiled
         self.is_query = isinstance(plan, SelectPlan)
+        self.index = (
+            column_index(plan.column_names) if self.is_query else None
+        )
 
     def query(self, *params: Any) -> ResultSet:
         if not self.is_query:
@@ -317,7 +337,8 @@ class Connection:
     # -- statement preparation ------------------------------------------------
 
     def prepare(self, sql: str) -> PreparedStatement:
-        self._check_open()
+        if self.closed:
+            self._check_open()
         cache = self._plan_cache
         cache_key = (self.sql_exec, sql)
         cached = cache.get(cache_key)
@@ -350,7 +371,8 @@ class Connection:
     # -- execution ----------------------------------------------------------------
 
     def _run(self, prepared: PreparedStatement, params: Sequence[Any]):
-        self._check_open()
+        if self.closed:
+            self._check_open()
         self.calls += 1
         auto = False
         txn = self._txn
@@ -399,7 +421,7 @@ class Connection:
                 kind, prepared.sql, result.rows_touched, result.rowcount
             )
         if prepared.is_query:
-            return ResultSet(result)
+            return ResultSet(result, prepared.index)
         return result.rowcount
 
     def _snapshot_query(

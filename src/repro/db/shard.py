@@ -60,6 +60,7 @@ from repro.db.jdbc import (
     CallObserver,
     PlanCacheStats,
     ResultSet,
+    column_index,
 )
 from repro.db.sql.ast import (
     BinaryOp,
@@ -222,9 +223,6 @@ class ShardingScheme:
 
     def sharding(self, table: str) -> Optional[TableSharding]:
         return self._tables.get(table.lower())
-
-    def sharded_tables(self) -> list[str]:
-        return sorted(t for t, s in self._tables.items() if s is not None)
 
     def shard_for(self, table: str, key_values: tuple, n_shards: int) -> int:
         sharding = self.sharding(table)
@@ -719,22 +717,25 @@ class ShardPreparedStatement:
         self.plan = plan
         self.route = route
         self.is_query = isinstance(plan, SelectPlan)
-        # Keyed by shard; the value remembers the replica-group
-        # generation the plan was compiled under, because a compiled
-        # plan binds the primary's table/index objects and must be
-        # re-minted after a failover swaps the primary.
+        self.index = (
+            column_index(plan.column_names) if self.is_query else None
+        )
+        # Keyed by shard (compiling rungs only); the value remembers the
+        # replica-group generation the plan was compiled under, because
+        # a compiled plan binds the primary's table/index objects and
+        # must be re-minted after a failover swaps the primary.
         self._compiled: dict[
             int, tuple[int, Optional[CompiledPlan | SourcePlan]]
         ] = {}
 
     def compiled_for(self, shard: int) -> Optional[CompiledPlan | SourcePlan]:
-        mode = self.connection.sql_exec
-        if mode not in ("compiled", "source"):
-            return None
         generation = self.connection.database.generation(shard)
         cached = self._compiled.get(shard)
         if cached is not None and cached[0] == generation:
             return cached[1]
+        mode = self.connection.sql_exec
+        if mode not in ("compiled", "source"):
+            return None
         stats = self.connection.plan_cache_stats
         target = self.connection.database.shards[shard]
         compiled: Optional[CompiledPlan | SourcePlan] = None
@@ -880,7 +881,10 @@ class ShardedConnection:
             txn = self._new_transaction()
             auto = True
         try:
-            result = self._execute_routed(prepared, params, txn)
+            if self.tracer.active:
+                result = self._execute_routed(prepared, params, txn)
+            else:
+                result = self._route_and_run(prepared, params, txn, None)
         except BaseException:
             if auto and txn is not None:
                 if self.lock_managers is not None:
@@ -909,7 +913,7 @@ class ShardedConnection:
                 kind, prepared.sql, result.rows_touched, result.rowcount
             )
         if prepared.is_query:
-            return ResultSet(result)
+            return ResultSet(result, prepared.index)
         return result.rowcount
 
     def _new_transaction(self) -> ShardedTransaction:
@@ -964,8 +968,7 @@ class ShardedConnection:
         params: Sequence[Any],
         txn: Optional[ShardedTransaction],
     ) -> StatementResult:
-        if not self.tracer.active:
-            return self._route_and_run(prepared, params, txn, None)
+        """:meth:`_route_and_run` in a span (while the tracer is on)."""
         span = self.tracer.span(
             "router.dispatch", track="router", mode=prepared.route.mode
         )

@@ -114,7 +114,11 @@ class LockManager:
         """
         state = self._locks.get(resource)
         if state is None:
+            # Nobody holds or awaits it: granted at once.
             state = self._locks[resource] = _LockState()
+            state.holders[txn_id] = mode
+            self._held_by_txn.setdefault(txn_id, set()).add(resource)
+            return True
         held = state.holders.get(txn_id)
         if held is not None:
             if held is LockMode.EXCLUSIVE or held is mode:
@@ -208,7 +212,7 @@ class LockManager:
             waiter_edges.discard(txn_id)
         self._waits_for = {k: v for k, v in self._waits_for.items() if v}
         for state in self._locks.values():
-            if any(t == txn_id for t, _ in state.waiters):
+            if state.waiters and any(t == txn_id for t, _ in state.waiters):
                 state.waiters = deque(
                     (t, m) for t, m in state.waiters if t != txn_id
                 )
@@ -218,7 +222,8 @@ class LockManager:
             if state is None:
                 continue
             state.holders.pop(txn_id, None)
-            grants.extend(self._grant_waiters(resource, state))
+            if state.waiters:
+                grants.extend(self._grant_waiters(resource, state))
         for resource, state in list(self._locks.items()):
             if not state.holders and not state.waiters:
                 del self._locks[resource]
@@ -285,6 +290,11 @@ class TxnState(enum.Enum):
     ABORTED = "aborted"
 
 
+# Bound once: each read of a member through its Enum class costs a lookup.
+_ACTIVE = TxnState.ACTIVE
+_EXCLUSIVE = LockMode.EXCLUSIVE
+
+
 class Transaction:
     """One transaction: undo log + lock set.
 
@@ -343,17 +353,23 @@ class Transaction:
     # -- lock helpers ------------------------------------------------------------
 
     def _check_active(self) -> None:
-        if self.state is not TxnState.ACTIVE:
+        """Liveness check; public as ``ensure_active``, which compiled
+        plans call once per statement instead of per lock/undo call."""
+        if self.state is not _ACTIVE:
             raise TransactionError(
                 f"transaction {self.id} is {self.state.value}, not active"
             )
 
-    def ensure_active(self) -> None:
-        """Public liveness check: the compiled executor verifies once
-        per statement instead of once per lock/undo call."""
-        self._check_active()
+    ensure_active = _check_active
 
     def lock_table(self, table: str, *, exclusive: bool = True) -> None:
+        # Already held, under the (lower-case) name every plan passes;
+        # only an active, locking transaction fills _table_locks.
+        held = self._table_locks.get(("table", table))
+        if held is not None and self.state is _ACTIVE and (
+            held is _EXCLUSIVE or not exclusive
+        ):
+            return
         self._check_active()
         if self.snapshot_ts is not None:
             if exclusive:
@@ -622,7 +638,7 @@ class ShardedTransaction:
 
     def branch(self, shard: int) -> Transaction:
         """The branch transaction for ``shard`` (created on first use)."""
-        if self.state is not TxnState.ACTIVE:
+        if self.state is not _ACTIVE:
             raise TransactionError(
                 f"sharded transaction {self.id} is {self.state.value}, "
                 "not active"

@@ -16,6 +16,9 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.db.jdbc import ResultSet, Row
+from repro.lang.interp import InterpObject
+
 # Fixed overhead per heap object reference shipped across the wire.
 REF_SIZE = 8
 # An int or a float.
@@ -40,9 +43,9 @@ def _primitive_tuple(value: tuple) -> bool:
 
 def estimate_size(value: Any) -> int:
     """Estimated wire size of ``value`` in bytes."""
-    # Exact types first: nearly every sized value is a plain int, float
-    # or str (type(True) is bool, so bools take the ladder below, as do
-    # subclasses).
+    # Exact types first: nearly every sized value is a plain int, float,
+    # str or result row (type(True) is bool, so bools take the ladder
+    # below, as do subclasses of the builtins).
     kind = type(value)
     if kind is int or kind is float:
         return NUMBER_SIZE
@@ -50,6 +53,15 @@ def estimate_size(value: Any) -> int:
         return CONTAINER_OVERHEAD + (
             len(value) if value.isascii() else len(value.encode("utf-8"))
         )
+    if kind is Row or kind is ResultSet:
+        # Immutable records (a row's values, a result's rows): sized
+        # once, the sum kept on the instance.
+        cached = value._wire_size
+        if cached is None:
+            cached = value._wire_size = CONTAINER_OVERHEAD + sum(map(
+                estimate_size, value._values if kind is Row else value._rows
+            ))
+        return cached
     if value is None:
         return 1
     if isinstance(value, bool):
@@ -76,27 +88,6 @@ def estimate_size(value: Any) -> int:
         return CONTAINER_OVERHEAD + sum(
             estimate_size(k) + estimate_size(v) for k, v in value.items()
         )
-    # JDBC result rows / result sets.
-    from repro.db.jdbc import ResultSet, Row
-
-    if isinstance(value, Row):
-        cached = value._wire_size
-        if cached is None:
-            cached = CONTAINER_OVERHEAD + sum(
-                estimate_size(v) for v in value.as_tuple()
-            )
-            value._wire_size = cached
-        return cached
-    if isinstance(value, ResultSet):
-        cached = value._wire_size
-        if cached is None:
-            cached = CONTAINER_OVERHEAD + sum(
-                estimate_size(row) for row in value.rows
-            )
-            value._wire_size = cached
-        return cached
-    from repro.lang.interp import InterpObject
-
     if isinstance(value, InterpObject):
         return CONTAINER_OVERHEAD + sum(
             estimate_size(v) for v in value.fields.values()

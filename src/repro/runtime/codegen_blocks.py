@@ -60,6 +60,7 @@ from repro.lang.ir import (
     VarLV,
     VarRef,
 )
+from repro.profiler.sizes import NUMBER_SIZE
 from repro.pyxil.blocks import (
     CompiledProgram,
     ExecutionBlock,
@@ -231,6 +232,14 @@ class _Counts:
             self.natives,
             self.fixed,
         )
+
+
+def _sized(value: str) -> str:
+    """``wire_size(value)`` with plain numbers (its first test) inline."""
+    return (
+        f"({NUMBER_SIZE} if {value}.__class__ is int or "
+        f"{value}.__class__ is float else _wire_size({value}))"
+    )
 
 
 def _float_literal(value: float) -> str:
@@ -559,8 +568,11 @@ class _FnEmitter:
         """Mirror of _compile_db_step, specialized per API and side."""
         api = expr.name
         remote = placement is Placement.APP
-        args = []
-        for arg in expr.args:
+        first = expr.args[0] if expr.args else None
+        # Literal SQL is its own text: no temp and no type check.
+        literal = isinstance(first, Const) and type(first.value) is str
+        args = [self.const(first.value)] if literal else []
+        for arg in expr.args[len(args):]:
             t = self.tmp()
             self.w(f"{t} = {self.atom(arg)}")
             args.append(t)
@@ -571,17 +583,21 @@ class _FnEmitter:
             return
         sql = args[0]
         params = args[1:]
-        self.w(f"if not isinstance({sql}, str):")
-        self.w(
-            "    _raise_rt('DB call needs a SQL string first argument')"
-        )
+        if not literal:
+            self.w(f"if not isinstance({sql}, str):")
+            self.w(
+                "    _raise_rt('DB call needs a SQL string first argument')"
+            )
         self.w("ex.stats.db_calls += 1")
         if remote:
             # DbRequestMessage.nbytes() without building the message:
-            # the envelope and the API name fold into one constant.
+            # the envelope, the API name and literal SQL fold into one
+            # constant.
+            fixed = MESSAGE_OVERHEAD + len(api)
             size = " + ".join(
-                [f"{MESSAGE_OVERHEAD + len(api)} + len({sql})"]
-                + [f"_wire_size({p})" for p in params]
+                [str(fixed + len(first.value)) if literal
+                 else f"{fixed} + len({sql})"]
+                + [_sized(p) for p in params]
             )
             self.w(f"ex.cluster.record_message({size}, to_db=True)")
             self.w("ex.stats.db_round_trips += 1")
@@ -604,18 +620,18 @@ class _FnEmitter:
                 self.w(f"{result} = {rs}.one()")
             else:
                 self.w(f"{result} = {rs}.scalar()")
-        self.w(
-            "ex.cluster.record_cpu('db', "
-            f"ex._cost_model.db_operation(int({touched})))"
-        )
+        cpu = f"ex._cost_model.db_operation(int({touched}))"
         if remote:
-            # DbResponseMessage.nbytes() likewise.  A ResultSet sizes
-            # as its row list does (container overhead plus its rows),
-            # and keeps the sum on the instance for a later transfer.
+            # DbResponseMessage.nbytes() likewise, carrying the
+            # statement's DB CPU.  A ResultSet sizes as its row list
+            # does (container overhead plus its rows), and keeps the sum
+            # on the instance for a later transfer.
             self.w(
-                "ex.cluster.record_message("
-                f"{MESSAGE_OVERHEAD} + _wire_size({result}), to_db=False)"
+                f"ex.cluster.record_message({MESSAGE_OVERHEAD} + "
+                f"{_sized(result)}, to_db=False, cpu={cpu})"
             )
+        else:
+            self.w(f"ex.cluster.record_cpu('db', {cpu})")
         if api == "query":
             wrapped = self.tmp()
             self.w(f"{wrapped} = ex.new_native({op.sid}, {result})")

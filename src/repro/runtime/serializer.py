@@ -26,9 +26,9 @@ from repro.runtime.heap import NativeRef, ObjRef
 def _copy_row(row: Row) -> Row:
     # Rows are immutable records of primitives: the values tuple and
     # the column list are never mutated, so both can be shared (only
-    # the Row object itself is rebuilt), and the memoized size carries
-    # over.
-    clone = Row(row._columns, row._values)
+    # the Row object itself is rebuilt), and the memoized size and the
+    # column index carry over.
+    clone = Row(row._columns, row._values, row._index)
     clone._wire_size = row._wire_size
     return clone
 
@@ -40,7 +40,7 @@ def _copy_result_set(rs: ResultSet) -> ResultSet:
         rowcount=len(rs._rows),
         rows_touched=rs.rows_touched,
     )
-    clone = ResultSet(result)
+    clone = ResultSet(result, rs._index)
     clone._wire_size = rs._wire_size
     return clone
 
@@ -73,4 +73,6 @@ def wire_size(value: Any) -> int:
         return NUMBER_SIZE
     if kind is ObjRef or kind is NativeRef:
         return 12  # oid + tag
+    if (kind is Row or kind is ResultSet) and value._wire_size is not None:
+        return value._wire_size  # an immutable record, sized once
     return estimate_size(value)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from repro.sim.clock import VirtualClock
 from repro.sim.network import NetworkModel
-from repro.sim.queueing import SimNetworkParams, Stage, StageKind, TransactionTrace
+from repro.sim.queueing import Stage, StageKind, TransactionTrace
 from repro.sim.server import CostModel, Server
 
 
@@ -277,13 +277,6 @@ class ClusterConfig:
         if self.db_shards < 1:
             raise ValueError("a cluster needs at least one database shard")
 
-    def network_params(self) -> SimNetworkParams:
-        return SimNetworkParams(
-            one_way_latency=self.one_way_latency,
-            bandwidth=self.bandwidth,
-            per_message_overhead=self.per_message_overhead,
-        )
-
 
 class Cluster:
     """Two servers plus a network, with trace recording.
@@ -377,10 +370,11 @@ class Cluster:
                 f"database has {len(sharded_db.shards)} shard(s) but the "
                 f"cluster has {len(self.db_servers)} database server(s)"
             )
+        # Indexes validated by the length check: per statement, assign.
         for index, shard_db in enumerate(sharded_db.shards):
             shard_db.observer = (
                 lambda op, table, rows, index=index:
-                self.set_statement_shard(index)
+                setattr(self, "_statement_shard", index)
             )
 
     def set_shard_slowdown(self, shard: int, factor: float) -> None:
@@ -450,8 +444,24 @@ class Cluster:
                 return
         stages.append(_new_stage(Stage, (kind, seconds, 0, shard)))
 
-    def record_message(self, nbytes: int, *, to_db: bool) -> float:
-        """Record a one-way message; returns its delivery delay."""
+    def record_message(
+        self, nbytes: int, *, to_db: bool, cpu: float = 0.0
+    ) -> float:
+        """Record a one-way message; returns its delivery delay.  ``cpu``
+        (a DB reply carries its statement's cost) makes this exactly
+        ``record_cpu('app' if to_db else 'db', cpu)`` first, in one frame.
+        """
+        if cpu:
+            if cpu < 0:
+                raise ValueError("cannot charge negative CPU time")
+            side = _APP_SIDE if to_db else self._statement_shard
+            if not to_db and self._shard_slowdowns:
+                cpu *= self._shard_slowdowns.get(side, 1.0)  # x * 1.0 == x
+            if side != self._pending_side:
+                if self._pending:
+                    self._flush_cpu()
+                self._pending_side = side
+            self._pending += cpu
         if self._pending:
             self._flush_cpu()
         delay = self.network.send(nbytes, to_db=to_db)

@@ -4,6 +4,8 @@ import pytest
 
 from repro.db import Database, connect
 from repro.db.errors import ExecutionError, TransactionError
+from repro.db.jdbc import Row, column_index
+from repro.runtime.serializer import wire_copy
 
 
 @pytest.fixture()
@@ -72,6 +74,36 @@ class TestRow:
     def test_equality_with_tuple(self, conn):
         row = conn.query_one("SELECT id, name FROM person WHERE id = 1")
         assert row == (1, "ann")
+
+    def test_column_index_keeps_the_first_case_insensitive_match(self):
+        assert column_index(["X", "x", "y", "X", "Y"]) == {
+            "X": 0, "x": 0, "y": 2, "Y": 2,
+        }
+
+    @pytest.mark.parametrize("sql_exec", ["tree", "compiled", "source"])
+    def test_indexed_rows_answer_as_the_scan_does(self, people_db, sql_exec):
+        """Names that differ only by case (``Ab`` / ``aB``) give the
+        first column for every casing, on every rung, after a wire copy
+        and on a row built without an index; unknown names, defaults and
+        negative positions behave as before."""
+        conn = connect(people_db[0], sql_exec=sql_exec)
+        sql = "SELECT id AS Ab, name AS aB FROM person WHERE id = ?"
+        rs = conn.query(sql, 2)
+        row = rs.one()
+        rows = [row, wire_copy(row), wire_copy(rs).one(),
+                Row(["Ab", "aB"], (2, "bob"))]
+        for candidate in rows:
+            assert candidate == (2, "bob")
+            for key in ("Ab", "aB", "AB", "ab"):
+                assert candidate[key] == 2
+                assert candidate.get(key) == 2
+            assert candidate[-1] == "bob"
+            assert candidate.get(-3, "dflt") == "dflt"
+            assert candidate.get("name", "dflt") == "dflt"
+            with pytest.raises(KeyError):
+                candidate["name"]
+            with pytest.raises(IndexError):
+                candidate[2]
 
 
 class TestConnection:

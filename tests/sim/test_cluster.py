@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.cluster import Cluster, ClusterConfig
+from repro.sim.network import NetworkPartitionedError
 from repro.sim.queueing import StageKind
 
 
@@ -190,3 +191,95 @@ def test_recorder_invariants(ops):
     assert recorded == {k: v for k, v in charged.items() if v}
     assert [(s.kind, s.nbytes) for s in stages if s.is_network] == messages
     assert cluster.clock.now == sum(recorded.values()) + delays
+
+
+# ---------------------------------------------------------------------------
+# A message that carries its sender's CPU
+# ---------------------------------------------------------------------------
+
+charge_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("cpu"), st.sampled_from(["app", "db", "db1"]),
+                  st.floats(0.0, 1e-3)),
+        st.tuples(
+            st.just("message"), st.integers(0, 5000), st.booleans(),
+            st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e-4, 1e-3)),
+        ),
+        st.tuples(st.just("shard"), st.integers(0, SHARDS - 1)),
+        st.tuples(st.just("slow"), st.integers(0, SHARDS - 1),
+                  st.sampled_from([1.0, 1.5, 3.0])),
+        st.tuples(st.just("link"), st.booleans(), st.booleans()),
+    ),
+    max_size=60,
+)
+
+
+def _apply(cluster, op, fused):
+    """One op; returns the class of the exception it raised, if any."""
+    try:
+        if op[0] == "cpu":
+            cluster.record_cpu(op[1], op[2])
+        elif op[0] == "message":
+            _, nbytes, to_db, cpu = op
+            if fused:
+                cluster.record_message(nbytes, to_db=to_db, cpu=cpu)
+            else:
+                cluster.record_cpu("app" if to_db else "db", cpu)
+                cluster.record_message(nbytes, to_db=to_db)
+        elif op[0] == "shard":
+            cluster.set_statement_shard(op[1])
+        elif op[0] == "slow":
+            cluster.set_shard_slowdown(op[1], op[2])
+        else:
+            cluster.network.set_link_down(op[1], to_db=True, to_app=False)
+            cluster.network.set_link_down(op[2], to_db=False, to_app=True)
+    except (ValueError, NetworkPartitionedError) as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(charge_ops)
+def test_message_cpu_equals_record_cpu_then_message(ops):
+    """``record_message(..., cpu=s)`` is ``record_cpu`` on the sending
+    side followed by the message: same errors at the same step, same
+    stages, clock and per-direction network counters (dropped messages
+    included) -- compared exactly, since both do the same float
+    additions in the same order."""
+    config = ClusterConfig(db_shards=SHARDS)
+    fused, split = Cluster(config), Cluster(config)
+    fused.start_trace()
+    split.start_trace()
+    for op in ops:
+        assert _apply(fused, op, True) == _apply(split, op, False), op
+        assert fused.clock.now == split.clock.now
+        assert fused._stages == split._stages  # noqa: SLF001
+    assert fused.finish_trace("t") == split.finish_trace("t")
+    assert fused.clock.now == split.clock.now
+    assert fused.network.app_to_db == split.network.app_to_db
+    assert fused.network.db_to_app == split.network.db_to_app
+
+
+def test_partitioned_reply_keeps_its_flushed_cpu():
+    cluster = Cluster()
+    cluster.start_trace()
+    cluster.network.set_link_down(True, to_db=False, to_app=True)
+    with pytest.raises(NetworkPartitionedError):
+        cluster.record_message(10, to_db=False, cpu=0.004)
+    assert cluster.network.db_to_app.dropped == 1
+    # The next charge on that side extends the flushed stage.
+    cluster.record_cpu("db", 0.001)
+    stages = cluster.finish_trace("t").stages
+    assert [s.kind for s in stages] == [StageKind.DB_CPU]
+    assert stages[0].duration == 0.004 + 0.001
+
+
+def test_negative_message_cpu_changes_nothing():
+    cluster = Cluster()
+    cluster.start_trace()
+    cluster.record_cpu("app", 0.001)
+    with pytest.raises(ValueError):
+        cluster.record_message(10, to_db=True, cpu=-0.001)
+    assert cluster.clock.now == 0.0
+    assert cluster.network.total_messages() == 0
+    assert cluster.finish_trace("t").app_cpu == 0.001

@@ -184,6 +184,68 @@ class TestTpcw:
             assert_equivalent(part.compiled, make_db, calls)
 
 
+PROBE_SOURCE = '''
+class Probe:
+    def one(self, lo, hi):
+        row = self.db.query_one("SELECT v FROM kv WHERE k >= ? AND k < ?",
+                                lo, hi)
+        return row.get("v")
+
+    def scalar(self, k, width):
+        if width == 1:
+            return self.db.query_scalar("SELECT v FROM kv WHERE k = ?", k)
+        return self.db.query_scalar("SELECT k, v FROM kv WHERE k = ?", k)
+
+    def dynamic(self, sql, k):
+        return self.db.query_scalar(sql, k)
+'''
+
+
+class TestErrorParity:
+    """Literal SQL skips the generated type check and folds its size,
+    and a reply carries its DB CPU: the failures around a DB call must
+    still raise what the tree rung raises, message included."""
+
+    FAILING = [
+        ("one", (5, 5)),              # query_one on no row
+        ("one", (0, 2)),              # query_one on two rows
+        ("scalar", (1, 2)),           # query_scalar on two columns
+        ("dynamic", (42, 1)),         # non-literal SQL bound to an int
+        ("dynamic", (None, 1)),
+    ]
+
+    def test_db_call_failures_match_the_tree_rung(self):
+        make_db = lambda: make_micro_database(rows=10)  # noqa: E731
+
+        def workload(profiler):
+            profiler.invoke("Probe", "one", 0, 1)
+            profiler.invoke("Probe", "scalar", 1, 1)
+            profiler.invoke("Probe", "dynamic",
+                            "SELECT v FROM kv WHERE k = ?", 1)
+
+        parts = _partitions(PROBE_SOURCE, [("Probe", m) for m in (
+            "one", "scalar", "dynamic")], make_db, workload)
+        for part in parts:
+            raised = {}
+            for rung in ("tree",) + RUNGS:
+                database, _ = make_db()
+                app = PartitionedApp(
+                    part.compiled, Cluster(),
+                    connect(database, sql_exec=rung), interp=rung,
+                )
+                outcomes = []
+                for method, args in self.FAILING:
+                    with pytest.raises(Exception) as error:
+                        app.invoke("Probe", method, *args)
+                    outcomes.append((type(error.value), str(error.value)))
+                raised[rung] = outcomes
+            for rung in RUNGS:
+                assert raised[rung] == raised["tree"], (part.budget, rung)
+            assert {kind.__name__ for kind, _ in raised["tree"]} == {
+                "ExecutionError", "RuntimeError_",
+            }
+
+
 class TestMicroWorkloads:
     def test_linked_list_all_budgets(self):
         make_db = lambda: make_micro_database()  # noqa: E731
