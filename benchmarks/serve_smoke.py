@@ -9,6 +9,12 @@ performance trajectory): the wall of all three configurations, and the
 adaptive run's event count with its wall time per event, the
 discrete-event core's own number.
 
+Every other field is a virtual-clock model output, so a re-record may
+not move it: before rewriting the file the smoke fails, naming the
+field, if any of them differs from the file already there.  After a
+change that is meant to move the model, delete the file and record it
+afresh.
+
 Like the interpreter smoke, it only executes under ``-m perfsmoke``
 (``pytest benchmarks/serve_smoke.py -m perfsmoke``) so plain test runs
 never rewrite the tracked JSON; run as a script for a quick local
@@ -31,6 +37,20 @@ OUTPUT = REPO_ROOT / "BENCH_serve.json"
 CLIENTS = 32
 DB_CORES = 3
 DURATION = 20.0
+# Machine-dependent: the only fields a re-record may change.
+WALL_FIELDS = ("wall_seconds_all_configs", "adaptive_wall_us_per_event")
+
+
+def check_model_unchanged(recorded: dict, measured: dict) -> None:
+    """Raise if a virtual-clock field of ``measured`` differs from the
+    ``recorded`` file's, naming the first such field."""
+    for key in sorted(recorded.keys() | measured.keys()):
+        if key not in WALL_FIELDS and recorded.get(key) != measured.get(key):
+            raise AssertionError(
+                f"{OUTPUT.name}: virtual-clock field {key!r} moved from "
+                f"{recorded.get(key)!r} to {measured.get(key)!r}; the model "
+                "changed (delete the file to re-record it on purpose)"
+            )
 
 
 def run_serve_smoke() -> dict:
@@ -71,8 +91,22 @@ def run_serve_smoke() -> dict:
         "adaptive_events": events,
         "adaptive_wall_us_per_event": 1e6 * loop_wall / events,
     }
+    if OUTPUT.exists():
+        check_model_unchanged(json.loads(OUTPUT.read_text()), payload)
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
+
+
+def test_model_guard_names_the_moved_field():
+    recorded = json.loads(OUTPUT.read_text())
+    faster = dict(recorded, adaptive_wall_us_per_event=0.5,
+                  wall_seconds_all_configs=1.0)
+    check_model_unchanged(recorded, faster)  # wall fields may move
+    for key in ("adaptive_events", "adaptive_p95_latency_ms",
+                "adaptive_switches", "static_low_txn_per_virtual_second"):
+        moved = dict(recorded, **{key: recorded[key] + 1})
+        with pytest.raises(AssertionError, match=repr(key)):
+            check_model_unchanged(recorded, moved)
 
 
 @pytest.mark.perfsmoke

@@ -188,8 +188,8 @@ class ServeEngine(StageWalker):
     def set_shard_slowdown(self, shard: int, factor: float) -> None:
         """Inflate (or with 1.0 restore) one shard's DB service time."""
         self._check_shard(shard)
-        if factor <= 0:
-            raise ValueError("slowdown factor must be positive")
+        if not 0 < factor < float("inf"):
+            raise ValueError(f"slowdown factor {factor!r} not in (0, inf)")
         self.shard_slowdowns[shard] = factor
         self.metrics.counter("faults.injected", kind="slow").inc()
         self.tracer.instant(
@@ -378,7 +378,7 @@ class ServeEngine(StageWalker):
                 "a closed-loop client cannot advance the virtual clock"
             )
         txn.trace = trace
-        txn.stages = trace.stages
+        txn.walk = trace.walk(self.network, len(self.dbs)).steps
         if root is not NULL_SPAN:
             txn.track = self._client_tracks[txn.cid]
         if trace.lock_groups:
@@ -387,7 +387,7 @@ class ServeEngine(StageWalker):
                 group, self._locked, txn, self.now
             )
         else:
-            self.advance(txn)
+            self.step(txn)
 
     def _locked(self, txn: _ServeTxn, lock_from: float) -> None:
         """The transaction holds its row-group lock: start walking."""
@@ -398,7 +398,7 @@ class ServeEngine(StageWalker):
                 "client.lock_wait", parent=txn.root, track=txn.track,
                 start=lock_from, group=txn.lock_group,
             ).finish()
-        self.advance(txn)
+        self.step(txn)
 
     def _complete(self, txn: _ServeTxn) -> None:
         assert self.pool is not None

@@ -9,10 +9,10 @@ time to it (CPU work, network transfers, or event-loop scheduling).
 :class:`EventLoop` is the discrete-event core under both simulators.
 A heap entry is the list ``[when, seq, action, args]``: ``heapq``
 orders entries with the C list comparison (``seq`` is unique, so
-``action`` is never compared) and an action needs no closure.  Events
-at the same instant are common and run in scheduling order, so where
-``seq`` is taken is part of the model (DESIGN.md, "Event-order
-contract").
+``action`` is never compared) and an action needs no closure; the
+stage walker pushes its own (plain-list) entries.  Events at the same
+instant are common and run in scheduling order, so where ``seq`` is
+taken is part of the model (DESIGN.md, "Event-order contract").
 """
 
 from __future__ import annotations
@@ -215,14 +215,13 @@ class EventLoop:
                     f"event loop exceeded max_events={max_events}; "
                     "likely a runaway simulation"
                 )
-            when, _, action, args = heap[0]
+            when, _, action, args = entry = heappop(heap)
             if action is None:
-                heappop(heap)
                 continue
             if until is not None and when > until:
+                heappush(heap, entry)  # (when, seq) is unique: same order
                 clock.advance_to(until)
                 break
-            heappop(heap)
             # VirtualClock.advance_to, inlined: this is the hot loop.
             now = clock._now
             if when > now:

@@ -26,6 +26,8 @@ import enum
 import random
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
+from heapq import heappush
+from math import inf
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.obs.summary import percentile as _percentile
@@ -40,6 +42,13 @@ class StageKind(enum.Enum):
     DB_CPU = "db_cpu"
     NET_TO_DB = "net_to_db"
     NET_TO_APP = "net_to_app"
+
+
+_APP_CPU = StageKind.APP_CPU
+_DB_CPU = StageKind.DB_CPU
+_NET_TO_DB = StageKind.NET_TO_DB
+# A trace decoded for one walker: see TransactionTrace.walk.
+Walk = namedtuple("Walk", ("steps", "bytes_to_db", "bytes_to_app", "messages"))
 
 
 class Stage(
@@ -68,10 +77,10 @@ class Stage(
         nbytes: int = 0,
         shard: int = 0,
     ) -> "Stage":
-        if duration < 0:
-            raise ValueError("stage duration must be non-negative")
+        if not 0 <= duration < inf:
+            raise ValueError(f"stage duration {duration!r} not in [0, inf)")
         if nbytes < 0:
-            raise ValueError("stage bytes must be non-negative")
+            raise ValueError(f"stage nbytes {nbytes!r} must be >= 0")
         return tuple.__new__(cls, (kind, duration, nbytes, shard))
 
     @property
@@ -98,9 +107,39 @@ class TransactionTrace:
     name: str
     stages: tuple[Stage, ...]
     lock_groups: Optional[int] = None
+    walks: Optional[dict] = field(  # (network, servers) -> Walk
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.stages = tuple(self.stages)
+
+    def walk(self, network: "SimNetworkParams", servers: int) -> "Walk":
+        """The stages decoded once per (network, DB server count): a step
+        is ``(server, seconds)``, server ``-1`` the app, ``None`` a
+        message (seconds = its delay), else the DB shard, clamped."""
+        if self.walks is None:
+            self.walks = {}
+        walk = self.walks.get((network, servers))
+        if walk is None:
+            steps = []
+            to_db = to_app = messages = 0
+            overhead = network.per_message_overhead
+            for kind, duration, nbytes, shard in self.stages:
+                if kind is _APP_CPU:
+                    steps.append((-1, duration))
+                elif kind is _DB_CPU:
+                    steps.append((shard if shard < servers else 0, duration))
+                else:
+                    steps.append((None, network.message_delay(nbytes)))
+                    messages += 1
+                    if kind is _NET_TO_DB:
+                        to_db += nbytes + overhead
+                    else:
+                        to_app += nbytes + overhead
+            walk = Walk(tuple(steps), to_db, to_app, messages)
+            self.walks[network, servers] = walk
+        return walk
 
     def cpu_demand(self, kind: StageKind) -> float:
         return sum(s.duration for s in self.stages if s.kind == kind)
@@ -128,11 +167,8 @@ class TransactionTrace:
     def unloaded_latency(self, network: "SimNetworkParams") -> float:
         """Latency with zero queueing (a single client on idle servers)."""
         total = 0.0
-        for stage in self.stages:
-            if stage.is_cpu:
-                total += stage.duration
-            else:
-                total += network.message_delay(stage.nbytes)
+        for _, seconds in self.walk(network, 1).steps:
+            total += seconds
         return total
 
 
@@ -143,6 +179,16 @@ class SimNetworkParams:
     one_way_latency: float = 0.001
     bandwidth: float = 125_000_000.0
     per_message_overhead: int = 64
+
+    def __post_init__(self) -> None:
+        for name, sound, rule in (
+            ("one_way_latency", 0 <= self.one_way_latency < inf, "[0, inf)"),
+            ("bandwidth", 0 < self.bandwidth < inf, "(0, inf)"),
+            ("per_message_overhead", self.per_message_overhead >= 0, "[0, inf)"),
+        ):
+            if not sound:
+                value = getattr(self, name)
+                raise ValueError(f"{name} {value!r} not in {rule}")
 
     def message_delay(self, nbytes: int) -> float:
         return (
@@ -220,34 +266,10 @@ class CorePool:
         self._window_busy = self.busy_time
         return min(busy / (self.cores * elapsed), 1.0)
 
-    # -- scheduler hooks --------------------------------------------------
-    # acquire and release run once per CPU stage, so they inline
-    # _account -- same operands, same order: the utilization floats are
-    # part of the pinned results.
-
-    def acquire(self, now: float, work: Callable[..., None], *args) -> None:
-        """Run ``work(*args)`` on a free core now, or queue it FCFS."""
-        if self.busy < self.available:
-            self.busy_time += (self.busy + self.reserved) * (
-                now - self._last_change
-            )
-            self._last_change = now
-            self.busy += 1
-            work(*args)
-        else:
-            self.queue.append((work, args))
-
-    def release(self, now: float) -> None:
-        """Free one core and start queued work that now fits."""
-        self.busy_time += (self.busy + self.reserved) * (now - self._last_change)
-        self._last_change = now
-        self.busy -= 1
-        if self.queue:
-            self.drain(now)
-
     def drain(self, now: float) -> None:
-        """Start queued work while cores are available (e.g. after the
-        external-load reservation shrinks)."""
+        """Start queued work while cores are available (after
+        :meth:`StageWalker.step` frees a core, or the reservation
+        shrinks)."""
         queue = self.queue
         while queue and self.busy < self.available:
             work, args = queue.popleft()
@@ -371,14 +393,15 @@ class SimResult:
 class Txn:
     """One in-flight transaction: where it stands in its trace.
 
-    ``pool`` / ``duration`` describe the CPU stage being served and
-    ``span`` the open span of the current phase; ``root`` and ``track``
-    are set only for a transaction whose stages are traced.  Drivers
-    subclass it to carry their own payload.
+    ``walk`` is the trace's ``Walk.steps``; ``pool`` is set only while
+    it holds a core, ``duration`` while a CPU stage waits for one, and
+    ``span`` is the open span of the current phase; ``root`` and
+    ``track`` are set only for a transaction whose stages are traced.
+    Simulators subclass it to carry their own payload.
     """
 
     __slots__ = (
-        "trace", "stages", "index", "arrived", "lock_group",
+        "trace", "walk", "index", "arrived", "lock_group",
         "pool", "duration", "span", "root", "track",
     )
 
@@ -386,29 +409,24 @@ class Txn:
         self.arrived = arrived
         self.index = 0
         self.lock_group: Optional[int] = None
+        self.pool: Optional[CorePool] = None
         self.span = None
         self.root = None
         self.track: Optional[str] = None
 
 
-_APP_CPU = StageKind.APP_CPU
-_DB_CPU = StageKind.DB_CPU
-_NET_TO_DB = StageKind.NET_TO_DB
-_NET_TO_APP = StageKind.NET_TO_APP
-
-
 class StageWalker:
     """The stage walk both simulators drive: servers, locks, an event
-    loop, and four step methods -- scheduled as ``(bound method,
-    txn)``, no closure per stage -- that move a :class:`Txn` through
-    its trace at exactly one event per stage.
+    loop, and :meth:`step`, the action of every walk event -- pushed as
+    ``[when, seq, bound step, (txn,)]``, no closure per stage -- that
+    moves a :class:`Txn` through its walk at one event per stage.
 
-    A driver subclasses the walker, starts transactions with
-    :meth:`advance` (directly, or as the work of a lock acquisition)
-    and supplies :meth:`_complete`; the closed-loop engine also
-    supplies :meth:`_abort` and a ``tracer``.  Ties are broken by
-    scheduling order, so the order of the steps below is part of the
-    model (DESIGN.md, "Event-order contract").
+    A simulator subclasses the walker, sets ``txn.walk``, starts the
+    transaction with :meth:`step` (directly, or as the work of a lock
+    acquisition) and supplies :meth:`_complete`; the closed-loop engine
+    also supplies :meth:`_abort` and a ``tracer``.  Ties are broken by
+    scheduling order, so the order of the work in :meth:`step` is part
+    of the model (DESIGN.md, "Event-order contract").
     """
 
     tracer = NULL_TRACER
@@ -433,6 +451,7 @@ class StageWalker:
         # slowdown factor stretches that shard's DB stage durations.
         self.shard_down = [False] * db_shards
         self.shard_slowdowns = [1.0] * db_shards
+        self._step = self.step  # bound once: every walk event's action
 
     # -- clock and load-monitoring hooks ----------------------------------
 
@@ -478,66 +497,83 @@ class StageWalker:
 
     # -- the walk ------------------------------------------------------------
 
-    def advance(self, txn: Txn) -> None:
-        """Start the transaction's next stage, or finish it."""
+    def step(self, txn: Txn) -> None:
+        """End the stage in progress; start the next, or finish.  A freed
+        core's waiter schedules its finish before this transaction's
+        next stage; core accounting is ``CorePool._account`` inline."""
+        loop = self.loop
+        now = loop.clock._now
+        span = txn.span
+        if span is not None:
+            span.finish()
+        pool = txn.pool
+        if pool is not None:
+            pool.busy_time += (pool.busy + pool.reserved) * (
+                now - pool._last_change
+            )
+            pool._last_change = now
+            pool.busy -= 1
+            txn.pool = None
+            if pool.queue:
+                pool.drain(now)
         index = txn.index
-        stages = txn.stages
-        if index >= len(stages):
+        walk = txn.walk
+        if index >= len(walk):
             group = txn.lock_group
             if group is not None:
                 self._lock_table_for(group).release(group)
             self._complete(txn)
             return
         txn.index = index + 1
-        kind, duration, nbytes, shard = stages[index]
+        server, delay = walk[index]
         track = txn.track
-        if kind is _APP_CPU:
-            pool = self.app
+        if server is None:
             if track is not None:
                 txn.span = self.tracer.span(
-                    "stage.app_cpu", parent=txn.root, track=track
-                )
-        elif kind is _DB_CPU:
-            dbs = self.dbs
-            server = shard if shard < len(dbs) else 0
-            if self.shard_down[server]:
-                self._abort(txn)
-                return
-            pool = dbs[server]
-            duration *= self.shard_slowdowns[server]
-            if track is not None:
-                txn.span = self.tracer.span(
-                    "stage.db_cpu", parent=txn.root, track=track, shard=shard
+                    "stage.net", parent=txn.root, track=track,
+                    nbytes=txn.trace.stages[index].nbytes,
                 )
         else:
-            if track is not None:
-                txn.span = self.tracer.span(
-                    "stage.net", parent=txn.root, track=track, nbytes=nbytes
-                )
-            self.loop.schedule(
-                self.network.message_delay(nbytes), self.after_net, txn
+            if server < 0:
+                pool = self.app
+                if track is not None:
+                    txn.span = self.tracer.span(
+                        "stage.app_cpu", parent=txn.root, track=track
+                    )
+            elif self.shard_down[server]:
+                self._abort(txn)
+                return
+            else:
+                pool = self.dbs[server]
+                delay *= self.shard_slowdowns[server]
+                if track is not None:
+                    txn.span = self.tracer.span(
+                        "stage.db_cpu", parent=txn.root, track=track,
+                        shard=txn.trace.stages[index].shard,
+                    )
+            if pool.busy >= pool.available:
+                txn.duration = delay
+                pool.queue.append((self.occupy, (txn, pool)))
+                return
+            pool.busy_time += (pool.busy + pool.reserved) * (
+                now - pool._last_change
             )
-            return
+            pool._last_change = now
+            pool.busy += 1
+            txn.pool = pool
+        # EventLoop.schedule inline: the delay was checked at its entry.
+        seq = loop._seq
+        loop._seq = seq + 1
+        heappush(loop._heap, [now + delay, seq, self._step, (txn,)])
+
+    def occupy(self, txn: Txn, pool: CorePool) -> None:
+        """``pool.drain`` gave a queued CPU stage a core: hold it."""
         txn.pool = pool
-        txn.duration = duration
-        pool.acquire(self.loop.clock._now, self.occupy, txn)
-
-    def occupy(self, txn: Txn) -> None:
-        """A core is free: hold it for the stage's duration."""
-        self.loop.schedule(txn.duration, self.finish_cpu, txn)
-
-    def finish_cpu(self, txn: Txn) -> None:
-        if txn.track is not None:
-            txn.span.finish()
-        # Release first: a waiter this starts schedules its finish
-        # before this transaction's next stage is scheduled.
-        txn.pool.release(self.loop.clock._now)
-        self.advance(txn)
-
-    def after_net(self, txn: Txn) -> None:
-        if txn.track is not None:
-            txn.span.finish()
-        self.advance(txn)
+        loop = self.loop
+        when = loop.clock._now + txn.duration
+        seq = loop._seq
+        loop._seq = seq + 1
+        heappush(loop._heap, [when, seq, self._step, (txn,)])
 
 
 TraceSelector = Callable[[float, "QueueingSimulator"], TransactionTrace]
@@ -579,24 +615,19 @@ class QueueingSimulator(StageWalker):
         trace = selector(now, self)
         txn = Txn(now)
         txn.trace = trace
-        txn.stages = trace.stages
+        walk = trace.walk(self.network, len(self.dbs))
+        txn.walk = walk.steps
         # Every arrival runs to completion (the run drains), so its
-        # messages are counted up front rather than stage by stage.
+        # messages are counted up front, from the walk's totals.
         result = self._result
-        overhead = self.network.per_message_overhead
-        for kind, _, nbytes, _ in trace.stages:
-            if kind is _NET_TO_DB:
-                result.bytes_to_db += nbytes + overhead
-            elif kind is _NET_TO_APP:
-                result.bytes_to_app += nbytes + overhead
-            else:
-                continue
-            result.messages += 1
+        result.bytes_to_db += walk.bytes_to_db
+        result.bytes_to_app += walk.bytes_to_app
+        result.messages += walk.messages
         if trace.lock_groups:
             group = txn.lock_group = self.rng.randrange(trace.lock_groups)
-            self.locks.acquire(group, self.advance, txn)
+            self.locks.acquire(group, self.step, txn)
         else:
-            self.advance(txn)
+            self.step(txn)
         self.loop.schedule(
             self.rng.expovariate(rate), self._arrive, selector, rate, horizon
         )

@@ -193,6 +193,15 @@ class TestDeterminismAndValidation:
         with pytest.raises(ValueError, match="virtual clock"):
             engine.run(clients=1, duration=1.0)
 
+    @pytest.mark.parametrize("factor", [0.0, -2.0, float("nan"), float("inf")])
+    def test_unsound_slowdown_rejected_naming_the_value(self, factor):
+        # It stretches stage delays pushed without schedule()'s checks.
+        engine = ServeEngine(single_option(cpu_trace(db=0.001)))
+        with pytest.raises(ValueError, match="slowdown factor") as raised:
+            engine.set_shard_slowdown(0, factor)
+        assert repr(factor) in str(raised.value)
+        assert engine.shard_slowdowns == [1.0]
+
     def test_zero_session_pool_size_rejected(self):
         engine = ServeEngine(
             single_option(cpu_trace(db=0.001)),

@@ -432,13 +432,12 @@ class TestEventLoopAgainstModel:
 
 def test_no_closure_per_event():
     """The per-event path allocates no function object: the walker's
-    four step methods and the loop's schedule / run contain no nested
+    step and occupy and the loop's schedule / run contain no nested
     code (no lambda, def or comprehension), so a closure per stage
     cannot come back unnoticed."""
     for function in (
-        StageWalker.advance, StageWalker.occupy, StageWalker.finish_cpu,
-        StageWalker.after_net, EventLoop.schedule, EventLoop.schedule_at,
-        EventLoop.run,
+        StageWalker.step, StageWalker.occupy, EventLoop.schedule,
+        EventLoop.schedule_at, EventLoop.run,
     ):
         nested = [
             const for const in function.__code__.co_consts

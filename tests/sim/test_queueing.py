@@ -1,7 +1,11 @@
 """Queueing simulator: sanity laws, contention, determinism."""
 
+import math
+
 import pytest
 
+from repro.sim import queueing
+from repro.sim.cluster import Cluster
 from repro.sim.queueing import (
     CorePool,
     LockTable,
@@ -9,7 +13,9 @@ from repro.sim.queueing import (
     SimNetworkParams,
     Stage,
     StageKind,
+    StageWalker,
     TransactionTrace,
+    Txn,
     sweep_throughput,
 )
 
@@ -31,6 +37,39 @@ class TestStage:
     def test_cpu_vs_network(self):
         assert Stage(StageKind.DB_CPU, 0.1).is_cpu
         assert Stage(StageKind.NET_TO_DB, nbytes=10).is_network
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -1e-9])
+    def test_unsound_duration_names_field_and_value(self, duration):
+        # A NaN duration used to pass and silently break the heap order.
+        with pytest.raises(ValueError, match="duration") as raised:
+            Stage(StageKind.APP_CPU, duration)
+        assert repr(duration) in str(raised.value)
+
+    def test_negative_bytes_name_field_and_value(self):
+        with pytest.raises(ValueError, match=r"nbytes .*-5"):
+            Stage(StageKind.NET_TO_DB, nbytes=-5)
+
+
+class TestSimNetworkParams:
+    @pytest.mark.parametrize("field, value", [
+        ("one_way_latency", -0.01),
+        ("one_way_latency", math.nan),
+        ("one_way_latency", math.inf),
+        ("bandwidth", 0.0),
+        ("bandwidth", -1.0),
+        ("bandwidth", math.nan),
+        ("bandwidth", math.inf),
+        ("per_message_overhead", -1),
+    ])
+    def test_unsound_parameter_fails_at_construction(self, field, value):
+        # Each of these used to fail mid-run, or not at all.
+        with pytest.raises(ValueError, match=field) as raised:
+            SimNetworkParams(**{field: value})
+        assert repr(value) in str(raised.value)
+
+    def test_zero_latency_and_overhead_accepted(self):
+        network = SimNetworkParams(one_way_latency=0.0, per_message_overhead=0)
+        assert network.message_delay(0) == 0.0
 
 
 class TestTransactionTrace:
@@ -263,17 +302,49 @@ class TestEdgeCases:
         assert runs[0].latencies == runs[1].latencies
 
 
+class _BareWalker(StageWalker):
+    """The walk alone: transactions started by hand, completions logged."""
+
+    def __init__(self, app_cores=1, db_cores=1):
+        super().__init__(None, app_cores, db_cores)
+        self.done = []
+
+    def start(self, trace):
+        txn = Txn(self.now)
+        txn.trace = trace
+        txn.walk = trace.walk(self.network, len(self.dbs)).steps
+        self.step(txn)
+        return txn
+
+    def _complete(self, txn):
+        self.done.append((txn.trace.name, self.now))
+
+
 class TestCorePool:
-    def test_acquire_release_cycle(self):
-        pool = CorePool("db", 1)
-        ran = []
-        pool.acquire(0.0, lambda: ran.append("a"))
-        pool.acquire(0.0, lambda: ran.append("b"))  # queued: core busy
-        assert ran == ["a"]
-        assert pool.queued == 1
-        pool.release(1.0)
-        assert ran == ["a", "b"]
-        assert pool.queued == 0
+    def test_a_busy_core_queues_and_its_release_starts_the_waiter(self):
+        walker = _BareWalker(app_cores=1)
+        pool = walker.app
+        first = walker.start(cpu_trace(app=1.0, name="a"))
+        second = walker.start(cpu_trace(app=1.0, name="b"))
+        assert (pool.busy, pool.queued) == (1, 1)
+        # Only a transaction holding a core points at the pool.
+        assert first.pool is pool and second.pool is None
+        walker.loop.run()
+        assert walker.done == [("a", 1.0), ("b", 2.0)]
+        assert (pool.busy, pool.queued) == (0, 0)
+        assert first.pool is None and second.pool is None
+        assert pool.busy_seconds(2.0) == 2.0
+
+    def test_drain_starts_waiters_when_the_reservation_shrinks(self):
+        walker = _BareWalker(db_cores=2)
+        walker.set_db_external_load(0.5)
+        walker.start(cpu_trace(db=1.0, name="a"))
+        walker.start(cpu_trace(db=1.0, name="b"))
+        assert walker.db.queued == 1
+        walker.set_db_external_load(0.0)
+        assert walker.db.queued == 0
+        walker.loop.run()
+        assert walker.done == [("a", 1.0), ("b", 1.0)]
 
     def test_reservation_shrinks_capacity(self):
         pool = CorePool("db", 4)
@@ -284,11 +355,94 @@ class TestCorePool:
         assert pool.available == 1
 
     def test_busy_seconds_monotonic(self):
-        pool = CorePool("db", 2)
-        pool.acquire(0.0, lambda: None)
+        walker = _BareWalker(db_cores=2)
+        walker.start(cpu_trace(db=5.0))
+        pool = walker.db
         first = pool.busy_seconds(1.0)
         second = pool.busy_seconds(2.0)
         assert second > first
+
+
+def _round_trip(name="rt", shard=0):
+    return TransactionTrace(name, (
+        Stage(StageKind.APP_CPU, 0.001),
+        Stage(StageKind.NET_TO_DB, nbytes=100),
+        Stage(StageKind.DB_CPU, 0.002, shard=shard),
+        Stage(StageKind.NET_TO_APP, nbytes=300),
+    ))
+
+
+class TestWalk:
+    """A trace is decoded once per (network, DB server count), outside
+    the per-event path, and kept on the trace."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        made = []
+        walk_type = queueing.Walk
+
+        def counting_walk(*fields):
+            made.append(fields)
+            return walk_type(*fields)
+
+        monkeypatch.setattr(queueing, "Walk", counting_walk)
+        return made
+
+    def test_built_once_per_key_across_replays(self, builds):
+        trace = _round_trip()
+        for seed in (1, 2):
+            result = QueueingSimulator(seed=seed).run(
+                trace, rate=200, duration=5
+            )
+            assert result.completed > 500
+        assert len(builds) == 1
+        assert list(trace.walks) == [(SimNetworkParams(), 1)]
+
+    def test_built_once_per_key_by_the_serve_engine(self, builds):
+        from repro.serve.engine import ServeConfig, ServeEngine
+        from repro.serve.workload import TraceWorkload
+
+        trace = _round_trip(shard=3)
+        config = ServeConfig(db_shards=2, think_time=0.001, seed=3)
+        for _ in range(2):
+            engine = ServeEngine(TraceWorkload([[trace]]), config=config)
+            assert engine.run(clients=4, duration=1.0).completed > 500
+        assert len(builds) == 1
+        (key, walk), = trace.walks.items()
+        assert key == (SimNetworkParams(), 2)
+        assert walk.steps[2] == (0, 0.002)  # shard 3 clamped to server 0
+
+    def test_each_network_gets_its_own_walk(self):
+        trace = _round_trip(shard=1)
+        near = SimNetworkParams(one_way_latency=0.0005)
+        far = SimNetworkParams(one_way_latency=0.002, per_message_overhead=0)
+        for network in (near, far):
+            walk = trace.walk(network, 2)
+            assert walk.steps == (
+                (-1, 0.001),
+                (None, network.message_delay(100)),
+                (1, 0.002),
+                (None, network.message_delay(300)),
+            )
+            overhead = network.per_message_overhead
+            assert (walk.bytes_to_db, walk.bytes_to_app, walk.messages) == (
+                100 + overhead, 300 + overhead, 2,
+            )
+            assert trace.walk(network, 2) is walk
+        assert trace.walk(near, 1).steps[2] == (0, 0.002)
+        assert set(trace.walks) == {(near, 2), (far, 2), (near, 1)}
+
+    def test_finish_trace_allocates_no_walk(self):
+        cluster = Cluster()
+        cluster.start_trace()
+        cluster.record_cpu("app", 0.001)
+        cluster.record_message(64, to_db=True)
+        trace = cluster.finish_trace("live")
+        assert trace.walks is None
+        # The memo is no part of a trace's value.
+        twin = TransactionTrace("live", trace.stages)
+        twin.walk(SimNetworkParams(), 1)
+        assert twin == trace and repr(twin) == repr(trace)
 
 
 class TestLockTable:
