@@ -75,6 +75,7 @@ from repro.db.sql.executor import StatementResult, _Aggregator, hashable_group_k
 from repro.db.sql.planner import (
     _SCALAR_FUNCS,
     AccessPath,
+    AggregateSpec,
     DeletePlan,
     InsertPlan,
     Plan,
@@ -1316,75 +1317,79 @@ class _PlanCodegen:
             self._emit_select_tail(first, names, post, "touched")
             return
 
-        # Aggregation (with or without GROUP BY).
+        # Aggregation (with or without GROUP BY).  Each group is one
+        # list ``_ge``: the non-aggregate output values (taken from the
+        # group's first row), then each aggregate's fold slots.
         if len(plan.group_asts) != len(plan.group_exprs):
             raise PlanCodegenError("group expressions")
-        n_groups = len(plan.group_asts)
-        agg_cls = self.bind(_Aggregator, "AG")
-        spec_names = [
-            self.bind(spec, f"agg{i}") for i, spec in enumerate(plan.aggregates)
-        ]
-        new_aggs = "[" + ", ".join(
-            f"{agg_cls}({name})" for name in spec_names
-        ) + "]"
-        hashkey = self.bind(hashable_group_key, "hashkey")
-        extras = [
-            (j, col) for j, col in enumerate(plan.columns)
-            if col.aggregate_index is None and col.expr is not None
-        ]
-        agg_args: list[Optional[str]] = []
-        for spec in plan.aggregates:
-            if spec.arg is None:
-                agg_args.append(None)
-            else:
+        extra_exprs: list[str] = []
+        for col in plan.columns:
+            if col.aggregate_index is None and col.expr is not None:
+                if col.ast is None:
+                    raise PlanCodegenError("output column source expression")
+                extra_exprs.append(self.expr(col.ast, scope, multi))
+        init = ["None"] * len(extra_exprs)
+        folds: list[str] = []
+        results: list[str] = []
+        for i, spec in enumerate(plan.aggregates):
+            s = len(init)
+            inline = self._inline_fold(spec, s, scope, multi)
+            if inline is None:
                 if spec.arg_ast is None:
                     raise PlanCodegenError("aggregate source expression")
-                agg_args.append(self.expr(spec.arg_ast, scope, multi))
-        extra_exprs: list[str] = []
-        for _, col in extras:
-            if col.ast is None:
-                raise PlanCodegenError("output column source expression")
-            extra_exprs.append(self.expr(col.ast, scope, multi))
+                agg_cls = self.bind(_Aggregator, "AG")
+                arg = self.expr(spec.arg_ast, scope, multi)
+                inline = (
+                    [f"{agg_cls}({self.bind(spec, f'agg{i}')})"],
+                    [f"_ge[{s}].add_value({arg})"],
+                    f"_ge[{s}].result()",
+                )
+            init += inline[0]
+            folds += inline[1]
+            results.append(inline[2])
+        new_entry = "[" + ", ".join(init) + "]"
         group_parts = [
             self.expr(g, scope, multi) for g in plan.group_asts
         ]
+        if not group_parts:
+            group_key = "()"
+        else:
+            group_key = (
+                "(" + ", ".join(group_parts)
+                + ("," if len(group_parts) == 1 else "") + ")"
+            )
+            # Column values are validated int / float / str / bool /
+            # None (or subclasses): already their own hashable key.
+            if not all(isinstance(g, ColumnRef) for g in plan.group_asts):
+                hashkey = self.bind(hashable_group_key, "hashkey")
+                group_key = f"{hashkey}({group_key})"
+
+        def emit_folds() -> None:
+            for line in folds:
+                w.line(line)
 
         w.line("groups = {}")
-        w.line("order = []")
 
         def agg_consume() -> None:
-            if group_parts:
-                tup = (
-                    "(" + ", ".join(group_parts)
-                    + ("," if len(group_parts) == 1 else "") + ")"
-                )
-                w.line(f"_gk = {tup}")
-                w.line(f"_hk = {hashkey}(_gk)")
-                entry_init = f"(list(_gk), {new_aggs})"
-            else:
-                w.line("_hk = ()")
-                entry_init = f"([], {new_aggs})"
-            w.line("_entry = groups.get(_hk)")
-            w.line("if _entry is None:")
+            w.line(f"_gk = {group_key}")
+            w.line("_ge = groups.get(_gk)")
+            w.line("if _ge is None:")
             w.indent()
-            w.line(f"_entry = {entry_init}")
-            w.line("groups[_hk] = _entry")
-            w.line("order.append(_hk)")
-            w.dedent()
-            if plan.aggregates:
-                w.line("_aggs = _entry[1]")
-                for i, arg in enumerate(agg_args):
-                    if arg is None:
-                        w.line(f"_aggs[{i}].count += 1")
-                    else:
-                        w.line(f"_aggs[{i}].add_value({arg})")
-            if extras:
-                w.line(f"if len(_entry[0]) == {n_groups}:")
-                w.indent()
-                w.line("_gv = _entry[0]")
-                for expr_text in extra_exprs:
-                    w.line(f"_gv.append({expr_text})")
+            w.line(f"_ge = groups[_gk] = {new_entry}")
+            if extra_exprs:
+                # First row of the group: fold, then capture the
+                # output values (the tree executor's evaluation order).
+                emit_folds()
+                for k, expr_text in enumerate(extra_exprs):
+                    w.line(f"_ge[{k}] = {expr_text}")
                 w.dedent()
+                w.line("else:")
+                w.indent()
+                emit_folds()
+                w.dedent()
+            else:
+                w.dedent()
+                emit_folds()
 
         self._emit_join_level(0, levels, scope, agg_consume)
 
@@ -1392,33 +1397,66 @@ class _PlanCodegen:
             # Aggregates over empty input still yield one row.
             w.line("if not groups:")
             w.indent()
-            w.line(f"groups[()] = ([], {new_aggs})")
-            w.line("order.append(())")
+            w.line(f"groups[()] = {new_entry}")
             w.dedent()
-        w.line("rows = []")
-        w.line("for _hk in order:")
-        w.indent()
-        w.line("_entry = groups[_hk]")
-        w.line("_gv = _entry[0]")
-        w.line("_aggs = _entry[1]")
         values: list[str] = []
         extra_slot = 0
         for col in plan.columns:
             if col.aggregate_index is not None:
-                values.append(f"_aggs[{col.aggregate_index}].result()")
+                values.append(results[col.aggregate_index])
             elif col.expr is not None:
-                slot = n_groups + extra_slot
+                values.append(f"_ge[{extra_slot}]")
                 extra_slot += 1
-                values.append(f"(_gv[{slot}] if len(_gv) > {slot} else None)")
             else:  # pragma: no cover - defensive, mirrors closure rung
                 values.append("None")
         tup = (
             "(" + ", ".join(values)
             + ("," if len(values) == 1 else "") + ")"
         )
-        w.line(f"rows.append({tup})")
-        w.dedent()
+        w.line(f"rows = [{tup} for _ge in groups.values()]")
         self._emit_select_tail(first, names, post, "touched")
+
+    def _inline_fold(
+        self, spec: AggregateSpec, s: int, scope: Scope,
+        row_ref: Callable[[ColumnRef], str],
+    ) -> Optional[tuple[list[str], list[str], str]]:
+        """(initial slot values, fold lines, result expression) for one
+        aggregate kept in slot ``s`` (and ``s + 1`` for AVG's count) of
+        the group list, or None when it needs an ``_Aggregator``:
+        DISTINCT, or an argument that is an expression.  Operands and
+        their order are ``_Aggregator.add_value``'s, so float results
+        are identical."""
+        slot = f"_ge[{s}]"
+        if spec.arg is None:
+            return ["0"], [f"{slot} += 1"], slot
+        if spec.distinct or not isinstance(spec.arg_ast, ColumnRef):
+            return None
+        func = spec.func
+        lines = [
+            f"_av = {self.expr(spec.arg_ast, scope, row_ref)}",
+            "if _av is not None:",
+        ]
+        if func == "count":
+            return ["0"], lines + [f"    {slot} += 1"], slot
+        if func in ("min", "max"):
+            op = "<" if func == "min" else ">"
+            return ["None"], lines + [
+                f"    _at = {slot}",
+                f"    if _at is None or _av {op} _at:",
+                f"        {slot} = _av",
+            ], slot
+        count = f"_ge[{s + 1}]"
+        if func == "avg":
+            lines.append(f"    {count} += 1")
+        lines += [
+            f"    _at = {slot}",
+            f"    {slot} = _av if _at is None else _at + _av",
+        ]
+        if func == "sum":
+            return ["None"], lines, slot
+        return ["None", "0"], lines, (
+            f"(None if {count} == 0 else {slot} / {count})"
+        )
 
     # -- INSERT ----------------------------------------------------------------
 

@@ -70,6 +70,7 @@ from repro.db.sql.executor import (
     _Aggregator,
     distinct_rows,
     hashable_group_key,
+    limit_rows,
     sort_result_rows,
 )
 from repro.db.sql.planner import (
@@ -694,9 +695,7 @@ def _make_post(
         if distinct:
             rows = distinct_rows(rows)
         if limit_fn is not None:
-            limit_value = limit_fn(None, params)
-            if limit_value is not None:
-                rows = rows[: int(limit_value)]
+            rows = limit_rows(rows, limit_fn(None, params))
         return rows
     return post
 

@@ -10,6 +10,7 @@ converts into CPU cost for the database server.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.db.engine import Database, Table
@@ -147,12 +148,38 @@ def distinct_rows(rows: list[tuple]) -> list[tuple]:
     return unique
 
 
+_PLAIN_CLASSES = frozenset((int, float, str, bool, type(None)))
+_NUMERIC_CLASSES = frozenset((int, float))
+_STR_CLASSES = frozenset((str,))
+
+
 def hashable_group_key(key: tuple) -> tuple:
-    """GROUP BY key made hashable (unhashable values degrade to str)."""
+    """GROUP BY key made hashable (unhashable values degrade to str).
+
+    A key of exactly-plain values is returned as is: the rebuilt tuple
+    would hold the same objects."""
+    if _PLAIN_CLASSES.issuperset(map(type, key)):
+        return key
     return tuple(
         (v if isinstance(v, (int, float, str, bool, type(None))) else str(v))
         for v in key
     )
+
+
+def limit_rows(rows: list[tuple], value: Any) -> list[tuple]:
+    """Apply a LIMIT value: None keeps every row; a non-negative integer
+    (an ``int`` that is not a ``bool``, or an integral float) keeps that
+    many; anything else raises :class:`ExecutionError` naming it."""
+    if value is None:
+        return rows
+    count = value
+    if isinstance(value, float) and value.is_integer():
+        count = int(value)
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise ExecutionError(
+            f"LIMIT must be a non-negative integer, got {value!r}"
+        )
+    return rows[:count]
 
 
 def sort_result_rows(
@@ -167,6 +194,13 @@ def sort_result_rows(
     the returned rows.  Shared by the tree and compiled executors --
     sorting happens on plain value tuples, so there is nothing
     environment-specific to specialize.
+
+    A key whose values are all exactly ``int`` / ``float``, or all
+    exactly ``str``, sorts on the bare value: for those classes
+    :func:`_none_safe_key` puts a constant prefix before the value, so
+    every comparison the sort makes has the same outcome either way
+    (NaN included).  Any other class mix, NULL included, keeps
+    :func:`_none_safe_key`.
     """
     if not plan.sort_keys:
         return [row[: len(row) - hidden] for row in rows] if hidden else rows
@@ -180,10 +214,15 @@ def sort_result_rows(
     # Stable multi-key sort: apply keys from last to first.
     ordered = list(rows)
     for key, pos in reversed(list(zip(plan.sort_keys, key_positions))):
-        ordered.sort(
-            key=lambda row: _none_safe_key(row[pos]),
-            reverse=key.descending,
-        )
+        value_at = itemgetter(pos)
+        classes = set(map(type, map(value_at, ordered)))
+        if classes <= _NUMERIC_CLASSES or classes == _STR_CLASSES:
+            ordered.sort(key=value_at, reverse=key.descending)
+        else:
+            ordered.sort(
+                key=lambda row: _none_safe_key(row[pos]),
+                reverse=key.descending,
+            )
     if hidden:
         ordered = [row[:width] for row in ordered]
     return ordered
@@ -285,9 +324,7 @@ def select_output_rows(
     if plan.distinct:
         rows = distinct_rows(rows)
     if plan.limit is not None:
-        limit_value = plan.limit({}, params)
-        if limit_value is not None:
-            rows = rows[: int(limit_value)]
+        rows = limit_rows(rows, plan.limit({}, params))
     return rows
 
 

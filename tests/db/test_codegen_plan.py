@@ -194,6 +194,23 @@ class TestDeterminism:
             second = generate_plan_source(_plan(db, sql), db)[0]
             assert first == second, sql
 
+    def test_inline_fold_group_by_is_byte_identical(self):
+        from repro.workloads.tpcw import TpcwScale, make_tpcw_database
+
+        tpcw, _ = make_tpcw_database(
+            TpcwScale(items=120, authors=40, customers=40, orders=300)
+        )
+        for db, sql in (
+            (tpcw, TPCW_JOINS["best_sellers"][0]),
+            # AVG folds inline beside a DISTINCT aggregate's _Aggregator.
+            (_join_db(200), "SELECT o.k, AVG(l.v), COUNT(DISTINCT l.v) "
+                            "FROM o JOIN l ON o.k = l.ok GROUP BY o.k"),
+        ):
+            first = generate_plan_source(_plan(db, sql), db)[0]
+            second = generate_plan_source(_plan(db, sql), db)[0]
+            assert first == second, sql
+            assert "_ge = groups.get(_gk)" in first, sql
+
     def test_join_header_states_order_and_strategy(self):
         # Per level: binding, access kind, resolved strategy and the
         # access-path rank that placed it -- the "why" a dump answers.
