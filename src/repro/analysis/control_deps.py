@@ -68,8 +68,3 @@ def _augment(cfg: CFG) -> CFG:
             copy.add_edge(sid, succ)
     copy.add_edge(ENTRY, EXIT)
     return copy
-
-
-def dependents_of_entry(deps: dict[int, set[int]]) -> set[int]:
-    """Statements that execute unconditionally when the method is called."""
-    return set(deps.get(ENTRY, set()))

@@ -108,11 +108,6 @@ class PointsToResult:
             if site.kind is AllocKind.OBJECT and site.class_name
         )
 
-    def sites_of_atom(self, func: str, atom: Atom) -> frozenset[AllocSite]:
-        if isinstance(atom, VarRef):
-            return self.pts(func, atom.name)
-        return frozenset()
-
 
 class _Solver:
     def __init__(self, program: ProgramIR) -> None:

@@ -40,8 +40,3 @@ def budget_ladder(
             raise ValueError(f"budget fraction {fraction} is negative")
         ladder.append(total * fraction * headroom)
     return ladder
-
-
-def describe_budget(budget: float, profile: ProfileData) -> str:
-    total = max(float(profile.total_statement_weight()), 1.0)
-    return f"{budget:.0f} stmt-weight ({100.0 * budget / total:.0f}% of profile)"

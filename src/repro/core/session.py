@@ -48,7 +48,7 @@ from repro.core.solvers.scipy_milp import load_scipy
 from repro.db.jdbc import Connection
 from repro.lang.interp import NativeRegistry
 from repro.lang.ir import ProgramIR
-from repro.lang.parser import parse_program, parse_source
+from repro.lang.parser import parse_source
 from repro.profiler.instrument import Profiler
 from repro.profiler.profile_data import ProfileData
 from repro.pyxil.blocks import CompiledProgram
@@ -194,15 +194,6 @@ class PartitionService:
         config: Optional[PyxisConfig] = None,
     ) -> "PartitionService":
         return cls(parse_source(source, entry_points), config)
-
-    @classmethod
-    def from_classes(
-        cls,
-        *classes: type,
-        entry_points: Optional[Sequence[tuple[str, str]]] = None,
-        config: Optional[PyxisConfig] = None,
-    ) -> "PartitionService":
-        return cls(parse_program(*classes, entry_points=entry_points), config)
 
     # -- profiling ----------------------------------------------------------------
 

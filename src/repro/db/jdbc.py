@@ -100,14 +100,27 @@ class Row:
         return f"Row({pairs})"
 
 
+_new_row = object.__new__
+
+
 class ResultSet:
     """A materialized query result with cursor-style and list-style access."""
 
     def __init__(self, result: StatementResult,
                  index: Optional[dict[str, int]] = None) -> None:
-        self.columns = list(result.columns)
+        self.columns = columns = list(result.columns)
         self._index = index  # the producing statement's column_index
-        self._rows = [Row(self.columns, v, index) for v in result.rows]
+        # Row(columns, values, index) per row, without a call per row.
+        if index is None:
+            index = _NO_INDEX
+        self._rows = rows = []
+        for values in result.rows:
+            row = _new_row(Row)
+            row._columns = columns
+            row._values = values
+            row._wire_size = None
+            row._index = index
+            rows.append(row)
         self.rows_touched = result.rows_touched
         self._cursor = -1
         # Memoized estimate_size result; the row list is fixed.
@@ -139,19 +152,21 @@ class ResultSet:
         return self._rows[0] if self._rows else None
 
     def one(self) -> Row:
-        if len(self._rows) != 1:
-            raise ExecutionError(
-                f"expected exactly one row, got {len(self._rows)}"
-            )
-        return self._rows[0]
+        rows = self._rows
+        if len(rows) != 1:
+            raise ExecutionError(f"expected exactly one row, got {len(rows)}")
+        return rows[0]
 
     def scalar(self) -> Any:
-        row = self.one()
-        if len(row) != 1:
+        rows = self._rows
+        if len(rows) != 1:
+            raise ExecutionError(f"expected exactly one row, got {len(rows)}")
+        values = rows[0]._values
+        if len(values) != 1:
             raise ExecutionError(
-                f"expected exactly one column, got {len(row)}"
+                f"expected exactly one column, got {len(values)}"
             )
-        return row[0]
+        return values[0]
 
     def __len__(self) -> int:
         return len(self._rows)

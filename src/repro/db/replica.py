@@ -213,12 +213,6 @@ class ReplicaGroup:
             )
             table.use_rowid_counter(primary_table._next_rowid)
 
-    def share_rowid_counter(self, name: str, counter) -> None:
-        """Re-point every replica copy of ``name`` at ``counter`` (the
-        sharded tier's global allocator for sharded logical tables)."""
-        for replica in self.replicas:
-            replica.database.table(name).use_rowid_counter(counter)
-
     def bootstrap_insert(self, name: str, rowid: int, row: tuple) -> None:
         """Propagate an initial-load insert outside the log (bulk load
         happens before serving starts; logging it would make catch-up

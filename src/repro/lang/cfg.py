@@ -9,7 +9,7 @@ granularity at which the paper computes control dependencies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.lang.ir import (
     Assign,
@@ -71,9 +71,6 @@ class CFG:
     def sids(self) -> list[int]:
         """All real statement ids (excludes ENTRY/EXIT)."""
         return [sid for sid in self.nodes if sid >= 0]
-
-    def reverse_nodes(self) -> Iterator[int]:
-        yield from self.nodes
 
     def __contains__(self, sid: int) -> bool:
         return sid in self.nodes

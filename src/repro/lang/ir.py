@@ -46,9 +46,6 @@ class Expr:
         """Yield the atomic operands of this expression."""
         return iter(())
 
-    def sub_exprs(self) -> Iterator["Expr"]:
-        return iter(())
-
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -211,10 +208,6 @@ class Assign(Stmt):
 
     def exprs(self) -> Iterator[Expr]:
         yield self.value
-
-    @property
-    def is_call(self) -> bool:
-        return isinstance(self.value, CallExpr)
 
 
 @dataclass

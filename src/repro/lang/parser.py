@@ -442,7 +442,13 @@ def parse_source(
                     program.entry_points.append((cls.name, name))
     else:
         for class_name, method in entry_points:
-            program.classes[class_name].methods[method].is_entry = True
+            cls = program.classes.get(class_name)
+            if cls is None or method not in cls.methods:
+                raise UnsupportedConstructError(
+                    f"entry point {class_name}.{method} is not a method "
+                    "of a class in the source"
+                )
+            cls.methods[method].is_entry = True
             program.entry_points.append((class_name, method))
     return normalize_program(program)
 

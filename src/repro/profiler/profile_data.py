@@ -90,10 +90,6 @@ class ProfileData:
         stat = self.result_sizes.get(sid)
         return stat.average if stat and stat.samples else default
 
-    def db_rows_avg(self, sid: int, default: float = 1.0) -> float:
-        stat = self.db_rows.get(sid)
-        return stat.average if stat and stat.samples else default
-
     def total_statement_weight(self) -> int:
         """Total executed-statement count (the CPU budget denominator)."""
         return sum(self.counts.values())

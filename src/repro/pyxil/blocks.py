@@ -136,9 +136,6 @@ class CompiledProgram:
         default=None, init=False, repr=False, compare=False
     )
 
-    def entry_of(self, class_name: str, method: str) -> int:
-        return self.entries[f"{class_name}.{method}"]
-
     def block(self, bid: int) -> ExecutionBlock:
         return self.blocks[bid]
 

@@ -30,7 +30,7 @@ from typing import Optional
 from repro.analysis.interproc import CallGraph
 from repro.analysis.points_to import AllocKind, PointsToResult
 from repro.core.partition_graph import Placement
-from repro.lang.ir import VarRef
+from repro.lang.ir import CallKind, VarRef
 from repro.pyxil.program import PlacedProgram
 
 
@@ -71,6 +71,7 @@ def compute_sync_plan(
     field_writers: dict[tuple[str, str], list[int]] = {}
     array_access_placements: dict[int, set[Placement]] = {}
     array_writers: dict[int, list[int]] = {}
+    array_uses: dict[int, set[Placement]] = {}  # natives handed the object
 
     for func in program.functions():
         analysis = call_graph.analysis(func.qualified_name)
@@ -113,6 +114,16 @@ def compute_sync_plan(
                             out.append(site.sid)
                 return sorted(set(out))
 
+            for call in acc.calls:
+                if call.kind is CallKind.NATIVE_METHOD:
+                    atoms = (call.target,)
+                elif call.kind is CallKind.NATIVE:
+                    atoms = call.args
+                else:
+                    continue
+                for atom in atoms:
+                    for alloc_sid in sites_for(atom):
+                        array_uses.setdefault(alloc_sid, set()).add(placement)
             for atom in acc.index_reads:
                 for alloc_sid in sites_for(atom):
                     array_access_placements.setdefault(alloc_sid, set()).add(
@@ -125,6 +136,13 @@ def compute_sync_plan(
                     )
                     array_writers.setdefault(alloc_sid, []).append(stmt.sid)
 
+    # An object whose elements some statement accesses is also used
+    # where it was allocated and wherever a native gets it (``len(rs)``,
+    # ``rs.first()``).  One whose elements nothing accesses stays out of
+    # the plan and so ships on every transfer.
+    for alloc_sid, placements in array_access_placements.items():
+        placements.add(placed.placement_of(alloc_sid))
+        placements |= array_uses.get(alloc_sid, set())
     # A location must ship iff it is accessed from both servers.
     for key, placements in field_access_placements.items():
         plan.field_sync[key] = len(placements) > 1

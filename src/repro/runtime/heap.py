@@ -68,9 +68,6 @@ class HeapStore:
     def register_object(self, ref: ObjRef) -> None:
         self._fields.setdefault(ref.oid, {})
 
-    def has_object(self, oid: int) -> bool:
-        return oid in self._fields
-
     def read_field(self, ref: ObjRef, field_name: str) -> Any:
         fields = self._fields.get(ref.oid)
         if fields is None or field_name not in fields:
@@ -79,10 +76,6 @@ class HeapStore:
                 f"{ref.class_name}.{field_name} of object {ref.oid}"
             )
         return fields[field_name]
-
-    def has_field(self, ref: ObjRef, field_name: str) -> bool:
-        fields = self._fields.get(ref.oid)
-        return fields is not None and field_name in fields
 
     def write_field(
         self, ref: ObjRef, field_name: str, value: Any, mark_dirty: bool = True
@@ -101,9 +94,6 @@ class HeapStore:
         if mark_dirty:
             self.dirty_natives[ref.oid] = None
 
-    def has_native(self, oid: int) -> bool:
-        return oid in self._natives
-
     def get_native(self, ref: NativeRef) -> Any:
         if ref.oid not in self._natives:
             raise HeapError(
@@ -111,11 +101,6 @@ class HeapStore:
                 f"(alloc site {ref.alloc_sid})"
             )
         return self._natives[ref.oid]
-
-    def set_native(self, ref: NativeRef, value: Any, mark_dirty: bool = True) -> None:
-        self._natives[ref.oid] = value
-        if mark_dirty:
-            self.dirty_natives[ref.oid] = None
 
     def mark_native_dirty(self, ref: NativeRef) -> None:
         self.dirty_natives[ref.oid] = None
@@ -166,9 +151,6 @@ class HeapStore:
             self._natives[oid] = value
 
     # -- introspection ------------------------------------------------------------
-
-    def object_fields(self, oid: int) -> dict[str, Any]:
-        return dict(self._fields.get(oid, {}))
 
     def stats(self) -> dict[str, int]:
         return {

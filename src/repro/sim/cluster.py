@@ -254,6 +254,30 @@ _NET_TO_APP = StageKind.NET_TO_APP
 _new_stage = tuple.__new__
 
 
+def _decode_log(log: list) -> tuple[Stage, ...]:
+    """The stages of a :class:`Cluster` log: two entries per record, a
+    CPU flush's side (an ``int``, see ``_APP_SIDE``) and seconds or a
+    message's ``StageKind`` and byte count.  Consecutive CPU entries of
+    one side (a message that failed after its flush leaves them) merge.
+    The recorder validated every value: ``Stage``'s checks are skipped.
+    """
+    stages: list[Stage] = []
+    last = None  # the side of the CPU stage ``stages`` ends with
+    entries = iter(log)
+    for key, value in zip(entries, entries):
+        if key.__class__ is not int:
+            stages.append(_new_stage(Stage, (key, 0.0, value, 0)))
+            last = None
+        elif key == last:
+            kind, duration, _, shard = stages[-1]
+            stages[-1] = _new_stage(Stage, (kind, duration + value, 0, shard))
+        else:
+            kind, shard = (_APP_CPU, 0) if key == _APP_SIDE else (_DB_CPU, key)
+            stages.append(_new_stage(Stage, (kind, value, 0, shard)))
+            last = key
+    return tuple(stages)
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Configuration mirroring the paper's testbed.
@@ -314,8 +338,10 @@ class Cluster:
             bandwidth=self.config.bandwidth,
             per_message_overhead=self.config.per_message_overhead,
         )
-        self._stages: list[Stage] = []
-        # CPU accumulates lazily and is flushed into a Stage when a
+        # The current trace as a flat log (``_decode_log``), decoded
+        # only if someone reads the finished trace's stages.
+        self._log: list = []
+        # CPU accumulates lazily and is flushed into the log when a
         # message interleaves, the charged side changes or the trace
         # ends; this keeps per-operation accounting cheap on the
         # runtime's hot path.  record_cpu flushes before it charges a
@@ -420,29 +446,11 @@ class Cluster:
         self._pending += seconds
 
     def _flush_cpu(self) -> None:
-        seconds = self._pending
-        if not seconds:
-            return
-        self._pending = 0.0
-        side = self._pending_side
-        if side == _APP_SIDE:
-            kind, shard = _APP_CPU, 0
-        else:
-            kind, shard = _DB_CPU, side
-        # record_cpu refused negative charges, so the clock's and
-        # Stage's own re-validation is skipped here and below.
-        self.clock._now += seconds  # noqa: SLF001
-        stages = self._stages
-        # Only a message that failed after its flush (a partitioned
-        # link) leaves a CPU stage last; extend it rather than split.
-        if stages:
-            prev = stages[-1]
-            if prev.kind is kind and prev.shard == shard:
-                stages[-1] = _new_stage(
-                    Stage, (kind, prev.duration + seconds, prev.nbytes, shard)
-                )
-                return
-        stages.append(_new_stage(Stage, (kind, seconds, 0, shard)))
+        pending = self._pending
+        if pending:
+            self._pending = 0.0
+            self.clock._now += pending  # noqa: SLF001
+            self._log += (self._pending_side, pending)
 
     def record_message(
         self, nbytes: int, *, to_db: bool, cpu: float = 0.0
@@ -451,6 +459,10 @@ class Cluster:
         (a DB reply carries its statement's cost) makes this exactly
         ``record_cpu('app' if to_db else 'db', cpu)`` first, in one frame.
         """
+        # record_cpu refused negative charges and this refuses negative
+        # cpu, so the clock's own re-validation is skipped here.
+        log = self._log
+        pending = self._pending
         if cpu:
             if cpu < 0:
                 raise ValueError("cannot charge negative CPU time")
@@ -458,28 +470,30 @@ class Cluster:
             if not to_db and self._shard_slowdowns:
                 cpu *= self._shard_slowdowns.get(side, 1.0)  # x * 1.0 == x
             if side != self._pending_side:
-                if self._pending:
+                if pending:  # the other side's CPU: rare, so a frame
                     self._flush_cpu()
+                    pending = 0.0
                 self._pending_side = side
-            self._pending += cpu
-        if self._pending:
-            self._flush_cpu()
-        delay = self.network.send(nbytes, to_db=to_db)
+            pending += cpu
+        if pending:
+            self._pending = 0.0
+            self.clock._now += pending  # noqa: SLF001
+            log.append(self._pending_side)
+            log.append(pending)
+        delay = self.network.send(nbytes, to_db)
         self.clock._now += delay  # noqa: SLF001
-        self._stages.append(_new_stage(
-            Stage, (_NET_TO_DB if to_db else _NET_TO_APP, 0.0, nbytes, 0)
-        ))
+        log.append(_NET_TO_DB if to_db else _NET_TO_APP)
+        log.append(nbytes)
         return delay
 
     def start_trace(self) -> None:
         self._flush_cpu()
-        self._stages = []
+        self._log = []
 
     def finish_trace(self, name: str) -> TransactionTrace:
         self._flush_cpu()
-        trace = TransactionTrace(name=name, stages=tuple(self._stages))
-        self._stages = []
-        return trace
+        log, self._log = self._log, []
+        return TransactionTrace.from_log(name, _decode_log, log)
 
     def reset(self) -> None:
         self.clock.reset()
@@ -487,7 +501,7 @@ class Cluster:
         for server in self.db_servers:
             server.reset()
         self.network.reset_stats()
-        self._stages = []
+        self._log = []
         self._pending = 0.0
         self._statement_shard = 0
         self._shard_slowdowns = {}

@@ -116,7 +116,7 @@ class NetworkModel:
             + wire_bytes / self.bandwidth
         )
 
-    def send(self, nbytes: int, *, to_db: bool) -> float:
+    def send(self, nbytes: int, to_db: bool) -> float:
         """Record a message and return its one-way delivery time.
 
         Raises :class:`NetworkPartitionedError` (after counting the

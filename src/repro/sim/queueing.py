@@ -114,6 +114,25 @@ class TransactionTrace:
     def __post_init__(self) -> None:
         self.stages = tuple(self.stages)
 
+    @classmethod
+    def from_log(cls, name: str, decode: Callable[[list], tuple],
+                 log: list) -> "TransactionTrace":
+        """A trace whose ``stages`` are ``decode(log)``, decoded when
+        first read: a recorded trace nobody reads builds no Stage."""
+        trace = cls.__new__(cls)
+        vars(trace).update(name=name, lock_groups=None, walks=None,
+                           _log=(decode, log))
+        return trace
+
+    def __getattr__(self, name: str):
+        # Reached for ``stages`` only while a from_log trace is unread.
+        source = vars(self).pop("_log", None) if name == "stages" else None
+        if source is None:
+            raise AttributeError(name)
+        decode, log = source
+        self.stages = stages = decode(log)
+        return stages
+
     def walk(self, network: "SimNetworkParams", servers: int) -> "Walk":
         """The stages decoded once per (network, DB server count): a step
         is ``(server, seconds)``, server ``-1`` the app, ``None`` a

@@ -102,11 +102,6 @@ class Server:
         self.account.runtime_overhead += cost
         return cost
 
-    def charge_heap_op(self, count: int = 1) -> float:
-        cost = self.cost_model.heap_op_cost * count
-        self.account.runtime_overhead += cost
-        return cost
-
     def charge_db_operation(self, rows: int) -> float:
         cost = self.cost_model.db_operation(rows)
         self.account.database += cost
@@ -115,11 +110,6 @@ class Server:
     def charge_serialization(self, nbytes: int) -> float:
         cost = self.cost_model.serialize_byte_cost * max(nbytes, 0)
         self.account.serialization += cost
-        return cost
-
-    def charge_native_call(self, weight: float = 1.0) -> float:
-        cost = self.cost_model.native_call_cost * weight
-        self.account.statements += cost
         return cost
 
     def reset(self) -> None:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.db import Database, connect
 from repro.db.errors import ExecutionError, TransactionError
-from repro.db.jdbc import Row, column_index
+from repro.db.jdbc import _NO_INDEX, ResultSet, Row, column_index
+from repro.db.sql.executor import StatementResult
 from repro.runtime.serializer import wire_copy
 
 
@@ -54,6 +55,73 @@ class TestResultSet:
     def test_iteration(self, conn):
         rows = list(conn.query("SELECT id FROM person ORDER BY id"))
         assert [r["id"] for r in rows] == [1, 2, 3, 4, 5, 6]
+
+
+def _result_set(columns, rows, index=None):
+    return ResultSet(
+        StatementResult(columns=columns, rows=rows, rowcount=len(rows),
+                        rows_touched=len(rows)),
+        index,
+    )
+
+
+class TestResultSetRows:
+    """``ResultSet`` fills each ``Row``'s slots itself: the rows must be
+    the ones ``Row(columns, values, index)`` builds."""
+
+    COLUMNS = ["id", "Name", "ID"]
+    ROWS = [(1, "ann", 10), (2, "bob", 20)]
+
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_rows_match_the_constructor(self, indexed):
+        index = column_index(self.COLUMNS) if indexed else None
+        rs = _result_set(self.COLUMNS, list(self.ROWS), index)
+        assert rs._index is index
+        for row, values in zip(rs._rows, self.ROWS):
+            built = Row(rs.columns, values, index)
+            assert type(row) is Row
+            assert row._columns is rs.columns  # one list, shared
+            assert row._values is values
+            assert row._index is (index if indexed else _NO_INDEX)
+            assert row._index is built._index
+            assert row._wire_size is None
+            assert (row["name"], row["ID"], row[2]) == (
+                built["name"], built["ID"], built[2])
+
+    def test_wire_copies_keep_the_sharing(self):
+        index = column_index(self.COLUMNS)
+        rs = _result_set(self.COLUMNS, list(self.ROWS), index)
+        rs._rows[0]._wire_size = 99
+        copy = wire_copy(rs)
+        assert copy is not rs and copy.columns == rs.columns
+        assert copy._index is index
+        for row, original in zip(copy._rows, rs._rows):
+            assert row is not original
+            assert row._columns is copy.columns
+            assert row._values is original._values
+            assert row._index is index
+        assert copy._rows[1]._wire_size is None
+        one = wire_copy(rs._rows[0])
+        assert (one._columns, one._values, one._index, one._wire_size) == (
+            rs.columns, (1, "ann", 10), index, 99)
+
+    @pytest.mark.parametrize("rows, call, message", [
+        ([], "one", "expected exactly one row, got 0"),
+        ([(1, 2), (3, 4)], "one", "expected exactly one row, got 2"),
+        ([], "scalar", "expected exactly one row, got 0"),
+        ([(1, 2), (3, 4)], "scalar", "expected exactly one row, got 2"),
+        ([(1, 2)], "scalar", "expected exactly one column, got 2"),
+    ])
+    def test_one_and_scalar_errors(self, rows, call, message):
+        rs = _result_set(["a", "b"], rows, column_index(["a", "b"]))
+        with pytest.raises(ExecutionError) as raised:
+            getattr(rs, call)()
+        assert str(raised.value) == message
+
+    def test_one_and_scalar_answers(self):
+        rs = _result_set(["a"], [(7,)], column_index(["a"]))
+        assert rs.one() is rs._rows[0]
+        assert rs.scalar() == 7
 
 
 class TestRow:

@@ -256,6 +256,17 @@ class T:
         assert ("T", "visible") in program.entry_points
         assert ("T", "_hidden") not in program.entry_points
 
+    @pytest.mark.parametrize("entry", [("Missing", "m"), ("T", "missing")])
+    def test_bad_entry_point_is_named(self, entry):
+        source = """
+class T:
+    def m(self, x):
+        return x
+"""
+        with pytest.raises(UnsupportedConstructError,
+                           match=r"entry point %s\.%s " % entry):
+            parse_source(source, entry_points=[("T", "m"), entry])
+
     def test_sids_unique(self):
         source = """
 class T:

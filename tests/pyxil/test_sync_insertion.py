@@ -101,3 +101,65 @@ class TestSyncPlan:
         # Conservative default for anything the plan has not seen.
         assert plan.field_ships("Sync", "never_mentioned")
         assert plan.array_ships(99999)
+
+
+USES_SOURCE = '''
+class Uses:
+    def run(self, n):
+        rs = self.db.query("SELECT k FROM kv WHERE k < ?", n)
+        head = rs.first()
+        count = len(rs)
+        for row in rs:
+            count = count + 1
+        arr = [0] * n
+        arr[0] = count
+        return arr[0]
+'''
+# source line -> the statement's role; rs is allocated on line 4, arr
+# on line 9.
+RS_LINE, ARR_LINE = 4, 9
+USES = {
+    "allocation (rs)": (4, RS_LINE),
+    "native-method receiver rs.first()": (5, RS_LINE),
+    "native argument len(rs)": (6, RS_LINE),
+    "for-each over rs": (7, RS_LINE),
+    "allocation (arr)": (9, ARR_LINE),
+    "element write arr[0] = ...": (10, ARR_LINE),
+    "element read arr[0]": (11, ARR_LINE),
+}
+
+
+class TestEveryUseCounts:
+    """An object ships when any one use sits on the other server --
+    whichever kind of use that is, the allocation included."""
+
+    @pytest.fixture(scope="class")
+    def uses(self):
+        program = parse_source(USES_SOURCE, entry_points=[("Uses", "run")])
+        pts = analyze_points_to(program)
+        cg = build_call_graph(program, pts)
+        sids = {}
+        for stmt in program.function("Uses", "run").walk():
+            sids.setdefault(stmt.line, stmt.sid)
+        return program, pts, cg, sids
+
+    def test_one_server_ships_nothing(self, uses):
+        program, pts, cg, sids = uses
+        plan = compute_sync_plan(
+            place_all(program, lambda sid: Placement.APP), cg, pts
+        )
+        assert not plan.array_ships(sids[RS_LINE])
+        assert not plan.array_ships(sids[ARR_LINE])
+
+    @pytest.mark.parametrize("use", sorted(USES))
+    def test_a_use_on_the_other_server_ships(self, uses, use):
+        program, pts, cg, sids = uses
+        line, alloc_line = USES[use]
+        moved = sids[line]
+        plan = compute_sync_plan(
+            place_all(program, lambda sid: (
+                Placement.DB if sid == moved else Placement.APP
+            )),
+            cg, pts,
+        )
+        assert plan.array_ships(sids[alloc_line])

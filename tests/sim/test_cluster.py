@@ -253,7 +253,7 @@ def test_message_cpu_equals_record_cpu_then_message(ops):
     for op in ops:
         assert _apply(fused, op, True) == _apply(split, op, False), op
         assert fused.clock.now == split.clock.now
-        assert fused._stages == split._stages  # noqa: SLF001
+        assert fused._log == split._log  # noqa: SLF001
     assert fused.finish_trace("t") == split.finish_trace("t")
     assert fused.clock.now == split.clock.now
     assert fused.network.app_to_db == split.network.app_to_db
