@@ -1,7 +1,7 @@
-"""SQL executor performance smoke: tree walker vs compiled vs source.
+"""SQL executor performance smoke: tree walker vs source.
 
-Times the TPC-C new-order statement mix under all three SQL executors
-(``REPRO_SQL_EXEC=tree``, ``compiled`` and ``source``) and writes
+Times the TPC-C new-order statement mix under both SQL executors
+(``REPRO_SQL_EXEC=tree`` and ``source``) and writes
 ``BENCH_sql.json`` at the repository root -- per mode, the fastest
 pass *and* the median of seven timed passes side by side, statement
 throughput, plus the speedup ratios -- so the embedded engine's
@@ -12,14 +12,13 @@ Like the other smokes it only executes under ``-m perfsmoke``
 never rewrite the tracked JSON; run as a script for a quick local
 check: ``PYTHONPATH=src python benchmarks/sql_smoke.py``.
 
-The speedup floors asserted here are wall-clock, but the ratio of two
+The speedup floor asserted here is wall-clock, but the ratio of two
 measurements taken back-to-back on the same machine is stable (same
-approach as ``pipeline_smoke.py``), and the headline ratios compare
+approach as ``pipeline_smoke.py``), and the headline ratio compares
 the *fastest* pass per implementation -- external noise only ever
-adds time -- so a few clean passes out of seven suffice.  The
-closure executor measures ~3.5-4x over tree against a 3.0x floor;
-the source rung measures well over its 2.0x floor against the
-closure executor on the development machine.
+adds time -- so a few clean passes out of seven suffice.  The source
+rung measures about 8x over tree against a 6.0x floor on a 2-core
+x86 sandbox.
 """
 
 import json
@@ -41,8 +40,9 @@ from repro.workloads.tpcw import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_sql.json"
 
-SPEEDUP_FLOOR = 3.0
-SOURCE_SPEEDUP_FLOOR = 2.0
+# The two floors of the deleted middle rung, multiplied: closures over
+# tree (3.0) times source over closures (2.0).
+SPEEDUP_FLOOR = 6.0
 
 # The browsing mix's three joins (source rung, benchmark scale).
 TPCW_JOINS = {
@@ -154,7 +154,7 @@ def run_no_cliff_sweep() -> dict:
 def run_sql_smoke(transactions: int = 50, repeats: int = 7) -> dict:
     result = sql_exec_comparison(transactions=transactions, repeats=repeats)
     modes = {}
-    for mode in ("tree", "compiled", "source"):
+    for mode in ("tree", "source"):
         median = getattr(result, f"{mode}_seconds")
         modes[mode] = {
             "median_seconds": median,
@@ -168,23 +168,18 @@ def run_sql_smoke(transactions: int = 50, repeats: int = 7) -> dict:
         "repeats": result.repeats,
         # Per-mode fastest and median side by side.
         "modes": modes,
-        # Historical flat keys, kept so the BENCH trajectory recorded
-        # by earlier PRs stays directly comparable.
+        # Flat keys, kept so the BENCH trajectory recorded by earlier
+        # PRs stays directly comparable.
         "tree_median_seconds": result.tree_seconds,
-        "compiled_median_seconds": result.compiled_seconds,
         "source_median_seconds": result.source_seconds,
         "tree_best_seconds": result.tree_best_seconds,
-        "compiled_best_seconds": result.compiled_best_seconds,
         "source_best_seconds": result.source_best_seconds,
         "tree_statements_per_second": result.tree_statements_per_second,
-        "compiled_statements_per_second":
-            result.compiled_statements_per_second,
         "source_statements_per_second":
             result.source_statements_per_second,
+        # Source over tree, fastest passes and medians.
         "speedup": result.speedup,
         "median_speedup": result.median_speedup,
-        "source_speedup": result.source_speedup,
-        "source_median_speedup": result.source_median_speedup,
         "tpcw_joins": run_tpcw_joins(),
         # Microseconds per statement by probed-table rows.
         "tpcw_no_cliff_sweep": run_no_cliff_sweep(),
@@ -207,8 +202,7 @@ def test_sql_smoke(request):
             f"{row['statements_per_second']:,.0f} stmt/s"
         )
     print(
-        f"sql perf smoke: compiled/tree {payload['speedup']:.2f}x, "
-        f"source/compiled {payload['source_speedup']:.2f}x "
+        f"sql perf smoke: source/tree {payload['speedup']:.2f}x "
         f"-> {OUTPUT.name}"
     )
     for name, row in payload["tpcw_joins"].items():
@@ -226,19 +220,15 @@ def test_sql_smoke(request):
                 assert max(pair) <= NO_CLIFF_RATIO * min(pair), (
                     name, size, pair
                 )
-    for mode in ("tree", "compiled", "source"):
+    for mode in ("tree", "source"):
         assert payload["modes"][mode]["median_seconds"] > 0
         assert payload["modes"][mode]["best_seconds"] > 0
     # Ratios of back-to-back runs on one machine.  Noise can depress
     # either estimator independently (a transiently fast outlier pass
     # skews best-of, a transiently loaded stretch skews the median),
-    # so each floor holds if either estimator clears it.
+    # so the floor holds if either estimator clears it.
     assert (
         max(payload["speedup"], payload["median_speedup"]) >= SPEEDUP_FLOOR
-    )
-    assert (
-        max(payload["source_speedup"], payload["source_median_speedup"])
-        >= SOURCE_SPEEDUP_FLOOR
     )
 
 

@@ -474,57 +474,41 @@ class Micro1Result:
 
 @dataclass
 class InterpComparisonResult:
-    """Wall-clock timings for the three block-runtime implementations.
+    """Wall-clock timings for the two block-runtime implementations.
 
     ``*_seconds`` are medians over the timed runs; ``*_best_seconds``
-    the fastest runs.  ``speedup`` keeps its historical meaning (tree
-    over the closure compiler, medians); the ``source_*`` ratios
-    compare the source-codegen rung against the closure compiler --
-    the floor the third rung is held to.
+    the fastest runs.  ``speedup`` is the source rung over the
+    tree-walker on medians, ``best_speedup`` on the fastest runs.
     """
 
     tree_seconds: float
-    compiled_seconds: float
     source_seconds: float
     tree_best_seconds: float
-    compiled_best_seconds: float
     source_best_seconds: float
     n: int
     repeats: int
 
     @property
     def speedup(self) -> float:
-        return (
-            self.tree_seconds / self.compiled_seconds
-            if self.compiled_seconds > 0
-            else float("inf")
-        )
+        return _ratio(self.tree_seconds, self.source_seconds)
 
     @property
-    def source_speedup(self) -> float:
-        return (
-            self.compiled_seconds / self.source_seconds
-            if self.source_seconds > 0
-            else float("inf")
-        )
+    def best_speedup(self) -> float:
+        return _ratio(self.tree_best_seconds, self.source_best_seconds)
 
-    @property
-    def source_best_speedup(self) -> float:
-        return (
-            self.compiled_best_seconds / self.source_best_seconds
-            if self.source_best_seconds > 0
-            else float("inf")
-        )
+
+def _ratio(slow: float, fast: float) -> float:
+    return slow / fast if fast > 0 else float("inf")
 
 
 def interp_comparison(n: int = 600, repeats: int = 5) -> InterpComparisonResult:
-    """Micro1 under the tree, compiled and source block runtimes.
+    """Micro1 under the tree and source block runtimes.
 
     The linked-list workload has no DB calls and (under budget 0) no
     control transfers, so the measured time is pure interpreter
-    overhead -- exactly what the closure-compilation and source-codegen
-    layers attack.  Reports the median and the fastest of ``repeats``
-    timed runs per implementation.
+    overhead -- exactly what the source-codegen rung attacks.  Reports
+    the median and the fastest of ``repeats`` timed runs per
+    implementation.
     """
     import statistics
 
@@ -555,14 +539,11 @@ def interp_comparison(n: int = 600, repeats: int = 5) -> InterpComparisonResult:
         return statistics.median(samples), min(samples)
 
     tree_median, tree_best = timed_seconds("tree")
-    compiled_median, compiled_best = timed_seconds("compiled")
     source_median, source_best = timed_seconds("source")
     return InterpComparisonResult(
         tree_seconds=tree_median,
-        compiled_seconds=compiled_median,
         source_seconds=source_median,
         tree_best_seconds=tree_best,
-        compiled_best_seconds=compiled_best,
         source_best_seconds=source_best,
         n=n,
         repeats=repeats,
@@ -571,21 +552,18 @@ def interp_comparison(n: int = 600, repeats: int = 5) -> InterpComparisonResult:
 
 @dataclass
 class SqlExecComparisonResult:
-    """Wall-clock timings for the three SQL executors on one mix.
+    """Wall-clock timings for the two SQL executors on one mix.
 
     ``*_seconds`` are medians over the timed passes; ``*_best_seconds``
-    are the fastest passes.  The headline ``speedup`` compares the
-    fastest passes: external noise only ever adds time, so best-of-N
-    is the stable estimator for a ratio guarded by a CI floor (same
-    reasoning as ``timeit``'s min).  The ``source_*`` ratios compare
-    the source-codegen rung against the closure compiler.
+    are the fastest passes.  The headline ``speedup`` (source over
+    tree) compares the fastest passes: external noise only ever adds
+    time, so best-of-N is the stable estimator for a ratio guarded by
+    a CI floor (same reasoning as ``timeit``'s min).
     """
 
     tree_seconds: float
-    compiled_seconds: float
     source_seconds: float
     tree_best_seconds: float
-    compiled_best_seconds: float
     source_best_seconds: float
     transactions: int
     statements: int
@@ -593,43 +571,15 @@ class SqlExecComparisonResult:
 
     @property
     def speedup(self) -> float:
-        return (
-            self.tree_best_seconds / self.compiled_best_seconds
-            if self.compiled_best_seconds > 0
-            else float("inf")
-        )
+        return _ratio(self.tree_best_seconds, self.source_best_seconds)
 
     @property
     def median_speedup(self) -> float:
-        return (
-            self.tree_seconds / self.compiled_seconds
-            if self.compiled_seconds > 0
-            else float("inf")
-        )
-
-    @property
-    def source_speedup(self) -> float:
-        return (
-            self.compiled_best_seconds / self.source_best_seconds
-            if self.source_best_seconds > 0
-            else float("inf")
-        )
-
-    @property
-    def source_median_speedup(self) -> float:
-        return (
-            self.compiled_seconds / self.source_seconds
-            if self.source_seconds > 0
-            else float("inf")
-        )
+        return _ratio(self.tree_seconds, self.source_seconds)
 
     @property
     def tree_statements_per_second(self) -> float:
         return self.statements / self.tree_seconds
-
-    @property
-    def compiled_statements_per_second(self) -> float:
-        return self.statements / self.compiled_seconds
 
     @property
     def source_statements_per_second(self) -> float:
@@ -639,25 +589,26 @@ class SqlExecComparisonResult:
 def sql_exec_comparison(
     transactions: int = 50, repeats: int = 7, seed: int = 7
 ) -> SqlExecComparisonResult:
-    """The TPC-C new-order statement mix under all three SQL executors.
+    """The TPC-C new-order statement mix under both SQL executors.
 
     Prepares the mix's distinct statements once per implementation
-    (plan compilation happens at prepare time, composing with the plan
-    cache), then times executor-level statement execution -- the layer
-    the compilation attacks.  Each timed pass runs inside a transaction
-    that is rolled back afterwards (outside the timed region), so every
-    pass replays the identical statement script against the identical
-    database state; all executors record the same undo stream (bit
-    equality is the differential suite's job, not the benchmark's).
+    (source generation happens at prepare time, composing with the
+    plan cache), then times executor-level statement execution -- the
+    layer the generated code attacks.  Each timed pass runs inside a
+    transaction that is rolled back afterwards (outside the timed
+    region), so every pass replays the identical statement script
+    against the identical database state; both executors record the
+    same undo stream (bit equality is the differential suite's job,
+    not the benchmark's).
 
-    The timed passes *interleave* round-robin across the three modes
-    (pass ``i`` of every mode runs back to back) instead of timing
-    each mode as a sequential block: the floors assert speedup
-    *ratios*, and machine-state drift over the run -- frequency
-    scaling, thermal state, a background task -- would bias a ratio of
-    two blocks measured seconds apart, while it cancels out of
-    adjacent samples.  Reports the median and fastest of ``repeats``
-    passes per implementation.
+    The timed passes *interleave* across the two modes (pass ``i`` of
+    each mode runs back to back) instead of timing each mode as a
+    sequential block: the floor asserts a speedup *ratio*, and
+    machine-state drift over the run -- frequency scaling, thermal
+    state, a background task -- would bias a ratio of two blocks
+    measured seconds apart, while it cancels out of adjacent samples.
+    Reports the median and fastest of ``repeats`` passes per
+    implementation.
     """
     import statistics
 
@@ -673,12 +624,12 @@ def sql_exec_comparison(
     script = new_order_statement_script(
         scale, transactions=transactions, seed=seed
     )
-    modes = ("tree", "compiled", "source")
+    modes = ("tree", "source")
 
     def make_runner(mode: str):
         db, _ = make_tpcc_database(scale)
         conn = connect(db, sql_exec=mode)
-        if mode in ("compiled", "source"):
+        if mode == "source":
             prepared = [
                 (conn.prepare(sql).compiled.run, params)
                 for sql, params in script
@@ -715,19 +666,11 @@ def sql_exec_comparison(
             samples[mode].append(time.perf_counter() - start)
             txn.rollback()
 
-    tree_median = statistics.median(samples["tree"])
-    tree_best = min(samples["tree"])
-    compiled_median = statistics.median(samples["compiled"])
-    compiled_best = min(samples["compiled"])
-    source_median = statistics.median(samples["source"])
-    source_best = min(samples["source"])
     return SqlExecComparisonResult(
-        tree_seconds=tree_median,
-        compiled_seconds=compiled_median,
-        source_seconds=source_median,
-        tree_best_seconds=tree_best,
-        compiled_best_seconds=compiled_best,
-        source_best_seconds=source_best,
+        tree_seconds=statistics.median(samples["tree"]),
+        source_seconds=statistics.median(samples["source"]),
+        tree_best_seconds=min(samples["tree"]),
+        source_best_seconds=min(samples["source"]),
         transactions=transactions,
         statements=len(script),
         repeats=repeats,

@@ -100,7 +100,7 @@ def _plan_cache_line(notes: dict) -> str | None:
         f"plan cache: {stats['hits']} hit(s), {stats['misses']} miss(es), "
         f"{stats['evictions']} eviction(s) "
         f"(hit ratio {stats['hit_ratio']:.2%}); "
-        f"{stats['compiled_plans']} plan(s) compiled to closures"
+        f"{stats['compiled_plans']} plan(s) compiled to Python source"
     )
 
 

@@ -27,7 +27,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.core.pipeline import SOLVERS, Pyxis, PyxisConfig
-from repro.db.sql.compile_plan import (
+from repro.db.sql.codegen_plan import (
     DEFAULT_SQL_EXEC,
     SQL_EXEC_ENV_VAR,
     SQL_EXEC_MODES,
@@ -567,9 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--sql-exec", default=None, choices=SQL_EXEC_MODES,
         help="SQL executor for the embedded engine: 'source' generates "
-             "one Python function per plan at prepare time, 'compiled' "
-             "fuses each plan into closures, 'tree' walks the operator "
-             f"tree (sets {SQL_EXEC_ENV_VAR} for the run; default: "
+             "one Python function per plan at prepare time, 'tree' "
+             f"walks the operator tree, the oracle (sets {SQL_EXEC_ENV_VAR} for the run; default: "
              f"{DEFAULT_SQL_EXEC})",
     )
     p_serve.add_argument(

@@ -51,8 +51,6 @@ from repro.db.sql import (
     DEFAULT_SQL_EXEC,
     SQL_EXEC_ENV_VAR,
     SQL_EXEC_MODES,
-    CompiledPlan,
-    compile_plan,
     resolve_sql_exec_mode,
 )
 from repro.db.mvcc import MvccState
@@ -121,8 +119,6 @@ __all__ = [
     "DEFAULT_SQL_EXEC",
     "SQL_EXEC_ENV_VAR",
     "SQL_EXEC_MODES",
-    "CompiledPlan",
-    "compile_plan",
     "resolve_sql_exec_mode",
     "LockManager",
     "LockMode",

@@ -18,10 +18,9 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 from repro.db.engine import Database
 from repro.db.errors import ExecutionError, TransactionError
 from repro.db.sql.ast import Insert as InsertStmt, Select as SelectStmt
-from repro.db.sql.codegen_plan import SourcePlan, maybe_compile_plan_source
-from repro.db.sql.compile_plan import (
-    CompiledPlan,
-    maybe_compile_plan,
+from repro.db.sql.codegen_plan import (
+    SourcePlan,
+    maybe_compile_plan_source,
     resolve_sql_exec_mode,
 )
 from repro.db.sql.executor import Executor, StatementResult
@@ -196,8 +195,8 @@ PLAN_CACHE_COUNTERS = ("hits", "misses", "evictions", "compiled_plans")
 class PlanCacheStats:
     """ExecutionStats-style counters for the prepared-plan cache.
 
-    ``compiled_plans`` counts statements translated by the plan
-    compiler at prepare time (the remainder run on the tree executor).
+    ``compiled_plans`` counts statements generated to Python source at
+    prepare time (the remainder run on the tree executor).
     The class also owns the counter-dict algebra (snapshot / merge /
     delta) used by the serving layer's reports, so the counter list
     and hit-ratio formula live in exactly one place.
@@ -207,10 +206,12 @@ class PlanCacheStats:
     misses: int = 0
     evictions: int = 0
     compiled_plans: int = 0
-    # Statements generated to Python source (the third rung).  Counted
-    # inside compiled_plans too; kept out of PLAN_CACHE_COUNTERS so the
-    # serve layer's counter algebra (and its wire format) is unchanged.
-    source_plans: int = 0
+
+    @property
+    def source_plans(self) -> int:
+        """Read-only alias of ``compiled_plans`` (source is the only
+        generating rung), kept for readers that still ask for it."""
+        return self.compiled_plans
 
     @property
     def hit_ratio(self) -> float:
@@ -260,19 +261,14 @@ class PlanCacheStats:
     def reset(self) -> None:
         for key in PLAN_CACHE_COUNTERS:
             setattr(self, key, 0)
-        self.source_plans = 0
 
 
 class PreparedStatement:
     """A parsed and planned statement, executable with ``?`` parameters.
 
-    ``compiled`` holds the prepare-time translation selected by the
-    connection's SQL-executor mode: a closure-compiled
-    :class:`CompiledPlan` in ``compiled`` mode, a generated-source
-    :class:`SourcePlan` in ``source`` mode (falling back to the closure
-    form for shapes the generator does not emit); None means the
-    statement executes on the tree executor.  Both forms expose the
-    same raw ``run(params, txn)``.
+    ``compiled`` holds the generated-source :class:`SourcePlan` in
+    ``source`` mode; None (``tree`` mode, or a shape the generator does
+    not emit) means the statement executes on the tree executor.
     """
 
     def __init__(
@@ -280,7 +276,7 @@ class PreparedStatement:
         connection: "Connection",
         sql: str,
         plan: Plan,
-        compiled: Optional[CompiledPlan | SourcePlan] = None,
+        compiled: Optional[SourcePlan] = None,
     ) -> None:
         self.connection = connection
         self.sql = sql
@@ -330,10 +326,9 @@ class Connection:
         )
         self.planner = Planner(database)
         self.executor = Executor(database)
-        # "compiled" translates plans to fused closures at prepare time
-        # (repro.db.sql.compile_plan); "source" generates Python source
-        # per plan (repro.db.sql.codegen_plan) and falls back to the
-        # closure compiler; "tree" walks the operator tree.
+        # "source" generates Python source per plan at prepare time
+        # (repro.db.sql.codegen_plan) and falls back to the tree
+        # executor; "tree" walks the operator tree.
         self.sql_exec = resolve_sql_exec_mode(sql_exec)
         # LRU: most recently used statements at the end.  Keyed on
         # (executor mode, sql): a cached statement embeds the rung it
@@ -365,17 +360,13 @@ class Connection:
         stats.misses += 1
         stmt = parse(sql)
         plan = self.planner.plan(stmt)
-        compiled: Optional[CompiledPlan | SourcePlan] = None
+        compiled: Optional[SourcePlan] = None
         if self.sql_exec == "source":
             compiled = maybe_compile_plan_source(
                 plan, self.database, tracer=getattr(self, "tracer", None)
             )
             if compiled is not None:
-                stats.source_plans += 1
-        if compiled is None and self.sql_exec in ("compiled", "source"):
-            compiled = maybe_compile_plan(plan, self.database)
-        if compiled is not None:
-            stats.compiled_plans += 1
+                stats.compiled_plans += 1
         prepared = PreparedStatement(self, sql, plan, compiled)
         cache[cache_key] = prepared
         if len(cache) > self.plan_cache_size:
@@ -455,7 +446,7 @@ class Connection:
         lock-based engine.  Divergent tables are reconstructed once
         per transaction into a private snapshot database and the
         statement is re-prepared against it under the same executor
-        mode, so all three rungs serve snapshot-visible scans.
+        mode, so both rungs serve snapshot-visible scans.
         """
         mvcc = self.database.mvcc
         names = [access.table_name for access in prepared.plan.tables]

@@ -195,7 +195,7 @@ class MvccState:
         """Build ``name`` inside ``snapshot_db`` as a real table holding
         the snapshot-visible rows (ascending rowid, the scan order every
         execution rung assumes).  The copy shares the live schema object
-        so all three rungs plan and compile against it unchanged."""
+        so both rungs plan and generate against it unchanged."""
         source = self.database.table(name)
         rows = self.visible_rows(name, snapshot_ts, reader_id)
         table = snapshot_db.adopt_table(source.schema)

@@ -72,10 +72,6 @@ from repro.db.sql.ast import (
 from repro.db.sql.codegen_plan import (
     SourcePlan,
     maybe_compile_plan_source,
-)
-from repro.db.sql.compile_plan import (
-    CompiledPlan,
-    maybe_compile_plan,
     resolve_sql_exec_mode,
 )
 from repro.db.sql.executor import (
@@ -720,36 +716,25 @@ class ShardPreparedStatement:
         self.index = (
             column_index(plan.column_names) if self.is_query else None
         )
-        # Keyed by shard (compiling rungs only); the value remembers the
-        # replica-group generation the plan was compiled under, because
-        # a compiled plan binds the primary's table/index objects and
+        # Keyed by shard (source rung only); the value remembers the
+        # replica-group generation the plan was generated under, because
+        # a generated plan binds the primary's table/index objects and
         # must be re-minted after a failover swaps the primary.
-        self._compiled: dict[
-            int, tuple[int, Optional[CompiledPlan | SourcePlan]]
-        ] = {}
+        self._compiled: dict[int, tuple[int, Optional[SourcePlan]]] = {}
 
-    def compiled_for(self, shard: int) -> Optional[CompiledPlan | SourcePlan]:
+    def compiled_for(self, shard: int) -> Optional[SourcePlan]:
         generation = self.connection.database.generation(shard)
         cached = self._compiled.get(shard)
         if cached is not None and cached[0] == generation:
             return cached[1]
-        mode = self.connection.sql_exec
-        if mode not in ("compiled", "source"):
+        if self.connection.sql_exec != "source":
             return None
-        stats = self.connection.plan_cache_stats
-        target = self.connection.database.shards[shard]
-        compiled: Optional[CompiledPlan | SourcePlan] = None
-        if mode == "source":
-            compiled = maybe_compile_plan_source(
-                self.plan, target,
-                tracer=getattr(self.connection, "tracer", None),
-            )
-            if compiled is not None:
-                stats.source_plans += 1
-        if compiled is None:
-            compiled = maybe_compile_plan(self.plan, target)
+        compiled = maybe_compile_plan_source(
+            self.plan, self.connection.database.shards[shard],
+            tracer=getattr(self.connection, "tracer", None),
+        )
         if compiled is not None:
-            stats.compiled_plans += 1
+            self.connection.plan_cache_stats.compiled_plans += 1
         self._compiled[shard] = (generation, compiled)
         return compiled
 

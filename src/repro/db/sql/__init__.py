@@ -31,12 +31,10 @@ from repro.db.sql.ast import (
 from repro.db.sql.parser import parse
 from repro.db.sql.planner import Planner, Plan
 from repro.db.sql.executor import Executor, StatementResult
-from repro.db.sql.compile_plan import (
+from repro.db.sql.codegen_plan import (
     DEFAULT_SQL_EXEC,
     SQL_EXEC_ENV_VAR,
     SQL_EXEC_MODES,
-    CompiledPlan,
-    compile_plan,
     resolve_sql_exec_mode,
 )
 
@@ -66,7 +64,5 @@ __all__ = [
     "DEFAULT_SQL_EXEC",
     "SQL_EXEC_ENV_VAR",
     "SQL_EXEC_MODES",
-    "CompiledPlan",
-    "compile_plan",
     "resolve_sql_exec_mode",
 ]

@@ -209,35 +209,3 @@ class Update(Statement):
 class Delete(Statement):
     table: TableRef
     where: Optional[Expr] = None
-
-
-def count_parameters(stmt: Statement) -> int:
-    """Number of ``?`` placeholders in a statement."""
-    exprs: list[Expr] = []
-    if isinstance(stmt, Select):
-        for item in stmt.items:
-            if item.expr is not None:
-                exprs.append(item.expr)
-        if stmt.where is not None:
-            exprs.append(stmt.where)
-        exprs.extend(stmt.group_by)
-        exprs.extend(o.expr for o in stmt.order_by)
-        for join in stmt.joins:
-            exprs.append(join.condition)
-        if stmt.limit is not None:
-            exprs.append(stmt.limit)
-    elif isinstance(stmt, Insert):
-        exprs.extend(stmt.values)
-    elif isinstance(stmt, Update):
-        exprs.extend(a.value for a in stmt.assignments)
-        if stmt.where is not None:
-            exprs.append(stmt.where)
-    elif isinstance(stmt, Delete):
-        if stmt.where is not None:
-            exprs.append(stmt.where)
-    count = 0
-    for expr in exprs:
-        for node in expr.walk():
-            if isinstance(node, Parameter):
-                count = max(count, node.index + 1)
-    return count

@@ -1,11 +1,15 @@
 """Plan source codegen: SQL plans translated to generated Python text.
 
-The third compilation rung.  The closure compiler
-(:mod:`repro.db.sql.compile_plan`) removed the tree executor's per-row
-interpretation but kept a closure call per expression node, per
-validator and per projection.  This module removes those too: each plan
-becomes one flat generated Python function -- built as text, compiled
-with :func:`compile` and ``exec``'d once at prepare time -- in which
+The production SQL rung; the tree executor (:mod:`repro.db.sql.executor`)
+stays the oracle.  The tree executor re-discovers the structure of
+every statement on every execution: generator chains per table
+access, a fresh dict environment per row, closure dispatch per
+expression node and output column.  That structure is static -- a
+plan's access paths, offsets and projections never change after
+:meth:`~repro.db.sql.planner.Planner.plan` -- so each plan becomes one
+flat generated Python function -- built as text, compiled with
+:func:`compile` and ``exec``'d once at
+:meth:`~repro.db.jdbc.Connection.prepare` time -- in which
 
 * **expressions inline** -- NULL-propagating comparisons, arithmetic
   and three-valued AND/OR become conditional expressions over walrus
@@ -23,11 +27,17 @@ with :func:`compile` and ``exec``'d once at prepare time -- in which
   table per statement, and inputs past a deterministic spill threshold
   build :data:`HASH_JOIN_PARTITIONS` partitioned tables (bounding
   per-dict size the way a grace hash join bounds per-partition memory);
+* **the sort / DISTINCT / LIMIT tail** calls the tree executor's own
+  :func:`~repro.db.sql.executor.sort_result_rows`,
+  :func:`~repro.db.sql.executor.distinct_rows` and
+  :func:`~repro.db.sql.executor.limit_rows`, with the LIMIT operand
+  inlined like any other expression;
 * **mutations inline the engine** -- column validators become exact
   ``type(x) is T`` fast paths over the schema's fused closures, the
   no-secondary-index insert path writes the primary index bucket and
-  the row store directly, and undo records append to the transaction
-  log without a method call.
+  the row store directly, mutation loops collect undo records locally
+  and append them to the transaction log without a method call, and
+  updates that touch no key column skip index maintenance.
 
 Generated text is deterministic: the same plan against the same schema
 yields byte-identical source (CI checks this), and every module can be
@@ -41,12 +51,13 @@ writer registration -- with two documented batch-evaluation caveats
 *different* rows can raise, batching can surface a different row's
 error first, and join strategies are chosen from table sizes at
 prepare time.  This rung is the default (``REPRO_SQL_EXEC=source``);
-plans it cannot generate fall back to the closure compiler and then to
-the tree executor, and ``PlanCacheStats`` counts them.
+plans it cannot generate run on the tree executor, and
+``PlanCacheStats.compiled_plans`` counts the ones it did.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.codegen import SourceWriter, maybe_dump_source, source_signature
@@ -65,13 +76,14 @@ from repro.db.sql.ast import (
     Parameter,
     UnaryOp,
 )
-from repro.db.sql.compile_plan import (
-    PlanCompileError,
-    _active_state,
-    _make_post,
-    _positions,
+from repro.db.sql.executor import (
+    StatementResult,
+    _Aggregator,
+    distinct_rows,
+    hashable_group_key,
+    limit_rows,
+    sort_result_rows,
 )
-from repro.db.sql.executor import StatementResult, _Aggregator, hashable_group_key
 from repro.db.sql.planner import (
     _SCALAR_FUNCS,
     AccessPath,
@@ -85,6 +97,7 @@ from repro.db.sql.planner import (
     UpdatePlan,
     _like_matcher,
     extract_equi_conjuncts,
+    scope_positions,
 )
 
 if False:  # pragma: no cover - import cycle guard for type checkers
@@ -93,7 +106,7 @@ if False:  # pragma: no cover - import cycle guard for type checkers
 # Hash-build thresholds for the levels that build at all (the planner's
 # ``hash`` / ``hash_scan`` classes), fixed at generation time from the
 # inner table's size.  Below MIN_ROWS a hash build costs more than it
-# saves (the closure rung's index probe is already one dict lookup), so
+# saves (an index probe is already one dict lookup), so
 # the generated code keeps nested-loop probes; at or past SPILL_ROWS the
 # build partitions into HASH_JOIN_PARTITIONS separate dicts so no
 # single table grows unboundedly (the in-memory analogue of a grace
@@ -104,22 +117,57 @@ HASH_JOIN_SPILL_ROWS = 4096
 HASH_JOIN_PARTITIONS = 8
 
 
-class PlanCodegenError(PlanCompileError):
-    """The plan has a shape this generator does not emit.  Subclasses
-    PlanCompileError so callers' fallback handling covers both rungs."""
+# SQL executor selection: "source" (the default) generates Python source
+# text per plan (this module), falling back to the tree executor for a
+# shape it does not emit; "tree" walks the planner's operator tree (the
+# oracle).  Both produce bit-identical StatementResults.
+SQL_EXEC_ENV_VAR = "REPRO_SQL_EXEC"
+SQL_EXEC_MODES = ("tree", "source")
+DEFAULT_SQL_EXEC = "source"
+
+
+def resolve_sql_exec_mode(mode: Optional[str] = None) -> str:
+    """Resolve a SQL executor mode from an argument or the environment.
+
+    Fails fast on unknown values (no silent fallback): misspelling the
+    env var must not silently run the wrong executor.
+    """
+    source = mode if mode is not None else os.environ.get(SQL_EXEC_ENV_VAR, "")
+    resolved = source.strip().lower() or DEFAULT_SQL_EXEC
+    if resolved not in SQL_EXEC_MODES:
+        raise ExecutionError(
+            f"unknown SQL executor mode {resolved!r}; "
+            f"expected one of {SQL_EXEC_MODES}"
+        )
+    return resolved
+
+
+class PlanCodegenError(Exception):
+    """The plan has a shape this generator does not emit, or lacks the
+    metadata it needs (e.g. it was constructed by hand rather than by
+    the planner); the statement runs on the tree executor instead."""
+
+
+def _active_state():
+    """TxnState.ACTIVE, imported lazily (txn.py imports engine.py; a
+    top-level import here would not cycle today, but keeping the hot
+    constant behind a function keeps the module dependency one-way)."""
+    from repro.db.txn import TxnState
+
+    return TxnState.ACTIVE
 
 
 def _sql_like(value: Any, pattern: Any) -> Optional[bool]:
-    """LIKE with both operands eagerly evaluated (matching the closure
-    rung, which evaluates left and right before the NULL check)."""
+    """LIKE with both operands eagerly evaluated (matching the tree
+    executor, which evaluates left and right before the NULL check)."""
     if value is None or pattern is None:
         return None
     return _like_matcher(pattern)(value)
 
 
 def _sql_between(value: Any, low: Any, high: Any, negated: bool) -> Optional[bool]:
-    """BETWEEN with all three operands eagerly evaluated (the closure
-    rung evaluates value, low and high before any NULL check; an
+    """BETWEEN with all three operands eagerly evaluated (the tree
+    executor evaluates value, low and high before any NULL check; an
     inlined and-chain would skip the later operands)."""
     if value is None or low is None or high is None:
         return None
@@ -127,13 +175,14 @@ def _sql_between(value: Any, low: Any, high: Any, negated: bool) -> Optional[boo
     return (not result) if negated else result
 
 
-def _fold_agg(spec, values: list) -> Any:
-    """Fold one aggregate over a materialized argument column."""
+def _fold_agg(spec, values: list) -> _Aggregator:
+    """Fold one aggregate over a materialized argument column; the
+    caller takes ``result()`` once every per-row expression has run."""
     agg = _Aggregator(spec)
     add = agg.add_value
     for value in values:
         add(value)
-    return agg.result()
+    return agg
 
 
 # -- the generator ------------------------------------------------------------
@@ -207,8 +256,8 @@ class _PlanCodegen:
         ``row_ref`` maps a ColumnRef to its row-indexing expression
         (None in row-free contexts such as INSERT values, where a
         column reference is a generator bug guard).  NULL propagation,
-        evaluation order and short-circuiting replicate the closure
-        rung exactly; see compile_pos_expr.
+        evaluation order and short-circuiting replicate the tree
+        executor's compiled expressions exactly.
         """
         w = self.expr  # recursion shorthand
         if isinstance(ast, Literal):
@@ -240,7 +289,7 @@ class _PlanCodegen:
                 tl, tr = self.temp(), self.temp()
                 # Right-associative conditional chain: evaluates left,
                 # early-Falses without touching right, then evaluates
-                # right -- the exact closure-rung order.
+                # right -- the tree executor's exact order.
                 return (
                     f"(False if ({tl} := {left}) is not None and not {tl} "
                     f"else False if ({tr} := {right}) is not None "
@@ -348,7 +397,7 @@ class _PlanCodegen:
         return ref
 
     def multi_ref(self, scope: Scope) -> Callable[[ColumnRef], str]:
-        positions = _positions(scope)
+        positions = scope_positions(scope)
 
         def ref(node: ColumnRef) -> str:
             binding, offset = scope.resolve(node)
@@ -378,9 +427,8 @@ class _PlanCodegen:
         return f"({value} if type({value}) is {fast} else {validate}({value}))"
 
     def emit_txn_check(self, lock_lines: list[str]) -> None:
-        """The per-statement liveness / locking preamble (identical to
-        the closure rung: one state test without a lock manager, the
-        statement's lock calls with one)."""
+        """The per-statement liveness / locking preamble: one state test
+        without a lock manager, the statement's lock calls with one."""
         active = self.bind(_active_state(), "ACTIVE")
         w = self.w
         w.line("if txn is not None:")
@@ -468,8 +516,8 @@ class _PlanCodegen:
         row_ref: Callable[[ColumnRef], str],
     ) -> str:
         """Output columns plus hidden sort-key slots as a tuple display
-        (element order and evaluation order match the closure rung's
-        projection closures)."""
+        (element order and evaluation order match the tree executor's
+        projection)."""
         parts: list[str] = []
         for col in plan.columns:
             if col.expr is None:
@@ -664,10 +712,10 @@ class _PlanCodegen:
         else:
             self._emit_select_generic(plan, scope, aggregate)
 
-    def _select_prologue(self, plan: SelectPlan) -> tuple[str, str, Optional[str]]:
-        """Lock preamble plus the shared column-name list and optional
-        post (sort/distinct/limit) binding; returns (first table name,
-        names binding, post binding or None)."""
+    def _select_prologue(self, plan: SelectPlan) -> tuple[str, str, list[str]]:
+        """Lock preamble plus the shared column-name list and the
+        sort / DISTINCT / LIMIT tail; returns (first table name, names
+        binding, tail lines -- empty when there is nothing to do)."""
         aggregate = bool(plan.aggregates or plan.group_exprs)
         first = plan.tables[0].table_name
         self.emit_txn_check(
@@ -677,20 +725,29 @@ class _PlanCodegen:
             ]
         )
         names = self.bind(list(plan.column_names), "names")
-        assert plan.scope is not None
-        post = _make_post(
-            plan, plan.scope,
-            hidden=0 if aggregate else len(plan.sort_keys),
-        )
-        post_name = self.bind(post, "post") if post is not None else None
-        return first, names, post_name
+        hidden = 0 if aggregate else len(plan.sort_keys)
+        tail: list[str] = []
+        if plan.sort_keys or hidden:
+            sort = self.bind(sort_result_rows, "sort")
+            tail.append(
+                f"rows = {sort}({self.bind(plan, 'plan')}, rows, {hidden})"
+            )
+        if plan.distinct:
+            tail.append(f"rows = {self.bind(distinct_rows, 'distinct')}(rows)")
+        if plan.limit_ast is not None:
+            assert plan.scope is not None
+            count = self.expr(plan.limit_ast, plan.scope, None)
+            tail.append(f"rows = {self.bind(limit_rows, 'limit')}(rows, {count})")
+        elif plan.limit is not None:
+            raise PlanCodegenError("limit source expression")
+        return first, names, tail
 
     def _emit_select_tail(
-        self, first: str, names: str, post: Optional[str], touched: str
+        self, first: str, names: str, tail: list[str], touched: str
     ) -> None:
         w = self.w
-        if post is not None:
-            w.line(f"rows = {post}(rows, params)")
+        for line in tail:
+            w.line(line)
         self.emit_notify("select", first, touched)
         self.emit_return_result(names, "rows", "len(rows)", touched)
 
@@ -699,7 +756,7 @@ class _PlanCodegen:
         table = self.database.table(ta.table_name)
         row_ref = self.single_ref(scope)
         residual = self._residual_expr(ta, scope, row_ref)
-        first, names, post = self._select_prologue(plan)
+        first, names, tail = self._select_prologue(plan)
         w = self.w
         access = ta.access
 
@@ -711,7 +768,7 @@ class _PlanCodegen:
             pkb = self.bind(table.primary_index.buckets, "pkb0")
             key = self.key_tuple(access.key_asts, scope, None)
             proj = self.projection_tuple(plan, scope, row_ref)
-            if post is None:
+            if not tail:
                 # No post-processing: each outcome returns directly
                 # with constant rowcounts (the TPC-C hot shape -- no
                 # merge variables, no len() call, no empty-list
@@ -754,7 +811,7 @@ class _PlanCodegen:
                 w.dedent()
             w.dedent()
             w.dedent()
-            self._emit_select_tail(first, names, post, "touched")
+            self._emit_select_tail(first, names, tail, "touched")
             return
 
         pure = self._projection_is_pure(plan)
@@ -769,7 +826,7 @@ class _PlanCodegen:
         else:
             # Computed projection behind a filter: fuse into one loop so
             # a raising projection surfaces at the same row it would in
-            # the closure rung.
+            # the tree executor.
             self._emit_single_batch(ta, table, scope, None, "batch")
             proj = self.projection_tuple(plan, scope, row_ref)
             w.line("rows = []")
@@ -781,7 +838,7 @@ class _PlanCodegen:
             w.line(f"_ap({proj})")
             w.dedent()
             w.dedent()
-        self._emit_select_tail(first, names, post, "touched")
+        self._emit_select_tail(first, names, tail, "touched")
 
     def _emit_select_fold(self, plan: SelectPlan, scope: Scope) -> None:
         """Single-table aggregates without GROUP BY: materialize the
@@ -791,13 +848,13 @@ class _PlanCodegen:
         table = self.database.table(ta.table_name)
         row_ref = self.single_ref(scope)
         residual = self._residual_expr(ta, scope, row_ref)
-        first, names, post = self._select_prologue(plan)
+        first, names, tail = self._select_prologue(plan)
         w = self.w
         self._emit_single_batch(ta, table, scope, residual, "match")
 
         # Argument rows evaluate row-major (all aggregate arguments per
         # row, in spec order) so per-row evaluation order matches the
-        # closure rung; the folds then consume per-spec columns.
+        # tree executor; the folds then consume per-spec columns.
         arg_specs = [
             (i, spec) for i, spec in enumerate(plan.aggregates)
             if spec.arg is not None
@@ -831,8 +888,10 @@ class _PlanCodegen:
             if col.aggregate_index is None and col.expr is not None
         ]
         if extras:
-            # The closure rung evaluates extras on the group's first
-            # row only; with no GROUP BY that is the first match.
+            # The tree executor evaluates extras on the group's first
+            # row only (with no GROUP BY, the first match), while it
+            # folds -- before any aggregate's result(), whose errors
+            # (AVG over text) therefore come second.
             w.line("if match:")
             w.indent()
             w.line("row = match[0]")
@@ -849,17 +908,19 @@ class _PlanCodegen:
         values: list[str] = []
         for j, col in enumerate(plan.columns):
             if col.aggregate_index is not None:
-                values.append(f"_a{col.aggregate_index}")
+                index = col.aggregate_index
+                folded = plan.aggregates[index].arg is not None
+                values.append(f"_a{index}.result()" if folded else f"_a{index}")
             elif col.expr is not None:
                 values.append(f"_e{j}")
-            else:  # pragma: no cover - defensive, mirrors closure rung
+            else:  # pragma: no cover - defensive, mirrors the tree
                 values.append("None")
         tup = (
             "(" + ", ".join(values)
             + ("," if len(values) == 1 else "") + ")"
         )
         w.line(f"rows = [{tup}]")
-        self._emit_select_tail(first, names, post, "touched")
+        self._emit_select_tail(first, names, tail, "touched")
 
     # -- joins ----------------------------------------------------------------
 
@@ -1188,8 +1249,8 @@ class _PlanCodegen:
                 body()
                 w.dedent()
             return
-        # driver / nested: direct access-path probes (the closure
-        # rung's candidate loops, inlined).
+        # driver / nested: direct access-path probes (the tree
+        # executor's candidate loops, inlined).
         binds = self._table_binds(table, str(idx))
         kind = access.kind
         if kind == "scan":
@@ -1257,9 +1318,9 @@ class _PlanCodegen:
     ) -> None:
         """Joins and/or aggregation: generated nested candidate loops
         with per-level hybrid hash strategies."""
-        first, names, post = self._select_prologue(plan)
+        first, names, tail = self._select_prologue(plan)
         w = self.w
-        positions = _positions(scope)
+        positions = scope_positions(scope)
         multi = self.multi_ref(scope)
         levels: list = []
         for L, ta in enumerate(plan.tables):
@@ -1314,7 +1375,7 @@ class _PlanCodegen:
 
             self._emit_join_level(0, levels, scope, consume)
             w.line("rows = out")
-            self._emit_select_tail(first, names, post, "touched")
+            self._emit_select_tail(first, names, tail, "touched")
             return
 
         # Aggregation (with or without GROUP BY).  Each group is one
@@ -1407,14 +1468,14 @@ class _PlanCodegen:
             elif col.expr is not None:
                 values.append(f"_ge[{extra_slot}]")
                 extra_slot += 1
-            else:  # pragma: no cover - defensive, mirrors closure rung
+            else:  # pragma: no cover - defensive, mirrors the tree
                 values.append("None")
         tup = (
             "(" + ", ".join(values)
             + ("," if len(values) == 1 else "") + ")"
         )
         w.line(f"rows = [{tup} for _ge in groups.values()]")
-        self._emit_select_tail(first, names, post, "touched")
+        self._emit_select_tail(first, names, tail, "touched")
 
     def _inline_fold(
         self, spec: AggregateSpec, s: int, scope: Scope,
@@ -1564,7 +1625,7 @@ class _PlanCodegen:
 
         if full_width:
             # Evaluate every value before the lock, validate after it
-            # (the closure rung's order of effects).
+            # (the tree executor's order of effects).
             for i, ast in enumerate(plan.value_asts):
                 w.line(f"_v{i} = {self.expr(ast, scope, None)}")
             self.emit_txn_check(lock_lines)
@@ -1602,8 +1663,8 @@ class _PlanCodegen:
         self, table: Table, target: TableAccess, scope: Scope
     ) -> None:
         """Materialize matching target rowids into ``rowids`` and the
-        candidate count into ``touched`` before any mutation (the
-        closure rung's make_rowid_collector, emitted as batch code)."""
+        candidate count into ``touched`` before any mutation, emitted
+        as batch code."""
         w = self.w
         access = target.access
         row_ref = self.single_ref(scope)
@@ -1686,7 +1747,7 @@ class _PlanCodegen:
         after_var: str,
     ) -> None:
         """The post-assignment row: every value expression evaluates
-        before any validator runs (the closure rung's order)."""
+        before any validator runs (the tree executor's order)."""
         w = self.w
         schema = table.schema
         row_ref = self.single_ref(scope)
@@ -1851,9 +1912,8 @@ class _PlanCodegen:
 class SourcePlan:
     """One plan generated to Python source, compiled and bound.
 
-    Interface-compatible with
-    :class:`~repro.db.sql.compile_plan.CompiledPlan` (``kind``,
-    ``table_names``, raw ``run``, :meth:`execute`), plus the generated
+    ``kind``, ``table_names``, the raw ``run(params, txn)`` hot callers
+    invoke directly, :meth:`execute` with defaults, the generated
     ``source`` text, its content ``signature`` and the per-binding
     ``join_meta`` strategy choices for observability."""
 
@@ -1935,9 +1995,8 @@ def generate_plan_source(
 def compile_plan_source(plan: Plan, database: Database) -> SourcePlan:
     """Generate, ``compile()`` and ``exec`` the source rung for ``plan``.
 
-    Raises :class:`PlanCodegenError` (a :class:`PlanCompileError`) for
-    shapes this rung does not emit; callers fall back to the closure
-    compiler and then the tree executor.  Like any prepared statement,
+    Raises :class:`PlanCodegenError` for shapes this rung does not emit;
+    callers fall back to the tree executor.  Like any prepared statement,
     the result must not outlive DROP/CREATE or ``create_index`` on the
     tables it binds.
     """
@@ -1959,11 +2018,11 @@ def maybe_compile_plan_source(
     plan: Plan, database: Database, tracer: Any = None
 ) -> Optional[SourcePlan]:
     """Best-effort source generation: None when this rung cannot emit
-    the plan (the caller tries the closure compiler next)."""
+    the plan (the caller runs it on the tree executor)."""
     try:
         if tracer is not None and getattr(tracer, "active", False):
             with tracer.span("codegen.plan", track="codegen"):
                 return compile_plan_source(plan, database)
         return compile_plan_source(plan, database)
-    except PlanCompileError:
+    except PlanCodegenError:
         return None

@@ -274,8 +274,8 @@ class AccessPath:
 
     The ``*_asts`` fields keep the source expressions of the compiled
     key closures and ``index_width`` the declared column count of the
-    chosen index: the plan compiler (:mod:`repro.db.sql.compile_plan`)
-    recompiles them into positional form and decides the prefix-bound
+    chosen index: the source generator (:mod:`repro.db.sql.codegen_plan`)
+    re-emits them in positional form and decides the prefix-bound
     MAX_KEY extension statically.
     """
 

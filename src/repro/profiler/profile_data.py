@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -98,49 +97,6 @@ class ProfileData:
         if self.invocations == 0:
             return float(self.total_statement_weight())
         return self.total_statement_weight() / self.invocations
-
-    # -- persistence -----------------------------------------------------------
-
-    def to_json(self) -> str:
-        def stats(d: dict) -> dict:
-            return {
-                (k if isinstance(k, (str, int)) else "|".join(k)): [
-                    v.total,
-                    v.samples,
-                ]
-                for k, v in d.items()
-            }
-
-        payload = {
-            "counts": self.counts,
-            "assign_sizes": stats(self.assign_sizes),
-            "field_sizes": stats(self.field_sizes),
-            "arg_sizes": stats(self.arg_sizes),
-            "result_sizes": stats(self.result_sizes),
-            "db_rows": stats(self.db_rows),
-            "invocations": self.invocations,
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProfileData":
-        payload = json.loads(text)
-        data = cls(invocations=payload.get("invocations", 0))
-        data.counts = {int(k): v for k, v in payload["counts"].items()}
-
-        def load(dst: dict, src: dict, tuple_keys: bool = False) -> None:
-            for key, (total, samples) in src.items():
-                parsed = (
-                    tuple(key.split("|")) if tuple_keys else int(key)
-                )
-                dst[parsed] = SizeStat(total=total, samples=samples)
-
-        load(data.assign_sizes, payload["assign_sizes"])
-        load(data.field_sizes, payload["field_sizes"], tuple_keys=True)
-        load(data.arg_sizes, payload["arg_sizes"])
-        load(data.result_sizes, payload["result_sizes"])
-        load(data.db_rows, payload["db_rows"])
-        return data
 
     def merge(self, other: "ProfileData") -> None:
         """Fold another run's observations into this profile."""

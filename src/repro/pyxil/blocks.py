@@ -87,13 +87,6 @@ class ExecutionBlock:
     label: str = ""
     ops: list[OpAssign] = field(default_factory=list)
     terminator: Optional[Terminator] = None
-    # Precompiled closure form of this block, filled in lazily by
-    # repro.runtime.compile_blocks.ensure_program_code.  Blocks are
-    # immutable once compile_program returns, so the slot never needs
-    # invalidation.
-    code: Optional[object] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def describe(self) -> str:
         where = "APP" if self.placement is Placement.APP else "DB"
@@ -118,11 +111,6 @@ class CompiledProgram:
     # Method signatures: qualified name -> parameter list.
     params: dict[str, list[str]] = field(default_factory=dict)
     classes: dict[str, list[str]] = field(default_factory=dict)
-    # Dense bid-indexed list of BlockCode objects (see
-    # repro.runtime.compile_blocks); populated on first use.
-    code_cache: Optional[list] = field(
-        default=None, init=False, repr=False, compare=False
-    )
     # Generated-source executors keyed by cost-model signature (see
     # repro.runtime.codegen_blocks.ensure_program_source); generated text
     # bakes model-derived cost literals, so each signature gets its own

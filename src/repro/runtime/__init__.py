@@ -7,11 +7,12 @@ shared logical stack and a distributed heap:
   parts plus remote caches, with dirty tracking;
 * :mod:`repro.runtime.serializer` -- wire copies and byte accounting;
 * :mod:`repro.runtime.rpc` -- control-transfer and DB-call messages;
-* :mod:`repro.runtime.interpreter` -- the block interpreter and
-  control-transfer loop (single thread of control across servers);
-* :mod:`repro.runtime.compile_blocks` -- the closure-compilation
-  layer behind the default ``compiled`` interpreter mode (see
-  ``REPRO_INTERP``);
+* :mod:`repro.runtime.interpreter` -- the tree-walking block
+  interpreter (the oracle) and the control-transfer loop (single
+  thread of control across servers);
+* :mod:`repro.runtime.codegen_blocks` -- the production rung: every
+  fused block region generated as Python source (``REPRO_INTERP``
+  selects ``source``, the default, or ``tree``);
 * :mod:`repro.runtime.entrypoints` -- the entry-point wrappers
   (Section 5.2);
 * :mod:`repro.runtime.switcher` -- EWMA-based dynamic selection among

@@ -1,12 +1,11 @@
 """Source codegen: execution blocks translated to generated Python text.
 
-Third compilation rung.  The closure compiler
-(:mod:`repro.runtime.compile_blocks`) removed per-op dispatch but still
-pays a Python call per op closure and per atom reader.  This module goes
-one step further: every block becomes **one flat generated function**
-(``_b<bid>(ex, frame, heap) -> next bid | None``) with the op bodies and
-the terminator inlined as plain statements, compiled once with
-``compile()``/``exec`` and cached on the program.
+The production block rung (the tree-walker in
+:mod:`repro.runtime.interpreter` stays the oracle).  Every block becomes
+**one flat generated function** (``_b<bid>(ex, frame, heap) -> next bid
+| None``) with the op bodies and the terminator inlined as plain
+statements, compiled once with ``compile()``/``exec`` and cached on the
+program.
 
 The generated module bakes the cost model in: per-segment CPU charges
 are emitted as float literals, so the cache on
@@ -16,26 +15,24 @@ byte-identical text (CI checks this), and ``REPRO_DUMP_CODEGEN`` /
 ``repro partition --dump-codegen`` write each module to disk under a
 stable content-hash name.
 
-Equivalence contract (the tree-walker stays the oracle):
+Equivalence contract with the tree-walker:
 
 * identical results, ``ExecutionStats`` and error messages on the same
-  runs as the closure rung;
-* identical trace stages: the driver loop
+  runs;
+* identical trace stages: a block's deterministic CPU cost is counted
+  per *segment* (:class:`_Counts`) while its ops emit, segments split
+  only around DB calls, and the driver loop
   (``PyxisExecutor._loop_source``) batches per-side CPU into locals and
   flushes before every message boundary (control transfers, DB-call
   blocks, loop exit).  Between two messages all CPU lands on one side,
-  so the batched sums flush into exactly the stages the closure rung
-  produces;
-* the per-segment cost structure is *verified* against the closure
-  compiler's :class:`~repro.runtime.compile_blocks.CostCounts` at
-  generation time -- any accounting drift raises
-  :class:`BlockCodegenError` instead of silently diverging.
+  so the batched sums flush into the same stages the tree-walker's
+  per-statement charges produce.
 
 Unbound-variable errors keep their exact messages without per-read
 ``try``/``except``: each generated function wraps its whole body once,
 and the handler re-derives the failing name from the ``KeyError`` key
-(the first missing name in evaluation order, exactly what the closure
-rung reports).
+(the first missing name in evaluation order, exactly what the
+tree-walker reports).
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from typing import Any, Optional
 
 from repro.core.codegen import SourceWriter, maybe_dump_source, source_signature
 from repro.core.partition_graph import Placement
-from repro.db.jdbc import ResultSet
+from repro.db.jdbc import ResultSet, Row
 from repro.lang.interp import _apply_binop
 from repro.lang.ir import (
     BinExpr,
@@ -56,6 +53,7 @@ from repro.lang.ir import (
     IndexGet,
     IndexLV,
     ListLiteral,
+    LValue,
     UnaryExpr,
     VarLV,
     VarRef,
@@ -70,11 +68,6 @@ from repro.pyxil.blocks import (
     THalt,
     TReturn,
 )
-from repro.runtime.compile_blocks import (
-    _CONTAINER_TYPES,
-    _compile_result_store,
-    ensure_program_code,
-)
 from repro.runtime.heap import _MISSING, HeapError, NativeRef, ObjRef
 from repro.runtime.interpreter import NATIVE_CPU_COSTS, RuntimeError_, _Frame
 from repro.runtime.rpc import MESSAGE_OVERHEAD
@@ -82,7 +75,7 @@ from repro.runtime.serializer import wire_size
 
 
 class BlockCodegenError(RuntimeError_):
-    """Source generation failed (or diverged from the closure rung)."""
+    """Source generation failed."""
 
 
 _PYOPS = {
@@ -101,6 +94,8 @@ _PYOPS = {
 }
 
 _MUTATING_METHODS = frozenset({"append", "extend", "pop"})
+
+_CONTAINER_TYPES = (list, ResultSet, Row, tuple, dict)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +138,100 @@ def _runaway(ex):
     raise RuntimeError_(
         f"exceeded {ex.max_blocks} blocks; runaway program?"
     )
+
+
+# ---------------------------------------------------------------------------
+# Call-return stores of heap l-values (bound into generated code)
+# ---------------------------------------------------------------------------
+
+
+def _compile_atom(atom):
+    """Reader ``(ex, frame, heap) -> value`` for one atom."""
+    if isinstance(atom, Const):
+        value = atom.value
+
+        def read_const(ex, frame, heap):
+            return value
+
+        return read_const
+    if isinstance(atom, VarRef):
+        name = atom.name
+
+        def read_var(ex, frame, heap):
+            try:
+                return frame.values[name]
+            except KeyError:
+                raise RuntimeError_(
+                    f"unbound variable {name!r} in {frame.method}"
+                ) from None
+
+        return read_var
+    msg = f"not an atom: {atom!r}"
+
+    def bad(ex, frame, heap):  # pragma: no cover - defensive
+        raise RuntimeError_(msg)
+
+    return bad
+
+
+def _deref_container(heap, value: Any) -> Any:
+    """Mirror of PyxisExecutor._container against an explicit heap."""
+    if value.__class__ is NativeRef:
+        return heap.get_native(value)
+    if isinstance(value, _CONTAINER_TYPES):
+        return value
+    raise RuntimeError_(f"not a container: {value!r}")
+
+
+def _compile_result_store(target: Optional[LValue]):
+    """Store closure ``(ex, frame, value)`` for call-return paths.
+
+    Return stores execute on whatever side the returning block ran on,
+    so the heap and the heap-op charge are resolved dynamically through
+    the executor, exactly like the tree-walker's ``_store``.
+    """
+    if target is None:
+        return None
+    if isinstance(target, VarLV):
+        name = target.name
+
+        def store_var(ex, frame, value):
+            frame.values[name] = value
+            frame.dirty.add(name)
+
+        return store_var
+    if isinstance(target, FieldLV):
+        obj_c = _compile_atom(target.obj)
+        fname = target.field
+
+        def store_field(ex, frame, value):
+            ex._charge(ex._heap_cost)
+            obj = obj_c(ex, frame, None)
+            if obj.__class__ is not ObjRef:
+                raise RuntimeError_(f"field write on {obj!r}")
+            ex.heaps[ex.side].write_field(obj, fname, value)
+
+        return store_field
+    if isinstance(target, IndexLV):
+        obj_c = _compile_atom(target.obj)
+        idx_c = _compile_atom(target.index)
+
+        def store_index(ex, frame, value):
+            ex._charge(ex._heap_cost)
+            heap = ex.heaps[ex.side]
+            ref = obj_c(ex, frame, None)
+            container = _deref_container(heap, ref)
+            container[idx_c(ex, frame, None)] = value
+            if ref.__class__ is NativeRef:
+                heap.mark_native_dirty(ref)
+
+        return store_index
+    msg = f"bad l-value {target!r}"
+
+    def bad(ex, frame, value):  # pragma: no cover - defensive
+        raise RuntimeError_(msg)
+
+    return bad
 
 
 # Namespace every generated module executes in.  Only error-path
@@ -192,12 +281,17 @@ class SourceProgram:
 
 
 # ---------------------------------------------------------------------------
-# Cost mirroring (verified against compile_blocks)
+# Segment accounting
 # ---------------------------------------------------------------------------
 
 
 class _Counts:
-    """Mirror of compile_blocks.CostCounts, tracked during emission."""
+    """Deterministic CPU charges of one block segment, by cost-model term.
+
+    Counted while the segment's ops emit and turned into one baked
+    float literal by :meth:`seconds`.  ``fixed`` holds absolute seconds
+    from :data:`NATIVE_CPU_COSTS` overrides (e.g. ``sha1_hex``).
+    """
 
     __slots__ = ("dispatch", "statements", "heap_ops", "natives", "fixed")
 
@@ -224,13 +318,13 @@ class _Counts:
         self.natives += other.natives
         self.fixed += other.fixed
 
-    def key(self) -> tuple:
+    def seconds(self, model) -> float:
         return (
-            self.dispatch,
-            self.statements,
-            self.heap_ops,
-            self.natives,
-            self.fixed,
+            self.dispatch * model.block_dispatch_cost
+            + self.statements * model.statement_cost
+            + self.heap_ops * model.heap_op_cost
+            + self.natives * model.native_call_cost
+            + self.fixed
         )
 
 
@@ -271,8 +365,7 @@ class _FnEmitter:
 
     Lines carry their own relative indentation (4-space units); the
     assembler prefixes the base function indentation.  ``out`` is
-    switchable so the block loop can buffer op lines per cost segment
-    (mirroring compile_blocks' pending/flush structure).
+    switchable so the block loop can buffer op lines per cost segment.
     """
 
     def __init__(
@@ -334,8 +427,7 @@ class _FnEmitter:
         if isinstance(atom, VarRef):
             self.reads.append(atom.name)
             return f"{self.values_var}[{atom.name!r}]"
-        # Defensive mirror of compile_blocks._compile_atom: raise at
-        # evaluation time, not generation time.
+        # Defensive: raise at evaluation time, not generation time.
         return f"_raise_rt({self.bind(f'not an atom: {atom!r}')})"
 
     def const(self, value: Any) -> str:
@@ -351,7 +443,7 @@ class _FnEmitter:
         if py is not None:
             return f"({self.atom(expr.left)} {py} {self.atom(expr.right)})"
         if op in ("and", "or"):
-            # The closure rung evaluates BOTH operands before applying
+            # The tree-walker evaluates BOTH operands before applying
             # bool(l) and/or bool(r); temps keep that non-short-circuit
             # behaviour (and its error ordering).
             lt, rt = self.tmp(), self.tmp()
@@ -393,7 +485,7 @@ class _FnEmitter:
 
     def emit_expr(self, expr, op) -> str:
         """Evaluate ``expr``; returns an expression string (emitting
-        supporting statements as needed).  Mirrors _compile_expr."""
+        supporting statements as needed)."""
         if isinstance(expr, (Const, VarRef)):
             return self.atom(expr)
         if isinstance(expr, BinExpr):
@@ -489,8 +581,8 @@ class _FnEmitter:
     def emit_heap_store(self, target, value_expr: str) -> None:
         """FieldLV/IndexLV store against the block's static heap.
 
-        The value is materialized first (matching the closure rung's
-        evaluation order), then the target is resolved.
+        The value is materialized first (the tree-walker's evaluation
+        order), then the target is resolved.
         """
         self.counts.heap_ops += 1
         value = self.tmp()
@@ -519,7 +611,7 @@ class _FnEmitter:
 
     def emit_store(self, target, value_expr: str) -> None:
         if target is None:
-            self.w(value_expr)  # evaluate for effect, mirror step_discard
+            self.w(value_expr)  # evaluate for effect
             return
         if isinstance(target, VarLV):
             self.emit_var_store(target.name, value_expr)
@@ -532,8 +624,8 @@ class _FnEmitter:
     # -- whole ops --------------------------------------------------------
 
     def emit_fused_var(self, name: str, op) -> bool:
-        """Single-statement forms of ``x = <expr>``; mirrors
-        _fused_assign_to_var (returns False when not applicable)."""
+        """Single-statement forms of ``x = <expr>`` (returns False when
+        not applicable)."""
         value = op.value
         if isinstance(value, BinExpr):
             if value.op in _PYOPS or value.op in ("and", "or"):
@@ -565,7 +657,7 @@ class _FnEmitter:
     # -- DB steps ---------------------------------------------------------
 
     def emit_db_step(self, op, expr: CallExpr, placement: Placement) -> None:
-        """Mirror of _compile_db_step, specialized per API and side."""
+        """One DB call, specialized per API and side."""
         api = expr.name
         remote = placement is Placement.APP
         first = expr.args[0] if expr.args else None
@@ -648,8 +740,8 @@ class _FnEmitter:
         """Store a call/alloc result on the *current* frame.
 
         VarLV (the overwhelmingly common case) is inlined; heap lvalues
-        go through the closure rung's dynamic-side result store, which
-        charges and resolves the heap through the executor.
+        go through :func:`_compile_result_store`'s dynamic-side store,
+        which charges and resolves the heap through the executor.
         """
         if lvalue is None:
             return
@@ -816,33 +908,19 @@ def _block_has_db(block: ExecutionBlock) -> bool:
     )
 
 
-def _counts_reference(code) -> list[tuple]:
-    return [
-        (seg.dispatch, seg.statements, seg.heap_ops, seg.natives, seg.fixed)
-        for seg in code.segments
-    ]
-
-
-def _emit_plain_ops(em: _FnEmitter, block: ExecutionBlock, code) -> None:
-    """Emit a DB-free block's ops into ``em.out``, verifying that the
-    mirrored accounting matches the closure rung's single segment."""
+def _emit_plain_ops(em: _FnEmitter, block: ExecutionBlock) -> _Counts:
+    """Emit a DB-free block's ops into ``em.out``; returns the block's
+    single cost segment."""
     saved = em.counts
-    em.counts = _Counts()
-    em.counts.dispatch = 1
+    counts = em.counts = _Counts()
+    counts.dispatch = 1
     for op in block.ops:
-        em.counts.statements += 1
+        counts.statements += 1
         em.emit_op(op)
-    term = block.terminator
-    if isinstance(term, (TBranch, TCall)):
-        em.counts.statements += 1
-    mirrored = [em.counts.key()]
+    if isinstance(block.terminator, (TBranch, TCall)):
+        counts.statements += 1
     em.counts = saved
-    reference = _counts_reference(code)
-    if mirrored != reference:  # pragma: no cover - generator bug guard
-        raise BlockCodegenError(
-            f"segment accounting diverged for block {block.bid}: "
-            f"{mirrored} != {reference}"
-        )
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -1009,7 +1087,7 @@ def _emit_inline_call(
     term: TCall,
     centry: int,
     compiled: CompiledProgram,
-    codes,
+    costs: dict[int, _Counts],
     arm_bids: list[int],
 ) -> None:
     """Inline a leaf callee at its call site.
@@ -1058,7 +1136,7 @@ def _emit_inline_call(
         em.w(f"{ret} = {em.atom(cterm.value)}")
     else:
         em.w(f"{ret} = None")
-    mirrored = [em.counts.key()]
+    costs[centry] = em.counts
     body = em.out
     creads = sorted(set(em.reads))
     em.out = saved_out
@@ -1066,12 +1144,6 @@ def _emit_inline_call(
     em.values_var = saved_vv
     em.dirty_on = saved_dirty
     em.counts = saved_counts
-    reference = _counts_reference(codes[centry])
-    if mirrored != reference:  # pragma: no cover - generator bug guard
-        raise BlockCodegenError(
-            f"inline accounting diverged for block {centry}: "
-            f"{mirrored} != {reference}"
-        )
 
     if creads:
         rd = f"_rdi{em.tag}_{site}"
@@ -1101,7 +1173,6 @@ def _emit_region_fn(
     writer: SourceWriter,
     entry: int,
     compiled: CompiledProgram,
-    codes,
     model,
     track_dirty: bool,
     region,
@@ -1133,13 +1204,15 @@ def _emit_region_fn(
 
     em.transition = transition
 
+    # Cost segment of every block an arm runs (inlined callees too).
+    costs: dict[int, _Counts] = {}
     arms = []
     for chain in chains:
         em.out = []
         arm_bids: list[int] = []
         for i, bid in enumerate(chain):
             block = compiled.blocks[bid]
-            _emit_plain_ops(em, block, codes[bid])
+            costs[bid] = _emit_plain_ops(em, block)
             arm_bids.append(bid)
             kind, payload, targets, in_region = plan[bid]
             nxt = chain[i + 1] if i + 1 < len(chain) else None
@@ -1148,7 +1221,7 @@ def _emit_region_fn(
                     em.emit_alloc_call(payload)
                 elif kind == "inline":
                     _emit_inline_call(
-                        em, payload[0], payload[1], compiled, codes, arm_bids
+                        em, payload[0], payload[1], compiled, costs, arm_bids
                     )
                 if targets[0] != nxt:
                     em.jump(targets[0])
@@ -1241,8 +1314,8 @@ def _emit_region_fn(
         cpu = 0.0
         n_ops = 0
         for b in bids:
-            cpu += codes[b].segments[0].seconds(model)
-            n_ops += codes[b].n_ops
+            cpu += costs[b].seconds(model)
+            n_ops += len(compiled.blocks[b].ops)
         if cpu:
             cpu_terms.append(f"_a{k}*{_float_literal(cpu)}")
         blk_terms.append(f"_a{k}" if len(bids) == 1 else f"_a{k}*{len(bids)}")
@@ -1278,18 +1351,17 @@ def _emit_db_fn(
     writer: SourceWriter,
     block: ExecutionBlock,
     compiled: CompiledProgram,
-    code,
     model,
     track_dirty: bool,
 ) -> None:
     """Emit the singleton function for a DB-call block.
 
-    Reproduces _compile_block's pending/flush structure: op lines
-    buffer per segment; a DB call closes the segment, and the next
-    segment's CPU charge (a baked float literal) lands right after the
-    DB lines -- exactly where the closure rung places its charge step.
-    Stats land in ``acc`` at entry and segment 0's CPU is recorded
-    directly (before the request message can flush pending CPU).
+    Op lines buffer per cost segment; a DB call closes the segment
+    (its request message flushes pending CPU into a trace stage), and
+    the next segment's CPU charge (a baked float literal) lands right
+    after the DB lines.  Stats land in ``acc`` at entry and segment 0's
+    CPU is recorded directly (before the request message can flush
+    pending CPU).
     """
     em = _FnEmitter(module, track_dirty)
     placement = block.placement
@@ -1304,7 +1376,7 @@ def _emit_db_fn(
             segments.append(em.counts)
             index = len(segments) - 1
             if index:
-                seconds = code.segments[index].seconds(model)
+                seconds = em.counts.seconds(model)
                 if seconds:
                     body.append(
                         f"ex.cluster.record_cpu({side!r}, "
@@ -1342,17 +1414,8 @@ def _emit_db_fn(
     em.out = body
     em.emit_terminator(term, compiled)
 
-    # Accounting parity with the closure rung, checked field by field.
-    mirrored = [seg.key() for seg in segments]
-    reference = _counts_reference(code)
-    if mirrored != reference:  # pragma: no cover - generator bug guard
-        raise BlockCodegenError(
-            f"segment accounting diverged for block {block.bid}: "
-            f"{mirrored} != {reference}"
-        )
-
     bid = block.bid
-    seg0 = code.segments[0].seconds(model)
+    seg0 = segments[0].seconds(model)
     reads = sorted(set(em.reads))
     if reads:
         names = ", ".join(repr(n) for n in reads)
@@ -1361,8 +1424,8 @@ def _emit_db_fn(
     writer.indent()
     writer.line("_v = frame.values")
     writer.line("acc[2] += 1")
-    if code.n_ops:
-        writer.line(f"acc[3] += {code.n_ops}")
+    if block.ops:
+        writer.line(f"acc[3] += {len(block.ops)}")
     writer.line("_bc = ex.block_counts")
     writer.line("if _bc is not None:")
     writer.line(f"    _bc[{bid}] = _bc.get({bid}, 0) + 1")
@@ -1420,7 +1483,6 @@ def generate_program_source(
     simply emitted into each region -- duplication costs text, never
     correctness, since stats fold per logical block id.
     """
-    codes = ensure_program_code(compiled)
     track_dirty = any(
         block.placement is Placement.DB for block in compiled.blocks.values()
     )
@@ -1449,14 +1511,12 @@ def generate_program_source(
         e = queue.pop(0)
         block = compiled.blocks[e]
         if _block_has_db(block):
-            _emit_db_fn(
-                module, writer, block, compiled, codes[e], model, track_dirty
-            )
+            _emit_db_fn(module, writer, block, compiled, model, track_dirty)
             exits = _db_exits(block, compiled)
         else:
             region = _build_region(e, compiled)
             _emit_region_fn(
-                module, writer, e, compiled, codes, model, track_dirty, region
+                module, writer, e, compiled, model, track_dirty, region
             )
             exits = region[5]
         emitted.append(e)

@@ -58,7 +58,7 @@ class HeapStore:
         # Writes since the last control transfer, as insertion-ordered
         # key -> None dicts: control transfers ship exactly this delta,
         # deterministically ordered, instead of re-walking the heap.
-        # (repro.runtime.compile_blocks inlines the write path; keep
+        # (repro.runtime.codegen_blocks inlines the write path; keep
         # write_field and these structures in sync with it.)
         self.dirty_fields: dict[tuple[int, str, str], None] = {}  # (oid, cls, field)
         self.dirty_natives: dict[int, None] = {}

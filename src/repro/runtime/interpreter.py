@@ -70,14 +70,12 @@ NATIVE_CPU_COSTS: dict[str, float] = {
 
 # Interpreter selection: "source" (the default) runs
 # generated-Python-source block functions (repro.runtime.codegen_blocks);
-# "compiled" runs blocks through the closure compilation layer
-# (repro.runtime.compile_blocks); "tree" walks the Expr trees directly.
-# On successful runs all three produce identical results and identical
-# ExecutionStats (after a mid-block error the batched op/CPU accounting
-# of the compiled rungs may cover the whole failing block); the
-# tree-walker is the debugging reference.
+# "tree" walks the Expr trees directly.  On successful runs both produce
+# identical results and identical ExecutionStats (after a mid-block
+# error the batched op/CPU accounting of the source rung may cover the
+# whole failing block); the tree-walker is the oracle.
 INTERP_ENV_VAR = "REPRO_INTERP"
-INTERP_MODES = ("tree", "compiled", "source")
+INTERP_MODES = ("tree", "source")
 DEFAULT_INTERP = "source"
 
 
@@ -132,8 +130,8 @@ class _Frame:
         return_target: int = -1,
         result_lvalue: Optional[LValue] = None,
         ctor_result: Optional[ObjRef] = None,
-        # Compiled-mode twin of result_lvalue: the precompiled store
-        # closure the return terminator invokes on the caller frame.
+        # Source-rung twin of result_lvalue: the store closure the
+        # generated return path invokes on the caller frame.
         result_store: Optional[Callable[..., None]] = None,
     ) -> None:
         self.method = method
@@ -183,21 +181,7 @@ class PyxisExecutor:
         self._heap_cost = self._cost_model.heap_op_cost
         self._ret: Any = None
         self.interp = resolve_interp_mode(interp)
-        if self.interp == "compiled":
-            # Imported lazily: compile_blocks imports names from this
-            # module at its top level.
-            from repro.runtime.compile_blocks import ensure_program_code
-
-            self._codes = ensure_program_code(compiled)
-            model = self._cost_model
-            self._block_costs: list[tuple[float, ...]] = [
-                tuple(seg.seconds(model) for seg in code.segments)
-                if code is not None
-                else ()
-                for code in self._codes
-            ]
-            self._loop_fn = self._loop_compiled
-        elif self.interp == "source":
+        if self.interp == "source":
             from repro.runtime.codegen_blocks import ensure_program_source
 
             source = ensure_program_source(
@@ -326,61 +310,6 @@ class PyxisExecutor:
             else:  # pragma: no cover - defensive
                 raise RuntimeError_(f"bad terminator {term!r}")
 
-    def _loop_compiled(self, bid: int) -> Any:
-        """Run precompiled block closures (see compile_blocks).
-
-        Op and terminator dispatch happened at compile time; this loop
-        only moves between blocks, performs control transfers, and
-        batches the per-block stats/cost accounting.  Block and op
-        counts accumulate in locals and flush to ``stats`` on exit
-        (nothing reads them mid-run; DB-call counters update live
-        inside the step closures).
-        """
-        codes = self._codes
-        costs = self._block_costs
-        stats = self.stats
-        block_counts = self.block_counts
-        app = Placement.APP
-        heap_app = self.heaps[app]
-        heap_db = self.heaps[Placement.DB]
-        record_cpu = self.cluster.record_cpu
-        stack = self.stack
-        max_blocks = self.max_blocks
-        executed = 0
-        blocks = 0
-        ops = 0
-        try:
-            while True:
-                executed += 1
-                if executed > max_blocks:
-                    raise RuntimeError_(
-                        f"exceeded {self.max_blocks} blocks; runaway program?"
-                    )
-                code = codes[bid]
-                placement = code.placement
-                if placement is not self.side:
-                    self._control_transfer(placement, bid)
-                    self.side = placement
-                if block_counts is not None:
-                    block_counts[bid] = block_counts.get(bid, 0) + 1
-                blocks += 1
-                ops += code.n_ops
-                frame = stack[-1]
-                heap = heap_app if placement is app else heap_db
-                # Segment 0 (block dispatch + the leading ops' static
-                # cost) is charged here; later segments charge from
-                # their own steps.
-                record_cpu(code.side, costs[bid][0])
-                for step in code.steps:
-                    step(self, frame, heap)
-                nxt = code.term(self, frame, heap)
-                if nxt is None:
-                    return self._ret
-                bid = nxt
-        finally:
-            stats.blocks += blocks
-            stats.ops += ops
-
     def _loop_source(self, bid: int) -> Any:
         """Run generated superblock functions (see codegen_blocks).
 
@@ -394,8 +323,8 @@ class PyxisExecutor:
         control transfer, a DB-call block (whose request message
         flushes pending CPU into trace stages), and loop exit.
         Between two such points all charges land on one side, so the
-        batched sums produce bit-identical stages to the closure
-        rung's per-block ``record_cpu`` calls.  The runaway guard
+        batched sums produce the same stages as per-block
+        ``record_cpu`` calls would.  The runaway guard
         lives in two places: logical block counts are checked here per
         dispatch, and every generated dispatch arm checks its own
         visit counter, so loops that never leave a region still raise.

@@ -8,7 +8,7 @@ given partition option (index 0 = lowest CPU budget, matching
 :class:`LiveWorkload` executes **real compiled-block programs** through
 :class:`~repro.runtime.entrypoints.PartitionedApp` -- every trace in
 circulation was produced by actually running the partitioned program
-(closure-compiled blocks, managed heaps, real SQL against the in-memory
+(generated block code, managed heaps, real SQL against the in-memory
 engine) during the serve run.  Because a live execution costs real wall
 time, each option keeps a bounded trace pool: the first ``pool_size``
 transactions per option run live, later ones replay a uniformly drawn

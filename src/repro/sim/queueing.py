@@ -28,7 +28,7 @@ from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from heapq import heappush
 from math import inf
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.obs.summary import percentile as _percentile
 from repro.obs.trace import NULL_TRACER
@@ -709,32 +709,3 @@ class QueueingSimulator(StageWalker):
                 lat for when, lat in result.samples if when >= warmup
             ]
         return result
-
-
-def sweep_throughput(
-    traces: dict[str, TransactionTrace],
-    rates: Iterable[float],
-    duration: float = 60.0,
-    app_cores: int = 8,
-    db_cores: int = 16,
-    network: Optional[SimNetworkParams] = None,
-    seed: int = 17,
-) -> dict[str, list[SimResult]]:
-    """Run each named trace across a sweep of offered rates.
-
-    Returns ``{name: [SimResult per rate]}`` -- one curve per
-    implementation, exactly the data behind figures 9, 10, 12, 13.
-    """
-    curves: dict[str, list[SimResult]] = {name: [] for name in traces}
-    for name, trace in traces.items():
-        for rate in rates:
-            sim = QueueingSimulator(
-                app_cores=app_cores,
-                db_cores=db_cores,
-                network=network,
-                seed=seed,
-            )
-            curves[name].append(
-                sim.run(trace, rate=rate, duration=duration, name=name)
-            )
-    return curves

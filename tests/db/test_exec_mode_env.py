@@ -11,7 +11,7 @@ import pytest
 
 from repro.db import Database, connect
 from repro.db.errors import ExecutionError
-from repro.db.sql.compile_plan import (
+from repro.db.sql import (
     DEFAULT_SQL_EXEC,
     SQL_EXEC_ENV_VAR,
     SQL_EXEC_MODES,
@@ -23,6 +23,7 @@ from repro.runtime.interpreter import (
     RuntimeError_,
     resolve_interp_mode,
 )
+from tests.conftest import make_order_database
 
 
 class TestSqlExecMode:
@@ -83,29 +84,23 @@ class TestModeKeyedPlanCache:
 
     def test_mode_flip_does_not_reuse_other_rungs_plan(self):
         from repro.db.sql.codegen_plan import SourcePlan
-        from repro.db.sql.compile_plan import CompiledPlan
 
         db = self._db()
         sql = "SELECT v FROM x WHERE id = ?"
-        conn = connect(db, sql_exec="compiled")
-        compiled_stmt = conn.prepare(sql)
-        assert isinstance(compiled_stmt.compiled, CompiledPlan)
-        # Same connection object, different rung: the cached entry for
-        # the compiled rung must not be served.
-        conn.sql_exec = "source"
+        conn = connect(db, sql_exec="source")
         source_stmt = conn.prepare(sql)
-        assert source_stmt is not compiled_stmt
         assert isinstance(source_stmt.compiled, SourcePlan)
+        # Same connection object, different rung: the cached entry for
+        # the source rung must not be served.
         conn.sql_exec = "tree"
         tree_stmt = conn.prepare(sql)
-        assert tree_stmt is not compiled_stmt
         assert tree_stmt is not source_stmt
         assert tree_stmt.compiled is None
         # Flipping back serves the original cached entries.
-        conn.sql_exec = "compiled"
-        assert conn.prepare(sql) is compiled_stmt
         conn.sql_exec = "source"
         assert conn.prepare(sql) is source_stmt
+        conn.sql_exec = "tree"
+        assert conn.prepare(sql) is tree_stmt
 
     def test_env_flip_between_connections(self, monkeypatch):
         from repro.db.sql.codegen_plan import SourcePlan
@@ -113,8 +108,6 @@ class TestModeKeyedPlanCache:
         db = self._db()
         sql = "SELECT v FROM x WHERE id = ?"
         for mode, expect in (
-            ("compiled", lambda c: c is not None
-             and not isinstance(c, SourcePlan)),
             ("source", lambda c: isinstance(c, SourcePlan)),
             ("tree", lambda c: c is None),
         ):
@@ -130,10 +123,64 @@ class TestModeKeyedPlanCache:
         stats = conn.plan_cache_stats
         stats.reset()
         conn.prepare("SELECT v FROM x WHERE id = ?")
-        assert stats.source_plans == 1
-        # Source plans count toward compiled_plans too (both are
-        # non-tree rungs; serve-layer reports fold them together).
         assert stats.compiled_plans == 1
+        # The old name reads the same counter: source is the only
+        # generating rung.
+        assert stats.source_plans == 1
+
+
+class TestTreeFallback:
+    """A plan the generator cannot emit is prepared for the tree
+    executor instead: ``compiled`` stays None, ``compiled_plans`` does
+    not count it, and it runs exactly as on a ``tree`` connection --
+    on the single server and through the router's per-shard plans."""
+
+    SQL = "SELECT id, v FROM x WHERE v > ? ORDER BY v DESC"
+
+    def _load(self):
+        db = Database("t")
+        db.create_table("x", [("id", "int", False), ("v", "int")],
+                        primary_key=["id"])
+        for n in range(6):
+            db.table("x").insert((n, (n * 7) % 5))
+        return db
+
+    @pytest.fixture()
+    def codegen_declines(self, monkeypatch):
+        from repro.db.sql import codegen_plan
+
+        def decline(plan, database):
+            raise codegen_plan.PlanCodegenError("declined")
+
+        monkeypatch.setattr(codegen_plan, "generate_plan_source", decline)
+
+    def _rows(self, conn):
+        return [row.as_tuple() for row in conn.query(self.SQL, 1).rows]
+
+    def test_single_server(self, codegen_declines):
+        expected = self._rows(connect(self._load(), sql_exec="tree"))
+        conn = connect(self._load(), sql_exec="source")
+        assert conn.prepare(self.SQL).compiled is None
+        assert self._rows(conn) == expected
+        stats = conn.plan_cache_stats
+        assert (stats.misses, stats.compiled_plans) == (1, 0)
+
+    def test_router(self, codegen_declines):
+        from repro.db import (
+            ShardedDatabase,
+            ShardingScheme,
+            TableSharding,
+            connect_sharded,
+        )
+
+        expected = self._rows(connect(self._load(), sql_exec="tree"))
+        scheme = ShardingScheme({"x": TableSharding(("id",), "hash")})
+        sdb = ShardedDatabase.from_database(self._load(), 3, scheme)
+        conn = connect_sharded(sdb, sql_exec="source")
+        stmt = conn.prepare(self.SQL)
+        assert self._rows(conn) == expected
+        assert [stmt.compiled_for(shard) for shard in range(3)] == [None] * 3
+        assert conn.plan_cache_stats.compiled_plans == 0
 
 
 class TestInterpMode:
@@ -153,3 +200,54 @@ class TestInterpMode:
     def test_unknown_argument_fails_fast(self):
         with pytest.raises(RuntimeError_):
             resolve_interp_mode("turbo")
+
+
+class TestDeletedClosureRung:
+    """``compiled`` -- the closure rungs, deleted -- is an unknown mode
+    like any other: every way of asking for it fails at construction,
+    naming the value."""
+
+    def test_repro_interp_compiled(self, monkeypatch):
+        monkeypatch.setenv(INTERP_ENV_VAR, "compiled")
+        with pytest.raises(RuntimeError_, match="'compiled'"):
+            resolve_interp_mode()
+
+    def test_repro_sql_exec_compiled(self, monkeypatch):
+        db = Database("t")
+        db.create_table("x", [("id", "int", False)], primary_key=["id"])
+        monkeypatch.setenv(SQL_EXEC_ENV_VAR, "compiled")
+        with pytest.raises(ExecutionError, match="'compiled'"):
+            connect(db)
+
+    def test_sql_exec_argument_compiled(self):
+        db = Database("t")
+        db.create_table("x", [("id", "int", False)], primary_key=["id"])
+        with pytest.raises(ExecutionError, match="'compiled'"):
+            connect(db, sql_exec="compiled")
+
+    def test_executor_interp_argument_compiled(self, order_partitions):
+        from repro.runtime.entrypoints import PartitionedApp
+        from repro.sim.cluster import Cluster
+
+        part = order_partitions.by_budget()[0]
+        _, conn = make_order_database()
+        with pytest.raises(RuntimeError_, match="'compiled'"):
+            PartitionedApp(part.compiled, Cluster(), conn, interp="compiled")
+
+    def test_router_sql_exec_argument_compiled(self):
+        from repro.db import (
+            ShardedDatabase,
+            ShardingScheme,
+            TableSharding,
+            connect_sharded,
+        )
+
+        db = Database("t")
+        db.create_table("x", [("id", "int", False)], primary_key=["id"])
+        scheme = ShardingScheme({"x": TableSharding(("id",), "hash")})
+        sdb = ShardedDatabase.from_database(db, 2, scheme)
+        with pytest.raises(ExecutionError, match="'compiled'"):
+            connect_sharded(sdb, sql_exec="compiled")
+
+    def test_both_mode_lists_are_tree_and_source(self):
+        assert INTERP_MODES == SQL_EXEC_MODES == ("tree", "source")

@@ -395,7 +395,7 @@ def test_rowid_zero_is_found_by_every_lookup_path(index_class):
     assert not index.contains((7,)) and len(index) == 0
 
 
-@pytest.mark.parametrize("mode", ["tree", "compiled", "source"])
+@pytest.mark.parametrize("mode", ["tree", "source"])
 def test_pk_point_statements_find_rowid_zero(mode):
     """``RowidAllocator(start=0)`` (and replayed rowids) make 0 a legal
     rowid; a point probe that tested its bucket for truth instead of

@@ -148,7 +148,7 @@ class TestRow:
             "X": 0, "x": 0, "y": 2, "Y": 2,
         }
 
-    @pytest.mark.parametrize("sql_exec", ["tree", "compiled", "source"])
+    @pytest.mark.parametrize("sql_exec", ["tree", "source"])
     def test_indexed_rows_answer_as_the_scan_does(self, people_db, sql_exec):
         """Names that differ only by case (``Ab`` / ``aB``) give the
         first column for every casing, on every rung, after a wire copy

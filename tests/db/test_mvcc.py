@@ -5,7 +5,7 @@ import pytest
 
 from repro.db import Database, LockManager, connect
 from repro.db.errors import TransactionError
-from repro.db.sql.compile_plan import SQL_EXEC_MODES
+from repro.db.sql import SQL_EXEC_MODES
 
 
 def make_db():

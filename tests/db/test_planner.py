@@ -266,7 +266,7 @@ class TestJoinOrder:
             Planner(rank_db).plan(parse(sql))
         assert str(raised.value) == message
 
-    @pytest.mark.parametrize("sql_exec", ["tree", "compiled", "source"])
+    @pytest.mark.parametrize("sql_exec", ["tree", "source"])
     def test_locks_are_taken_in_written_order(self, rank_db, sql_exec):
         """Two statements joining the same tables in opposite written
         order join in the same (rank) order but each locks in its own

@@ -6,10 +6,12 @@
   oracle, position by position and by identity.
 - The source rung folds plain aggregates in slots of the group entry.
   A Hypothesis differential runs GROUP BY statements through the
-  source, closure and tree rungs and the 1- and 3-shard router against
-  the tree executor: rows, row order, ``rows_touched`` and errors.
+  source rung and the 1- and 3-shard router against the tree executor:
+  rows, row order, ``rows_touched`` and errors.
 - ``LIMIT`` takes None (no limit) or a non-negative integer; anything
   else fails naming the value, on every rung and through the router.
+- The source rung emits the sort / DISTINCT / LIMIT tail as text; every
+  shape it emits is checked against the tree executor the same way.
 """
 
 import enum
@@ -55,7 +57,7 @@ def oracle_sort_result_rows(
     nonzero, the row loop appended one trailing slot *per sort key*
     (None for keys that index an output column), so the k-th sort
     key's hidden slot sits at ``width + k``.  They are stripped from
-    the returned rows.  Shared by the tree and compiled executors --
+    the returned rows.  Shared by the tree and source executors --
     sorting happens on plain value tuples, so there is nothing
     environment-specific to specialize.
     """
@@ -244,7 +246,7 @@ def _group_deployments(rows, d_rows):
 
     conns = [
         (mode, connect(load(), sql_exec=mode))
-        for mode in ("tree", "compiled", "source")
+        for mode in ("tree", "source")
     ]
     scheme = ShardingScheme({"g": TableSharding(("id",), "hash")})
     for shards in (1, 3):
@@ -278,6 +280,18 @@ def test_group_by_differential(rows, d_rows, statement):
     _assert_rungs_agree(rows, sorted(d_rows), *statement)
 
 
+def test_fold_raises_the_extra_columns_error_before_an_aggregate_result():
+    # Both the non-grouped column (-0.0 / 0) and AVG over text raise on
+    # this row.  The tree executor evaluates the column while it folds
+    # and AVG's division only when it builds the result row, so every
+    # rung must raise ZeroDivisionError, not AVG's TypeError.
+    sql = "SELECT g.f / g.i AS c0, COUNT(*) AS c1, AVG(g.t) AS c2 FROM g"
+    for name, conn in _group_deployments([(0, -0.0, "a", None)], []):
+        assert _outcome(conn, sql, ())[:2] == (
+            "error", "ZeroDivisionError"
+        ), name
+
+
 # Ties a fold must break as ``_Aggregator`` does: -0.0 beside 0.0,
 # "b" before "a", True beside 1, two NaN objects, NULLs in every column.
 FOLD_ROWS = [
@@ -300,7 +314,7 @@ def test_each_inline_fold_matches_the_tree_executor(fold, column):
 
 
 def test_group_by_statements_reach_the_inline_fold():
-    # The differential's statements generate source (no closure-rung
+    # The differential's statements generate source (no tree
     # fallback), so the inline fold is what it compares.
     (_, conn), = [
         c for c in _group_deployments([(1, 1.5, "a", True)], [0])
@@ -341,7 +355,7 @@ def _limit_deployments():
 
     conns = [
         (mode, connect(load(), sql_exec=mode))
-        for mode in ("tree", "compiled", "source")
+        for mode in ("tree", "source")
     ]
     scheme = ShardingScheme({"p": TableSharding(("id",), "hash")})
     sdb = ShardedDatabase.from_database(load(), 3, scheme)
@@ -379,3 +393,104 @@ def test_limit_rejects_anything_else_naming_it(shape, value):
         with pytest.raises(ExecutionError) as err:
             conn.query(sql, *params)
         assert repr(value) in str(err.value), name
+
+
+# -- the tail as generated text, shape by shape --------------------------------
+
+# NULLs and ties in every sort column, -0.0 beside 0.0, equal floats.
+TAIL_ROWS = [
+    (0, 3, 1.5, "b"), (1, None, -0.0, "a"), (2, 3, 0.0, None),
+    (3, 1, 2.5, "b"), (4, 2, None, "c"), (5, 1, -1.0, "a"),
+    (6, None, 2.5, None), (7, 2, 0.5, "b"),
+]
+
+
+def _tail_deployments():
+    def load():
+        db = Database("tails")
+        db.create_table(
+            "p",
+            [("id", "int", False), ("v", "int"), ("f", "float"),
+             ("t", "text")],
+            primary_key=["id"],
+        )
+        db.create_table(
+            "q", [("qid", "int", False), ("w", "int")], primary_key=["qid"],
+        )
+        for row in TAIL_ROWS:
+            db.table("p").insert(row)
+        for qid in range(0, 8, 2):
+            db.table("q").insert((qid, qid % 3))
+        return db
+
+    conns = [
+        (mode, connect(load(), sql_exec=mode))
+        for mode in ("tree", "source")
+    ]
+    scheme = ShardingScheme({"p": TableSharding(("id",), "hash")})
+    for shards in (1, 3):
+        sdb = ShardedDatabase.from_database(load(), shards, scheme)
+        conns.append((f"router-{shards}", connect_sharded(sdb)))
+    return conns
+
+
+# Every tail shape the generator emits -- sort on output columns, on
+# hidden source-scope keys and on expressions; DISTINCT before and after
+# the sort; LIMIT as literal, parameter, expression and failing value --
+# on a scan, a point probe, an index range, a join and both folds.
+TAIL_SQL = {
+    "sort-output": ("SELECT id, v FROM p ORDER BY v, id", ()),
+    "sort-desc": ("SELECT id, v FROM p ORDER BY v DESC, id DESC", ()),
+    "sort-hidden-text": ("SELECT id FROM p ORDER BY t, id", ()),
+    "sort-hidden-float": ("SELECT id FROM p ORDER BY f DESC, id", ()),
+    "sort-expression": ("SELECT id, v FROM p ORDER BY v * 2 DESC, id", ()),
+    "sort-nulls": ("SELECT t FROM p ORDER BY t", ()),
+    "sort-filtered": ("SELECT id FROM p WHERE v = ? ORDER BY f, id", (2,)),
+    "distinct-sorted": ("SELECT DISTINCT v FROM p ORDER BY v", ()),
+    "distinct-two-columns": (
+        "SELECT DISTINCT v, t FROM p ORDER BY t DESC, v", ()),
+    "distinct-then-limit": (
+        "SELECT DISTINCT t FROM p ORDER BY t LIMIT 2", ()),
+    "distinct-point": ("SELECT DISTINCT v FROM p WHERE id = ?", (3,)),
+    "limit-literal": ("SELECT id FROM p ORDER BY id LIMIT 3", ()),
+    "limit-param": ("SELECT id FROM p ORDER BY id DESC LIMIT ?", (2,)),
+    "limit-expression": ("SELECT id FROM p ORDER BY id LIMIT ? + 1", (1,)),
+    "limit-zero": ("SELECT id FROM p ORDER BY id LIMIT 0", ()),
+    "limit-none": ("SELECT id FROM p ORDER BY id LIMIT ?", (None,)),
+    "limit-past-the-end": (
+        "SELECT id, t FROM p ORDER BY t DESC, id LIMIT 100", ()),
+    "limit-negative-expression": (
+        "SELECT id FROM p ORDER BY id LIMIT ? - 3", (1,)),
+    "limit-text": ("SELECT id FROM p ORDER BY t LIMIT ?", ("x",)),
+    "point-probe": (
+        "SELECT id FROM p WHERE id = ? ORDER BY v LIMIT 1", (3,)),
+    "index-range": (
+        "SELECT id, f FROM p WHERE id > ? ORDER BY f DESC, id LIMIT ?",
+        (2, 3)),
+    "join": (
+        "SELECT p.id, q.w FROM p JOIN q ON p.id = q.qid "
+        "ORDER BY q.w DESC, p.id LIMIT 3", ()),
+    "join-distinct": (
+        "SELECT DISTINCT q.w FROM p JOIN q ON p.id = q.qid ORDER BY q.w", ()),
+    "group-sort-limit": (
+        "SELECT v, COUNT(*) AS n FROM p GROUP BY v "
+        "ORDER BY n DESC, v LIMIT 2", ()),
+    "group-distinct": (
+        "SELECT DISTINCT v, COUNT(*) AS n FROM p GROUP BY v, t "
+        "ORDER BY v, n", ()),
+    "fold-limit-zero": ("SELECT COUNT(*) AS n FROM p LIMIT 0", ()),
+    "fold-sort-limit": (
+        "SELECT COUNT(*) AS n, SUM(v) AS s FROM p ORDER BY s LIMIT ?", (1,)),
+}
+
+
+@pytest.mark.parametrize("shape", TAIL_SQL)
+def test_generated_tail_matches_the_tree_executor(shape):
+    sql, params = TAIL_SQL[shape]
+    deployments = _tail_deployments()
+    (source,) = [conn for name, conn in deployments if name == "source"]
+    assert source.prepare(sql).compiled is not None  # no tree fallback
+    _, reference = deployments[0]
+    expected = _outcome(reference, sql, params)
+    for name, conn in deployments[1:]:
+        assert _outcome(conn, sql, params) == expected, name

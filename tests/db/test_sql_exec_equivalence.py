@@ -1,7 +1,7 @@
-"""Differential tests: tree executor vs compiled plans.
+"""Differential tests: tree executor vs generated-source plans.
 
 Every statement runs against two identically-loaded databases, once
-through the tree executor and once through the compiled plan, and the
+through the tree executor and once through the source rung, and the
 two must agree **bit-identically**: same ``StatementResult`` (columns,
 rows in order, rowcount, rows_touched), same undo-log growth, same
 post-statement table contents, same errors, and same state after
@@ -20,19 +20,8 @@ from repro.db.jdbc import Connection
 from repro.db.txn import Transaction
 
 
-# Every test in this module runs once per compiled rung -- the closure
-# compiler ("compiled") and the source codegen rung ("source") -- always
-# against the tree executor as the oracle.  The autouse fixture swaps
-# the module-level mode so the shared helpers stay signature-stable.
-_MODE = "compiled"
-
-
-@pytest.fixture(autouse=True, params=["compiled", "source"])
-def exec_mode(request):
-    global _MODE
-    _MODE = request.param
-    yield request.param
-    _MODE = "compiled"
+# The rung under test; the tree executor is always the oracle.
+_MODE = "source"
 
 
 def _make_pair(factory):
@@ -469,10 +458,9 @@ class TestSemanticCases:
         )
 
     def test_hand_built_plans_fall_back_to_tree_executor(self):
-        """Plans missing compiler metadata must compile to None (tree
+        """Plans missing generator metadata must compile to None (tree
         fallback), never escape with AssertionError/KeyError."""
         from repro.db.sql.codegen_plan import maybe_compile_plan_source
-        from repro.db.sql.compile_plan import maybe_compile_plan
         from repro.db.sql.planner import (
             AccessPath,
             DeletePlan,
@@ -503,7 +491,6 @@ class TestSemanticCases:
             ),
         ]
         for plan in hand_built:
-            assert maybe_compile_plan(plan, db) is None
             assert maybe_compile_plan_source(plan, db) is None
 
     def test_autocommit_through_connection_api(self):

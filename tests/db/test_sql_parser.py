@@ -17,7 +17,6 @@ from repro.db.sql.ast import (
     Select,
     UnaryOp,
     Update,
-    count_parameters,
 )
 from repro.db.sql.parser import parse
 
@@ -62,7 +61,6 @@ class TestSelect:
             if isinstance(node, Parameter)
         ]
         assert [p.index for p in params] == [0, 1]
-        assert count_parameters(stmt) == 2
 
     def test_join_with_condition(self):
         stmt = parse(
@@ -154,7 +152,7 @@ class TestInsert:
 
     def test_with_parameters(self):
         stmt = parse("INSERT INTO t (a, b) VALUES (?, ?)")
-        assert count_parameters(stmt) == 2
+        assert [p.index for p in stmt.values] == [0, 1]
 
 
 class TestUpdate:

@@ -4,9 +4,8 @@ plus a seeded random-statement generator run through every executor.
 The generator (:class:`StatementScriptGenerator`) produces reproducible
 scripts covering NOT BETWEEN, DISTINCT aggregates, multi-key ORDER BY,
 NULL-heavy rows and join-shaped statements; each script runs through
-the tree executor, the closure-compiled executor, the source-codegen
-executor, and the sharded router (all three executor modes), and all
-six must agree bit-identically -- results, errors, observer streams
+the tree executor, the source-codegen executor, and the sharded router
+(both executor modes), and all four must agree bit-identically -- results, errors, observer streams
 and final table state.
 """
 
@@ -146,7 +145,7 @@ def test_order_by_matches_sorted_model(rows):
 
 
 # ---------------------------------------------------------------------------
-# Random-statement generator: tree vs compiled vs sharded differential
+# Random-statement generator: tree vs source vs sharded differential
 # ---------------------------------------------------------------------------
 
 
@@ -315,7 +314,7 @@ def _property_schema(db):
 
 
 def _property_executors():
-    """{tree, compiled, source} x {single, sharded-3} over 'p'/'q'."""
+    """{tree, source} x {single, sharded-3} over 'p'/'q'."""
     from repro.db import (
         ShardedDatabase,
         ShardingScheme,
@@ -325,7 +324,7 @@ def _property_executors():
 
     scheme = ShardingScheme({"p": TableSharding(("id",), "hash")})
     executors = []
-    for mode in ("tree", "compiled", "source"):
+    for mode in ("tree", "source"):
         db = Database(f"prop-{mode}")
         _property_schema(db)
         executors.append((f"single-{mode}", db, connect(db, sql_exec=mode)))
@@ -479,7 +478,7 @@ def _brute_force_join(data, tables, conditions, filters):
 
 
 def _join_deployments(data):
-    """tree / compiled / source single servers, then the 1- and 3-shard
+    """tree / source single servers, then the 1- and 3-shard
     router (``t1`` hash-sharded, the other tables replicated)."""
     from repro.db import (
         ShardedDatabase,
@@ -509,7 +508,7 @@ def _join_deployments(data):
     scheme = ShardingScheme({"t1": TableSharding(("id",), "hash")})
     conns = [
         (mode, connect(load(), sql_exec=mode))
-        for mode in ("tree", "compiled", "source")
+        for mode in ("tree", "source")
     ]
     for shards in (1, 3):
         sdb = ShardedDatabase.from_database(load(), shards, scheme)

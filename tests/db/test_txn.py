@@ -382,7 +382,7 @@ class TestShardedTransaction:
         from repro.db import ShardedTransaction, connect_sharded
 
         sdb, managers = _sharded_fixture()
-        conn = connect_sharded(sdb, sql_exec="compiled")
+        conn = connect_sharded(sdb, sql_exec="source")
         before = sdb.logical_rows("acct")
         txn = conn.begin()
         conn.execute("UPDATE acct SET bal = bal + ? WHERE id = ?", 1.0, 0)

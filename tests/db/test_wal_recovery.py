@@ -31,7 +31,7 @@ from repro.db import (
 from repro.db.errors import WalCorruptionError
 from repro.db.wal import scan_wal
 
-MODES = ("tree", "compiled", "source")
+MODES = ("tree", "source")
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,7 @@ class TestTwoPhaseInDoubt:
 class TestTpccKillPoints:
     """Kill a WAL-attached sharded TPC-C run at seeded random statement
     boundaries; recovery must match an uninjected oracle bit for bit
-    under every execution rung (tree / compiled / source)."""
+    under every execution rung (tree / source)."""
 
     SHARDS = 3
 

@@ -100,16 +100,6 @@ class TestEstimateSize:
 
 
 class TestPersistence:
-    def test_json_round_trip(self, profiled):
-        _, data = profiled
-        restored = ProfileData.from_json(data.to_json())
-        assert restored.counts == data.counts
-        assert restored.invocations == data.invocations
-        for key, stat in data.field_sizes.items():
-            assert restored.field_sizes[key].average == pytest.approx(
-                stat.average
-            )
-
     def test_merge(self, profiled):
         _, data = profiled
         merged = ProfileData()

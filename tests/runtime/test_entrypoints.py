@@ -113,7 +113,7 @@ class TestInvokeProfiled:
 
     def test_both_interpreters_count_identically(self, order_partitions):
         counts = {}
-        for interp in ("tree", "compiled"):
+        for interp in ("tree", "source"):
             _, conn = make_order_database()
             app = PartitionedApp(
                 order_partitions.highest().compiled, Cluster(), conn,
@@ -122,4 +122,4 @@ class TestInvokeProfiled:
             _, counts[interp] = app.invoke_profiled(
                 "Order", "place_order", 7, 0.9
             )
-        assert counts["tree"] == counts["compiled"]
+        assert counts["tree"] == counts["source"]

@@ -210,16 +210,19 @@ class TestInterpSelection:
         with pytest.raises(RuntimeError_, match="unknown interpreter mode"):
             PyxisExecutor(part.compiled, Cluster(), conn, interp="jit")
 
-    def test_compiled_code_cached_on_program(self, order_partitions):
+    def test_source_code_cached_on_program(self, order_partitions):
         part = order_partitions.lowest()
         _, conn = make_order_database()
-        PyxisExecutor(part.compiled, Cluster(), conn, interp="compiled")
-        first = part.compiled.code_cache
-        assert first is not None
-        PyxisExecutor(part.compiled, Cluster(), conn, interp="compiled")
-        assert part.compiled.code_cache is first  # compiled exactly once
-        bids = [b.bid for b in part.compiled.blocks.values()]
-        assert all(part.compiled.blocks[b].code is not None for b in bids)
+        first = PyxisExecutor(
+            part.compiled, Cluster(), conn, interp="source"
+        )._source
+        assert list(part.compiled.source_cache.values()) == [first]
+        second = PyxisExecutor(
+            part.compiled, Cluster(), conn, interp="source"
+        )._source
+        assert second is first  # generated exactly once
+        entries = set(part.compiled.entries.values())
+        assert all(first.meta[bid] is not None for bid in entries)
 
 
 class TestErrors:

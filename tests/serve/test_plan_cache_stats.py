@@ -14,7 +14,7 @@ def _make_connection(statements: int = 3):
     db.create_table(
         "kv", [("k", "int", False), ("v", "int")], primary_key=["k"]
     )
-    conn = connect(db, sql_exec="compiled")
+    conn = connect(db, sql_exec="source")
     for k in range(8):
         conn.execute("INSERT INTO kv (k, v) VALUES (?, ?)", k, k * k)
     for _ in range(statements):

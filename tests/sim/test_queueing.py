@@ -16,7 +16,6 @@ from repro.sim.queueing import (
     StageWalker,
     TransactionTrace,
     Txn,
-    sweep_throughput,
 )
 
 
@@ -465,14 +464,3 @@ class TestLockTable:
         locks.acquire(1, lambda: order.append("g1"))
         locks.acquire(2, lambda: order.append("g2"))
         assert order == ["g1", "g2"]
-
-
-class TestSweep:
-    def test_sweep_produces_curve_per_trace(self):
-        traces = {
-            "a": cpu_trace(db=0.001, name="a"),
-            "b": cpu_trace(db=0.002, name="b"),
-        }
-        curves = sweep_throughput(traces, rates=[50, 100], duration=10)
-        assert set(curves) == {"a", "b"}
-        assert len(curves["a"]) == 2

@@ -6,7 +6,7 @@ A seeded TPC-C run (all three entry points) is digested -- every
 stage's kind, duration, bytes and shard, plus ``cluster.clock.now`` --
 for the lowest- and highest-budget partitions x {1, 4 shards} x {no
 fault, ``set_shard_slowdown(1, 4.0)`` (shard 0 where there is only
-one)}, on each of the three rungs.  The digests below were produced by
+one)}, on each rung.  The digests below were produced by
 running :func:`trace_digest` on commit fcd66e5, the parent of the
 rewrite.
 """
@@ -35,7 +35,7 @@ SCALE = TpccScale(warehouses=4, districts_per_warehouse=2,
 # rung -> (budget, shards, slowed) -> (sha1 of the stages, clock.now).
 # The rungs differ from one another in the last bits of a few CPU
 # durations (the source rung multiplies visit counts by segment costs
-# where the others add charge by charge); each is pinned on its own.
+# where the tree adds charge by charge); each is pinned on its own.
 GOLDEN = {
     "source": {
         ('lowest', 1, False):
@@ -54,24 +54,6 @@ GOLDEN = {
             ('168fb0dfb8d29d9881a13316f7fc4927bc35ceea', 0.06315755200000002),
         ('highest', 4, True):
             ('77ea24657fb2ae1e26a334b09375003b1d5e5203', 0.07386270400000002),
-    },
-    "compiled": {
-        ('lowest', 1, False):
-            ('fa5695595812908bc8e2f7f79d49614dc710b9d1', 0.7654622479999962),
-        ('lowest', 1, True):
-            ('d3eddab377647116edd4a0f52f657d3dc725e4cf', 0.8275922479999919),
-        ('lowest', 4, False):
-            ('0d9e144882821014ee45ef1454625cfeb36f570f', 0.764162247999996),
-        ('lowest', 4, True):
-            ('a787b32ebb4df8061799052177135dcc75a48eec', 0.7720222479999953),
-        ('highest', 1, False):
-            ('4e19d005a09a1f62f78fb246acfa5d41f1725f4e', 0.064457552),
-        ('highest', 1, True):
-            ('6423fc55531a12280e9ccbee838735dc4b04f14a', 0.14962731200000007),
-        ('highest', 4, False):
-            ('66f10baaf12d7c2ab5a0fb8c23a64b05f2b6f1a3', 0.06315755200000003),
-        ('highest', 4, True):
-            ('e59c4b03c4732342753b7239e69921061fb50df9', 0.07386270400000003),
     },
     "tree": {
         ('lowest', 1, False):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.db.sql.compile_plan import (
+from repro.db.sql import (
     DEFAULT_SQL_EXEC,
     SQL_EXEC_ENV_VAR,
     SQL_EXEC_MODES,

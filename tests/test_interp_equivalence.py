@@ -1,17 +1,16 @@
-"""Differential test: every rung against the tree/tree oracle.
+"""Differential test: the source rungs against the tree/tree oracle.
 
-Both compilation rungs -- the closure compilers
-(repro.runtime.compile_blocks, repro.db.sql.compile_plan) and the
-source generators (repro.runtime.codegen_blocks,
-repro.db.sql.codegen_plan) -- and the *defaults* (no ``interp=``, no
-``sql_exec=``: what every caller that names no rung gets) must be
+The source generators (repro.runtime.codegen_blocks,
+repro.db.sql.codegen_plan) -- named explicitly and as the *defaults*
+(no ``interp=``, no ``sql_exec=``: what every caller that names no
+rung gets) -- must be
 observably indistinguishable from the tree-walking block interpreter
 over the tree SQL executor: identical results, identical tables, and
 bit-identical ExecutionStats -- blocks, ops, control transfers, DB
 calls, DB round trips and bytes sent -- across every partitioning of
 every entry point of every workload.  A run on the source rungs must
 also have generated every statement it prepared (no fallback to the
-closure compiler or the tree executor).
+tree executor).
 """
 
 from dataclasses import asdict
@@ -20,7 +19,7 @@ import pytest
 
 from repro.core.pipeline import Pyxis
 from repro.db import connect
-from repro.db.sql.compile_plan import (
+from repro.db.sql import (
     DEFAULT_SQL_EXEC,
     SQL_EXEC_ENV_VAR,
     resolve_sql_exec_mode,
@@ -61,7 +60,7 @@ TPCC_SCALE = TpccScale(warehouses=1, districts_per_warehouse=2,
 TPCW_SCALE = TpcwScale(items=100, authors=30, customers=40, orders=60)
 
 # One name for both switches; None runs the defaults.
-RUNGS = ("compiled", "source", None)
+RUNGS = ("source", None)
 
 
 def test_defaults_are_the_source_rungs(monkeypatch):
@@ -108,7 +107,7 @@ def assert_equivalent(compiled, make_db, invocations):
         assert tables == tree_tables, rung
         if conn.sql_exec == "source":
             cache = conn.plan_cache_stats
-            assert cache.source_plans == cache.compiled_plans == cache.misses
+            assert cache.compiled_plans == cache.misses
 
 
 def _profile(invocations):
