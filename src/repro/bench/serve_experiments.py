@@ -1,25 +1,29 @@
-"""Serving-engine experiments: load sweeps and online switching.
+"""Serving-engine experiments: the closed-loop ``repro serve`` scenarios.
 
 These reproduce the *shape* of the paper's load figures with the
 closed-loop serving engine instead of open-loop trace replay:
 
 * :func:`serve_load_sweep` -- throughput / latency percentiles versus
-  client count (1 -> 64) for two static partitionings and the
-  dynamically switched configuration, on a CPU-constrained database
-  server (the Figure 10 regime, where the JDBC-like partition's lower
-  DB CPU demand wins once the server saturates);
-* :func:`serve_dynamic_switching` -- a fixed client population with an
-  external tenant seizing most DB cores mid-run (the Figure 11
-  scenario), showing the controller switching partitionings online.
+  client count for the two static partitionings and the adaptive
+  switcher (the Figure 9 / 10 regimes);
+* :func:`serve_dynamic_switching` -- an external tenant seizes most DB
+  cores mid-run and the controller switches partitionings online (the
+  Figure 11 scenario);
+* :func:`serve_repartition` -- a mid-run load-mix shift answered by
+  minting new partitionings from the live profile;
+* :func:`serve_shard_sweep`, :func:`serve_failover`,
+  :func:`serve_wal_recovery` and :func:`serve_htap` -- the sharded,
+  replicated, durable and analytical database tiers under load.
 
-Both execute real compiled-block programs through the serving
-workload layer (:mod:`repro.serve.workload`).
+Every scenario builds, wires and runs its engines through one private
+function, :func:`_serve`, and executes real compiled-block programs
+through the serving workload layer (:mod:`repro.serve.workload`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.obs.export import render_chrome_trace, render_metrics
 from repro.runtime.switcher import SwitcherSummary
@@ -68,36 +72,110 @@ def _merge_plan_cache(
     return PlanCacheStats.merge(total, delta)
 
 
-def _controller(label: str, poll_interval: float) -> Controller:
+def _controller(
+    label: str, poll: float, shifting: Optional[ShiftingWorkload] = None
+) -> Controller:
+    """The controller a configuration label names; ``REPARTITION``
+    mints onto ``shifting``'s live workload."""
     if label == STATIC_LOW:
         return StaticController(0)
     if label == STATIC_HIGH:
         return StaticController(-1)
     if label == ADAPTIVE:
-        return AdaptiveController(n_options=2, poll_interval=poll_interval)
+        return AdaptiveController(n_options=2, poll_interval=poll)
+    if label == REPARTITION and shifting is not None:
+        return RepartitionController(
+            service=shifting.service,
+            workload=shifting.built.workload,
+            profiler=shifting.profiler,
+            make_option=shifting.make_option,
+            policy=RepartitionPolicy(
+                check_interval=poll, min_window_txns=32, cooldown=2 * poll,
+            ),
+            poll_interval=poll,
+        )
     raise ValueError(f"unknown configuration {label!r}")
 
 
-def _built_workload(
-    workload: str,
+def _serve(
+    built: BuiltWorkload,
+    label: str,
+    *,
+    clients: int,
+    duration: float,
+    poll: float,
     db_cores: int,
+    think_time: float,
     seed: int,
-    pool_size: int,
     shards: int = 1,
-    shard_key: str = "warehouse",
-    replicas: int = 0,
-) -> BuiltWorkload:
-    try:
-        factory = WORKLOAD_FACTORIES[workload]
-    except KeyError:
+    accept_queue_limit: Optional[int] = None,
+    warmup: bool = True,
+    name: Optional[str] = None,
+    shifting: Optional[ShiftingWorkload] = None,
+    faults=None,
+    wal_managers: Sequence = (),
+    periodic: Sequence[tuple[float, Callable[[], None]]] = (),
+    events: Sequence[tuple[float, Callable[[ServeEngine], None]]] = (),
+    tracing: bool = False,
+    notes: Optional[dict] = None,
+) -> tuple[ServeEngine, ServeResult]:
+    """Build, wire and run one engine of a scenario.
+
+    Every scenario run goes through here: eight application cores,
+    ``label``'s controller, a measurement warm-up of two polls (capped
+    at a quarter of the run; ``warmup=False`` measures from t=0) and a
+    client ramp of one think time (capped at a tenth).  A fault
+    injector or WAL managers also attach the workload's database
+    backends.  ``periodic`` actions re-arm until the end of the run;
+    each ``events`` action gets the engine at its virtual time.  The
+    run's plan-cache counters are summed into ``notes["plan_cache"]``.
+    """
+    engine = ServeEngine(
+        built.workload,
+        _controller(label, poll, shifting),
+        ServeConfig(
+            app_cores=8, db_cores=db_cores, db_shards=shards,
+            network=built.network, think_time=think_time, seed=seed,
+            accept_queue_limit=accept_queue_limit,
+            warmup=min(2 * poll, duration / 4.0) if warmup else 0.0,
+            ramp=min(think_time, duration / 10.0),
+        ),
+        tracing=tracing,
+    )
+    if faults is not None or wal_managers:
+        engine.attach_backends(built.databases, built.clusters)
+        engine.attach_wal_managers(wal_managers)
+    if faults is not None:
+        engine.inject_faults(faults)
+    for interval, action in periodic:
+        engine.loop.schedule_periodic(interval, action, until=duration)
+    for when, action in events:
+        engine.schedule(when, action, engine)
+    run = engine.run(clients=clients, duration=duration, name=name or label)
+    if notes is not None and run.plan_cache is not None:
+        notes["plan_cache"] = _merge_plan_cache(
+            notes.get("plan_cache"), run.plan_cache
+        )
+    return engine, run
+
+
+def _export(result, engine: ServeEngine, run: ServeResult, meta: dict):
+    """Attach a run's metrics and rendered exporter payloads (the
+    trace only when the engine traced) to a scenario result."""
+    result.metrics = run.metrics
+    result.metrics_json = render_metrics(run.metrics, meta=meta)
+    if engine.tracer.enabled:
+        result.trace_json = render_chrome_trace(engine.tracer)
+
+
+def _built_workload(workload: str, fast: bool, **kwargs) -> BuiltWorkload:
+    """A named workload factory's output, pooled for a fast or full run."""
+    if workload not in WORKLOAD_FACTORIES:
         raise ValueError(
             f"unknown workload {workload!r}; "
             f"options: {sorted(WORKLOAD_FACTORIES)}"
-        ) from None
-    return factory(
-        db_cores=db_cores, seed=seed, pool_size=pool_size,
-        shards=shards, shard_key=shard_key, replicas=replicas,
-    )
+        )
+    return WORKLOAD_FACTORIES[workload](pool_size=8 if fast else 24, **kwargs)
 
 
 def serve_load_sweep(
@@ -134,9 +212,8 @@ def serve_load_sweep(
     poll = poll_interval if poll_interval is not None else duration / 10.0
     if built is None:
         built = _built_workload(
-            workload, db_cores=db_cores, seed=seed,
-            pool_size=8 if fast else 24,
-            shards=shards, shard_key=shard_key, replicas=replicas,
+            workload, fast, db_cores=db_cores, seed=seed, shards=shards,
+            shard_key=shard_key, replicas=replicas,
         )
 
     result = LoadSweepResult(workload=workload)
@@ -147,34 +224,21 @@ def serve_load_sweep(
         labels=built.workload.labels,
     )
     controllers: dict[str, list[SwitcherSummary]] = {}
-    plan_cache: Optional[dict] = None
     for label in (STATIC_LOW, STATIC_HIGH, ADAPTIVE):
         points = []
         for clients in counts:
-            engine = ServeEngine(
-                built.workload,
-                _controller(label, poll),
-                ServeConfig(
-                    app_cores=8, db_cores=db_cores, db_shards=shards,
-                    network=built.network,
-                    think_time=think_time, seed=seed,
-                    accept_queue_limit=accept_queue_limit,
-                    warmup=min(2 * poll, duration / 4.0),
-                    ramp=min(think_time, duration / 10.0),
-                ),
-            )
-            run = engine.run(
-                clients=clients, duration=duration,
-                name=f"{label}@{clients}",
+            _, run = _serve(
+                built, label, clients=clients, duration=duration,
+                poll=poll, db_cores=db_cores, think_time=think_time,
+                seed=seed, shards=shards,
+                accept_queue_limit=accept_queue_limit,
+                name=f"{label}@{clients}", notes=result.notes,
             )
             points.append(SweepPoint.from_result(run))
-            plan_cache = _merge_plan_cache(plan_cache, run.plan_cache)
             if run.controller is not None:
                 controllers.setdefault(label, []).append(run.controller)
         result.curves[label] = points
     result.notes["controllers"] = controllers
-    if plan_cache is not None:
-        result.notes["plan_cache"] = plan_cache
     return result
 
 
@@ -255,24 +319,15 @@ def serve_shard_sweep(
     )
     result.notes.update(think_time=think_time, seed=seed)
     warehouses = max(4, max(shard_counts))
-    plan_cache: Optional[dict] = None
     for shards in shard_counts:
         built = make_tpcc_workload(
             db_cores=db_cores, seed=seed, pool_size=6 if fast else 16,
             shards=shards, shard_key=shard_key, warehouses=warehouses,
         )
-        engine = ServeEngine(
-            built.workload,
-            AdaptiveController(n_options=2, poll_interval=poll),
-            ServeConfig(
-                app_cores=8, db_cores=db_cores, db_shards=shards,
-                network=built.network, think_time=think_time, seed=seed,
-                warmup=min(2 * poll, duration / 4.0),
-                ramp=min(think_time, duration / 10.0),
-            ),
-        )
-        run = engine.run(
-            clients=clients, duration=duration, name=f"shards{shards}"
+        _, run = _serve(
+            built, ADAPTIVE, clients=clients, duration=duration, poll=poll,
+            db_cores=db_cores, think_time=think_time, seed=seed,
+            shards=shards, name=f"shards{shards}", notes=result.notes,
         )
         controller = run.controller
         result.points.append(
@@ -285,10 +340,7 @@ def serve_shard_sweep(
                 switches=controller.switches if controller else 0,
             )
         )
-        plan_cache = _merge_plan_cache(plan_cache, run.plan_cache)
         result.notes.setdefault("warehouses", built.notes.get("warehouses"))
-    if plan_cache is not None:
-        result.notes["plan_cache"] = plan_cache
     return result
 
 
@@ -337,15 +389,6 @@ class FailoverRunResult:
         return self.post_failover_throughput / self.pre_fault_throughput
 
 
-def _window_throughput(
-    result: ServeResult, start: float, end: float
-) -> float:
-    width = max(end - start, 1e-12)
-    return sum(
-        1 for s in result.samples if start <= s.when <= end
-    ) / width
-
-
 def serve_failover(
     fast: bool = True,
     clients: int = 96,
@@ -370,7 +413,11 @@ def serve_failover(
     time, the throughput on either side of the fault, the abort/retry
     counts, and a final bit-identity check across every replica group.
     """
-    from repro.sim.cluster import FaultInjector, parse_fault_spec
+    from repro.sim.cluster import (
+        STORAGE_FAULT_KINDS,
+        FaultInjector,
+        parse_fault_spec,
+    )
 
     if replicas < 1:
         raise ValueError("serve_failover needs at least one replica")
@@ -381,28 +428,26 @@ def serve_failover(
     events = [parse_fault_spec(spec) for spec in fault_specs]
     if not events:
         raise ValueError("serve_failover needs at least one fault spec")
+    storage = [
+        spec for spec, event in zip(fault_specs, events)
+        if event.kind in STORAGE_FAULT_KINDS
+    ]
+    if storage:
+        raise ValueError(
+            f"storage fault(s) {storage} need a WAL to damage; add --wal DIR"
+        )
     if built is None:
         built = make_tpcc_workload(
             db_cores=db_cores, seed=seed, pool_size=6 if fast else 16,
             shards=shards, shard_key="warehouse", replicas=replicas,
         )
 
-    engine = ServeEngine(
-        built.workload,
-        AdaptiveController(n_options=2, poll_interval=poll),
-        ServeConfig(
-            app_cores=8, db_cores=db_cores, db_shards=shards,
-            network=built.network, think_time=think_time, seed=seed,
-            warmup=min(2 * poll, duration / 4.0),
-            ramp=min(think_time, duration / 10.0),
-        ),
-        tracing=tracing,
-    )
-    engine.attach_backends(built.databases, built.clusters)
     injector = FaultInjector(events)
-    engine.inject_faults(injector)
-    run = engine.run(clients=clients, duration=duration, name="failover")
-
+    engine, run = _serve(
+        built, ADAPTIVE, clients=clients, duration=duration, poll=poll,
+        db_cores=db_cores, think_time=think_time, seed=seed, shards=shards,
+        name="failover", faults=injector, tracing=tracing,
+    )
     result = FailoverRunResult(
         clients=clients, duration=duration, shards=shards,
         replicas=replicas, fault_specs=list(fault_specs),
@@ -411,18 +456,14 @@ def serve_failover(
         throughput=run.throughput,
         aborted=run.aborted, txn_retries=run.txn_retries,
         two_pc=run.two_pc, replica_reads=run.replica_reads,
-        metrics=run.metrics,
     )
-    result.metrics_json = render_metrics(
-        run.metrics,
-        meta={"scenario": "failover", "seed": seed, "clients": clients,
-              "shards": shards, "replicas": replicas},
-    )
-    if tracing:
-        result.trace_json = render_chrome_trace(engine.tracer)
+    _export(result, engine, run, {
+        "scenario": "failover", "seed": seed, "clients": clients,
+        "shards": shards, "replicas": replicas,
+    })
     first_fault = min(e.at for e in events)
-    result.pre_fault_throughput = _window_throughput(
-        run, run.warmup, first_fault
+    result.pre_fault_throughput = run.window_throughput(
+        run.warmup, first_fault
     )
     if run.failovers:
         recovered_at = run.failovers[0].promoted_at
@@ -432,8 +473,8 @@ def serve_failover(
         recovered_at = max(
             e.until if e.until is not None else e.at for e in events
         )
-    result.post_failover_throughput = _window_throughput(
-        run, recovered_at, duration
+    result.post_failover_throughput = run.window_throughput(
+        recovered_at, duration
     )
     for sdb in built.databases:
         sdb.assert_replica_groups_consistent()
@@ -599,7 +640,7 @@ def serve_wal_recovery(
 
     if shards < 2:
         raise ValueError(
-            "serve_wal_recovery needs a sharded tier (shards >= 2) so "
+            "serve_wal_recovery needs a sharded tier (--shards >= 2) so "
             "cross-shard transactions exercise the 2PC decision log"
         )
     duration = duration if duration is not None else (12.0 if fast else 45.0)
@@ -640,29 +681,6 @@ def serve_wal_recovery(
         attach_wal(sdb, wal_dir / f"opt{i}", sync_policy=sync_policy)
         for i, sdb in enumerate(built.databases)
     ]
-
-    poll = kill_at / 5.0
-    engine = ServeEngine(
-        built.workload,
-        AdaptiveController(n_options=2, poll_interval=poll),
-        ServeConfig(
-            app_cores=8, db_cores=db_cores, db_shards=shards,
-            network=built.network, think_time=think_time, seed=seed,
-            warmup=min(2 * poll, kill_at / 4.0),
-            ramp=min(think_time, kill_at / 10.0),
-        ),
-        tracing=tracing,
-    )
-    engine.attach_backends(built.databases, built.clusters)
-    engine.attach_wal_managers(managers)
-    injector = FaultInjector(events)
-    engine.inject_faults(injector)
-    for manager, sdb in zip(managers, built.databases):
-        engine.loop.schedule_periodic(
-            interval,
-            lambda m=manager, s=sdb: m.checkpoint(s.shards, truncate=False),
-            until=kill_at,
-        )
     # TPC-C statements auto-commit one shard at a time, so on their
     # own they never cross shards in a single transaction.  A periodic
     # settlement sweep moves w_ytd across every warehouse in ONE
@@ -670,8 +688,6 @@ def serve_wal_recovery(
     # prepare / decision / resolve frames into the logs under load.
     warehouses = int(built.notes.get("warehouses") or shards)
     settle_conns = [connect_sharded(sdb) for sdb in built.databases]
-
-    settle_aborts = [0]
 
     def settle() -> None:
         for conn in settle_conns:
@@ -686,28 +702,33 @@ def serve_wal_recovery(
             except TwoPhaseAbortError:
                 # An fsyncfail fault turned a prepare or decision force
                 # into a no vote: presumed abort, cleanly rolled back.
-                settle_aborts[0] += 1
+                pass
 
-    engine.loop.schedule_periodic(interval / 2.0, settle, until=kill_at)
-    run = engine.run(clients=clients, duration=kill_at, name="wal_pre_kill")
-
+    checkpoints = [
+        (interval, lambda m=m, s=s: m.checkpoint(s.shards, truncate=False))
+        for m, s in zip(managers, built.databases)
+    ]
+    injector = FaultInjector(events)
+    engine, run = _serve(
+        built, ADAPTIVE, clients=clients, duration=kill_at,
+        poll=kill_at / 5.0, db_cores=db_cores, think_time=think_time,
+        seed=seed, shards=shards, name="wal_pre_kill", faults=injector,
+        wal_managers=managers,
+        periodic=checkpoints + [(interval / 2.0, settle)],
+        tracing=tracing,
+    )
     result = WalRecoveryResult(
         clients=clients, duration=duration, kill_at=kill_at,
         shards=shards, sync_policy=sync_policy, wal_dir=str(wal_dir),
         fault_specs=list(fault_specs),
         pre_kill_throughput=run.throughput,
         pre_kill_completed=run.completed,
-        metrics=run.metrics,
     )
     result.faults_fired = list(injector.fired)
-    result.metrics_json = render_metrics(
-        run.metrics,
-        meta={"scenario": "wal_recovery", "seed": seed,
-              "clients": clients, "shards": shards,
-              "sync_policy": sync_policy},
-    )
-    if tracing:
-        result.trace_json = render_chrome_trace(engine.tracer)
+    _export(result, engine, run, {
+        "scenario": "wal_recovery", "seed": seed, "clients": clients,
+        "shards": shards, "sync_policy": sync_policy,
+    })
 
     # -- the crash: flush acknowledged commits, lose the rest ------------
     for manager in managers:
@@ -775,20 +796,11 @@ def serve_wal_recovery(
                 built.clusters[i].attach_sharded_database(sdb)
             built.databases[i] = sdb
         remaining = duration - kill_at
-        poll2 = remaining / 5.0
-        engine2 = ServeEngine(
-            built.workload,
-            AdaptiveController(n_options=2, poll_interval=poll2),
-            ServeConfig(
-                app_cores=8, db_cores=db_cores, db_shards=shards,
-                network=built.network, think_time=think_time, seed=seed,
-                ramp=min(think_time, remaining / 10.0),
-            ),
-        )
-        engine2.attach_backends(built.databases, built.clusters)
-        engine2.attach_wal_managers(managers2)
-        run2 = engine2.run(
-            clients=clients, duration=remaining, name="wal_post_restart"
+        _, run2 = _serve(
+            built, ADAPTIVE, clients=clients, duration=remaining,
+            poll=remaining / 5.0, db_cores=db_cores, think_time=think_time,
+            seed=seed, shards=shards, warmup=False, name="wal_post_restart",
+            wal_managers=managers2,
         )
         result.restarted = True
         result.post_restart_throughput = run2.throughput
@@ -836,9 +848,8 @@ def serve_dynamic_switching(
     bucket = duration / 12.0
     if built is None:
         built = _built_workload(
-            workload, db_cores=db_cores, seed=seed,
-            pool_size=8 if fast else 24,
-            shards=shards, shard_key=shard_key, replicas=replicas,
+            workload, fast, db_cores=db_cores, seed=seed, shards=shards,
+            shard_key=shard_key, replicas=replicas,
         )
 
     result = ServeSwitchResult(
@@ -851,37 +862,24 @@ def serve_dynamic_switching(
         labels=built.workload.labels,
     )
 
-    def run(label: str) -> ServeResult:
-        engine = ServeEngine(
-            built.workload,
-            _controller(label, poll),
-            ServeConfig(
-                app_cores=8, db_cores=db_cores, db_shards=shards,
-                network=built.network,
-                think_time=think_time, seed=seed,
-                accept_queue_limit=accept_queue_limit,
-                ramp=min(think_time, duration / 10.0),
-            ),
-        )
-        engine.schedule(
-            load_time, lambda: engine.set_db_external_load(external_load)
-        )
-        return engine.run(clients=clients, duration=duration, name=label)
+    def spike(engine: ServeEngine) -> None:
+        engine.set_db_external_load(external_load)
 
-    plan_cache: Optional[dict] = None
     for label in (STATIC_LOW, STATIC_HIGH, ADAPTIVE):
-        serve_result = run(label)
+        _, serve_result = _serve(
+            built, label, clients=clients, duration=duration, poll=poll,
+            db_cores=db_cores, think_time=think_time, seed=seed,
+            shards=shards, accept_queue_limit=accept_queue_limit,
+            warmup=False, events=[(load_time, spike)], notes=result.notes,
+        )
         result.buckets[label] = serve_result.latency_buckets(bucket)
         result.throughput[label] = serve_result.throughput
-        plan_cache = _merge_plan_cache(plan_cache, serve_result.plan_cache)
         if label == ADAPTIVE:
             result.controller = serve_result.controller
             result.adaptive_mix = [
                 (when, mix.get(0, 0.0))
                 for when, mix in serve_result.option_mix(bucket)
             ]
-    if plan_cache is not None:
-        result.notes["plan_cache"] = plan_cache
     return result
 
 
@@ -915,18 +913,6 @@ class RepartitionRunResult:
         return max(series[STATIC_LOW], series[STATIC_HIGH])
 
 
-def _post_shift_throughput(
-    result: ServeResult, shift_time: float
-) -> float:
-    window = max(result.duration - shift_time, 1e-12)
-    completed = sum(
-        1
-        for s in result.samples
-        if shift_time <= s.when <= result.duration
-    )
-    return completed / window
-
-
 def serve_repartition(
     fast: bool = True,
     clients: int = 16,
@@ -958,56 +944,26 @@ def serve_repartition(
         db_cores=db_cores, think_time=think_time, poll_interval=poll,
     )
 
-    def controller_for(
-        label: str, shifting: ShiftingWorkload
-    ) -> Controller:
-        if label != REPARTITION:
-            return _controller(label, poll)
-        return RepartitionController(
-            service=shifting.service,
-            workload=shifting.built.workload,
-            profiler=shifting.profiler,
-            make_option=shifting.make_option,
-            policy=RepartitionPolicy(
-                check_interval=poll,
-                min_window_txns=32,
-                cooldown=2 * poll,
-            ),
-            poll_interval=poll,
-        )
-
     for label in (STATIC_LOW, STATIC_HIGH, ADAPTIVE, REPARTITION):
         # Fresh workload per configuration: minted options and trace
         # pools must not leak across runs.
         shifting = make_shifting_workload(
             db_cores=db_cores, seed=seed, pool_size=6,
         )
-        controller = controller_for(label, shifting)
         n_initial_options = len(shifting.built.workload.labels)
-        engine = ServeEngine(
-            shifting.built.workload,
-            controller,
-            ServeConfig(
-                app_cores=8, db_cores=db_cores,
-                network=shifting.built.network,
-                think_time=think_time, seed=seed,
-                ramp=min(think_time, duration / 10.0),
-            ),
-        )
-        engine.schedule(
-            shift_time, lambda s=shifting: s.mix.set_phase("checkout")
-        )
-        serve_result = engine.run(
-            clients=clients, duration=duration, name=label
+        engine, serve_result = _serve(
+            shifting.built, label, clients=clients, duration=duration,
+            poll=poll, db_cores=db_cores, think_time=think_time, seed=seed,
+            warmup=False, shifting=shifting,
+            events=[(shift_time, lambda _: shifting.mix.set_phase("checkout"))],
         )
         result.throughput[label] = serve_result.throughput
-        result.post_shift_throughput[label] = _post_shift_throughput(
-            serve_result, shift_time
+        result.post_shift_throughput[label] = serve_result.window_throughput(
+            shift_time, serve_result.duration
         )
         result.buckets[label] = serve_result.latency_buckets(bucket)
         if label == REPARTITION:
-            assert isinstance(controller, RepartitionController)
-            result.repartition = controller.repartition_summary()
+            result.repartition = engine.controller.repartition_summary()
             result.option_mix = serve_result.option_mix(bucket)
             result.notes["minted_labels"] = list(
                 shifting.built.workload.labels[n_initial_options:]
@@ -1049,6 +1005,7 @@ class HtapRunResult:
     mirrors_consistent: bool = False
     metrics: Optional[dict] = None
     metrics_json: Optional[str] = None
+    trace_json: Optional[str] = None
     notes: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -1115,42 +1072,29 @@ def serve_htap(
         built = make_tpcc_workload(
             db_cores=db_cores, seed=seed, pool_size=6 if fast else 16,
         )
-        engine = ServeEngine(
-            built.workload,
-            AdaptiveController(n_options=2, poll_interval=poll),
-            ServeConfig(
-                app_cores=8, db_cores=db_cores, network=built.network,
-                think_time=think_time, seed=seed,
-                warmup=min(2 * poll, duration / 4.0),
-                ramp=min(think_time, duration / 10.0),
-            ),
-            tracing=tracing and with_htap,
-        )
-        engine.attach_backends(built.databases, built.clusters)
-        sessions: list[TpccAnalytics] = []
-        if with_htap:
-            for opt in built.workload.options:
-                mirror = HtapMirror(
-                    opt.app.connection.database, HTAP_MIRROR_TABLES
-                ).attach()
-                sessions.append(TpccAnalytics(mirror))
+        sessions = [
+            TpccAnalytics(HtapMirror(
+                opt.app.connection.database, HTAP_MIRROR_TABLES
+            ).attach())
+            for opt in built.workload.options
+        ] if with_htap else []
 
-            def analytic_session() -> None:
-                if engine.now >= duration:
-                    return  # run is over: let the loop drain
-                for analytics in sessions:
-                    analytics.best_sellers()
-                    analytics.district_volume()
-                engine.set_db_external_load(analytics_load)
-                engine.schedule(
-                    window, lambda: engine.set_db_external_load(0.0)
-                )
-                engine.schedule(interval, analytic_session)
+        def analytic_session(engine: ServeEngine) -> None:
+            if engine.now >= duration:
+                return  # run is over: let the loop drain
+            for analytics in sessions:
+                analytics.best_sellers()
+                analytics.district_volume()
+            engine.set_db_external_load(analytics_load)
+            engine.schedule(window, engine.set_db_external_load, 0.0)
+            engine.schedule(interval, analytic_session, engine)
 
-            engine.schedule(interval, analytic_session)
-        run = engine.run(
-            clients=clients, duration=duration,
+        engine, run = _serve(
+            built, ADAPTIVE, clients=clients, duration=duration, poll=poll,
+            db_cores=db_cores, think_time=think_time, seed=seed,
             name="htap" if with_htap else "oltp_only",
+            events=[(interval, analytic_session)] if with_htap else (),
+            tracing=tracing and with_htap,
         )
         return built, engine, run, sessions
 
@@ -1159,11 +1103,8 @@ def serve_htap(
 
     built, engine, run, sessions = one_run(with_htap=True)
     result.htap_throughput = run.throughput
-    result.metrics = run.metrics
-    result.metrics_json = render_metrics(
-        run.metrics,
-        meta={"scenario": "htap", "seed": seed, "clients": clients},
-    )
+    _export(result, engine, run,
+            {"scenario": "htap", "seed": seed, "clients": clients})
     result.reports_run = sum(s.reports_run for s in sessions)
     result.analytics_rows_scanned = sum(s.rows_scanned for s in sessions)
     # Final reports from the first option's mirror: the analytics path

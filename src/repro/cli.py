@@ -13,8 +13,8 @@ Four subcommands::
     python -m repro serve [--workload tpcc] [--clients 1,4,16,64] [...]
         Drive the concurrent serving engine: a load sweep over client
         counts comparing the static partitionings with the online
-        adaptive switcher, or (--switching) the mid-run load-spike
-        scenario.
+        adaptive switcher, or one scenario (--switching, --repartition,
+        --shard-sweep, --htap, --wal, --inject).
 
     python -m repro demo
         Run the quickstart (the paper's running example) end to end.
@@ -117,331 +117,199 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each experiment in repro.bench.experiments -> its formatter in
+# repro.bench.report.
+_EXPERIMENTS = {
+    "fig9": "format_curves",
+    "fig10": "format_curves",
+    "fig11": "format_fig11",
+    "fig12": "format_curves",
+    "fig13": "format_curves",
+    "fig14": "format_fig14",
+    "micro1": "format_micro1",
+}
+
+
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    import inspect
+
     from repro.bench import experiments as experiments_mod
     from repro.bench import report as report_mod
 
-    available = {
-        "fig9": lambda: report_mod.format_curves(
-            experiments_mod.fig9(fast=args.fast)
-        ),
-        "fig10": lambda: report_mod.format_curves(
-            experiments_mod.fig10(fast=args.fast)
-        ),
-        "fig11": lambda: report_mod.format_fig11(
-            experiments_mod.fig11(fast=args.fast)
-        ),
-        "fig12": lambda: report_mod.format_curves(
-            experiments_mod.fig12(fast=args.fast)
-        ),
-        "fig13": lambda: report_mod.format_curves(
-            experiments_mod.fig13(fast=args.fast)
-        ),
-        "fig14": lambda: report_mod.format_fig14(experiments_mod.fig14()),
-        "micro1": lambda: report_mod.format_micro1(
-            experiments_mod.micro1()
-        ),
-    }
-    names = args.names or list(available)
-    unknown = [n for n in names if n not in available]
+    names = args.names or list(_EXPERIMENTS)
+    unknown = [n for n in names if n not in _EXPERIMENTS]
     if unknown:
         print(f"error: unknown experiments {unknown}; "
-              f"options: {sorted(available)}", file=sys.stderr)
+              f"options: {sorted(_EXPERIMENTS)}", file=sys.stderr)
         return 2
     for name in names:
-        print(available[name]())
+        run = getattr(experiments_mod, name)
+        fast = "fast" in inspect.signature(run).parameters
+        result = run(fast=args.fast) if fast else run()
+        print(getattr(report_mod, _EXPERIMENTS[name])(result))
         print()
     return 0
+
+
+# Each `repro serve` scenario, by the flag that selects it ("" is the
+# load sweep, which needs none): its runner in repro.bench.
+# serve_experiments, its formatter in repro.bench.report, what it runs,
+# and the flag values it fixes (accepted when given, never forwarded).
+_SCENARIOS = {
+    "": ("serve_load_sweep", "format_serve_sweep",
+         "static and adaptive curves over client counts", {}),
+    "--switching": ("serve_dynamic_switching", "format_serve_switching",
+                    "a mid-run DB load spike", {}),
+    "--repartition": ("serve_repartition", "format_serve_repartition",
+                      "the storefront mix shift", {}),
+    "--shard-sweep": ("serve_shard_sweep", "format_serve_shard_sweep",
+                      "TPC-C over 1, 2 and --shards shards",
+                      {"workload": "tpcc"}),
+    "--htap": ("serve_htap", "format_serve_htap",
+               "TPC-C analytics on the single-server tier",
+               {"workload": "tpcc", "shards": 1}),
+    "--wal": ("serve_wal_recovery", "format_wal_recovery",
+              "TPC-C crash recovery from write-ahead logs",
+              {"workload": "tpcc"}),
+    "--inject": ("serve_failover", "format_serve_failover",
+                 "TPC-C failover on replicated shards",
+                 {"workload": "tpcc"}),
+}
+
+# Serve flag (argparse dest) -> the runner keywords it can set; the
+# first one the chosen runner takes gets the value.
+_SERVE_KEYWORDS = {
+    "workload": ("workload",),
+    "clients": ("client_counts", "clients"),
+    "db_cores": ("db_cores",),
+    "duration": ("duration",),
+    "think": ("think_time",),
+    "accept_limit": ("accept_queue_limit",),
+    "seed": ("seed",),
+    "shards": ("shards", "shard_counts"),
+    "shard_key": ("shard_key",),
+    "replicas": ("replicas",),
+    "inject": ("fault_specs",),
+    "wal": ("wal_dir",),
+    "kill_at": ("kill_at",),
+    "restart": ("restart",),
+    "trace_out": ("tracing",),
+    "metrics_out": ("tracing",),
+    "full": ("fast",),
+}
+
+
+def _serve_value(keyword: str, value, scenario: str, given: dict):
+    """A serve flag's value as the runner keyword expects it."""
+    if keyword in ("client_counts", "clients"):
+        try:
+            counts = [int(c) for c in value.split(",") if c.strip()]
+        except ValueError:
+            raise ValueError(
+                "--clients must be a comma-separated list of ints, "
+                f"got {value!r}"
+            ) from None
+        if keyword == "client_counts":
+            return counts
+        if len(counts) != 1:
+            raise ValueError(f"{scenario} runs one client population; "
+                             "give a single --clients count")
+        return counts[0]
+    if keyword == "shard_counts":
+        return tuple(sorted({1, 2, value}))
+    if keyword == "fault_specs":
+        # Each --inject may carry several comma-separated specs.
+        return [s.strip() for arg in value for s in arg.split(",")
+                if s.strip()]
+    if keyword == "tracing":
+        return "trace_out" in given
+    if keyword == "fast":
+        return False
+    return value
+
+
+def _serve_call(given: dict):
+    """The runner, formatter and keywords the given serve flags ask
+    for; a flag the chosen scenario does not take is an error naming
+    both."""
+    import inspect
+
+    from repro.bench import report, serve_experiments
+
+    def flag(dest: str) -> str:
+        return "--" + dest.replace("_", "-")
+
+    def takes(scenario: str) -> dict:
+        runner = getattr(serve_experiments, _SCENARIOS[scenario][0])
+        return inspect.signature(runner).parameters
+
+    # --inject composes with --wal (storage faults ride the crash /
+    # recovery scenario); on its own it selects the failover one.
+    chosen = [
+        name for name in _SCENARIOS
+        if name and name[2:].replace("-", "_") in given
+        and not (name == "--inject" and "wal" in given)
+    ]
+    if len(chosen) > 1:
+        raise ValueError(f"{' and '.join(chosen)} are mutually exclusive "
+                         "scenarios")
+    scenario = chosen[0] if chosen else ""
+    if scenario == "--inject" and "replicas" not in given:
+        raise ValueError(
+            "--inject needs --replicas (failover) or --wal (crash "
+            "recovery), e.g. --shards 2 --replicas 2 or --shards 2 "
+            "--wal /tmp/wal"
+        )
+    runner_name, formatter_name, what, fixed = _SCENARIOS[scenario]
+    name = scenario or "the load sweep"
+    params = takes(scenario)
+    kwargs = {}
+    for dest, value in given.items():
+        if dest not in _SERVE_KEYWORDS or fixed.get(dest, ...) == value:
+            continue
+        keywords = [k for k in _SERVE_KEYWORDS[dest] if k in params]
+        if not keywords:
+            owners = [
+                other or "the load sweep" for other in _SCENARIOS
+                if any(k in takes(other) for k in _SERVE_KEYWORDS[dest])
+            ]
+            raise ValueError(
+                f"{flag(dest)} does not apply to {name} ({what}); pick "
+                f"one scenario: {flag(dest)} is for {', '.join(owners)}"
+            )
+        kwargs[keywords[0]] = _serve_value(keywords[0], value, name, given)
+    return (
+        getattr(serve_experiments, runner_name),
+        getattr(report, formatter_name),
+        kwargs,
+    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import os
 
-    from repro.bench import serve_experiments as serve_mod
-    from repro.bench import report as report_mod
-
-    if args.sql_exec is not None:
+    # Only the flags the user gave: every default is the runner's own.
+    given = {
+        dest: value for dest, value in vars(args).items()
+        if dest not in ("command", "func")
+    }
+    if "sql_exec" in given:
         # The workload factories open their own connections; the env
         # var is the process-wide default they all read.
-        os.environ[SQL_EXEC_ENV_VAR] = args.sql_exec
-
-    # --inject composes with --wal (storage faults ride the
-    # crash/recovery scenario); on its own it selects the failover one.
-    scenarios = [
-        name for name, on in (
-            ("--switching", args.switching),
-            ("--repartition", args.repartition),
-            ("--shard-sweep", args.shard_sweep),
-            ("--htap", args.htap),
-            ("--wal", bool(args.wal)),
-            ("--inject", bool(args.inject) and not args.wal),
-        ) if on
-    ]
-    if len(scenarios) > 1:
-        print(f"error: {' and '.join(scenarios)} are mutually "
-              "exclusive scenarios", file=sys.stderr)
+        os.environ[SQL_EXEC_ENV_VAR] = given["sql_exec"]
+    try:
+        runner, formatter, kwargs = _serve_call(given)
+        result = runner(**kwargs)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.shards < 1:
-        print("error: --shards must be at least 1", file=sys.stderr)
-        return 2
-    if args.replicas < 0:
-        print("error: --replicas must be non-negative", file=sys.stderr)
-        return 2
-    if args.replicas and args.shards < 2:
-        print("error: --replicas rides on the sharded tier; use "
-              "--shards >= 2", file=sys.stderr)
-        return 2
-    if (args.replicas or args.inject or args.wal) and args.workload != "tpcc":
-        print("error: --replicas/--inject/--wal need the TPC-C workload "
-              f"(--workload {args.workload} is not replicated yet)",
-              file=sys.stderr)
-        return 2
-    # Each --inject may carry several comma-separated specs.
-    inject_specs = [
-        spec.strip()
-        for arg in (args.inject or [])
-        for spec in arg.split(",")
-        if spec.strip()
-    ]
-    if inject_specs and not (args.replicas or args.wal):
-        print("error: --inject needs --replicas (failover) or --wal "
-              "(crash recovery), e.g. --shards 2 --replicas 2 or "
-              "--shards 2 --wal /tmp/wal", file=sys.stderr)
-        return 2
-    if (args.trace_out or args.metrics_out) and not (
-        inject_specs or args.wal
-    ):
-        print("error: --trace-out/--metrics-out export the --inject or "
-              "--wal scenarios; add one (e.g. --inject crash:db1@5)",
-              file=sys.stderr)
-        return 2
-    if (args.kill_at is not None or args.restart) and not args.wal:
-        print("error: --kill-at/--restart shape the --wal crash "
-              "scenario; add --wal DIR", file=sys.stderr)
-        return 2
-
-    if args.wal:
-        if args.replicas:
-            print("error: --wal durability and --replicas failover are "
-                  "separate scenarios; pick one", file=sys.stderr)
-            return 2
-        if args.shards < 2:
-            print("error: --wal crash recovery exercises the 2PC "
-                  "decision log; use --shards >= 2", file=sys.stderr)
-            return 2
-        db_cores = args.db_cores if args.db_cores is not None else 2
-        try:
-            clients = (
-                int(args.clients.split(",")[0]) if args.clients else 48
-            )
-        except ValueError:
-            print(f"error: --clients must be an int for --wal, "
-                  f"got {args.clients!r}", file=sys.stderr)
-            return 2
-        try:
-            result = serve_mod.serve_wal_recovery(
-                args.wal,
-                fast=args.fast,
-                clients=clients,
-                shards=args.shards,
-                db_cores=db_cores,
-                duration=args.duration,
-                kill_at=args.kill_at,
-                think_time=args.think if args.think is not None else 0.01,
-                fault_specs=inject_specs or None,
-                seed=args.seed,
-                restart=args.restart,
-                tracing=bool(args.trace_out),
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(report_mod.format_wal_recovery(result))
-        if args.trace_out:
-            with open(args.trace_out, "w", encoding="utf-8") as fh:
-                fh.write(result.trace_json or "")
-            print(f"trace written to {args.trace_out}")
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(result.metrics_json or "")
-            print(f"metrics written to {args.metrics_out}")
-        return 0
-
-    if inject_specs:
-        from repro.sim.cluster import STORAGE_FAULT_KINDS
-
-        storage = [
-            spec for spec in inject_specs
-            if spec.split(":", 1)[0] in STORAGE_FAULT_KINDS
-        ]
-        if storage:
-            print(f"error: storage fault(s) {storage} need a WAL to "
-                  "damage; add --wal DIR", file=sys.stderr)
-            return 2
-        db_cores = args.db_cores if args.db_cores is not None else 2
-        try:
-            clients = (
-                int(args.clients.split(",")[0]) if args.clients else 96
-            )
-        except ValueError:
-            print(f"error: --clients must be an int for --inject, "
-                  f"got {args.clients!r}", file=sys.stderr)
-            return 2
-        try:
-            result = serve_mod.serve_failover(
-                fast=args.fast,
-                clients=clients,
-                shards=args.shards,
-                replicas=args.replicas,
-                db_cores=db_cores,
-                duration=args.duration,
-                think_time=args.think if args.think is not None else 0.01,
-                fault_specs=inject_specs,
-                seed=args.seed,
-                tracing=bool(args.trace_out),
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(report_mod.format_serve_failover(result))
-        if args.trace_out:
-            with open(args.trace_out, "w", encoding="utf-8") as fh:
-                fh.write(result.trace_json or "")
-            print(f"trace written to {args.trace_out}")
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(result.metrics_json or "")
-            print(f"metrics written to {args.metrics_out}")
-        return 0
-
-    if args.htap:
-        if args.workload != "tpcc":
-            print("error: --htap runs the TPC-C workload; "
-                  f"--workload {args.workload} has no analytics suite",
-                  file=sys.stderr)
-            return 2
-        if args.shards != 1:
-            print("error: --htap mirrors the single-server tier; "
-                  "drop --shards", file=sys.stderr)
-            return 2
-        db_cores = args.db_cores if args.db_cores is not None else 4
-        try:
-            clients = (
-                int(args.clients.split(",")[0]) if args.clients else 32
-            )
-        except ValueError:
-            print(f"error: --clients must be an int for --htap, "
-                  f"got {args.clients!r}", file=sys.stderr)
-            return 2
-        try:
-            result = serve_mod.serve_htap(
-                fast=args.fast,
-                clients=clients,
-                db_cores=db_cores,
-                duration=args.duration,
-                think_time=args.think if args.think is not None else 0.02,
-                seed=args.seed,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(report_mod.format_serve_htap(result))
-        return 0
-
-    if args.shard_sweep:
-        if args.workload != "tpcc":
-            print("error: --shard-sweep runs the TPC-C workload; "
-                  f"--workload {args.workload} is not sharded yet",
-                  file=sys.stderr)
-            return 2
-        top = args.shards if args.shards > 1 else 4
-        db_cores = args.db_cores if args.db_cores is not None else 2
-        try:
-            clients = (
-                int(args.clients.split(",")[0]) if args.clients else 96
-            )
-        except ValueError:
-            print(f"error: --clients must be an int for --shard-sweep, "
-                  f"got {args.clients!r}", file=sys.stderr)
-            return 2
-        result = serve_mod.serve_shard_sweep(
-            fast=args.fast,
-            shard_counts=tuple(sorted({1, 2, top})),
-            clients=clients,
-            db_cores=db_cores,
-            duration=args.duration,
-            think_time=args.think if args.think is not None else 0.01,
-            shard_key=args.shard_key,
-            seed=args.seed,
-        )
-        print(report_mod.format_serve_shard_sweep(result))
-        return 0
-    if args.clients is None:
-        clients = [16] if args.repartition else [1, 4, 16, 64]
-    else:
-        try:
-            clients = [int(c) for c in args.clients.split(",") if c.strip()]
-        except ValueError:
-            print(f"error: --clients must be a comma-separated list of "
-                  f"ints, got {args.clients!r}", file=sys.stderr)
-            return 2
-    if not clients or any(c < 1 for c in clients):
-        print("error: client counts must be positive", file=sys.stderr)
-        return 2
-
-    if args.repartition:
-        if len(clients) > 1:
-            print("error: --repartition runs one scenario; give a single "
-                  "--clients count", file=sys.stderr)
-            return 2
-        db_cores = args.db_cores if args.db_cores is not None else 2
-        result = serve_mod.serve_repartition(
-            fast=args.fast,
-            clients=clients[0],
-            db_cores=db_cores,
-            duration=args.duration,
-            think_time=args.think if args.think is not None else 0.05,
-            seed=args.seed,
-        )
-        print(report_mod.format_serve_repartition(result))
-        return 0
-
-    if args.switching:
-        # Switching needs CPU headroom to start from (external load eats
-        # it mid-run); the sweep wants a CPU-constrained DB so the
-        # static partitionings separate.  Hence different defaults.
-        db_cores = args.db_cores if args.db_cores is not None else 16
-        result = serve_mod.serve_dynamic_switching(
-            fast=args.fast,
-            workload=args.workload,
-            clients=clients[0],
-            db_cores=db_cores,
-            duration=args.duration,
-            think_time=args.think if args.think is not None else 0.05,
-            accept_queue_limit=args.accept_limit,
-            seed=args.seed,
-            shards=args.shards,
-            shard_key=args.shard_key,
-            replicas=args.replicas,
-        )
-        print(report_mod.format_serve_switching(result))
-        return 0
-
-    db_cores = args.db_cores if args.db_cores is not None else 3
-    result = serve_mod.serve_load_sweep(
-        fast=args.fast,
-        workload=args.workload,
-        client_counts=clients,
-        db_cores=db_cores,
-        duration=args.duration,
-        think_time=args.think if args.think is not None else 0.05,
-        accept_queue_limit=args.accept_limit,
-        seed=args.seed,
-        shards=args.shards,
-        shard_key=args.shard_key,
-        replicas=args.replicas,
-    )
-    print(report_mod.format_serve_sweep(result))
+    print(formatter(result))
+    for dest, payload, what in (("trace_out", "trace_json", "trace"),
+                                ("metrics_out", "metrics_json", "metrics")):
+        if dest in given:
+            with open(given[dest], "w", encoding="utf-8") as fh:
+                fh.write(getattr(result, payload) or "")
+            print(f"{what} written to {given[dest]}")
     return 0
 
 
@@ -531,65 +399,71 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full-length sweeps (slow)")
     p_exp.set_defaults(func=_cmd_experiments, fast=True)
 
+    # No serve flag has a parser default: an unset flag is absent from
+    # the namespace and the scenario runner's own default applies.
     p_serve = sub.add_parser(
-        "serve", help="drive the concurrent serving engine"
+        "serve", help="drive the concurrent serving engine",
+        argument_default=argparse.SUPPRESS,
     )
     p_serve.add_argument(
-        "--workload", default="tpcc", choices=["tpcc", "tpcw", "micro"],
+        "--workload", choices=["tpcc", "tpcw", "micro"],
         help="transaction workload (default: tpcc)",
     )
     p_serve.add_argument(
-        "--clients", default=None,
-        help="comma-separated client counts to sweep "
-             "(--switching uses the first; default: 1,4,16,64, "
-             "or 16 for --repartition)",
+        "--clients",
+        help="comma-separated client counts to sweep; every other "
+             "scenario takes one count (default: the scenario's own)",
     )
     p_serve.add_argument(
-        "--db-cores", type=int, default=None,
-        help="database server cores (default: 3 for the sweep, "
-             "16 for --switching)",
+        "--db-cores", type=int,
+        help="database server cores, per shard (default: the "
+             "scenario's own)",
     )
     p_serve.add_argument(
-        "--duration", type=float, default=None,
+        "--duration", type=float,
         help="virtual seconds per run (default: fast presets)",
     )
     p_serve.add_argument(
-        "--think", type=float, default=None,
-        help="mean client think time in seconds (default: 0.05, "
-             "or 0.01 for --shard-sweep)",
+        "--think", type=float,
+        help="mean client think time in seconds (default: the "
+             "scenario's own)",
     )
     p_serve.add_argument(
-        "--accept-limit", type=int, default=None,
+        "--accept-limit", type=int,
         help="admission control: max transactions waiting for a "
              "session before rejection (default: unbounded)",
     )
-    p_serve.add_argument("--seed", type=int, default=17)
     p_serve.add_argument(
-        "--sql-exec", default=None, choices=SQL_EXEC_MODES,
+        "--seed", type=int, help="random seed (default: the scenario's own)",
+    )
+    p_serve.add_argument(
+        "--sql-exec", choices=SQL_EXEC_MODES,
         help="SQL executor for the embedded engine: 'source' generates "
              "one Python function per plan at prepare time, 'tree' "
              f"walks the operator tree, the oracle (sets {SQL_EXEC_ENV_VAR} for the run; default: "
              f"{DEFAULT_SQL_EXEC})",
     )
     p_serve.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=int,
         help="database shards behind the statement router (TPC-C "
-             "only; default: 1 = the classic single server)",
+             "only; the sweep's default 1 is the classic single "
+             "server); --shard-sweep sweeps 1, 2 and this count",
     )
     p_serve.add_argument(
-        "--shard-key", default="warehouse", choices=["warehouse", "hash"],
+        "--shard-key", choices=["warehouse", "hash"],
         help="shard placement: 'warehouse' routes by warehouse id "
              "(affine, transactions stay on one shard), 'hash' "
              "spreads the same keys by stable hash (default: "
              "warehouse)",
     )
     p_serve.add_argument(
-        "--replicas", type=int, default=0,
+        "--replicas", type=int,
         help="log-shipped replicas per shard primary (TPC-C with "
-             "--shards >= 2 only; default: 0 = unreplicated)",
+             "--shards >= 2 only; the sweep's default 0 is "
+             "unreplicated)",
     )
     p_serve.add_argument(
-        "--inject", action="append", default=None, metavar="SPEC",
+        "--inject", action="append", metavar="SPEC",
         help="inject faults (repeatable or comma-separated; "
              "kind:db<shard>@<t>[x<factor>][:until=<t>] with kind in "
              "crash/slow/partition/tornwrite/corrupt/fsyncfail, e.g. "
@@ -598,14 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
              "need --wal)",
     )
     p_serve.add_argument(
-        "--wal", metavar="DIR", default=None,
+        "--wal", metavar="DIR",
         help="run the crash/recovery scenario: serve TPC-C with "
              "per-shard write-ahead logs under DIR, kill the whole "
              "cluster at --kill-at, and rebuild it from checkpoint + "
              "redo replay (needs --shards >= 2)",
     )
     p_serve.add_argument(
-        "--kill-at", type=float, default=None, metavar="T",
+        "--kill-at", type=float, metavar="T",
         help="virtual second at which the --wal scenario crashes the "
              "cluster (default: 60%% of the duration)",
     )
@@ -615,19 +489,19 @@ def build_parser() -> argparse.ArgumentParser:
              "serve the rest of the duration",
     )
     p_serve.add_argument(
-        "--trace-out", metavar="PATH", default=None,
+        "--trace-out", metavar="PATH",
         help="export a Chrome trace_event JSON of the run (open in "
-             "Perfetto / chrome://tracing; --inject scenario only)",
+             "Perfetto / chrome://tracing; --inject, --wal and --htap)",
     )
     p_serve.add_argument(
-        "--metrics-out", metavar="PATH", default=None,
+        "--metrics-out", metavar="PATH",
         help="export the run's metrics registry snapshot as JSON "
-             "(--inject scenario only)",
+             "(--inject, --wal and --htap)",
     )
     p_serve.add_argument(
         "--shard-sweep", action="store_true",
-        help="sweep the shard count (1 -> --shards, default 4) at a "
-             "fixed client population and report the scaling curve",
+        help="sweep the shard count (1, 2 and --shards, default 4) at "
+             "a fixed client population and report the scaling curve",
     )
     p_serve.add_argument(
         "--htap", action="store_true",
@@ -643,13 +517,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--repartition", action="store_true",
         help="run the mid-run load-mix-shift scenario with online "
-             "repartitioning (storefront workload; ignores --workload)",
+             "repartitioning (its own storefront workload)",
     )
     p_serve.add_argument(
-        "--full", dest="fast", action="store_false",
+        "--full", action="store_true",
         help="full-length runs (slow)",
     )
-    p_serve.set_defaults(func=_cmd_serve, fast=True)
+    p_serve.set_defaults(func=_cmd_serve)
 
     p_recover = sub.add_parser(
         "recover",

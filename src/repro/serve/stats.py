@@ -8,6 +8,7 @@ percentiles the paper plots (p50/p95/p99).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -129,6 +130,12 @@ class ServeResult:
         window = max(self.duration - self.warmup, 1e-12)
         return self.completed / window
 
+    def window_throughput(self, start: float, end: float) -> float:
+        """Completions per virtual second whose completion time falls
+        in ``[start, end]``."""
+        completed = sum(1 for s in self.samples if start <= s.when <= end)
+        return completed / max(end - start, 1e-12)
+
     @property
     def mean_latency(self) -> float:
         return sum(self.latencies) / len(self.latencies) if self.latencies else 0.0
@@ -139,32 +146,31 @@ class ServeResult:
     def latency_summary(self) -> Optional[Summary]:
         return summarize(self.latencies) if self.latencies else None
 
+    def _buckets(self, width: float) -> list[tuple[float, list[TxnSample]]]:
+        """Samples per ``width``-second bucket of completion time, keyed
+        by the bucket's midpoint."""
+        buckets: dict[int, list[TxnSample]] = {}
+        for sample in self.samples:
+            buckets.setdefault(int(sample.when // width), []).append(sample)
+        return [
+            ((idx + 0.5) * width, group)
+            for idx, group in sorted(buckets.items())
+        ]
+
     def latency_buckets(self, width: float) -> list[tuple[float, float]]:
         """Mean latency per ``width``-second bucket of completion time."""
-        buckets: dict[int, list[float]] = {}
-        for sample in self.samples:
-            buckets.setdefault(int(sample.when // width), []).append(
-                sample.latency
-            )
         return [
-            ((idx + 0.5) * width, sum(vals) / len(vals))
-            for idx, vals in sorted(buckets.items())
+            (when, sum(s.latency for s in group) / len(group))
+            for when, group in self._buckets(width)
         ]
 
     def option_mix(self, width: float) -> list[tuple[float, dict[int, float]]]:
         """Fraction of completions per partition option per time bucket."""
-        buckets: dict[int, dict[int, int]] = {}
-        for sample in self.samples:
-            counts = buckets.setdefault(int(sample.when // width), {})
-            counts[sample.option] = counts.get(sample.option, 0) + 1
-        out = []
-        for idx, counts in sorted(buckets.items()):
-            total = sum(counts.values())
-            out.append(
-                ((idx + 0.5) * width,
-                 {opt: n / total for opt, n in counts.items()})
-            )
-        return out
+        return [
+            (when, {opt: n / len(group) for opt, n in
+                    Counter(s.option for s in group).items()})
+            for when, group in self._buckets(width)
+        ]
 
 
 @dataclass(frozen=True)
@@ -211,11 +217,3 @@ class LoadSweepResult:
     workload: str
     curves: dict[str, list[SweepPoint]] = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
-
-    def configurations(self) -> list[str]:
-        return list(self.curves)
-
-    def client_counts(self) -> list[int]:
-        for points in self.curves.values():
-            return [p.clients for p in points]
-        return []

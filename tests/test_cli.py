@@ -328,3 +328,131 @@ class TestRecoverCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert f"LSN {corrupted}" in err
+
+
+class _RunnerCalled(Exception):
+    """Raised by a stubbed scenario runner once it has its arguments."""
+
+
+@pytest.fixture()
+def runner_args(monkeypatch):
+    """Stub every serve scenario runner; return the arguments (defaults
+    applied) the CLI called one with."""
+    import functools
+    import inspect
+
+    from repro.bench import serve_experiments
+
+    seen: dict = {}
+    for name in ("serve_load_sweep", "serve_dynamic_switching",
+                 "serve_repartition", "serve_shard_sweep", "serve_htap",
+                 "serve_wal_recovery", "serve_failover"):
+        real = getattr(serve_experiments, name)
+
+        def stub(*args, _real=real, **kwargs):
+            bound = inspect.signature(_real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.update(bound.arguments, runner=_real)
+            raise _RunnerCalled
+
+        monkeypatch.setattr(serve_experiments, name,
+                            functools.wraps(real)(stub))
+
+    def called_with(*argv):
+        seen.clear()
+        with pytest.raises(_RunnerCalled):
+            main(["serve", *argv])
+        return seen
+
+    return called_with
+
+
+def _default(runner, name):
+    import inspect
+
+    return inspect.signature(runner).parameters[name].default
+
+
+class TestServeDefaultsHaveOneHome:
+    """Every scenario default comes from its runner's signature."""
+
+    def test_switching_runs_the_runners_client_count(self, runner_args):
+        seen = runner_args("--switching")
+        assert seen["clients"] == _default(seen["runner"], "clients") == 20
+
+    def test_repartition_runs_the_runners_think_time(self, runner_args):
+        seen = runner_args("--repartition")
+        assert seen["think_time"] == _default(seen["runner"], "think_time")
+        assert seen["think_time"] == 0.005
+
+    def test_htap_runs_the_runners_seed(self, runner_args):
+        seen = runner_args("--htap")
+        assert seen["seed"] == _default(seen["runner"], "seed") == 23
+
+    def test_full_sweep_uses_the_full_client_list(self, runner_args):
+        # client_counts=None with fast=False is SWEEP_CLIENTS_FULL.
+        seen = runner_args("--full", "--workload", "micro")
+        assert seen["fast"] is False
+        assert seen["client_counts"] is None
+
+    def test_given_flags_are_forwarded(self, runner_args):
+        seen = runner_args("--shard-sweep", "--shards", "8", "--clients",
+                           "12", "--think", "0.2", "--seed", "5")
+        assert seen["shard_counts"] == (1, 2, 8)
+        assert (seen["clients"], seen["think_time"], seen["seed"]) == (
+            12, 0.2, 5)
+
+    @pytest.mark.parametrize("argv, flag, scenario", [
+        (["--htap", "--accept-limit", "3"], "--accept-limit", "--htap"),
+        (["--wal", "DIR", "--shards", "2", "--accept-limit", "3"],
+         "--accept-limit", "--wal"),
+        (["--inject", "crash:db1@2", "--shards", "2", "--replicas", "1",
+          "--accept-limit", "3"], "--accept-limit", "--inject"),
+        (["--shard-sweep", "--accept-limit", "3"],
+         "--accept-limit", "--shard-sweep"),
+        (["--repartition", "--accept-limit", "3"],
+         "--accept-limit", "--repartition"),
+        (["--inject", "crash:db1@2", "--shards", "2", "--replicas", "1",
+          "--shard-key", "hash"], "--shard-key", "--inject"),
+        (["--wal", "DIR", "--shards", "2", "--shard-key", "hash"],
+         "--shard-key", "--wal"),
+        (["--htap", "--shard-key", "hash"], "--shard-key", "--htap"),
+        (["--repartition", "--workload", "tpcw"], "--workload",
+         "--repartition"),
+    ])
+    def test_flag_the_scenario_ignores_fails_fast(
+        self, runner_args, tmp_path, capsys, argv, flag, scenario
+    ):
+        argv = [str(tmp_path) if a == "DIR" else a for a in argv]
+        assert main(["serve", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert f"{flag} does not apply to {scenario}" in err
+
+
+def test_readme_lists_each_scenarios_runner_defaults():
+    """README's scenario-defaults table matches the runner signatures."""
+    import inspect
+    from pathlib import Path
+
+    from repro.bench import serve_experiments
+
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in readme.read_text(encoding="utf-8").splitlines()
+        if line.startswith("| ") and "`serve_" in line
+    ]
+    assert len(rows) == 7
+    for _, runner, clients, db_cores, think, seed, _ in rows:
+        params = inspect.signature(
+            getattr(serve_experiments, runner.strip("`"))
+        ).parameters
+        if "client_counts" in params:
+            fast = ",".join(map(str, serve_experiments.SWEEP_CLIENTS_FAST))
+            assert clients.startswith(f"`{fast}`")
+        else:
+            assert int(clients) == params["clients"].default
+        assert int(db_cores) == params["db_cores"].default
+        assert float(think) == params["think_time"].default
+        assert int(seed) == params["seed"].default
