@@ -331,8 +331,15 @@ def format_serve_switching(result: ServeSwitchResult) -> str:
         for when, latency in series:
             by_time.setdefault(round(when, 3), {})[name] = latency
     mix_lookup = {round(when, 3): frac for when, frac in result.adaptive_mix}
-    for when in sorted(by_time):
-        row = f"{when:>8.0f} "
+    # As few decimals as keep every bucket's time label distinct.
+    times = sorted(by_time)
+    digits = next(
+        (d for d in range(3) if len({f"{t:.{d}f}" for t in times})
+         == len(times)),
+        3,
+    )
+    for when in times:
+        row = f"{when:>8.{digits}f} "
         for name in labels:
             latency = by_time[when].get(name)
             row += (

@@ -14,7 +14,9 @@ from repro.bench.report import (
     format_fig11,
     format_fig14,
     format_micro1,
+    format_serve_switching,
 )
+from repro.bench.serve_experiments import ServeSwitchResult
 
 
 def point(rate, latency_ms):
@@ -61,6 +63,26 @@ class TestFig11Formatting:
         text = format_fig11(result)
         assert "dynamic switching" in text
         assert "jdbc" in text and "pyxis" in text
+
+
+class TestServeSwitchingFormatting:
+    def time_labels(self, width):
+        mids = [(i + 0.5) * width for i in range(12)]
+        result = ServeSwitchResult(
+            clients=4, duration=12 * width, load_time=3 * width,
+            buckets={"adaptive": [(t, 0.01) for t in mids]},
+            adaptive_mix=[(t, 0.0) for t in mids],
+        )
+        rows = format_serve_switching(result).splitlines()[2:14]
+        return [row.split()[0] for row in rows]
+
+    def test_narrow_buckets_get_distinct_time_labels(self):
+        labels = self.time_labels(0.5)
+        assert len(set(labels)) == 12
+        assert labels[:3] == ["0.2", "0.8", "1.2"]
+
+    def test_whole_second_labels_when_buckets_are_wide(self):
+        assert self.time_labels(3.75)[:3] == ["2", "6", "9"]
 
 
 class TestFig14Formatting:
