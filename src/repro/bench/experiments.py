@@ -27,6 +27,13 @@ from repro.bench.harness import (
 from repro.core.pipeline import Pyxis, PyxisConfig
 from repro.runtime.entrypoints import PartitionedApp
 from repro.runtime.switcher import DynamicSwitcher, SwitcherConfig
+from repro.serve.workload import (
+    SERVE_TPCC_ONE_WAY_LATENCY as TPCC_ONE_WAY_LATENCY,
+    SERVE_TPCW_COST_MODEL as TPCW_COST_MODEL,
+    SERVE_TPCW_ONE_WAY_LATENCY as TPCW_ONE_WAY_LATENCY,
+    tpcc_partitions,
+    tpcw_partitions,
+)
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.queueing import (
     QueueingSimulator,
@@ -45,15 +52,11 @@ from repro.workloads.micro import (
     native_linked_list,
 )
 from repro.workloads.tpcc import (
-    TPCC_ENTRY_POINTS,
-    TPCC_SOURCE,
     TpccInputGenerator,
     TpccScale,
     make_tpcc_database,
 )
 from repro.workloads.tpcw import (
-    TPCW_ENTRY_POINTS,
-    TPCW_SOURCE,
     BrowsingMix,
     TpcwScale,
     make_tpcw_database,
@@ -112,12 +115,12 @@ class ExperimentResult:
 # Shared TPC-C machinery
 # ---------------------------------------------------------------------------
 
-# TPC-C experiment parameters.  The one-way latency is chosen so the
-# JDBC-versus-Manual latency gap lands near the paper's ~3x (see
-# EXPERIMENTS.md: the paper's 2 ms ping with ~46 JDBC calls per
-# new-order would give a much larger gap; we keep the call structure
-# and shrink the wire instead).
-TPCC_ONE_WAY_LATENCY = 0.00025
+# TPC-C experiment parameters.  The one-way latency (shared with the
+# serve scenarios) is chosen so the JDBC-versus-Manual latency gap
+# lands near the paper's ~3x (see EXPERIMENTS.md: the paper's 2 ms
+# ping with ~46 JDBC calls per new-order would give a much larger gap;
+# we keep the call structure and shrink the wire instead).  The serve
+# scenarios raise the per-statement cost; the figures keep this one.
 TPCC_COST_MODEL = CostModel(
     statement_cost=5e-6,
     block_dispatch_cost=2e-6,
@@ -148,23 +151,7 @@ def _tpcc_setup(
 ) -> TpccSetup:
     scale = TpccScale()
     lock_groups = scale.warehouses * scale.districts_per_warehouse
-    config = PyxisConfig(latency=TPCC_ONE_WAY_LATENCY)
-    pyxis = Pyxis.from_source(TPCC_SOURCE, TPCC_ENTRY_POINTS, config)
-
-    _, profile_conn = make_tpcc_database(scale)
-    gen = TpccInputGenerator(scale, seed=seed)
-
-    def workload(profiler):
-        for _ in range(10):
-            order = gen.new_order(rollback_fraction=0.0)
-            profiler.invoke(
-                "TpccTransactions", "new_order",
-                order.w_id, order.d_id, order.c_id,
-                order.item_ids, order.supply_w_ids, order.quantities,
-            )
-
-    profile = pyxis.profile_with(profile_conn, workload)
-    pset = pyxis.partition(profile, budgets=[0.0, 1e9])
+    pyxis, pset = tpcc_partitions(scale, seed)
     low, high = pset.lowest(), pset.highest()
 
     input_gen = TpccInputGenerator(scale, seed=seed + 1)
@@ -354,35 +341,16 @@ def fig11(fast: bool = True) -> Fig11Result:
 # TPC-W (figures 12 and 13)
 # ---------------------------------------------------------------------------
 
-TPCW_ONE_WAY_LATENCY = 0.0005
 # TPC-W interactions carry much more application logic than TPC-C
 # (HTML assembly, price computation); each interpreted statement
-# represents more work.  This is what makes Manual lose at high WIPS
-# on a 3-core database in the paper's Figure 13.
-TPCW_COST_MODEL = CostModel(
-    statement_cost=20e-6,
-    native_call_cost=25e-6,
-    block_dispatch_cost=2e-6,
-)
+# represents more work (TPCW_COST_MODEL, shared with the serve
+# scenarios).  This is what makes Manual lose at high WIPS on a 3-core
+# database in the paper's Figure 13.
 
 
 def _tpcw_setup(n_interactions: int, seed: int = 41):
     scale = TpcwScale()
-    config = PyxisConfig(latency=TPCW_ONE_WAY_LATENCY)
-    pyxis = Pyxis.from_source(TPCW_SOURCE, TPCW_ENTRY_POINTS, config)
-    _, profile_conn = make_tpcw_database(scale)
-    mix = BrowsingMix(scale, seed=seed)
-
-    def workload(profiler):
-        for _ in range(40):
-            interaction = mix.next_interaction()
-            profiler.invoke(
-                "TpcwBrowsing", interaction.method, *interaction.args
-            )
-
-    profile = pyxis.profile_with(profile_conn, workload)
-    pset = pyxis.partition(profile, budgets=[0.0, 1e9])
-
+    pyxis, pset = tpcw_partitions(scale, seed)
     gen = BrowsingMix(scale, seed=seed + 1)
     interactions = [gen.next_interaction() for _ in range(n_interactions)]
 

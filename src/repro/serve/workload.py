@@ -357,14 +357,78 @@ class BuiltWorkload:
 
 def _two_budget_partitions(source: str, entry_points, latency: float,
                            profile_run) -> tuple:
+    """``(pyxis, partition set)``: the program profiled by
+    ``profile_run(pyxis) -> (connection, run)`` and partitioned at the
+    two extreme budgets, 0 and 1e9."""
     from repro.core.pipeline import Pyxis, PyxisConfig
 
     pyxis = Pyxis.from_source(
         source, entry_points, PyxisConfig(latency=latency)
     )
     profile = pyxis.profile_with(*profile_run(pyxis))
-    pset = pyxis.partition(profile, budgets=[0.0, 1e9])
-    return pset.lowest(), pset.highest()
+    return pyxis, pyxis.partition(profile, budgets=[0.0, 1e9])
+
+
+def tpcc_partitions(scale, seed: int = 31) -> tuple:
+    """TPC-C profiled on ten new-orders drawn with ``seed`` and
+    partitioned at budgets 0 and 1e9: ``(pyxis, partition set)``.  The
+    serve factory and the paper-figure experiments share it."""
+    from repro.workloads.tpcc import (
+        TPCC_ENTRY_POINTS,
+        TPCC_SOURCE,
+        TpccInputGenerator,
+        make_tpcc_database,
+    )
+
+    def profile_run(pyxis):
+        _, conn = make_tpcc_database(scale)
+        gen = TpccInputGenerator(scale, seed=seed)
+
+        def run(profiler):
+            for _ in range(10):
+                order = gen.new_order(rollback_fraction=0.0)
+                profiler.invoke(
+                    "TpccTransactions", "new_order",
+                    order.w_id, order.d_id, order.c_id,
+                    order.item_ids, order.supply_w_ids, order.quantities,
+                )
+
+        return conn, run
+
+    return _two_budget_partitions(
+        TPCC_SOURCE, TPCC_ENTRY_POINTS, SERVE_TPCC_ONE_WAY_LATENCY,
+        profile_run,
+    )
+
+
+def tpcw_partitions(scale, seed: int = 41) -> tuple:
+    """TPC-W profiled on forty browsing interactions drawn with
+    ``seed`` and partitioned at budgets 0 and 1e9: ``(pyxis, partition
+    set)``, shared like :func:`tpcc_partitions`."""
+    from repro.workloads.tpcw import (
+        TPCW_ENTRY_POINTS,
+        TPCW_SOURCE,
+        BrowsingMix,
+        make_tpcw_database,
+    )
+
+    def profile_run(pyxis):
+        _, conn = make_tpcw_database(scale)
+        mix = BrowsingMix(scale, seed=seed)
+
+        def run(profiler):
+            for _ in range(40):
+                interaction = mix.next_interaction()
+                profiler.invoke(
+                    "TpcwBrowsing", interaction.method, *interaction.args
+                )
+
+        return conn, run
+
+    return _two_budget_partitions(
+        TPCW_SOURCE, TPCW_ENTRY_POINTS, SERVE_TPCW_ONE_WAY_LATENCY,
+        profile_run,
+    )
 
 
 def make_tpcc_workload(
@@ -391,8 +455,6 @@ def make_tpcc_workload(
     crashes and fail over; it requires the sharded tier.
     """
     from repro.workloads.tpcc import (
-        TPCC_ENTRY_POINTS,
-        TPCC_SOURCE,
         TpccInputGenerator,
         TpccScale,
         make_sharded_tpcc_database,
@@ -415,25 +477,8 @@ def make_tpcc_workload(
         scale = TpccScale(warehouses=max(4, scale.warehouses, shards))
     lock_groups = scale.warehouses * scale.districts_per_warehouse
     latency = SERVE_TPCC_ONE_WAY_LATENCY
-
-    def profile_run(pyxis):
-        _, conn = make_tpcc_database(scale)
-        gen = TpccInputGenerator(scale, seed=seed)
-
-        def run(profiler):
-            for _ in range(10):
-                order = gen.new_order(rollback_fraction=0.0)
-                profiler.invoke(
-                    "TpccTransactions", "new_order",
-                    order.w_id, order.d_id, order.c_id,
-                    order.item_ids, order.supply_w_ids, order.quantities,
-                )
-
-        return conn, run
-
-    low, high = _two_budget_partitions(
-        TPCC_SOURCE, TPCC_ENTRY_POINTS, latency, profile_run
-    )
+    _, pset = tpcc_partitions(scale, seed)
+    low, high = pset.lowest(), pset.highest()
 
     databases: list = []
     clusters: list = []
@@ -525,8 +570,6 @@ def make_tpcw_workload(
     """TPC-W browsing mix under two partitionings."""
     _reject_shards("tpcw", shards, replicas)
     from repro.workloads.tpcw import (
-        TPCW_ENTRY_POINTS,
-        TPCW_SOURCE,
         BrowsingMix,
         TpcwScale,
         make_tpcw_database,
@@ -534,23 +577,8 @@ def make_tpcw_workload(
 
     scale = TpcwScale()
     latency = SERVE_TPCW_ONE_WAY_LATENCY
-
-    def profile_run(pyxis):
-        _, conn = make_tpcw_database(scale)
-        mix = BrowsingMix(scale, seed=seed)
-
-        def run(profiler):
-            for _ in range(40):
-                interaction = mix.next_interaction()
-                profiler.invoke(
-                    "TpcwBrowsing", interaction.method, *interaction.args
-                )
-
-        return conn, run
-
-    low, high = _two_budget_partitions(
-        TPCW_SOURCE, TPCW_ENTRY_POINTS, latency, profile_run
-    )
+    _, pset = tpcw_partitions(scale, seed)
+    low, high = pset.lowest(), pset.highest()
 
     def make_option(label: str, part) -> ProgramOption:
         _, conn = make_tpcw_database(scale)
@@ -608,9 +636,10 @@ def make_micro_workload(
         _, conn = make_micro_database(rows=scale.keys)
         return conn, lambda p: p.invoke("ThreePhase", "run", *args)
 
-    low, high = _two_budget_partitions(
+    _, pset = _two_budget_partitions(
         THREE_PHASE_SOURCE, THREE_PHASE_ENTRY_POINTS, latency, profile_run
     )
+    low, high = pset.lowest(), pset.highest()
 
     def make_option(label: str, part) -> ProgramOption:
         _, conn = make_micro_database(rows=scale.keys)
