@@ -115,8 +115,8 @@ class ExperimentResult:
 # Shared TPC-C machinery
 # ---------------------------------------------------------------------------
 
-# TPC-C experiment parameters.  The one-way latency (shared with the
-# serve scenarios) is chosen so the JDBC-versus-Manual latency gap
+# TPC-C experiment parameters.  TPCC_ONE_WAY_LATENCY, the serve
+# scenarios' value, is chosen so the JDBC-versus-Manual latency gap
 # lands near the paper's ~3x (see EXPERIMENTS.md: the paper's 2 ms
 # ping with ~46 JDBC calls per new-order would give a much larger gap;
 # we keep the call structure and shrink the wire instead).  The serve
@@ -342,10 +342,10 @@ def fig11(fast: bool = True) -> Fig11Result:
 # ---------------------------------------------------------------------------
 
 # TPC-W interactions carry much more application logic than TPC-C
-# (HTML assembly, price computation); each interpreted statement
-# represents more work (TPCW_COST_MODEL, shared with the serve
-# scenarios).  This is what makes Manual lose at high WIPS on a 3-core
-# database in the paper's Figure 13.
+# (HTML assembly, price computation), so TPCW_COST_MODEL (the serve
+# scenarios' model) charges more per interpreted statement.  This is
+# what makes Manual lose at high WIPS on a 3-core database in the
+# paper's Figure 13.
 
 
 def _tpcw_setup(n_interactions: int, seed: int = 41):

@@ -49,6 +49,11 @@ from repro.serve.workload import (
     make_shifting_workload,
     make_tpcc_workload,
 )
+from repro.sim.cluster import (
+    STORAGE_FAULT_KINDS,
+    FaultInjector,
+    parse_fault_spec,
+)
 
 SWEEP_CLIENTS_FAST = (1, 4, 16, 64)
 SWEEP_CLIENTS_FULL = (1, 2, 4, 8, 16, 32, 48, 64)
@@ -112,7 +117,7 @@ def _serve(
     warmup: bool = True,
     name: Optional[str] = None,
     shifting: Optional[ShiftingWorkload] = None,
-    faults=None,
+    faults: Optional[FaultInjector] = None,
     wal_managers: Sequence = (),
     periodic: Sequence[tuple[float, Callable[[], None]]] = (),
     events: Sequence[tuple[float, Callable[[ServeEngine], None]]] = (),
@@ -413,12 +418,6 @@ def serve_failover(
     time, the throughput on either side of the fault, the abort/retry
     counts, and a final bit-identity check across every replica group.
     """
-    from repro.sim.cluster import (
-        STORAGE_FAULT_KINDS,
-        FaultInjector,
-        parse_fault_spec,
-    )
-
     if replicas < 1:
         raise ValueError("serve_failover needs at least one replica")
     duration = duration if duration is not None else (15.0 if fast else 60.0)
@@ -636,7 +635,6 @@ def serve_wal_recovery(
     from repro.db.shard import connect_sharded
     from repro.db.wal import attach_wal
     from repro.db.recovery import recover_sharded
-    from repro.sim.cluster import FaultInjector, parse_fault_spec
 
     if shards < 2:
         raise ValueError(
@@ -955,7 +953,8 @@ def serve_repartition(
             shifting.built, label, clients=clients, duration=duration,
             poll=poll, db_cores=db_cores, think_time=think_time, seed=seed,
             warmup=False, shifting=shifting,
-            events=[(shift_time, lambda _: shifting.mix.set_phase("checkout"))],
+            events=[(shift_time,
+                     lambda _: shifting.mix.set_phase("checkout"))],
         )
         result.throughput[label] = serve_result.throughput
         result.post_shift_throughput[label] = serve_result.window_throughput(

@@ -117,36 +117,39 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     return 0
 
 
-# Each experiment in repro.bench.experiments -> its formatter in
-# repro.bench.report.
-_EXPERIMENTS = {
-    "fig9": "format_curves",
-    "fig10": "format_curves",
-    "fig11": "format_fig11",
-    "fig12": "format_curves",
-    "fig13": "format_curves",
-    "fig14": "format_fig14",
-    "micro1": "format_micro1",
-}
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    import inspect
-
     from repro.bench import experiments as experiments_mod
     from repro.bench import report as report_mod
 
-    names = args.names or list(_EXPERIMENTS)
-    unknown = [n for n in names if n not in _EXPERIMENTS]
+    available = {
+        "fig9": lambda: report_mod.format_curves(
+            experiments_mod.fig9(fast=args.fast)
+        ),
+        "fig10": lambda: report_mod.format_curves(
+            experiments_mod.fig10(fast=args.fast)
+        ),
+        "fig11": lambda: report_mod.format_fig11(
+            experiments_mod.fig11(fast=args.fast)
+        ),
+        "fig12": lambda: report_mod.format_curves(
+            experiments_mod.fig12(fast=args.fast)
+        ),
+        "fig13": lambda: report_mod.format_curves(
+            experiments_mod.fig13(fast=args.fast)
+        ),
+        "fig14": lambda: report_mod.format_fig14(experiments_mod.fig14()),
+        "micro1": lambda: report_mod.format_micro1(
+            experiments_mod.micro1()
+        ),
+    }
+    names = args.names or list(available)
+    unknown = [n for n in names if n not in available]
     if unknown:
         print(f"error: unknown experiments {unknown}; "
-              f"options: {sorted(_EXPERIMENTS)}", file=sys.stderr)
+              f"options: {sorted(available)}", file=sys.stderr)
         return 2
     for name in names:
-        run = getattr(experiments_mod, name)
-        fast = "fast" in inspect.signature(run).parameters
-        result = run(fast=args.fast) if fast else run()
-        print(getattr(report_mod, _EXPERIMENTS[name])(result))
+        print(available[name]())
         print()
     return 0
 
@@ -176,26 +179,17 @@ _SCENARIOS = {
                  {"workload": "tpcc"}),
 }
 
-# Serve flag (argparse dest) -> the runner keywords it can set; the
-# first one the chosen runner takes gets the value.
+# Serve flags (argparse dests) whose runner keyword differs from the
+# dest; the first keyword the chosen runner takes gets the value.
 _SERVE_KEYWORDS = {
-    "workload": ("workload",),
     "clients": ("client_counts", "clients"),
-    "db_cores": ("db_cores",),
-    "duration": ("duration",),
     "think": ("think_time",),
     "accept_limit": ("accept_queue_limit",),
-    "seed": ("seed",),
     "shards": ("shards", "shard_counts"),
-    "shard_key": ("shard_key",),
-    "replicas": ("replicas",),
     "inject": ("fault_specs",),
     "wal": ("wal_dir",),
-    "kill_at": ("kill_at",),
-    "restart": ("restart",),
     "trace_out": ("tracing",),
     "metrics_out": ("tracing",),
-    "full": ("fast",),
 }
 
 
@@ -223,8 +217,6 @@ def _serve_value(keyword: str, value, scenario: str, given: dict):
                 if s.strip()]
     if keyword == "tracing":
         return "trace_out" in given
-    if keyword == "fast":
-        return False
     return value
 
 
@@ -239,9 +231,10 @@ def _serve_call(given: dict):
     def flag(dest: str) -> str:
         return "--" + dest.replace("_", "-")
 
-    def takes(scenario: str) -> dict:
+    def takes(scenario: str, dest: str) -> list[str]:
         runner = getattr(serve_experiments, _SCENARIOS[scenario][0])
-        return inspect.signature(runner).parameters
+        params = inspect.signature(runner).parameters
+        return [k for k in _SERVE_KEYWORDS.get(dest, (dest,)) if k in params]
 
     # --inject composes with --wal (storage faults ride the crash /
     # recovery scenario); on its own it selects the failover one.
@@ -260,29 +253,25 @@ def _serve_call(given: dict):
             "recovery), e.g. --shards 2 --replicas 2 or --shards 2 "
             "--wal /tmp/wal"
         )
-    runner_name, formatter_name, what, fixed = _SCENARIOS[scenario]
+    runner, formatter, what, fixed = _SCENARIOS[scenario]
     name = scenario or "the load sweep"
-    params = takes(scenario)
     kwargs = {}
     for dest, value in given.items():
-        if dest not in _SERVE_KEYWORDS or fixed.get(dest, ...) == value:
+        # Scenario switches select; a value the scenario fixes is moot.
+        if (flag(dest) in _SCENARIOS and value is True
+                or fixed.get(dest, ...) == value):
             continue
-        keywords = [k for k in _SERVE_KEYWORDS[dest] if k in params]
+        keywords = takes(scenario, dest)
         if not keywords:
-            owners = [
-                other or "the load sweep" for other in _SCENARIOS
-                if any(k in takes(other) for k in _SERVE_KEYWORDS[dest])
-            ]
+            owners = [other or "the load sweep" for other in _SCENARIOS
+                      if takes(other, dest)]
             raise ValueError(
                 f"{flag(dest)} does not apply to {name} ({what}); pick "
                 f"one scenario: {flag(dest)} is for {', '.join(owners)}"
             )
         kwargs[keywords[0]] = _serve_value(keywords[0], value, name, given)
-    return (
-        getattr(serve_experiments, runner_name),
-        getattr(report, formatter_name),
-        kwargs,
-    )
+    return (getattr(serve_experiments, runner), getattr(report, formatter),
+            kwargs)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -296,7 +285,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if "sql_exec" in given:
         # The workload factories open their own connections; the env
         # var is the process-wide default they all read.
-        os.environ[SQL_EXEC_ENV_VAR] = given["sql_exec"]
+        os.environ[SQL_EXEC_ENV_VAR] = given.pop("sql_exec")
     try:
         runner, formatter, kwargs = _serve_call(given)
         result = runner(**kwargs)
@@ -434,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
              "session before rejection (default: unbounded)",
     )
     p_serve.add_argument(
-        "--seed", type=int, help="random seed (default: the scenario's own)",
+        "--seed", type=int,
+        help="random seed (default: the scenario's own)",
     )
     p_serve.add_argument(
         "--sql-exec", choices=SQL_EXEC_MODES,
@@ -520,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
              "repartitioning (its own storefront workload)",
     )
     p_serve.add_argument(
-        "--full", action="store_true",
+        "--full", dest="fast", action="store_false",
         help="full-length runs (slow)",
     )
     p_serve.set_defaults(func=_cmd_serve)
