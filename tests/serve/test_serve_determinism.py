@@ -47,7 +47,6 @@ def _fingerprint(result):
         "app_utilization": result.app_utilization,
         "db_utilization": result.db_utilization,
         "db_shard_utilization": list(result.db_shard_utilization),
-        "rejected": result.rejected,
         "live_executions": result.live_executions,
         "trace_replays": result.trace_replays,
         "plan_cache": result.plan_cache,

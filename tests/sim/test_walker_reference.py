@@ -282,13 +282,13 @@ def _closed_loop(cls, options, network, cores, seed, think, changes):
         engine.schedule(at, getattr(engine, method), *args)
     result = engine.run(clients=6, duration=0.4)
     return (
-        result.completed, result.rejected, result.aborted, result.txn_retries,
+        result.completed, result.aborted, result.txn_retries,
         result.app_utilization, result.db_utilization,
         result.db_shard_utilization,
         [(s.when, s.latency, s.trace_name, s.client_id, s.option)
          for s in result.samples],
         result.latencies,
-        [(c.completed, c.rejected, c.aborted, c.latencies)
+        [(c.completed, c.aborted, c.latencies)
          for c in result.per_client],
         [(e.shard, e.crashed_at, e.detected_at, e.promoted_at)
          for e in result.failovers],
