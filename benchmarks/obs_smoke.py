@@ -77,8 +77,7 @@ def run_obs_smoke() -> dict:
         walls[tracing].append(wall)
         fingerprints.setdefault(
             tracing,
-            (result.completed, result.aborted, result.txn_retries,
-             result.rejected),
+            (result.completed, result.aborted, result.txn_retries),
         )
         if tracing:
             spans = max(spans, len(engine.tracer.finished()))

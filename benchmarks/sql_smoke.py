@@ -30,7 +30,6 @@ import pytest
 
 from repro.bench.experiments import sql_exec_comparison
 from repro.db import Database, connect
-from repro.db.sql.codegen_plan import HASH_JOIN_MIN_ROWS, HASH_JOIN_SPILL_ROWS
 from repro.workloads.tpcw import (
     SUBJECTS,
     create_tpcw_schema,
@@ -78,14 +77,11 @@ PARENT_TPCW_JOINS = {
     "search_by_author": {"us_per_statement": 20.0, "rows_touched": 259.0},
 }
 
-# A join must cost about the same one row either side of each
-# hash-join threshold: no strategy cliff.
+# A join must cost about the same one row either side of the hash-join
+# threshold (HASH_JOIN_MIN_ROWS, 16) and across 4 096 rows, where a
+# partitioned build once took over: no strategy cliff.
 NO_CLIFF_RATIO = 2.0
-SWEEP_SIZES = [
-    threshold + delta
-    for threshold in (HASH_JOIN_MIN_ROWS, HASH_JOIN_SPILL_ROWS)
-    for delta in (-1, 0, 1)
-]
+SWEEP_SIZES = [15, 16, 17, 4095, 4096, 4097]
 
 
 def time_statement(conn, sql, param_sets, repeats=7, loops=20):
@@ -135,7 +131,7 @@ def _sweep_database(items: int, order_lines: int):
 
 def run_no_cliff_sweep() -> dict:
     """best_sellers / search_by_author timed with the table each one
-    probes one row either side of both hash-join thresholds."""
+    probes one row either side of 16 and of 4 096 rows."""
     sweep = {}
     for name, sized, param_sets in (
         ("best_sellers", lambda n: _sweep_database(120, n),

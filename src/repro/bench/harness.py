@@ -204,7 +204,7 @@ def collect_tpcc_traces(
     ``pyxis_partitions`` maps a label (e.g. ``"pyxis"``) to a compiled
     partition; each implementation replays the same input sequence on
     its own database copy.  ``interp`` selects the block-runtime
-    implementation (``tree`` / ``compiled``; None = REPRO_INTERP or
+    implementation (``tree`` / ``source``; None = REPRO_INTERP or
     the default).
     """
     from repro.runtime.entrypoints import PartitionedApp

@@ -113,7 +113,7 @@ def format_serve_sweep(result: LoadSweepResult) -> str:
     ]
     header = (
         f"{'config':<12} {'clients':>7} {'tput/s':>8} {'p50 ms':>8} "
-        f"{'p95 ms':>8} {'p99 ms':>8} {'db%':>6} {'rej':>5} {'sw':>3}"
+        f"{'p95 ms':>8} {'p99 ms':>8} {'db%':>6} {'sw':>3}"
     )
     lines.append(header)
     lines.append("-" * len(header))
@@ -122,7 +122,7 @@ def format_serve_sweep(result: LoadSweepResult) -> str:
             lines.append(
                 f"{label:<12} {p.clients:>7} {p.throughput:>8.1f} "
                 f"{p.p50_ms:>8.2f} {p.p95_ms:>8.2f} {p.p99_ms:>8.2f} "
-                f"{100 * p.db_util:>6.1f} {p.rejected:>5} {p.switches:>3}"
+                f"{100 * p.db_util:>6.1f} {p.switches:>3}"
             )
         lines.append("-" * len(header))
     cache_line = _plan_cache_line(result.notes)

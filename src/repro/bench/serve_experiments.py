@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
+from repro.db.jdbc import PlanCacheStats
 from repro.obs.export import render_chrome_trace, render_metrics
 from repro.runtime.switcher import SwitcherSummary
 from repro.serve.controller import (
@@ -68,15 +69,6 @@ ADAPTIVE = "adaptive"
 REPARTITION = "repartition"
 
 
-def _merge_plan_cache(
-    total: Optional[dict], delta: Optional[dict]
-) -> Optional[dict]:
-    """Fold one run's plan-cache delta into the experiment total."""
-    from repro.db.jdbc import PlanCacheStats
-
-    return PlanCacheStats.merge(total, delta)
-
-
 def _controller(
     label: str, poll: float, shifting: Optional[ShiftingWorkload] = None
 ) -> Controller:
@@ -113,7 +105,6 @@ def _serve(
     think_time: float,
     seed: int,
     shards: int = 1,
-    accept_queue_limit: Optional[int] = None,
     warmup: bool = True,
     name: Optional[str] = None,
     shifting: Optional[ShiftingWorkload] = None,
@@ -141,7 +132,6 @@ def _serve(
         ServeConfig(
             app_cores=8, db_cores=db_cores, db_shards=shards,
             network=built.network, think_time=think_time, seed=seed,
-            accept_queue_limit=accept_queue_limit,
             warmup=min(2 * poll, duration / 4.0) if warmup else 0.0,
             ramp=min(think_time, duration / 10.0),
         ),
@@ -158,7 +148,7 @@ def _serve(
         engine.schedule(when, action, engine)
     run = engine.run(clients=clients, duration=duration, name=name or label)
     if notes is not None and run.plan_cache is not None:
-        notes["plan_cache"] = _merge_plan_cache(
+        notes["plan_cache"] = PlanCacheStats.merge(
             notes.get("plan_cache"), run.plan_cache
         )
     return engine, run
@@ -191,7 +181,6 @@ def serve_load_sweep(
     duration: Optional[float] = None,
     think_time: float = 0.05,
     poll_interval: Optional[float] = None,
-    accept_queue_limit: Optional[int] = None,
     seed: int = 17,
     built: Optional[BuiltWorkload] = None,
     shards: int = 1,
@@ -236,7 +225,6 @@ def serve_load_sweep(
                 built, label, clients=clients, duration=duration,
                 poll=poll, db_cores=db_cores, think_time=think_time,
                 seed=seed, shards=shards,
-                accept_queue_limit=accept_queue_limit,
                 name=f"{label}@{clients}", notes=result.notes,
             )
             points.append(SweepPoint.from_result(run))
@@ -481,7 +469,7 @@ def serve_failover(
     result.notes.update(
         db_cores=db_cores, think_time=think_time, seed=seed,
         warehouses=built.notes.get("warehouses"),
-        completed=run.completed, rejected=run.rejected,
+        completed=run.completed,
     )
     return result
 
@@ -831,7 +819,6 @@ def serve_dynamic_switching(
     duration: Optional[float] = None,
     think_time: float = 0.05,
     external_load: float = 0.85,
-    accept_queue_limit: Optional[int] = None,
     seed: int = 17,
     built: Optional[BuiltWorkload] = None,
     shards: int = 1,
@@ -867,8 +854,7 @@ def serve_dynamic_switching(
         _, serve_result = _serve(
             built, label, clients=clients, duration=duration, poll=poll,
             db_cores=db_cores, think_time=think_time, seed=seed,
-            shards=shards, accept_queue_limit=accept_queue_limit,
-            warmup=False, events=[(load_time, spike)], notes=result.notes,
+            shards=shards, warmup=False, events=[(load_time, spike)], notes=result.notes,
         )
         result.buckets[label] = serve_result.latency_buckets(bucket)
         result.throughput[label] = serve_result.throughput
@@ -1129,7 +1115,7 @@ def serve_htap(
     result.notes.update(
         db_cores=db_cores, think_time=think_time, seed=seed,
         warehouses=built.notes.get("warehouses"),
-        completed=run.completed, rejected=run.rejected,
+        completed=run.completed,
         live_executions=run.live_executions,
     )
     return result

@@ -184,7 +184,6 @@ _SCENARIOS = {
 _SERVE_KEYWORDS = {
     "clients": ("client_counts", "clients"),
     "think": ("think_time",),
-    "accept_limit": ("accept_queue_limit",),
     "shards": ("shards", "shard_counts"),
     "inject": ("fault_specs",),
     "wal": ("wal_dir",),
@@ -416,11 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--think", type=float,
         help="mean client think time in seconds (default: the "
              "scenario's own)",
-    )
-    p_serve.add_argument(
-        "--accept-limit", type=int,
-        help="admission control: max transactions waiting for a "
-             "session before rejection (default: unbounded)",
     )
     p_serve.add_argument(
         "--seed", type=int,

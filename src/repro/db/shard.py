@@ -1353,7 +1353,7 @@ def connect_sharded(
     """Open a router connection to ``database``.
 
     ``sql_exec`` selects the statement executor for single-shard /
-    broadcast statements (``tree`` / ``compiled`` / ``source``);
+    broadcast statements (``tree`` / ``source``);
     scatter-gather statements always merge at the router.  None reads
     ``REPRO_SQL_EXEC`` (default: source).  ``replica_reads`` lets
     out-of-transaction point reads run on a replica that has caught up

@@ -22,11 +22,9 @@ flat generated Python function -- built as text, compiled with
   outer-dependent key probe under an indexed or filtered driver is an
   index nested loop; where every driver row probes (an unfiltered
   driving scan) or the inner has no index to probe (a scan with an
-  equality key) the level builds a hash table, sized at generation
-  time: tiny inputs keep nested-loop probes, mid-size inputs build one
-  table per statement, and inputs past a deterministic spill threshold
-  build :data:`HASH_JOIN_PARTITIONS` partitioned tables (bounding
-  per-dict size the way a grace hash join bounds per-partition memory);
+  equality key) the level builds one hash table per statement, unless
+  the inner holds fewer than :data:`HASH_JOIN_MIN_ROWS` rows at
+  generation time, when it keeps nested-loop probes;
 * **the sort / DISTINCT / LIMIT tail** calls the tree executor's own
   :func:`~repro.db.sql.executor.sort_result_rows`,
   :func:`~repro.db.sql.executor.distinct_rows` and
@@ -47,7 +45,7 @@ Observable semantics match the tree executor bit-for-bit -- identical
 StatementResults, notify charges, lock order, undo contents and MVCC
 writer registration -- with two documented batch-evaluation caveats
 (DESIGN.md, "Source codegen rung": the *Batch-at-a-time operators* and
-*Hybrid hash join* paragraphs): when several expressions over
+*Join order, then join strategy* paragraphs): when several expressions over
 *different* rows can raise, batching can surface a different row's
 error first, and join strategies are chosen from table sizes at
 prepare time.  This rung is the default (``REPRO_SQL_EXEC=source``);
@@ -103,18 +101,13 @@ from repro.db.sql.planner import (
 if False:  # pragma: no cover - import cycle guard for type checkers
     from repro.db.txn import Transaction
 
-# Hash-build thresholds for the levels that build at all (the planner's
+# Hash-build threshold for the levels that build at all (the planner's
 # ``hash`` / ``hash_scan`` classes), fixed at generation time from the
-# inner table's size.  Below MIN_ROWS a hash build costs more than it
-# saves (an index probe is already one dict lookup), so
-# the generated code keeps nested-loop probes; at or past SPILL_ROWS the
-# build partitions into HASH_JOIN_PARTITIONS separate dicts so no
-# single table grows unboundedly (the in-memory analogue of a grace
-# hash join's spill files).  Deterministic by construction: the
+# inner table's size.  Below it a hash build costs more than it saves
+# (an index probe is already one dict lookup), so the generated code
+# keeps nested-loop probes.  Deterministic by construction: the
 # decision depends only on len(table) at prepare time.
 HASH_JOIN_MIN_ROWS = 16
-HASH_JOIN_SPILL_ROWS = 4096
-HASH_JOIN_PARTITIONS = 8
 
 
 # SQL executor selection: "source" (the default) generates Python source
@@ -928,25 +921,16 @@ class _PlanCodegen:
         """Resolve the planner's static strategy class for one join
         level against the inner table's current size (a prepare-time
         snapshot, like every other binding a prepared plan carries).
-        Hash candidates degrade to scan/nested below MIN_ROWS and
-        upgrade to partitioned spill builds at SPILL_ROWS."""
+        Hash candidates degrade to scan/nested below MIN_ROWS."""
         static = ta.join_strategy
         if static in ("driver", "lookup", "scan", "nested"):
             return static
-        size = len(table)
+        small = len(table) < HASH_JOIN_MIN_ROWS
         if static == "hash_scan":
-            if size < HASH_JOIN_MIN_ROWS:
-                return "scan"
-            if size >= HASH_JOIN_SPILL_ROWS:
-                return "hash_scan_spill"
-            return "hash_scan"
+            return "scan" if small else "hash_scan"
         if static != "hash":
             raise PlanCodegenError(f"unknown join strategy {static!r}")
-        if size < HASH_JOIN_MIN_ROWS:
-            return "nested"
-        if size >= HASH_JOIN_SPILL_ROWS:
-            return "hash_spill"
-        return "hash"
+        return "nested" if small else "hash"
 
     def _emit_join_prelude(
         self,
@@ -965,15 +949,13 @@ class _PlanCodegen:
         if strategy == "scan":
             w.line(f"_c{level} = list({binds['rows']}.values())")
             return
-        if strategy in ("hash_scan", "hash_scan_spill"):
+        if strategy == "hash_scan":
             # Build over the scanned rows, keyed by the peeled equality
             # columns.  SQL `=` never matches NULL, so rows with a NULL
             # key column stay out of the table; every scanned row still
             # counts as a probed candidate via _n<level>.
             assert equi is not None
             offsets, _ = equi
-            spill = strategy == "hash_scan_spill"
-            mask = HASH_JOIN_PARTITIONS - 1
             key = (
                 "(" + ", ".join(f"_hr[{o}]" for o in offsets)
                 + ("," if len(offsets) == 1 else "") + ")"
@@ -982,13 +964,7 @@ class _PlanCodegen:
                 f"_hk[{i}] is None" for i in range(len(offsets))
             )
             w.line(f"_n{level} = len({binds['rows']})")
-            if spill:
-                w.line(
-                    f"_h{level} = [{{}} for _ in "
-                    f"range({HASH_JOIN_PARTITIONS})]"
-                )
-            else:
-                w.line(f"_h{level} = {{}}")
+            w.line(f"_h{level} = {{}}")
             w.line(f"for _hr in {binds['rows']}.values():")
             w.indent()
             w.line(f"_hk = {key}")
@@ -996,14 +972,10 @@ class _PlanCodegen:
             w.indent()
             w.line("continue")
             w.dedent()
-            if spill:
-                w.line(f"_hp = _h{level}[hash(_hk) & {mask}]")
-            else:
-                w.line(f"_hp = _h{level}")
-            w.line("_hb = _hp.get(_hk)")
+            w.line(f"_hb = _h{level}.get(_hk)")
             w.line("if _hb is None:")
             w.indent()
-            w.line("_hp[_hk] = [_hr]")
+            w.line(f"_h{level}[_hk] = [_hr]")
             w.dedent()
             w.line("else:")
             w.indent()
@@ -1058,31 +1030,18 @@ class _PlanCodegen:
                 )
                 return
             raise ExecutionError(f"unknown access kind {access.kind!r}")
-        if strategy in ("hash", "hash_spill"):
-            spill = strategy == "hash_spill"
-            mask = HASH_JOIN_PARTITIONS - 1
+        if strategy == "hash":
             if access.kind == "pk":
                 offsets = table.schema.primary_key_offsets()
                 key = (
                     "(" + ", ".join(f"_hr[{o}]" for o in offsets)
                     + ("," if len(offsets) == 1 else "") + ")"
                 )
-                if spill:
-                    w.line(
-                        f"_h{level} = [{{}} for _ in "
-                        f"range({HASH_JOIN_PARTITIONS})]"
-                    )
-                    w.line(f"for _hr in {binds['rows']}.values():")
-                    w.indent()
-                    w.line(f"_hk = {key}")
-                    w.line(f"_h{level}[hash(_hk) & {mask}][_hk] = _hr")
-                    w.dedent()
-                else:
-                    w.line(f"_h{level} = {{}}")
-                    w.line(f"for _hr in {binds['rows']}.values():")
-                    w.indent()
-                    w.line(f"_h{level}[{key}] = _hr")
-                    w.dedent()
+                w.line(f"_h{level} = {{}}")
+                w.line(f"for _hr in {binds['rows']}.values():")
+                w.indent()
+                w.line(f"_h{level}[{key}] = _hr")
+                w.dedent()
                 return
             if access.kind == "index_eq":
                 index = self._secondary(table, access)
@@ -1091,54 +1050,27 @@ class _PlanCodegen:
                     "(" + ", ".join(f"_hr[{o}]" for o in offsets)
                     + ("," if len(offsets) == 1 else "") + ")"
                 )
-                if spill:
-                    w.line(
-                        f"_h{level} = [{{}} for _ in "
-                        f"range({HASH_JOIN_PARTITIONS})]"
-                    )
-                    w.line(f"for _hx, _hr in {binds['rows']}.items():")
-                    w.indent()
-                    w.line(f"_hk = {key}")
-                    w.line(f"_hp = _h{level}[hash(_hk) & {mask}]")
-                    w.line("_hb = _hp.get(_hk)")
-                    w.line("if _hb is None:")
-                    w.indent()
-                    w.line("_hp[_hk] = [(_hx, _hr)]")
-                    w.dedent()
-                    w.line("else:")
-                    w.indent()
-                    w.line("_hb.append((_hx, _hr))")
-                    w.dedent()
-                    w.dedent()
-                    w.line(f"for _hp in _h{level}:")
-                    w.indent()
-                    w.line("for _hb in _hp.values():")
-                    w.indent()
-                    w.line("_hb.sort()")
-                    w.dedent()
-                    w.dedent()
-                else:
-                    w.line(f"_h{level} = {{}}")
-                    w.line(f"for _hx, _hr in {binds['rows']}.items():")
-                    w.indent()
-                    w.line(f"_hk = {key}")
-                    w.line(f"_hb = _h{level}.get(_hk)")
-                    w.line("if _hb is None:")
-                    w.indent()
-                    w.line(f"_h{level}[_hk] = [(_hx, _hr)]")
-                    w.dedent()
-                    w.line("else:")
-                    w.indent()
-                    w.line("_hb.append((_hx, _hr))")
-                    w.dedent()
-                    w.dedent()
-                    # Probe order must match lookup_sorted: ascending
-                    # rowid within a key (rowids are unique, so the
-                    # pair sort never compares rows).
-                    w.line(f"for _hb in _h{level}.values():")
-                    w.indent()
-                    w.line("_hb.sort()")
-                    w.dedent()
+                w.line(f"_h{level} = {{}}")
+                w.line(f"for _hx, _hr in {binds['rows']}.items():")
+                w.indent()
+                w.line(f"_hk = {key}")
+                w.line(f"_hb = _h{level}.get(_hk)")
+                w.line("if _hb is None:")
+                w.indent()
+                w.line(f"_h{level}[_hk] = [(_hx, _hr)]")
+                w.dedent()
+                w.line("else:")
+                w.indent()
+                w.line("_hb.append((_hx, _hr))")
+                w.dedent()
+                w.dedent()
+                # Probe order must match lookup_sorted: ascending
+                # rowid within a key (rowids are unique, so the
+                # pair sort never compares rows).
+                w.line(f"for _hb in _h{level}.values():")
+                w.indent()
+                w.line("_hb.sort()")
+                w.dedent()
                 return
             raise PlanCodegenError(
                 f"hash join over access kind {access.kind!r}"
@@ -1170,7 +1102,7 @@ class _PlanCodegen:
             else:
                 self._emit_join_level(idx + 1, levels, scope, consume)
 
-        if strategy in ("hash_scan", "hash_scan_spill"):
+        if strategy == "hash_scan":
             # Every scanned row is a candidate the nested loop would
             # have touched; count them in bulk, then visit only the
             # hash matches.  A NULL in the probe key matches nothing
@@ -1189,14 +1121,7 @@ class _PlanCodegen:
             w.line(f"_pk{idx} = {probe}")
             w.line(f"if {null_test}:")
             w.indent()
-            if strategy == "hash_scan_spill":
-                mask = HASH_JOIN_PARTITIONS - 1
-                w.line(
-                    f"for {rv} in _h{idx}[hash(_pk{idx}) & {mask}]"
-                    f".get(_pk{idx}, ()):"
-                )
-            else:
-                w.line(f"for {rv} in _h{idx}.get(_pk{idx}, ()):")
+            w.line(f"for {rv} in _h{idx}.get(_pk{idx}, ()):")
             w.indent()
             if residual is not None:
                 w.line(f"if {residual}:")
@@ -1224,27 +1149,6 @@ class _PlanCodegen:
                 w.dedent()
             else:
                 w.line(f"for _x{idx}, {rv} in _h{idx}.get({key}, ()):")
-                w.indent()
-                body()
-                w.dedent()
-            return
-        if strategy == "hash_spill":
-            mask = HASH_JOIN_PARTITIONS - 1
-            key = self.key_tuple(access.key_asts, scope, multi)
-            w.line(f"_hk{idx} = {key}")
-            if access.kind == "pk":
-                w.line(
-                    f"{rv} = _h{idx}[hash(_hk{idx}) & {mask}].get(_hk{idx})"
-                )
-                w.line(f"if {rv} is not None:")
-                w.indent()
-                body()
-                w.dedent()
-            else:
-                w.line(
-                    f"for _x{idx}, {rv} in _h{idx}[hash(_hk{idx}) "
-                    f"& {mask}].get(_hk{idx}, ()):"
-                )
                 w.indent()
                 body()
                 w.dedent()
@@ -1317,7 +1221,7 @@ class _PlanCodegen:
         self, plan: SelectPlan, scope: Scope, aggregate: bool
     ) -> None:
         """Joins and/or aggregation: generated nested candidate loops
-        with per-level hybrid hash strategies."""
+        with per-level join strategies."""
         first, names, tail = self._select_prologue(plan)
         w = self.w
         positions = scope_positions(scope)
@@ -1327,7 +1231,7 @@ class _PlanCodegen:
             table = self.database.table(ta.table_name)
             strategy = self._choose_strategy(ta, table)
             equi = None
-            if strategy in ("hash_scan", "hash_scan_spill"):
+            if strategy == "hash_scan":
                 # A scanned inner table is the nested-loop worst case;
                 # peel the equality conjuncts off its residual and turn
                 # the scan into a hash-join build + probe.

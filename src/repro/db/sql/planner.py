@@ -301,8 +301,8 @@ class TableAccess:
     this level can fetch join candidates (``driver`` / ``lookup`` /
     ``hash_scan`` / ``scan`` / ``hash`` / ``nested``); the codegen rung
     resolves the two hash classes against prepare-time table sizes
-    (falling back to nested loops on tiny inners, partitioned spill
-    builds on large ones) and records the final pick per plan.
+    (falling back to nested loops on tiny inners, one in-memory build
+    otherwise) and records the final pick per plan.
     """
 
     table_name: str

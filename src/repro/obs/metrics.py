@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` per serve run absorbs the counters that
 used to live scattered across subsystems (plan cache, 2PC outcomes,
-admission control, replication shipping, lock waits ...) into a single
+replication shipping, lock waits ...) into a single
 queryable snapshot keyed by ``name{label=value,...}``.  Everything is
 deterministic: fixed bucket bounds, insertion-independent snapshot
 ordering, no wall-clock anywhere -- so identically-seeded runs produce

@@ -9,8 +9,6 @@ layer on top of the virtual clock:
 * :mod:`repro.serve.engine` -- the closed-loop, event-driven load
   engine (N client sessions, think times, per-server run queues,
   row-group locks);
-* :mod:`repro.serve.session` -- the connection/session pool with a
-  bounded accept queue (admission control);
 * :mod:`repro.serve.controller` -- static and adaptive partition
   selection (the adaptive controller feeds smoothed DB-CPU samples to
   :class:`~repro.runtime.switcher.DynamicSwitcher`);
@@ -26,12 +24,10 @@ from repro.serve.controller import (
     StaticController,
 )
 from repro.serve.engine import ReplicaSupervisor, ServeConfig, ServeEngine
-from repro.serve.session import Session, SessionPool
 from repro.serve.stats import (
     ClientStats,
     FailoverEvent,
     LoadSweepResult,
-    PoolStats,
     ServeResult,
     SweepPoint,
     TxnSample,
@@ -55,12 +51,9 @@ __all__ = [
     "ReplicaSupervisor",
     "ServeConfig",
     "ServeEngine",
-    "Session",
-    "SessionPool",
     "ClientStats",
     "FailoverEvent",
     "LoadSweepResult",
-    "PoolStats",
     "ServeResult",
     "SweepPoint",
     "TxnSample",

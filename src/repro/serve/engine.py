@@ -4,16 +4,18 @@ The queueing simulator in :mod:`repro.sim.queueing` replays traces
 under *open-loop* Poisson arrivals -- the paper's figure methodology.
 This engine models the system the paper actually built: N client
 sessions in a closed loop (think, submit, wait for the reply, repeat)
-driving the partitioned runtime through a session pool with admission
-control, per-server multi-core run queues, row-group locks and an
-online controller that can switch partitionings mid-run.
+driving the partitioned runtime through per-server multi-core run
+queues, row-group locks and an online controller that can switch
+partitionings mid-run.  A closed-loop client holds at most one
+transaction, so a submission starts at once: there is no session pool
+to wait for.
 
 Everything runs on one :class:`~repro.sim.clock.VirtualClock`, so a
 "ten minute" run with 64 clients finishes in seconds of wall time
 while still producing contention-accurate latency percentiles and
 throughput.  The engine is a :class:`~repro.sim.queueing.StageWalker`
 -- the stage walk it shares with the open-loop simulator -- and adds
-what is closed-loop: clients, sessions, the controller, live draws,
+what is closed-loop: clients, the controller, live draws,
 aborts with retry, and the client-level spans.
 """
 
@@ -27,7 +29,6 @@ from repro.db.errors import ShardDownError, TwoPhaseAbortError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN, Tracer
 from repro.serve.controller import Controller, StaticController
-from repro.serve.session import Session, SessionPool
 from repro.serve.stats import (
     ClientStats,
     FailoverEvent,
@@ -43,15 +44,11 @@ class ServeConfig:
     """Knobs of one serving deployment.
 
     ``think_time`` is the mean of an exponential think delay between a
-    client's transactions (0 = back-to-back).  ``session_pool_size``
-    defaults to the client count (every client can hold a session);
-    shrinking it models a connection pool smaller than the client
-    population.  ``accept_queue_limit`` bounds how many admitted
-    transactions may wait for a session before new ones are rejected
-    (``None`` = no admission control); a rejected client backs off
-    ``retry_backoff`` seconds and resubmits.  ``ramp`` staggers client
-    start times across the given window so a run does not begin with a
-    synchronized thundering herd.
+    client's transactions (0 = back-to-back).  A client whose
+    transaction a shard failure aborts backs off ``retry_backoff``
+    seconds and resubmits.  ``ramp`` staggers client start times across
+    the given window so a run does not begin with a synchronized
+    thundering herd.
 
     ``trace_sample`` bounds tracing overhead: with tracing enabled,
     every Nth transaction (deterministically, by submission order)
@@ -67,8 +64,6 @@ class ServeConfig:
     db_shards: int = 1
     network: Optional[SimNetworkParams] = None
     think_time: float = 0.0
-    session_pool_size: Optional[int] = None
-    accept_queue_limit: Optional[int] = None
     retry_backoff: float = 0.05
     warmup: float = 0.0
     ramp: float = 0.0
@@ -91,12 +86,11 @@ class ServeConfig:
 class _ServeTxn(Txn):
     """A client's transaction: the walk plus who runs it and how."""
 
-    __slots__ = ("cid", "session", "option")
+    __slots__ = ("cid", "option")
 
-    def __init__(self, cid: int, session: Session, arrived: float, root):
+    def __init__(self, cid: int, arrived: float, root):
         Txn.__init__(self, arrived)
         self.cid = cid
-        self.session = session
         self.root = root
 
 
@@ -121,7 +115,6 @@ class ServeEngine(StageWalker):
             self.config.db_cores, self.config.db_shards,
         )
         self.rng = random.Random(self.config.seed)
-        self.pool: Optional[SessionPool] = None
         self._result: Optional[ServeResult] = None
         self._clients: list[ClientStats] = []
         self._horizon = 0.0
@@ -146,7 +139,6 @@ class ServeEngine(StageWalker):
         self._m_completed = self.metrics.counter("serve.txn.completed")
         self._m_aborted = self.metrics.counter("serve.txn.aborted")
         self._m_retried = self.metrics.counter("serve.txn.retried")
-        self._m_rejected = self.metrics.counter("serve.admission.rejected")
         self._m_latency = self.metrics.histogram("serve.latency.seconds")
         self._m_lock_wait = self.metrics.histogram("serve.lock.wait_seconds")
         self._m_latency_by_trace: dict = {}
@@ -297,46 +289,31 @@ class ServeEngine(StageWalker):
     def _submit(self, cid: int, detail: bool = False) -> None:
         if self.now >= self._horizon:
             return
-        arrived = self.now
         if detail and self.tracer.enabled:
             track = self._client_tracks[cid]
             root = self.tracer.span("client.txn", track=track, client=cid)
-            queue = self.tracer.span("client.queue", parent=root, track=track)
+            # Nothing queues a closed-loop submission: the span is
+            # zero-length, kept so the exported trace keeps its shape.
+            self.tracer.span("client.queue", parent=root, track=track).finish()
         else:
-            root = queue = NULL_SPAN
-
-        def work(session: Session) -> None:
-            queue.finish()
-            self._begin_txn(_ServeTxn(cid, session, arrived, root))
-
-        assert self.pool is not None
-        if not self.pool.submit(work):
-            self._clients[cid].rejected += 1
-            self._m_rejected.inc()
-            queue.finish()
-            root.annotate(outcome="rejected")
-            root.finish()
-            self.loop.schedule(
-                self.config.retry_backoff, self._submit, cid, detail
-            )
+            root = NULL_SPAN
+        self._begin_txn(_ServeTxn(cid, self.now, root))
 
     def _abort(self, txn: _ServeTxn) -> None:
         """A shard failure aborted this transaction (live, or at a
-        replayed stage pinned to the dead primary): release whatever
-        it holds, count the abort, and resubmit after the backoff (the
-        same retry loop a rejected admission uses)."""
+        replayed stage pinned to the dead primary): release its lock,
+        count the abort, and resubmit after the backoff."""
         group = txn.lock_group
         if group is not None:
             self._lock_table_for(group).release(group)
         result = self._result
-        assert result is not None and self.pool is not None
+        assert result is not None
         result.aborted += 1
         self._clients[txn.cid].aborted += 1
         self._m_aborted.inc()
         root = txn.root
         root.annotate(outcome="aborted")
         root.finish()
-        self.pool.release(txn.session)
         if self.now < self._horizon:
             result.txn_retries += 1
             self._m_retried.inc()
@@ -401,7 +378,6 @@ class ServeEngine(StageWalker):
         self.step(txn)
 
     def _complete(self, txn: _ServeTxn) -> None:
-        assert self.pool is not None
         result = self._result
         assert result is not None
         now = self.now
@@ -439,9 +415,6 @@ class ServeEngine(StageWalker):
             stats = self._clients[cid]
             stats.completed += 1
             stats.latencies.append(latency)
-        # Release before the next think-time draw: the release may
-        # start a waiting submission, which draws from rng first.
-        self.pool.release(txn.session)
         self._client_next(cid)
 
     # -- top-level run -----------------------------------------------------
@@ -460,14 +433,6 @@ class ServeEngine(StageWalker):
         config = self.config
         if config.warmup >= duration:
             raise ValueError("warmup must be shorter than the duration")
-        self.pool = SessionPool(
-            size=(
-                clients
-                if config.session_pool_size is None
-                else config.session_pool_size
-            ),
-            accept_limit=config.accept_queue_limit,
-        )
         self._horizon = duration
         self._clients = [ClientStats(client_id=cid) for cid in range(clients)]
         self._client_tracks = [f"client/{cid}" for cid in range(clients)]
@@ -503,8 +468,6 @@ class ServeEngine(StageWalker):
         result.db_utilization = sum(result.db_shard_utilization) / len(
             result.db_shard_utilization
         )
-        result.rejected = sum(c.rejected for c in self._clients)
-        result.pool = self.pool.stats
         result.controller = self.controller.summary()
         # Workloads may be shared across runs; report this run's share.
         result.live_executions = self.workload.live_executions - live0
@@ -576,22 +539,12 @@ class ServeEngine(StageWalker):
     def _absorb_run_metrics(
         self, result: ServeResult, ship0: dict[int, tuple[int, int]]
     ) -> None:
-        """Fold the run's end-of-run counters (plan cache, 2PC, pool,
+        """Fold the run's end-of-run counters (plan cache, 2PC,
         utilization, replication, failovers) into the registry so the
         snapshot on the result is the one queryable surface."""
         metrics = self.metrics
         metrics.absorb("plan_cache", result.plan_cache)
         metrics.absorb("two_pc", result.two_pc)
-        if result.pool is not None:
-            metrics.absorb(
-                "pool",
-                {
-                    "accepted": result.pool.accepted,
-                    "rejected": result.pool.rejected,
-                    "peak_waiting": result.pool.peak_waiting,
-                    "peak_in_use": result.pool.peak_in_use,
-                },
-            )
         metrics.gauge("serve.app.utilization").set(result.app_utilization)
         for shard, util in enumerate(result.db_shard_utilization):
             metrics.gauge("serve.db.utilization", shard=shard).set(util)

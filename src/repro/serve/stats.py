@@ -54,29 +54,16 @@ class FailoverEvent:
 
 @dataclass
 class ClientStats:
-    """Per-client latency histogram and admission counters."""
+    """Per-client latency histogram and abort counter."""
 
     client_id: int
     completed: int = 0
-    rejected: int = 0
     aborted: int = 0
     latencies: list[float] = field(default_factory=list)
 
     def summary(self) -> Optional[Summary]:
         """p50/p95/p99 view of this client's latencies (None if idle)."""
         return summarize(self.latencies) if self.latencies else None
-
-
-@dataclass
-class PoolStats:
-    """Session-pool / admission-control counters for one run."""
-
-    size: int
-    accept_limit: Optional[int]
-    accepted: int = 0
-    rejected: int = 0
-    peak_waiting: int = 0
-    peak_in_use: int = 0
 
 
 @dataclass
@@ -88,7 +75,6 @@ class ServeResult:
     duration: float
     warmup: float = 0.0
     completed: int = 0
-    rejected: int = 0
     # Transactions aborted by a shard failure (dead primary or an
     # in-flight two-phase branch caught by a failover) and the retries
     # those aborts triggered; failovers lists the supervisor's
@@ -104,7 +90,6 @@ class ServeResult:
     # Per-shard DB server utilization (one entry in the classic
     # single-server deployment; db_utilization is their mean).
     db_shard_utilization: list[float] = field(default_factory=list)
-    pool: Optional[PoolStats] = None
     controller: Optional[SwitcherSummary] = None
     live_executions: int = 0
     trace_replays: int = 0
@@ -185,7 +170,6 @@ class SweepPoint:
     p99_ms: float
     app_util: float
     db_util: float
-    rejected: int
     switches: int
 
     @classmethod
@@ -205,7 +189,6 @@ class SweepPoint:
             p99_ms=1000.0 * summary.p99 if summary else 0.0,
             app_util=result.app_utilization,
             db_util=result.db_utilization,
-            rejected=result.rejected,
             switches=switches,
         )
 

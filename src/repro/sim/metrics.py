@@ -10,15 +10,13 @@ and a 40% switching threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 from repro.obs.summary import Summary, summarize
 
 __all__ = [
     "LoadMonitor",
     "Summary",
-    "UtilizationProbe",
     "summarize",
 ]
 
@@ -62,21 +60,3 @@ class LoadMonitor:
         self._level = self.initial
         self._observations = 0
 
-
-@dataclass
-class UtilizationProbe:
-    """Callable probe that samples a utilization source on demand.
-
-    Wraps an arbitrary ``source`` callable returning utilization in
-    [0, 1]; converts to percent and feeds a :class:`LoadMonitor`.
-    """
-
-    source: Callable[[], float]
-    monitor: LoadMonitor = field(default_factory=LoadMonitor)
-    history: list[tuple[float, float]] = field(default_factory=list)
-
-    def poll(self, now: float) -> float:
-        raw = max(0.0, min(self.source(), 1.0)) * 100.0
-        level = self.monitor.observe(raw)
-        self.history.append((now, level))
-        return level

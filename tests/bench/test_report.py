@@ -14,9 +14,11 @@ from repro.bench.report import (
     format_fig11,
     format_fig14,
     format_micro1,
+    format_serve_sweep,
     format_serve_switching,
 )
 from repro.bench.serve_experiments import ServeSwitchResult
+from repro.serve.stats import LoadSweepResult, SweepPoint
 
 
 def point(rate, latency_ms):
@@ -63,6 +65,27 @@ class TestFig11Formatting:
         text = format_fig11(result)
         assert "dynamic switching" in text
         assert "jdbc" in text and "pyxis" in text
+
+
+class TestServeSweepFormatting:
+    def test_columns_line_up_with_each_point(self):
+        result = LoadSweepResult(
+            workload="micro", notes={"db_cores": 3, "think_time": 0.05}
+        )
+        result.curves["adaptive"] = [SweepPoint(
+            clients=4, throughput=120.0, mean_ms=2.0, p50_ms=1.5,
+            p95_ms=4.0, p99_ms=6.0, app_util=0.2, db_util=0.75,
+            switches=2,
+        )]
+        lines = format_serve_sweep(result).splitlines()
+        assert lines[1].split() == [
+            "config", "clients", "tput/s", "p50", "ms", "p95", "ms",
+            "p99", "ms", "db%", "sw",
+        ]
+        assert lines[3].split() == [
+            "adaptive", "4", "120.0", "1.50", "4.00", "6.00", "75.0", "2",
+        ]
+        assert len(lines[3]) == len(lines[1])
 
 
 class TestServeSwitchingFormatting:

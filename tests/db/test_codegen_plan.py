@@ -16,7 +16,6 @@ from repro.core import codegen as core_codegen
 from repro.db import Database, connect
 from repro.db.sql.codegen_plan import (
     HASH_JOIN_MIN_ROWS,
-    HASH_JOIN_SPILL_ROWS,
     compile_plan_source,
     generate_plan_source,
     maybe_compile_plan_source,
@@ -82,7 +81,9 @@ class TestHybridHashJoin:
     @pytest.mark.parametrize("inner_rows,expected", [
         (HASH_JOIN_MIN_ROWS - 8, "scan"),          # tiny: nested scan
         (200, "hash_scan"),                        # in-memory hash build
-        (HASH_JOIN_SPILL_ROWS + 904, "hash_scan_spill"),  # partitioned
+        (4096, "hash_scan"),                       # one build at any size
+        (5000, "hash_scan"),
+        (20_000, "hash_scan"),
     ])
     def test_strategy_resolves_on_inner_size(self, inner_rows, expected):
         db = _join_db(inner_rows)
@@ -90,7 +91,7 @@ class TestHybridHashJoin:
         assert dict(source.join_meta)["l"] == expected
         assert dict(source.join_meta)["o"] == "driver"
 
-    @pytest.mark.parametrize("inner_rows", [8, 200, 5000])
+    @pytest.mark.parametrize("inner_rows", [8, 200, 4096, 5000])
     def test_all_strategies_match_tree(self, inner_rows):
         from repro.db.sql.executor import Executor
 
@@ -107,8 +108,8 @@ class TestHybridHashJoin:
 # The first two are the browsing mix's own: their driver is an index
 # range or a filtered scan, so the probe is an index nested loop at any
 # size.  The unfiltered variants drive with a bare scan -- every driver
-# row probes -- and still resolve hash / spill builds on the probed
-# table's size.
+# row probes -- and still resolve nested / hash on the probed table's
+# size.
 TPCW_JOINS = {
     "best_sellers": (
         "SELECT i.i_id, i.i_title, SUM(ol.ol_qty) AS sold "
@@ -139,18 +140,19 @@ TPCW_JOINS = {
 
 class TestHashJoinBoundaries:
     """Where the default rung still builds, it picks the strategy from
-    the build side's size at fixed thresholds; one row either side of
-    each threshold every join must return exactly the tree oracle's
-    rows, and the workload's own joins must not build at any size."""
+    the build side's size at a fixed threshold; one row either side of
+    it, and at 4 096 rows, every join must return exactly the tree
+    oracle's rows, and the workload's own joins must not build at any
+    size."""
 
     @pytest.mark.parametrize("join", TPCW_JOINS)
     @pytest.mark.parametrize("probed_rows,expected", [
         (HASH_JOIN_MIN_ROWS - 1, "nested"),
         (HASH_JOIN_MIN_ROWS, "hash"),
         (HASH_JOIN_MIN_ROWS + 1, "hash"),
-        (HASH_JOIN_SPILL_ROWS - 1, "hash"),
-        (HASH_JOIN_SPILL_ROWS, "hash_spill"),
-        (HASH_JOIN_SPILL_ROWS + 1, "hash_spill"),
+        (4095, "hash"),
+        (4096, "hash"),
+        (4097, "hash"),
     ])
     def test_tpcw_joins_match_tree_across_thresholds(
         self, join, probed_rows, expected, monkeypatch

@@ -11,9 +11,8 @@ configuration's events fire at exactly the previous event's time), so
 scheduling order decides real outcomes and any reordering shows here.
 
 Scenarios: the ``serve_sim`` benchmark configuration (three slice
-seeds); back-to-back clients (``think_time=0``); a session pool smaller
-than the client count behind a bounded accept queue (rejection +
-backoff); ``set_db_external_load`` mid-run; two shards with ``crash``
+seeds); back-to-back clients (``think_time=0``);
+``set_db_external_load`` mid-run; two shards with ``crash``
 and ``slow`` faults and failover, on hand-built traces and on the
 replicated TPC-C tier; and each of those traced as well as untraced
 (identical virtual results, plus the exported trace's sha256).
@@ -168,18 +167,6 @@ def back_to_back(tracing):
     return run_engine(engine, clients=12, duration=2.0)
 
 
-def small_pool(tracing):
-    engine = ServeEngine(
-        _synthetic_workload(),
-        AdaptiveController(n_options=2, poll_interval=0.2),
-        ServeConfig(app_cores=4, db_cores=2, think_time=0.002, seed=11,
-                    session_pool_size=3, accept_queue_limit=2,
-                    retry_backoff=0.004, ramp=0.01, trace_sample=4),
-        tracing=tracing,
-    )
-    return run_engine(engine, clients=16, duration=1.5)
-
-
 def external_load(tracing):
     def script(engine):
         engine.schedule(0.6, lambda: engine.set_db_external_load(0.75))
@@ -256,7 +243,6 @@ def serve_sim_slices():
 
 SCENARIOS = {
     "back_to_back": back_to_back,
-    "small_pool": small_pool,
     "external_load": external_load,
     "synthetic_faults": synthetic_faults,
     "tpcc_faults": tpcc_faults,
@@ -276,11 +262,6 @@ GOLDEN = {
         752,
         "27ca67f14f042351d4e1b203df81bebf3d4262b72d4526e01b7eb4111b4f8106",
         "8ead4ab24053ca72d791c82f12825f529bc616746871cd8d1d773bcda8f0087e",
-    ),
-    "small_pool": (
-        355,
-        "19bf5dc990a5cb8bf46399a432ebe6fdbc110bf796f76900fb3cfde32b638cb2",
-        "d41174094f80033e213fd6c16a47fd060f6410b843c151d83e060f5a97c4f681",
     ),
     "synthetic_faults": (
         615,

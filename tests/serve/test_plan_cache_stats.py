@@ -2,7 +2,7 @@
 
 import random
 
-from repro.db import Database, connect
+from repro.db import Database, PlanCacheStats, connect
 from repro.runtime.entrypoints import InvocationOutcome
 from repro.serve.engine import ServeConfig, ServeEngine, _plan_cache_delta
 from repro.serve.workload import LiveWorkload, ProgramOption, TraceWorkload
@@ -100,8 +100,6 @@ class TestRunDeltaAggregation:
     counters -- the invariant the sweeps' merged notes rely on."""
 
     def test_consecutive_runs_report_disjoint_deltas(self):
-        from repro.bench.serve_experiments import _merge_plan_cache
-
         workload = _live_workload()
         deltas = []
         for _ in range(3):
@@ -112,7 +110,7 @@ class TestRunDeltaAggregation:
             deltas.append(result.plan_cache)
         total = None
         for delta in deltas:
-            total = _merge_plan_cache(total, delta)
+            total = PlanCacheStats.merge(total, delta)
         final = workload.plan_cache_snapshot()
         # The workload was warmed before the first run (compilation +
         # misses happened at build time), so the merged run deltas are
@@ -141,19 +139,17 @@ class TestRunDeltaAggregation:
 
 class TestSweepNotes:
     def test_sweep_merges_plan_cache_into_notes(self):
-        from repro.bench.serve_experiments import _merge_plan_cache
-
-        total = _merge_plan_cache(None, {"hits": 2, "misses": 2,
-                                         "evictions": 0,
-                                         "compiled_plans": 2})
-        total = _merge_plan_cache(total, {"hits": 6, "misses": 0,
-                                          "evictions": 0,
-                                          "compiled_plans": 0})
+        total = PlanCacheStats.merge(None, {"hits": 2, "misses": 2,
+                                            "evictions": 0,
+                                            "compiled_plans": 2})
+        total = PlanCacheStats.merge(total, {"hits": 6, "misses": 0,
+                                             "evictions": 0,
+                                             "compiled_plans": 0})
         assert total["hits"] == 8
         assert total["misses"] == 2
         assert total["compiled_plans"] == 2
         assert total["hit_ratio"] == 0.8
-        assert _merge_plan_cache(total, None) is total
+        assert PlanCacheStats.merge(total, None) is total
 
     def test_report_line(self):
         from repro.bench.report import _plan_cache_line

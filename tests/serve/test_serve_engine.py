@@ -1,4 +1,4 @@
-"""Closed-loop serving engine: laws, pools, admission, determinism."""
+"""Closed-loop serving engine: laws, locks, determinism."""
 
 import pytest
 
@@ -78,37 +78,7 @@ class TestClosedLoopLaws:
         assert 0.0 < result.app_utilization < result.db_utilization <= 1.0
 
 
-class TestSessionsAndAdmission:
-    def test_session_pool_caps_concurrency(self):
-        # 8 clients but only 1 session: the pool serializes them, so
-        # throughput matches a single closed-loop client.
-        trace = cpu_trace(db=0.01)
-        engine = ServeEngine(
-            single_option(trace),
-            config=ServeConfig(session_pool_size=1),
-        )
-        result = engine.run(clients=8, duration=10.0)
-        assert result.throughput == pytest.approx(100.0, rel=0.1)
-        assert result.pool is not None
-        assert result.pool.peak_in_use == 1
-        assert result.pool.peak_waiting >= 1
-
-    def test_admission_control_rejects_and_clients_retry(self):
-        trace = cpu_trace(db=0.01)
-        engine = ServeEngine(
-            single_option(trace),
-            config=ServeConfig(
-                session_pool_size=1, accept_queue_limit=0,
-                retry_backoff=0.02,
-            ),
-        )
-        result = engine.run(clients=8, duration=10.0)
-        assert result.rejected > 0
-        assert result.pool is not None
-        assert result.pool.rejected == result.rejected
-        assert result.pool.peak_waiting == 0  # nothing ever queued
-        assert result.completed > 0           # retries eventually land
-
+class TestLocksAndClients:
     def test_lock_groups_serialize_hot_rows(self):
         locked = cpu_trace(db=0.01, lock_groups=1)
 
@@ -132,6 +102,35 @@ class TestSessionsAndAdmission:
             summary = stats.summary()
             assert summary is not None
             assert summary.p50 <= summary.p95 <= summary.p99
+
+
+class TestSubmission:
+    """A closed-loop client holds at most one transaction, so nothing
+    ever waits to start one."""
+
+    def traced_run(self):
+        engine = ServeEngine(
+            single_option(cpu_trace(app=0.001, db=0.004)),
+            config=ServeConfig(db_cores=1, think_time=0.002, trace_sample=1),
+            tracing=True,
+        )
+        return engine, engine.run(clients=8, duration=1.0)
+
+    def test_every_transaction_starts_the_moment_it_is_submitted(self):
+        engine, result = self.traced_run()
+        txns = {s.span_id: s for s in engine.tracer.find("client.txn")}
+        queues = engine.tracer.find("client.queue")
+        assert len(queues) == len(txns) >= result.completed > 0
+        for queue in queues:
+            assert queue.end == queue.start == txns[queue.parent_id].start
+
+    def test_metrics_snapshot_has_no_pool_or_admission_keys(self):
+        _, result = self.traced_run()
+        assert result.metrics["serve.txn.completed"] > 0
+        assert not [
+            key for key in result.metrics
+            if key.startswith(("pool.", "serve.admission."))
+        ]
 
 
 class TestDeterminismAndValidation:
@@ -201,14 +200,6 @@ class TestDeterminismAndValidation:
             engine.set_shard_slowdown(0, factor)
         assert repr(factor) in str(raised.value)
         assert engine.shard_slowdowns == [1.0]
-
-    def test_zero_session_pool_size_rejected(self):
-        engine = ServeEngine(
-            single_option(cpu_trace(db=0.001)),
-            config=ServeConfig(session_pool_size=0),
-        )
-        with pytest.raises(ValueError, match="at least one session"):
-            engine.run(clients=1, duration=1.0)
 
     def test_warmup_must_fit_duration(self):
         trace = cpu_trace(db=0.001)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.metrics import LoadMonitor, UtilizationProbe, summarize
+from repro.sim.metrics import LoadMonitor, summarize
 
 
 class TestLoadMonitor:
@@ -72,16 +72,3 @@ class TestSummarize:
         assert summary.mean == 7.0
         assert summary.stdev == 0.0
 
-
-class TestUtilizationProbe:
-    def test_polls_source_and_records_history(self):
-        values = iter([0.5, 0.7])
-        probe = UtilizationProbe(source=lambda: next(values))
-        probe.poll(now=0.0)
-        level = probe.poll(now=10.0)
-        assert len(probe.history) == 2
-        assert 0.0 < level <= 100.0
-
-    def test_source_clamped(self):
-        probe = UtilizationProbe(source=lambda: 3.5)
-        assert probe.poll(0.0) == pytest.approx(100.0)

@@ -125,14 +125,6 @@ class TestServeCommand:
         assert "static_high" in out
         assert "adaptive" in out
 
-    def test_serve_accept_limit_flag(self, capsys):
-        code = main([
-            "serve", "--workload", "micro", "--clients", "4",
-            "--duration", "2", "--accept-limit", "0",
-        ])
-        assert code == 0
-        assert "adaptive" in capsys.readouterr().out
-
     def test_serve_bad_clients_rejected(self, capsys):
         code = main(["serve", "--clients", "nope"])
         assert code == 2
@@ -403,15 +395,15 @@ class TestServeDefaultsHaveOneHome:
             12, 0.2, 5)
 
     @pytest.mark.parametrize("argv, flag, scenario", [
-        (["--htap", "--accept-limit", "3"], "--accept-limit", "--htap"),
-        (["--wal", "DIR", "--shards", "2", "--accept-limit", "3"],
-         "--accept-limit", "--wal"),
+        (["--htap", "--workload", "tpcw"], "--workload", "--htap"),
+        (["--wal", "DIR", "--shards", "2", "--workload", "tpcw"],
+         "--workload", "--wal"),
         (["--inject", "crash:db1@2", "--shards", "2", "--replicas", "1",
-          "--accept-limit", "3"], "--accept-limit", "--inject"),
-        (["--shard-sweep", "--accept-limit", "3"],
-         "--accept-limit", "--shard-sweep"),
-        (["--repartition", "--accept-limit", "3"],
-         "--accept-limit", "--repartition"),
+          "--workload", "tpcw"], "--workload", "--inject"),
+        (["--shard-sweep", "--workload", "tpcw"],
+         "--workload", "--shard-sweep"),
+        (["--repartition", "--replicas", "1"], "--replicas",
+         "--repartition"),
         (["--inject", "crash:db1@2", "--shards", "2", "--replicas", "1",
           "--shard-key", "hash"], "--shard-key", "--inject"),
         (["--wal", "DIR", "--shards", "2", "--shard-key", "hash"],
@@ -428,6 +420,55 @@ class TestServeDefaultsHaveOneHome:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert f"{flag} does not apply to {scenario}" in err
+
+
+    @pytest.mark.parametrize("scenario", [[], ["--switching"]],
+                             ids=["sweep", "switching"])
+    def test_accept_limit_is_not_a_flag(self, runner_args, capsys, scenario):
+        # A closed-loop client never waits for a session, so no
+        # scenario has an accept queue to bound.
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", *scenario, "--accept-limit", "3"])
+        assert exited.value.code == 2
+        assert "--accept-limit" in capsys.readouterr().err
+
+
+def _readme_serve_commands():
+    """The arguments after ``serve`` of every ``python -m repro serve``
+    line in README.md's code blocks (continuations joined), once each."""
+    import shlex
+    from pathlib import Path
+
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands, fenced, pending = [], False, ""
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+            continue
+        if not fenced:
+            continue
+        pending += line
+        if pending.endswith("\\"):
+            pending = pending[:-1]
+            continue
+        words, pending = shlex.split(pending, comments=True), ""
+        for i in range(len(words) - 3):
+            if words[i:i + 4] == ["python", "-m", "repro", "serve"]:
+                if words[i + 4:] not in commands:
+                    commands.append(words[i + 4:])
+    return commands
+
+
+README_SERVE_COMMANDS = _readme_serve_commands()
+
+
+@pytest.mark.parametrize("argv", README_SERVE_COMMANDS,
+                         ids=lambda argv: " ".join(argv) or "(no flags)")
+def test_readme_serve_command_reaches_its_runner(runner_args, argv):
+    """Every documented ``repro serve`` line parses and dispatches: no
+    flag of it is unknown or refused by the scenario it selects."""
+    assert len(README_SERVE_COMMANDS) >= 9
+    assert runner_args(*argv)["runner"] is not None
 
 
 def test_readme_lists_each_scenarios_runner_defaults():

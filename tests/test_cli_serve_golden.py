@@ -12,7 +12,10 @@ Each scenario's flags name every value that differs between the CLI's
 old defaults and the runner's own (``--think`` for ``--repartition``,
 ``--seed`` for ``--htap``), so a digest pins the report, not a default.
 The switching digest was re-pinned once, when the report's time column
-gained the decimals that keep sub-second buckets distinct.
+gained the decimals that keep sub-second buckets distinct; the sweep
+stdout and the failover / WAL metrics digests once, when the always-zero
+``rej`` column and the ``pool.*`` / ``serve.admission.rejected`` keys
+went with the session pool (traces did not change).
 
 ``python tests/test_cli_serve_golden.py --record`` prints a fresh
 table (run it from the repository root with ``PYTHONPATH=src:.``).
@@ -59,7 +62,7 @@ SCENARIOS = {
 GOLDEN = {
     'sweep': {
         'stdout':
-            '8a52ff152fa85ea16c9dec28108fc8a35c2214abc54838f502aa904e84a6df03',
+            '6f92a09f239f2023ad6105f551b6672eb95380a342205ec99bfe132f6c13b043',
     },
     'switching': {
         'stdout':
@@ -81,7 +84,7 @@ GOLDEN = {
         'stdout':
             'db8286dd424daeb87a07f6c7befe6d3a0c1b76a9af3c545dffa5f45b2fb2b93e',
         'metrics':
-            '14df1f63ae0fac0770cff5756a2695e4c56bbeffd06615d4cf7db3b7447d2604',
+            '28a3c159d26debcfea557138ca58f2c9d043633b8090b4a89edb608bf47f91d3',
         'trace':
             'ced6b6c8b8cf54843e2fce97efed62d5c0c9232fbd1ed243c4594db147f949ed',
     },
@@ -89,7 +92,7 @@ GOLDEN = {
         'stdout':
             'de72822702a13073226b811b521c52b68e24865e0da9eaa1de224fda2eeb3831',
         'metrics':
-            'a3c52234385d6b12b2f8cdb5390a5231f5dcd2af1fa82320386041441b869b9b',
+            '95e5ea44735f9a8df4e0117ad99480af7c5afdf532a1f09d4cfeb497332a8b88',
         'trace':
             '52440afcd6929b66ce3025f40b0ace6ac6589487a2c48a499552da1de8620473',
     },
