@@ -78,8 +78,8 @@ PARENT_TPCW_JOINS = {
 }
 
 # A join must cost about the same one row either side of the hash-join
-# threshold (HASH_JOIN_MIN_ROWS, 16) and across 4 096 rows, where a
-# partitioned build once took over: no strategy cliff.
+# threshold (HASH_JOIN_MIN_ROWS, 16) and of 4 096 rows: no strategy
+# cliff at either size.
 NO_CLIFF_RATIO = 2.0
 SWEEP_SIZES = [15, 16, 17, 4095, 4096, 4097]
 

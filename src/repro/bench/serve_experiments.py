@@ -854,7 +854,8 @@ def serve_dynamic_switching(
         _, serve_result = _serve(
             built, label, clients=clients, duration=duration, poll=poll,
             db_cores=db_cores, think_time=think_time, seed=seed,
-            shards=shards, warmup=False, events=[(load_time, spike)], notes=result.notes,
+            shards=shards, warmup=False, events=[(load_time, spike)],
+            notes=result.notes,
         )
         result.buckets[label] = serve_result.latency_buckets(bucket)
         result.throughput[label] = serve_result.throughput

@@ -421,7 +421,6 @@ class TestServeDefaultsHaveOneHome:
         assert err.count("error:") == 1
         assert f"{flag} does not apply to {scenario}" in err
 
-
     @pytest.mark.parametrize("scenario", [[], ["--switching"]],
                              ids=["sweep", "switching"])
     def test_accept_limit_is_not_a_flag(self, runner_args, capsys, scenario):
