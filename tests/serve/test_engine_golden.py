@@ -111,10 +111,6 @@ def fingerprint(result, events, fired=()):
             for s in result.samples
         ],
         "latencies": list(result.latencies),
-        "per_client": [
-            (c.completed, c.aborted, sum(c.latencies))
-            for c in result.per_client
-        ],
         "failovers": [
             (e.shard, e.crashed_at, e.detected_at, e.promoted_at,
              e.chosen_replica, e.replayed_entries, e.generation)
@@ -250,36 +246,37 @@ SCENARIOS = {
 
 # scenario -> (completed, sha256 of the fingerprint, sha256 of the
 # exported trace JSON), recorded on bad5b61.  The fingerprint digests
-# were re-recorded once, when the session-pool and rejection counters
-# left the fingerprint; completed counts and trace digests were kept.
+# were re-recorded twice: when the session-pool and rejection counters
+# left the fingerprint, and when the per-client copy of the samples
+# did; completed counts and trace digests were kept.
 GOLDEN = {
     "back_to_back": (
         470,
-        "6f6d080eaeed37108b7f3e671474440c7f491540c139d98a43579be3861f2a85",
+        "3a7fe322671b48394435306f54bcb4ffb2f6d04d586da7dc30b4925766f4ac9e",
         "61d41a0e1d694a6fe337b35ae039844edfab52d957cb0678c8b38fbde76cb7ce",
     ),
     "external_load": (
         752,
-        "27ca67f14f042351d4e1b203df81bebf3d4262b72d4526e01b7eb4111b4f8106",
+        "2294a8849c23c67301fa38ffeb9050249086a26c45fc5b18ef03aac1b739d898",
         "8ead4ab24053ca72d791c82f12825f529bc616746871cd8d1d773bcda8f0087e",
     ),
     "synthetic_faults": (
         615,
-        "d510214e0f9f8cc0b7d2e9eac899fe2f9c6ef456fd71fc1ca5f0d0155e34b2b2",
+        "583b524eaf220d16e820dc1986ca5e878fac951e3680c541f4edc97f9053a4e0",
         "484df46fac30cdbd3f5c7f86bec7b13d9040096620e0c32dbd9efad45ae6c6ec",
     ),
     "tpcc_faults": (
         838,
-        "5f81afa31760c6ee42ed9b028a2e57b8d6cc590ad1ad721a852df1072d32977b",
+        "e6f87cf0e4d4fbc0efd977429c203098e11f60039a36700fa813757372022bbf",
         "30b970350919c7b1c1cb1be2f9a38693f5eb7594dcb6b14f34d79c52b025e3fb",
     ),
 }
 
 # (completed, sha256 of the fingerprint) per slice seed, same commit.
 GOLDEN_SERVE_SIM = [
-    (128, "a7f42bdabac08e36f127a75f0125fe7033c72b72891ef170b24469eeff7b2c53"),
-    (133, "b463c4794445d8ccfddd2d126c737d83f19dbd85c554a3d3461f5e6b251275cc"),
-    (131, "865799eab265771ab8f6164b89f0735595a5f42ab590794e43b08a8cefde5855"),
+    (128, "45ff1edc87d8f1510896272de35e8c1ba3d80bf3fdd4fcfc03b79cbc89bc4e7e"),
+    (133, "3466ffaf09fac2f6c88848c2d28e336405415a3653b1711ea86f237ce71e12c5"),
+    (131, "72ca34d282a71940accc88c8764776660bbb56688b1c2d698ac34c9302e8c594"),
 ]
 
 

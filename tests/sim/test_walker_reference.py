@@ -16,6 +16,7 @@ checked against the replaced code, not only against the goldens'
 fixed scenarios.
 """
 
+from collections import Counter
 from typing import Callable
 
 from hypothesis import given, settings
@@ -288,8 +289,7 @@ def _closed_loop(cls, options, network, cores, seed, think, changes):
         [(s.when, s.latency, s.trace_name, s.client_id, s.option)
          for s in result.samples],
         result.latencies,
-        [(c.completed, c.aborted, c.latencies)
-         for c in result.per_client],
+        sorted(Counter(s.client_id for s in result.samples).items()),
         [(e.shard, e.crashed_at, e.detected_at, e.promoted_at)
          for e in result.failovers],
         result.controller.switches,
