@@ -58,6 +58,7 @@ def run_replica_smoke() -> dict:
     )
     wall = time.perf_counter() - start
     event = result.failovers[0] if result.failovers else None
+    metrics = result.metrics
     payload = {
         "workload": "tpcc-new-order",
         "clients": CLIENTS,
@@ -82,7 +83,10 @@ def run_replica_smoke() -> dict:
         "recovered_fraction": result.recovered_fraction,
         "txn_aborts": result.aborted,
         "txn_retries": result.txn_retries,
-        "two_pc": result.two_pc,
+        "two_pc": {
+            "commits": metrics["two_pc.commits"],
+            "aborts": metrics["two_pc.aborts"],
+        } if "two_pc.commits" in metrics else None,
         "replica_groups_bit_identical": result.replicas_consistent,
         "recovery_time_ceiling": RECOVERY_TIME_CEILING,
         "recovered_fraction_floor": RECOVERED_FRACTION_FLOOR,

@@ -92,14 +92,16 @@ def format_fig14(result: Fig14Result) -> str:
 
 
 def _plan_cache_line(notes: dict) -> str | None:
-    """One-line summary of the aggregated prepared-plan cache counters."""
+    """One-line summary of the plan-cache counters summed over a
+    scenario's runs."""
     stats = notes.get("plan_cache")
     if not stats:
         return None
+    lookups = stats["hits"] + stats["misses"]
+    ratio = round(stats["hits"] / lookups, 4) if lookups else 0.0
     return (
         f"plan cache: {stats['hits']} hit(s), {stats['misses']} miss(es), "
-        f"{stats['evictions']} eviction(s) "
-        f"(hit ratio {stats['hit_ratio']:.2%}); "
+        f"{stats['evictions']} eviction(s) (hit ratio {ratio:.2%}); "
         f"{stats['compiled_plans']} plan(s) compiled to Python source"
     )
 
@@ -160,25 +162,25 @@ def format_serve_shard_sweep(result: ShardSweepResult) -> str:
     return "\n".join(lines)
 
 
-def _two_pc_line(two_pc: dict | None, aborted: int, retries: int) -> str:
+def _two_pc_line(metrics: dict, aborted: int, retries: int) -> str:
     """The 2PC abort/retry summary line of a replicated serve run."""
     parts = []
-    if two_pc:
+    if "two_pc.commits" in metrics:
         parts.append(
-            f"2PC: {two_pc.get('commits', 0)} commit(s), "
-            f"{two_pc.get('aborts', 0)} abort(s)"
+            f"2PC: {metrics['two_pc.commits']} commit(s), "
+            f"{metrics['two_pc.aborts']} abort(s)"
         )
     parts.append(f"txn aborts: {aborted}, retries: {retries}")
     return "; ".join(parts)
 
 
-def _replica_reads_line(replica_reads: dict | None) -> str | None:
+def _replica_reads_line(metrics: dict) -> str | None:
     """Replica-offload summary of a replicated serve run (None when
     replica reads were not enabled)."""
-    if not replica_reads:
+    if "replica_reads.served" not in metrics:
         return None
-    served = replica_reads.get("served", 0)
-    fallback = replica_reads.get("fallback", 0)
+    served = metrics["replica_reads.served"]
+    fallback = metrics["replica_reads.fallback"]
     total = served + fallback
     offloaded = 100.0 * served / total if total else 0.0
     return (
@@ -213,9 +215,9 @@ def format_serve_failover(result: FailoverRunResult) -> str:
         f"{result.post_failover_throughput:.1f} "
         f"({100 * result.recovered_fraction:.0f}% recovered)"
     )
-    lines.append(_two_pc_line(result.two_pc, result.aborted,
+    lines.append(_two_pc_line(result.metrics, result.aborted,
                               result.txn_retries))
-    reads_line = _replica_reads_line(result.replica_reads)
+    reads_line = _replica_reads_line(result.metrics)
     if reads_line is not None:
         lines.append(reads_line)
     lines.append(

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from repro.db.jdbc import PlanCacheStats
 from repro.obs.export import render_chrome_trace, render_metrics
 from repro.runtime.switcher import SwitcherSummary
 from repro.serve.controller import (
@@ -147,10 +146,12 @@ def _serve(
     for when, action in events:
         engine.schedule(when, action, engine)
     run = engine.run(clients=clients, duration=duration, name=name or label)
-    if notes is not None and run.plan_cache is not None:
-        notes["plan_cache"] = PlanCacheStats.merge(
-            notes.get("plan_cache"), run.plan_cache
-        )
+    if notes is not None and "plan_cache.hits" in run.metrics:
+        total = notes.setdefault("plan_cache", dict.fromkeys(
+            ("hits", "misses", "evictions", "compiled_plans"), 0
+        ))
+        for key in total:
+            total[key] += run.metrics[f"plan_cache.{key}"]
     return engine, run
 
 
@@ -358,8 +359,6 @@ class FailoverRunResult:
     post_failover_throughput: float = 0.0
     aborted: int = 0
     txn_retries: int = 0
-    two_pc: Optional[dict] = None
-    replica_reads: Optional[dict] = None
     metrics: Optional[dict] = None
     replicas_consistent: bool = False
     # Rendered exporter payloads (deterministic: identically seeded
@@ -442,7 +441,6 @@ def serve_failover(
         failovers=list(run.failovers),
         throughput=run.throughput,
         aborted=run.aborted, txn_retries=run.txn_retries,
-        two_pc=run.two_pc, replica_reads=run.replica_reads,
     )
     _export(result, engine, run, {
         "scenario": "failover", "seed": seed, "clients": clients,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 
 class Placement(enum.Enum):
@@ -207,9 +207,6 @@ class PartitionGraph:
                 )
 
     # -- conveniences ----------------------------------------------------------------
-
-    def stmt_nodes(self) -> Iterator[Node]:
-        return (n for n in self.nodes.values() if n.kind is NodeKind.STMT)
 
     def summary(self) -> str:
         kinds: dict[str, int] = {}

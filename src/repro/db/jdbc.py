@@ -186,20 +186,14 @@ CallObserver = Callable[[str, str, int, int], None]
 DEFAULT_PLAN_CACHE_SIZE = 256
 
 
-# Counter keys shared by every snapshot/merge/delta of plan-cache
-# stats (serve layer, bench reports).
-PLAN_CACHE_COUNTERS = ("hits", "misses", "evictions", "compiled_plans")
-
-
 @dataclass
 class PlanCacheStats:
     """ExecutionStats-style counters for the prepared-plan cache.
 
     ``compiled_plans`` counts statements generated to Python source at
-    prepare time (the remainder run on the tree executor).
-    The class also owns the counter-dict algebra (snapshot / merge /
-    delta) used by the serving layer's reports, so the counter list
-    and hit-ratio formula live in exactly one place.
+    prepare time (the remainder run on the tree executor).  A serve
+    run reads them once before and once after and reports the growth
+    (``ServeEngine``'s ``plan_cache.*`` metrics).
     """
 
     hits: int = 0
@@ -212,55 +206,6 @@ class PlanCacheStats:
         """Read-only alias of ``compiled_plans`` (source is the only
         generating rung), kept for readers that still ask for it."""
         return self.compiled_plans
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def snapshot(self) -> dict[str, int | float]:
-        return self.with_ratio(
-            {key: getattr(self, key) for key in PLAN_CACHE_COUNTERS}
-        )
-
-    @staticmethod
-    def with_ratio(counters: dict) -> dict:
-        """Attach the recomputed hit ratio to a counter dict."""
-        lookups = counters["hits"] + counters["misses"]
-        counters["hit_ratio"] = (
-            round(counters["hits"] / lookups, 4) if lookups else 0.0
-        )
-        return counters
-
-    @staticmethod
-    def merge(total: Optional[dict], delta: Optional[dict]) -> Optional[dict]:
-        """Fold one counter dict into a running total (None-tolerant)."""
-        if delta is None:
-            return total
-        if total is None:
-            total = {key: 0 for key in PLAN_CACHE_COUNTERS}
-        for key in PLAN_CACHE_COUNTERS:
-            total[key] = total.get(key, 0) + delta.get(key, 0)
-        return PlanCacheStats.with_ratio(total)
-
-    @staticmethod
-    def delta(before: Optional[dict], after: Optional[dict]) -> Optional[dict]:
-        """Counter growth between two snapshots (None-tolerant)."""
-        if after is None:
-            return None
-        if before is None:
-            before = {}
-        grown = {
-            key: after.get(key, 0) - before.get(key, 0)
-            for key in PLAN_CACHE_COUNTERS
-        }
-        if "connections" in after:
-            grown["connections"] = after["connections"]
-        return PlanCacheStats.with_ratio(grown)
-
-    def reset(self) -> None:
-        for key in PLAN_CACHE_COUNTERS:
-            setattr(self, key, 0)
 
 
 class PreparedStatement:

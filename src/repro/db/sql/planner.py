@@ -82,9 +82,6 @@ class Scope:
             raise PlanError(f"ambiguous column {ref.column!r}")
         return matches[0]
 
-    def binding_of(self, ref: ColumnRef) -> str:
-        return self.resolve(ref)[0]
-
 
 def _like_matcher(pattern: str) -> Callable[[str], bool]:
     regex = re.escape(pattern).replace("%", ".*").replace("_", ".")

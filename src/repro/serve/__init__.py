@@ -25,7 +25,6 @@ from repro.serve.controller import (
 )
 from repro.serve.engine import ReplicaSupervisor, ServeConfig, ServeEngine
 from repro.serve.stats import (
-    ClientStats,
     FailoverEvent,
     LoadSweepResult,
     ServeResult,
@@ -51,7 +50,6 @@ __all__ = [
     "ReplicaSupervisor",
     "ServeConfig",
     "ServeEngine",
-    "ClientStats",
     "FailoverEvent",
     "LoadSweepResult",
     "ServeResult",

@@ -29,12 +29,7 @@ from repro.db.errors import ShardDownError, TwoPhaseAbortError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN, Tracer
 from repro.serve.controller import Controller, StaticController
-from repro.serve.stats import (
-    ClientStats,
-    FailoverEvent,
-    ServeResult,
-    TxnSample,
-)
+from repro.serve.stats import FailoverEvent, ServeResult, TxnSample
 from repro.serve.workload import ServeWorkload
 from repro.sim.queueing import SimNetworkParams, StageWalker, Txn
 
@@ -116,7 +111,6 @@ class ServeEngine(StageWalker):
         )
         self.rng = random.Random(self.config.seed)
         self._result: Optional[ServeResult] = None
-        self._clients: list[ClientStats] = []
         self._horizon = 0.0
         # Fault-injection state (beside the walker's shard_down and
         # shard_slowdowns, which the supervisor clears on promotion).
@@ -309,7 +303,6 @@ class ServeEngine(StageWalker):
         result = self._result
         assert result is not None
         result.aborted += 1
-        self._clients[txn.cid].aborted += 1
         self._m_aborted.inc()
         root = txn.root
         root.annotate(outcome="aborted")
@@ -412,9 +405,6 @@ class ServeEngine(StageWalker):
         if result.warmup <= now <= result.duration:
             result.completed += 1
             result.latencies.append(latency)
-            stats = self._clients[cid]
-            stats.completed += 1
-            stats.latencies.append(latency)
         self._client_next(cid)
 
     # -- top-level run -----------------------------------------------------
@@ -434,19 +424,15 @@ class ServeEngine(StageWalker):
         if config.warmup >= duration:
             raise ValueError("warmup must be shorter than the duration")
         self._horizon = duration
-        self._clients = [ClientStats(client_id=cid) for cid in range(clients)]
         self._client_tracks = [f"client/{cid}" for cid in range(clients)]
         self._result = ServeResult(
             name=name, clients=clients, duration=duration,
-            warmup=config.warmup, per_client=self._clients,
+            warmup=config.warmup,
         )
         self._attach_observability()
         live0 = self.workload.live_executions
         replays0 = self.workload.trace_replays
-        cache0 = self.workload.plan_cache_snapshot()
-        two_pc0 = self._two_pc_snapshot()
-        reads0 = self._replica_read_snapshot()
-        ship0 = self._replication_snapshot()
+        counters0 = self._backend_counters()
         self.controller.attach(self, until=duration)
         if self._supervisor is None and any(
             getattr(sdb, "replicated", False) for sdb in self._databases
@@ -472,57 +458,18 @@ class ServeEngine(StageWalker):
         # Workloads may be shared across runs; report this run's share.
         result.live_executions = self.workload.live_executions - live0
         result.trace_replays = self.workload.trace_replays - replays0
-        result.plan_cache = _plan_cache_delta(
-            cache0, self.workload.plan_cache_snapshot()
-        )
         result.failovers = list(self.failovers)
-        two_pc1 = self._two_pc_snapshot()
-        if two_pc1 is not None:
-            base = two_pc0 if two_pc0 is not None else {}
-            result.two_pc = {
-                key: value - base.get(key, 0)
-                for key, value in two_pc1.items()
-            }
-        reads1 = self._replica_read_snapshot()
-        if reads1 is not None:
-            base = reads0 if reads0 is not None else {}
-            result.replica_reads = {
-                key: value - base.get(key, 0)
-                for key, value in reads1.items()
-            }
-        self._absorb_run_metrics(result, ship0)
+        self._absorb_run_metrics(result, counters0)
         result.metrics = self.metrics.snapshot()
         return result
-
-    def _two_pc_snapshot(self) -> Optional[dict]:
-        snapshot = getattr(self.workload, "two_pc_snapshot", None)
-        return snapshot() if callable(snapshot) else None
-
-    def _replica_read_snapshot(self) -> Optional[dict]:
-        snapshot = getattr(self.workload, "replica_read_snapshot", None)
-        return snapshot() if callable(snapshot) else None
-
-    def _replication_snapshot(self) -> dict[int, tuple[int, int]]:
-        """Per-shard (entries_shipped, ship_failures) totals across the
-        attached databases' replica groups."""
-        totals: dict[int, tuple[int, int]] = {}
-        for sdb in self._databases:
-            for shard, group in enumerate(getattr(sdb, "groups", ())):
-                if group is None:
-                    continue
-                old = totals.get(shard, (0, 0))
-                totals[shard] = (
-                    old[0] + group.stats.entries_shipped,
-                    old[1] + group.stats.ship_failures,
-                )
-        return totals
 
     def _attach_observability(self) -> None:
         """Hand the engine's tracer to the live-execution backends so
         router dispatch, 2PC rounds and replication shipping show up on
         the same timeline as the client spans."""
         for conn in self._workload_connections():
-            conn.tracer = self.tracer
+            if hasattr(conn, "tracer"):
+                conn.tracer = self.tracer
         for sdb in self._databases:
             for group in getattr(sdb, "groups", ()):
                 if group is not None:
@@ -532,38 +479,75 @@ class ServeEngine(StageWalker):
         conns = []
         for opt in getattr(self.workload, "options", ()):
             conn = getattr(getattr(opt, "app", None), "connection", None)
-            if conn is not None and hasattr(conn, "tracer"):
+            if conn is not None:
                 conns.append(conn)
         return conns
 
+    def _backend_counters(self) -> dict[tuple[str, Optional[int]], int]:
+        """Every backend counter a run reports, keyed by registry name
+        and shard label (None when unlabelled).
+
+        Plan-cache counts are summed over the workload's connections,
+        2PC counts over its sharded ones, replica-read counts over
+        those that offload reads, and replication counts per shard over
+        the attached databases' replica groups.  A key is present only
+        when some backend keeps that counter.
+        """
+        counts: dict[tuple[str, Optional[int]], int] = {}
+
+        def add(name: str, value: int, shard: Optional[int] = None) -> None:
+            key = (name, shard)
+            counts[key] = counts.get(key, 0) + value
+
+        for conn in self._workload_connections():
+            cache = getattr(conn, "plan_cache_stats", None)
+            if cache is not None:
+                add("plan_cache.connections", 1)
+                add("plan_cache.hits", cache.hits)
+                add("plan_cache.misses", cache.misses)
+                add("plan_cache.evictions", cache.evictions)
+                add("plan_cache.compiled_plans", cache.compiled_plans)
+            if hasattr(conn, "two_pc_aborts"):
+                add("two_pc.commits", conn.two_pc_commits)
+                add("two_pc.aborts", conn.two_pc_aborts)
+            if getattr(conn, "replica_reads", False):
+                add("replica_reads.served", conn.replica_read_count)
+                add("replica_reads.fallback", conn.replica_fallback_count)
+        for sdb in self._databases:
+            for shard, group in enumerate(getattr(sdb, "groups", ())):
+                if group is not None:
+                    stats = group.stats
+                    add("replication.entries_shipped",
+                        stats.entries_shipped, shard)
+                    add("replication.ship_failures",
+                        stats.ship_failures, shard)
+        return counts
+
     def _absorb_run_metrics(
-        self, result: ServeResult, ship0: dict[int, tuple[int, int]]
+        self, result: ServeResult,
+        before: dict[tuple[str, Optional[int]], int],
     ) -> None:
-        """Fold the run's end-of-run counters (plan cache, 2PC,
-        utilization, replication, failovers) into the registry so the
-        snapshot on the result is the one queryable surface."""
+        """Fold the run's share of the backend counters, utilization
+        and failovers into the registry so the snapshot on the result
+        is the one queryable surface.  Workloads (and their
+        connections) may be shared across runs: counters report their
+        growth since ``before``, the connection count its end value."""
         metrics = self.metrics
-        metrics.absorb("plan_cache", result.plan_cache)
-        metrics.absorb("two_pc", result.two_pc)
+        after = self._backend_counters()
+        for (name, shard), value in after.items():
+            if name != "plan_cache.connections":
+                value -= before.get((name, shard), 0)
+            labels = {} if shard is None else {"shard": shard}
+            metrics.counter(name, **labels).inc(value)
+        if ("plan_cache.hits", None) in after:
+            hits = metrics.counter("plan_cache.hits").value
+            lookups = hits + metrics.counter("plan_cache.misses").value
+            metrics.gauge("plan_cache.hit_ratio").set(
+                round(hits / lookups, 4) if lookups else 0.0
+            )
         metrics.gauge("serve.app.utilization").set(result.app_utilization)
         for shard, util in enumerate(result.db_shard_utilization):
             metrics.gauge("serve.db.utilization", shard=shard).set(util)
-        if result.replica_reads is not None:
-            metrics.counter("replica_reads.served").inc(
-                result.replica_reads.get("served", 0)
-            )
-            metrics.counter("replica_reads.fallback").inc(
-                result.replica_reads.get("fallback", 0)
-            )
-        ship1 = self._replication_snapshot()
-        for shard, (shipped, failed) in sorted(ship1.items()):
-            shipped0, failed0 = ship0.get(shard, (0, 0))
-            metrics.counter("replication.entries_shipped", shard=shard).inc(
-                shipped - shipped0
-            )
-            metrics.counter("replication.ship_failures", shard=shard).inc(
-                failed - failed0
-            )
         if result.failovers:
             metrics.counter("failover.promotions").inc(len(result.failovers))
             metrics.counter("failover.replayed_entries").inc(
@@ -697,16 +681,3 @@ class ReplicaSupervisor:
         promote.finish(end=event.promoted_at)
         root.finish(end=event.promoted_at)
 
-
-def _plan_cache_delta(
-    before: Optional[dict], after: Optional[dict]
-) -> Optional[dict]:
-    """This run's share of the workload's plan-cache counters.
-
-    Workloads (and their connections) may be shared across engine
-    runs, so the run reports the counter growth, with the hit ratio
-    recomputed over the delta.
-    """
-    from repro.db.jdbc import PlanCacheStats
-
-    return PlanCacheStats.delta(before, after)

@@ -2,8 +2,8 @@
 
 The engine records one sample per completed transaction -- completion
 time, latency, trace name, client id and the partition option used --
-and aggregates them into per-client and per-run views with the latency
-percentiles the paper plots (p50/p95/p99).
+and aggregates them into per-run views with the latency percentiles
+the paper plots (p50/p95/p99).
 """
 
 from __future__ import annotations
@@ -53,20 +53,6 @@ class FailoverEvent:
 
 
 @dataclass
-class ClientStats:
-    """Per-client latency histogram and abort counter."""
-
-    client_id: int
-    completed: int = 0
-    aborted: int = 0
-    latencies: list[float] = field(default_factory=list)
-
-    def summary(self) -> Optional[Summary]:
-        """p50/p95/p99 view of this client's latencies (None if idle)."""
-        return summarize(self.latencies) if self.latencies else None
-
-
-@dataclass
 class ServeResult:
     """Output of one closed-loop serving run."""
 
@@ -84,7 +70,6 @@ class ServeResult:
     failovers: list[FailoverEvent] = field(default_factory=list)
     latencies: list[float] = field(default_factory=list)
     samples: list[TxnSample] = field(default_factory=list)
-    per_client: list[ClientStats] = field(default_factory=list)
     app_utilization: float = 0.0
     db_utilization: float = 0.0
     # Per-shard DB server utilization (one entry in the classic
@@ -93,19 +78,11 @@ class ServeResult:
     controller: Optional[SwitcherSummary] = None
     live_executions: int = 0
     trace_replays: int = 0
-    # Prepared-plan cache counters accumulated during this run
-    # (hits/misses/evictions/compiled_plans/hit_ratio, summed over the
-    # workload's connections; None when the workload runs no SQL).
-    plan_cache: Optional[dict] = None
-    # Two-phase-commit counters accumulated during this run
-    # ({"commits": n, "aborts": n}, summed over the workload's sharded
-    # connections; None when the workload has no replicated tier).
-    two_pc: Optional[dict] = None
-    # Replica-offloaded read counters for this run ({"served": n,
-    # "fallback": n}; None when replica reads are not enabled).
-    replica_reads: Optional[dict] = None
     # Unified metrics snapshot (repro.obs.metrics.MetricsRegistry) taken
-    # at the end of the run; keys are rendered `name{label=value}`.
+    # at the end of the run; keys are rendered `name{label=value}`.  It
+    # holds this run's share of the backend counters: plan_cache.*
+    # (when the workload runs SQL), two_pc.* (sharded connections),
+    # replica_reads.* (replica reads enabled) and replication.*{shard}.
     metrics: Optional[dict] = None
     notes: dict = field(default_factory=dict)
 

@@ -57,24 +57,6 @@ class ServeWorkload:
     def trace_replays(self) -> int:
         return 0
 
-    def plan_cache_snapshot(self) -> Optional[dict]:
-        """Aggregated prepared-plan cache counters across this
-        workload's database connections (None when the workload has
-        none, e.g. pre-collected traces)."""
-        return None
-
-    def two_pc_snapshot(self) -> Optional[dict]:
-        """Aggregated two-phase-commit counters across this workload's
-        sharded connections (None when nothing runs through a
-        replicated router)."""
-        return None
-
-    def replica_read_snapshot(self) -> Optional[dict]:
-        """Aggregated replica-offload counters ({"served": n,
-        "fallback": n}) across this workload's connections (None when
-        no connection has replica reads enabled)."""
-        return None
-
 
 class TraceWorkload(ServeWorkload):
     """Serve pre-collected traces (uniform draw per option)."""
@@ -113,9 +95,11 @@ class ProgramOption:
     ``pool_key`` (optional) buckets the option's bounded trace pool by
     a property of the drawn call -- e.g. the TPC-C warehouse, so that
     replayed traces preserve the live mix's shard affinity instead of
-    whatever shards the first few live executions happened to hit.
-    When set, every draw consults ``next_call`` (like
-    ``method_pools``).
+    whatever shards the first few live executions happened to hit, or
+    the entry-point method, so that a workload whose call mix shifts
+    mid-run is served traces of the *current* mix rather than replays
+    of the old one.  When set, every draw consults ``next_call``;
+    without it the factory is only consulted on live executions.
     """
 
     label: str
@@ -135,13 +119,6 @@ class LiveWorkload(ServeWorkload):
     invoke_profiled`, and replayed traces fold in the counts recorded
     when they were produced, so the windowed live profile keeps
     tracking the transaction mix even when most draws replay.
-
-    ``method_pools`` makes pooling mix-aware: the per-option trace
-    pool is keyed by entry-point method, and every draw consults the
-    option's ``next_call`` factory, so a workload whose call mix
-    shifts mid-run is served traces of the *current* mix rather than
-    replays of the old one.  Off by default (the factory is then only
-    consulted on live executions, the original behavior).
     """
 
     def __init__(
@@ -150,7 +127,6 @@ class LiveWorkload(ServeWorkload):
         pool_size: int = 16,
         refresh_every: int = 0,
         profiler: Optional["LiveProfiler"] = None,
-        method_pools: bool = False,
     ) -> None:
         if not options:
             raise ValueError("need at least one program option")
@@ -161,9 +137,8 @@ class LiveWorkload(ServeWorkload):
         self.pool_size = pool_size
         self.refresh_every = refresh_every
         self.profiler = profiler
-        self.method_pools = method_pools
-        # Per option: method -> bounded pool of (trace, sid_counts).
-        # Without method_pools a single "" key is used.  Each pool
+        # Per option: pool key -> bounded pool of (trace, sid_counts).
+        # Without a pool_key a single "" key is used.  Each pool
         # rotates its replacement slot with its own counter so every
         # slot is eventually refreshed regardless of how draws
         # interleave across pools.
@@ -232,13 +207,9 @@ class LiveWorkload(ServeWorkload):
         method: Optional[str] = None
         args: Optional[tuple] = None
         key = ""
-        if self.method_pools or opt.pool_key is not None:
+        if opt.pool_key is not None:
             method, args = opt.next_call()
-            key = (
-                opt.pool_key(method, args)
-                if opt.pool_key is not None
-                else method
-            )
+            key = opt.pool_key(method, args)
         pool = self._pools[option].setdefault(key, [])
         if len(pool) < self.pool_size or (
             self.refresh_every
@@ -257,59 +228,6 @@ class LiveWorkload(ServeWorkload):
     @property
     def trace_replays(self) -> int:
         return self._replays
-
-    def plan_cache_snapshot(self) -> Optional[dict]:
-        """Sum the per-connection PlanCacheStats over all options.
-
-        Every live execution runs real SQL through each option's JDBC
-        connection; the compiled-plan count shows how much of the mix
-        the plan compiler covers.
-        """
-        from repro.db.jdbc import PlanCacheStats
-
-        totals: Optional[dict] = None
-        connections = 0
-        for opt in self.options:
-            conn = getattr(opt.app, "connection", None)
-            stats = getattr(conn, "plan_cache_stats", None)
-            if stats is None:
-                continue
-            connections += 1
-            totals = PlanCacheStats.merge(totals, stats.snapshot())
-        if totals is None:
-            return None
-        totals["connections"] = connections
-        return totals
-
-    def two_pc_snapshot(self) -> Optional[dict]:
-        """Sum commit/abort counters over the options' sharded
-        connections (the router counts both its auto-commits and
-        explicit two-phase resolutions)."""
-        totals: Optional[dict] = None
-        for opt in self.options:
-            conn = getattr(opt.app, "connection", None)
-            aborts = getattr(conn, "two_pc_aborts", None)
-            if aborts is None:
-                continue
-            if totals is None:
-                totals = {"commits": 0, "aborts": 0}
-            totals["commits"] += conn.two_pc_commits
-            totals["aborts"] += aborts
-        return totals
-
-    def replica_read_snapshot(self) -> Optional[dict]:
-        """Sum replica-served vs primary-fallback read counters over
-        the options' sharded connections with replica reads enabled."""
-        totals: Optional[dict] = None
-        for opt in self.options:
-            conn = getattr(opt.app, "connection", None)
-            if not getattr(conn, "replica_reads", False):
-                continue
-            if totals is None:
-                totals = {"served": 0, "fallback": 0}
-            totals["served"] += conn.replica_read_count
-            totals["fallback"] += conn.replica_fallback_count
-        return totals
 
 
 # ---------------------------------------------------------------------------
@@ -859,13 +777,13 @@ def make_shifting_workload(
         return ProgramOption(
             label=label, class_name="Storefront", app=app,
             next_call=mix.next_call,
+            pool_key=lambda method, args: method,
         )
 
     workload = LiveWorkload(
         [make_option("app_like", low), make_option("db_like", high)],
         pool_size=pool_size,
         profiler=live_profiler,
-        method_pools=True,
     )
     built = BuiltWorkload(
         workload=workload,

@@ -7,7 +7,7 @@ the reproduction:
 
 * :mod:`repro.sim.clock` -- a virtual clock and discrete-event loop.
 * :mod:`repro.sim.network` -- a latency + bandwidth network model.
-* :mod:`repro.sim.server` -- multi-core servers with CPU accounting.
+* :mod:`repro.sim.server` -- multi-core servers and their cost model.
 * :mod:`repro.sim.cluster` -- the standard two-server deployment.
 * :mod:`repro.sim.queueing` -- an open-loop discrete-event simulation
   that replays per-transaction stage traces against finite-core servers
@@ -21,7 +21,7 @@ from repro.sim.network import (
     NetworkPartitionedError,
     NetworkStats,
 )
-from repro.sim.server import Server, CpuAccount
+from repro.sim.server import Server
 from repro.sim.cluster import (
     Cluster,
     ClusterConfig,
@@ -51,7 +51,6 @@ __all__ = [
     "NetworkPartitionedError",
     "NetworkStats",
     "Server",
-    "CpuAccount",
     "Cluster",
     "ClusterConfig",
     "FaultEvent",

@@ -497,9 +497,6 @@ class Cluster:
 
     def reset(self) -> None:
         self.clock.reset()
-        self.app.reset()
-        for server in self.db_servers:
-            server.reset()
         self.network.reset_stats()
         self._log = []
         self._pending = 0.0

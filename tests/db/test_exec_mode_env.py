@@ -121,7 +121,7 @@ class TestModeKeyedPlanCache:
         db = self._db()
         conn = connect(db, sql_exec="source")
         stats = conn.plan_cache_stats
-        stats.reset()
+        assert stats.compiled_plans == 0
         conn.prepare("SELECT v FROM x WHERE id = ?")
         assert stats.compiled_plans == 1
         # The old name reads the same counter: source is the only

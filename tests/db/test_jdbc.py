@@ -182,12 +182,12 @@ class TestConnection:
 
     def test_plan_cache_counts_hits_and_misses(self, conn):
         stats = conn.plan_cache_stats
-        stats.reset()
+        hits, misses = stats.hits, stats.misses
         conn.prepare("SELECT id FROM person WHERE id = ?")
         conn.prepare("SELECT id FROM person WHERE id = ?")
         conn.prepare("SELECT name FROM person WHERE id = ?")
-        assert stats.misses == 2
-        assert stats.hits == 1
+        assert stats.misses - misses == 2
+        assert stats.hits - hits == 1
 
     def test_plan_cache_bounded_lru(self, people_db):
         db, _ = people_db

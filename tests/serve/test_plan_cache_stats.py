@@ -1,11 +1,16 @@
-"""Plan-cache counters surfacing through the serving layer."""
+"""Backend counters surfacing through the serving layer's metrics."""
 
-import random
-
-from repro.db import Database, PlanCacheStats, connect
+from repro.db import Database, connect
+from repro.db.shard import connect_sharded
 from repro.runtime.entrypoints import InvocationOutcome
-from repro.serve.engine import ServeConfig, ServeEngine, _plan_cache_delta
-from repro.serve.workload import LiveWorkload, ProgramOption, TraceWorkload
+from repro.serve.controller import AdaptiveController
+from repro.serve.engine import ServeConfig, ServeEngine
+from repro.serve.workload import (
+    LiveWorkload,
+    ProgramOption,
+    TraceWorkload,
+    make_tpcc_workload,
+)
 from repro.sim.queueing import Stage, StageKind, TransactionTrace
 
 
@@ -51,74 +56,96 @@ def _live_workload():
     return LiveWorkload([option], pool_size=2)
 
 
-class TestPlanCacheSnapshot:
-    def test_trace_workload_has_no_snapshot(self):
+class TestPlanCacheMetrics:
+    def test_trace_workload_reports_no_plan_cache(self):
         trace = TransactionTrace("t", (Stage(StageKind.DB_CPU, 0.001),))
-        assert TraceWorkload([[trace]]).plan_cache_snapshot() is None
-
-    def test_live_workload_aggregates_connection_stats(self):
-        workload = _live_workload()
-        snap = workload.plan_cache_snapshot()
-        assert snap is not None
-        assert snap["connections"] == 1
-        # INSERT + SELECT were both compiled at prepare time.
-        assert snap["compiled_plans"] == 2
-        assert snap["misses"] == 2
-        assert snap["hits"] > 0
-        assert 0.0 < snap["hit_ratio"] < 1.0
+        engine = ServeEngine(TraceWorkload([[trace]]))
+        metrics = engine.run(clients=1, duration=0.5).metrics
+        assert not any(key.startswith("plan_cache.") for key in metrics)
 
     def test_serve_result_reports_run_delta(self):
         workload = _live_workload()
         engine = ServeEngine(
             workload, config=ServeConfig(app_cores=1, db_cores=1)
         )
-        result = engine.run(clients=2, duration=0.5, name="t")
-        assert result.plan_cache is not None
+        metrics = engine.run(clients=2, duration=0.5, name="t").metrics
+        assert metrics["plan_cache.connections"] == 1
         # The SELECT statement was prepared before the run: the run's
         # delta is all cache hits, no new compilations.
-        assert result.plan_cache["misses"] == 0
-        assert result.plan_cache["compiled_plans"] == 0
-        assert result.plan_cache["hits"] == workload.live_executions
-        assert result.plan_cache["hit_ratio"] == 1.0
+        assert metrics["plan_cache.misses"] == 0
+        assert metrics["plan_cache.compiled_plans"] == 0
+        assert metrics["plan_cache.hits"] == workload.live_executions
+        assert metrics["plan_cache.hit_ratio"] == 1.0
 
-    def test_delta_helper_handles_missing_snapshots(self):
-        assert _plan_cache_delta(None, None) is None
-        after = {"hits": 3, "misses": 1, "evictions": 0,
-                 "compiled_plans": 1, "connections": 2}
-        fresh = _plan_cache_delta(None, after)
-        assert fresh["hits"] == 3 and fresh["connections"] == 2
-        before = {"hits": 1, "misses": 1, "evictions": 0,
-                  "compiled_plans": 1}
-        delta = _plan_cache_delta(before, after)
-        assert delta["hits"] == 2
-        assert delta["misses"] == 0
-        assert delta["hit_ratio"] == 1.0
+
+def _backend_totals(built):
+    """Every counter the run reports, read straight off the backends."""
+    totals = {}
+
+    def add(key, value):
+        totals[key] = totals.get(key, 0) + value
+
+    for opt in built.workload.options:
+        conn = opt.app.connection
+        cache = conn.plan_cache_stats
+        for name in ("hits", "misses", "evictions", "compiled_plans"):
+            add(f"plan_cache.{name}", getattr(cache, name))
+        add("two_pc.commits", conn.two_pc_commits)
+        add("two_pc.aborts", conn.two_pc_aborts)
+        add("replica_reads.served", conn.replica_read_count)
+        add("replica_reads.fallback", conn.replica_fallback_count)
+    for sdb in built.databases:
+        for shard, group in enumerate(sdb.groups):
+            add(f"replication.entries_shipped{{shard={shard}}}",
+                group.stats.entries_shipped)
+            add(f"replication.ship_failures{{shard={shard}}}",
+                group.stats.ship_failures)
+    return totals
 
 
 class TestRunDeltaAggregation:
-    """Per-run deltas over a shared workload must sum to the full
-    counters -- the invariant the sweeps' merged notes rely on."""
+    """Engines run in sequence over one shared workload: each run's
+    metrics are that run's share, and the shares sum to the growth of
+    the backends' own counters -- the invariant the sweeps' summed
+    notes rely on."""
 
-    def test_consecutive_runs_report_disjoint_deltas(self):
-        workload = _live_workload()
-        deltas = []
-        for _ in range(3):
+    def test_two_runs_split_the_backend_counters(self):
+        built = make_tpcc_workload(
+            db_cores=2, seed=5, pool_size=2, shards=2, replicas=1,
+        )
+        for opt, sdb in zip(built.workload.options, built.databases):
+            conn = connect_sharded(sdb, replica_reads=True)
+            opt.app.connection = conn
+            opt.app.executor.connection = conn
+        # Every third draw runs live, so both runs touch the backends.
+        built.workload.refresh_every = 3
+        base = _backend_totals(built)
+        shares = []
+        for seed in (1, 2):
             engine = ServeEngine(
-                workload, config=ServeConfig(app_cores=1, db_cores=1)
+                built.workload,
+                AdaptiveController(n_options=2, poll_interval=0.5),
+                ServeConfig(app_cores=8, db_cores=2, db_shards=2,
+                            network=built.network, think_time=0.02,
+                            seed=seed),
             )
-            result = engine.run(clients=2, duration=0.5, name="t")
-            deltas.append(result.plan_cache)
-        total = None
-        for delta in deltas:
-            total = PlanCacheStats.merge(total, delta)
-        final = workload.plan_cache_snapshot()
-        # The workload was warmed before the first run (compilation +
-        # misses happened at build time), so the merged run deltas are
-        # pure hits and account for every post-warmup hit.
-        assert total["misses"] == 0
-        assert total["compiled_plans"] == 0
-        assert total["hits"] == sum(d["hits"] for d in deltas)
-        assert final["hits"] - total["hits"] > 0  # warmup hits remain
+            engine.attach_backends(built.databases, built.clusters)
+            metrics = engine.run(clients=4, duration=1.0).metrics
+            now = _backend_totals(built)
+            share = {key: metrics[key] for key in now}
+            assert share == {key: now[key] - base[key] for key in now}
+            assert metrics["plan_cache.connections"] == 2
+            shares.append(share)
+            base = now
+        first, second = shares
+        for key in ("plan_cache.hits", "two_pc.commits",
+                    "replica_reads.served",
+                    "replication.entries_shipped{shard=0}",
+                    "replication.entries_shipped{shard=1}"):
+            assert first[key] > 0 and second[key] > 0, key
+        # The fresh connections compile their plans in the first run.
+        assert first["plan_cache.compiled_plans"] > 0
+        assert second["plan_cache.compiled_plans"] == 0
 
     def test_shard_sweep_merges_plan_cache_across_points(self):
         from repro.bench.serve_experiments import serve_shard_sweep
@@ -130,34 +157,20 @@ class TestRunDeltaAggregation:
         merged = sweep.notes.get("plan_cache")
         assert merged is not None
         # Each sweep point builds a fresh workload whose statements
-        # compile during the run, so the merged delta shows real
-        # compilations and a healthy hit ratio.
+        # compile during the run, so the summed counters show real
+        # compilations and hits.
         assert merged["compiled_plans"] > 0
         assert merged["hits"] > 0
-        assert 0.0 < merged["hit_ratio"] <= 1.0
 
 
 class TestSweepNotes:
-    def test_sweep_merges_plan_cache_into_notes(self):
-        total = PlanCacheStats.merge(None, {"hits": 2, "misses": 2,
-                                            "evictions": 0,
-                                            "compiled_plans": 2})
-        total = PlanCacheStats.merge(total, {"hits": 6, "misses": 0,
-                                             "evictions": 0,
-                                             "compiled_plans": 0})
-        assert total["hits"] == 8
-        assert total["misses"] == 2
-        assert total["compiled_plans"] == 2
-        assert total["hit_ratio"] == 0.8
-        assert PlanCacheStats.merge(total, None) is total
-
     def test_report_line(self):
         from repro.bench.report import _plan_cache_line
 
         assert _plan_cache_line({}) is None
         line = _plan_cache_line({
             "plan_cache": {"hits": 8, "misses": 2, "evictions": 1,
-                           "hit_ratio": 0.8, "compiled_plans": 2},
+                           "compiled_plans": 2},
         })
         assert "8 hit(s)" in line
         assert "80.00%" in line

@@ -49,7 +49,7 @@ def _fingerprint(result):
         "db_shard_utilization": list(result.db_shard_utilization),
         "live_executions": result.live_executions,
         "trace_replays": result.trace_replays,
-        "plan_cache": result.plan_cache,
+        "metrics": result.metrics,
         "switches": controller.switches if controller else None,
         "switch_events": [
             (event.now, event.from_index, event.to_index, event.level)
@@ -69,8 +69,7 @@ def test_sharded_serve_runs_are_deterministic():
     # The run must have actually exercised the tier.
     assert first["completed"] > 0
     assert len(first["db_shard_utilization"]) == SHARDS
-    assert first["plan_cache"] is not None
-    assert first["plan_cache"]["compiled_plans"] > 0
+    assert first["metrics"]["plan_cache.compiled_plans"] > 0
 
 
 def _run_faulted(tracing=False):
@@ -103,7 +102,6 @@ def _faulted_fingerprint(result, fired):
         fired=fired,
         aborted=result.aborted,
         txn_retries=result.txn_retries,
-        two_pc=result.two_pc,
         failovers=[
             (e.shard, e.crashed_at, e.detected_at, e.promoted_at,
              e.chosen_replica, e.replayed_entries, e.generation)

@@ -92,16 +92,16 @@ class TestLocksAndClients:
         assert run(locked) == pytest.approx(100.0, rel=0.1)
         assert run(free) > 5 * run(locked) * 0.9
 
-    def test_per_client_histograms_cover_all_clients(self):
+    def test_samples_cover_all_clients(self):
         trace = cpu_trace(db=0.005)
         engine = ServeEngine(single_option(trace))
         result = engine.run(clients=4, duration=10.0)
-        assert len(result.per_client) == 4
-        assert sum(c.completed for c in result.per_client) == result.completed
-        for stats in result.per_client:
-            summary = stats.summary()
-            assert summary is not None
-            assert summary.p50 <= summary.p95 <= summary.p99
+        assert {s.client_id for s in result.samples} == set(range(4))
+        # Samples also hold the drain after the horizon.
+        in_window = [s for s in result.samples if s.when <= 10.0]
+        assert len(in_window) == result.completed
+        summary = result.latency_summary()
+        assert summary.p50 <= summary.p95 <= summary.p99
 
 
 class TestSubmission:

@@ -50,8 +50,7 @@ class TestKillPrimaryAcceptance:
         # cleanly and re-submit after the backoff.
         assert result.aborted > 0
         assert 0 < result.txn_retries <= result.aborted
-        assert result.two_pc is not None
-        assert result.two_pc["commits"] > 0
+        assert result.metrics["two_pc.commits"] > 0
 
     def test_replica_groups_end_bit_identical(self, result):
         assert result.replicas_consistent

@@ -1,8 +1,8 @@
-"""Server CPU accounting."""
+"""Server cores and the CPU cost model."""
 
 import pytest
 
-from repro.sim.server import CostModel, CpuAccount, Server
+from repro.sim.server import CostModel, Server
 
 
 class TestCostModel:
@@ -16,57 +16,7 @@ class TestCostModel:
         assert model.db_operation(-5) == pytest.approx(100e-6)
 
 
-class TestCpuAccount:
-    def test_total_sums_categories(self):
-        account = CpuAccount(
-            statements=1.0, database=2.0, runtime_overhead=0.5,
-            serialization=0.25,
-        )
-        assert account.total == pytest.approx(3.75)
-
-    def test_merge(self):
-        a = CpuAccount(statements=1.0)
-        b = CpuAccount(database=2.0)
-        a.merge(b)
-        assert a.total == pytest.approx(3.0)
-
-    def test_reset(self):
-        account = CpuAccount(statements=1.0)
-        account.reset()
-        assert account.total == 0.0
-
-
 class TestServer:
     def test_requires_at_least_one_core(self):
         with pytest.raises(ValueError):
             Server("bad", cores=0)
-
-    def test_external_load_bounds(self):
-        with pytest.raises(ValueError):
-            Server("bad", cores=4, external_load=1.0)
-
-    def test_effective_cores(self):
-        server = Server("db", cores=16, external_load=0.75)
-        assert server.effective_cores == pytest.approx(4.0)
-
-    def test_charges_accumulate_by_category(self):
-        server = Server("db", cores=4)
-        server.charge_statement(10)
-        server.charge_db_operation(5)
-        server.charge_block_dispatch()
-        server.charge_serialization(1000)
-        assert server.account.statements > 0
-        assert server.account.database > 0
-        assert server.account.runtime_overhead > 0
-        assert server.account.serialization > 0
-
-    def test_charge_returns_cost(self):
-        server = Server("app")
-        cost = server.charge_statement(3)
-        assert cost == pytest.approx(3 * server.cost_model.statement_cost)
-
-    def test_reset(self):
-        server = Server("app")
-        server.charge_statement()
-        server.reset()
-        assert server.account.total == 0.0
