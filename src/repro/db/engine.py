@@ -274,6 +274,10 @@ class Table:
         old_key = self.schema.key_of(before)
         new_key = self.schema.key_of(after)
         if old_key != new_key:
+            if None in new_key:
+                raise IntegrityError(
+                    f"primary key of {self.schema.name!r} cannot contain NULL"
+                )
             if self.primary_index.contains(new_key):
                 raise IntegrityError(
                     f"update would duplicate primary key {new_key!r} "

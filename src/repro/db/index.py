@@ -16,6 +16,11 @@ so never allocate a set -- that is every primary index.  The point of
 the shape is the cyclic collector: an ``int`` is not a GC-tracked
 container, a one-element ``set`` is (216 bytes, walked by every full
 collection), and nearly every bucket of a real table holds one row.
+
+Probes follow SQL's comparisons: a key or range bound holding a NULL
+matches nothing.  Keys holding a NULL are still stored (NULL sorts
+first), since a prefix range scan must reach ``(5, NULL)`` for
+``a = 5`` on an ``(a, b)`` index.
 """
 
 from __future__ import annotations
@@ -29,28 +34,34 @@ Key = tuple
 Bucket = Union[int, "set[int]"]
 
 
-class _MaxKey:
-    """Sorts above every other value; closes prefix range bounds."""
+class _Sentinel:
+    """A range-bound key component with a fixed rank (never stored)."""
 
-    _instance: Optional["_MaxKey"] = None
+    __slots__ = ("name", "rank")
 
-    def __new__(cls) -> "_MaxKey":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str, rank: tuple) -> None:
+        self.name = name
+        self.rank = rank
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<MAX_KEY>"
+        return f"<{self.name}>"
+
+    def __reduce__(self) -> str:
+        return self.name  # copies and pickles resolve to the module global
 
 
-MAX_KEY = _MaxKey()
+# Sorts above every other value: closes prefix range bounds.
+MAX_KEY = _Sentinel("MAX_KEY", (9, "", 0.0, ""))
+# Sorts just above NULL: opens a range whose low end is unbounded
+# past the NULL keys, which no comparison matches.
+ABOVE_NULL = _Sentinel("ABOVE_NULL", (0, "", 1.0, ""))
 
 
 def _rank(value) -> tuple:
-    """Total order over heterogeneous values: None < bool < numbers <
-    strings < other, with MAX_KEY above everything."""
-    if value is MAX_KEY:
-        return (9, "", 0.0, "")
+    """Total order over heterogeneous values: None < ABOVE_NULL < bool
+    < numbers < strings < other, with MAX_KEY above everything."""
+    if type(value) is _Sentinel:
+        return value.rank
     if value is None:
         return (0, "", 0.0, "")
     if isinstance(value, bool):
@@ -119,9 +130,10 @@ class HashIndex:
         return frozenset(self.lookup_sorted(key))
 
     def lookup_sorted(self, key: Key) -> list[int]:
-        """Row ids for ``key`` in ascending order."""
+        """Row ids for ``key`` in ascending order (none when ``key``
+        holds a NULL: SQL ``=`` never matches one)."""
         bucket = self._map.get(key)
-        if bucket is None:
+        if bucket is None or None in key:
             return []
         return sorted(bucket) if type(bucket) is set else [bucket]
 
@@ -179,7 +191,12 @@ class OrderedIndex(HashIndex):
         low_inclusive: bool,
         high_inclusive: bool,
     ) -> tuple[int, int]:
-        """Resolve [low, high] bounds to a slice of the sorted key list."""
+        """Resolve [low, high] bounds to a slice of the sorted key list
+        (empty when a bound holds a NULL: no comparison matches one)."""
+        if (low is not None and None in low) or (
+            high is not None and None in high
+        ):
+            return 0, 0
         if low is None:
             start = 0
         else:
@@ -221,9 +238,11 @@ class OrderedIndex(HashIndex):
         selected = self._keys[start:stop]
         if reverse:
             selected = list(reversed(selected))
+        rowmap = self._map
         for _, key in selected:
             # Ascending row ids: determinism within duplicate keys.
-            yield from self.lookup_sorted(key)
+            bucket = rowmap[key]
+            yield from sorted(bucket) if type(bucket) is set else (bucket,)
 
     def range_rowids(
         self,

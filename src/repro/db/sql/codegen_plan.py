@@ -61,7 +61,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.core.codegen import SourceWriter, maybe_dump_source, source_signature
 from repro.db.engine import Database, Table, UndoRecord
 from repro.db.errors import ExecutionError, IntegrityError
-from repro.db.index import MAX_KEY, OrderedIndex
+from repro.db.index import ABOVE_NULL, MAX_KEY, OrderedIndex
 from repro.db.sql.ast import (
     Between,
     BinaryOp,
@@ -561,10 +561,19 @@ class _PlanCodegen:
         hi_var: str,
     ) -> tuple[str, str]:
         """Assign range-bound tuples (with the static MAX_KEY prefix
-        extension) to ``lo_var`` / ``hi_var``; returns the inclusive
+        extension, and ABOVE_NULL when only a high bound limits the
+        range column) to ``lo_var`` / ``hi_var``; returns the inclusive
         flags as repr'd keyword text."""
         w = self.w
-        if access.low_asts:
+        low_inclusive = access.low_inclusive
+        if len(access.high_asts) > len(access.low_asts):
+            # Only a high bound on the range column: start above its
+            # NULLs, which ``<`` / ``<=`` never match.
+            parts = [self.expr(a, scope, row_ref) for a in access.low_asts]
+            parts.append(self.bind(ABOVE_NULL, "ABOVE_NULL"))
+            w.line(f"{lo_var} = ({', '.join(parts)},)")
+            low_inclusive = True
+        elif access.low_asts:
             w.line(f"{lo_var} = {self.key_tuple(access.low_asts, scope, row_ref)}")
         else:
             w.line(f"{lo_var} = None")
@@ -581,7 +590,7 @@ class _PlanCodegen:
         else:
             w.line(f"{hi_var} = None")
             high_inclusive = access.high_inclusive
-        return repr(access.low_inclusive), repr(high_inclusive)
+        return repr(low_inclusive), repr(high_inclusive)
 
     def _table_binds(self, table: Table, level: str) -> dict[str, str]:
         """Common per-table bindings, suffixed for uniqueness by level.
@@ -1050,10 +1059,18 @@ class _PlanCodegen:
                     "(" + ", ".join(f"_hr[{o}]" for o in offsets)
                     + ("," if len(offsets) == 1 else "") + ")"
                 )
+                # A NULL key matches no probe (lookup_sorted's rule).
+                null_test = " or ".join(
+                    f"_hk[{i}] is None" for i in range(len(offsets))
+                )
                 w.line(f"_h{level} = {{}}")
                 w.line(f"for _hx, _hr in {binds['rows']}.items():")
                 w.indent()
                 w.line(f"_hk = {key}")
+                w.line(f"if {null_test}:")
+                w.indent()
+                w.line("continue")
+                w.dedent()
                 w.line(f"_hb = _h{level}.get(_hk)")
                 w.line("if _hb is None:")
                 w.indent()

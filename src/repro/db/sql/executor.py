@@ -15,7 +15,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.db.engine import Database, Table
 from repro.db.errors import ExecutionError
-from repro.db.index import MAX_KEY, HashIndex, OrderedIndex
+from repro.db.index import ABOVE_NULL, MAX_KEY, HashIndex, OrderedIndex
 from repro.db.sql.planner import (
     AccessPath,
     AggregateSpec,
@@ -375,6 +375,12 @@ class Executor:
                 if access.high_exprs
                 else None
             )
+            low_inclusive = access.low_inclusive
+            if len(access.high_exprs) > len(access.low_exprs):
+                # Only a high bound on the range column: start above
+                # its NULLs, which ``<`` / ``<=`` never match.
+                low = (low or ()) + (ABOVE_NULL,)
+                low_inclusive = True
             # A prefix-only high bound must include all longer keys with
             # that prefix; tuple comparison handles this because any
             # extension of the prefix compares greater, so extend with a
@@ -386,7 +392,7 @@ class Executor:
             yield from index.range_scan(
                 low=low,
                 high=high,
-                low_inclusive=access.low_inclusive,
+                low_inclusive=low_inclusive,
                 high_inclusive=high_inclusive,
             )
             return

@@ -13,7 +13,7 @@ from hypothesis.stateful import (
 from repro.db import Database, connect
 from repro.db.engine import RowidAllocator
 from repro.db.errors import IntegrityError
-from repro.db.index import MAX_KEY, HashIndex, OrderedIndex
+from repro.db.index import ABOVE_NULL, MAX_KEY, HashIndex, OrderedIndex
 
 
 class TestHashIndex:
@@ -193,14 +193,18 @@ _bounds = st.one_of(
     _keys,
     st.integers(0, 3).map(lambda a: (a,)),           # prefix bound
     st.integers(0, 3).map(lambda a: (a, MAX_KEY)),   # inclusive prefix
+    st.integers(0, 3).map(lambda a: (a, ABOVE_NULL)),  # past the NULLs
 )
 
 
 def _model_rank(value) -> tuple:
-    """The documented order (NULL < numbers < MAX_KEY), restated here
-    so the model does not lean on the module's own encoding."""
+    """The documented order (NULL < ABOVE_NULL < numbers < MAX_KEY),
+    restated here so the model does not lean on the module's own
+    encoding."""
     if value is None:
         return (0, 0)
+    if value is ABOVE_NULL:
+        return (0, 1)
     if value is MAX_KEY:
         return (2, 0)
     return (1, value)
@@ -291,6 +295,9 @@ class IndexMachine(RuleBasedStateMachine):
     def range_matches_filter(self, low, high, low_inclusive,
                              high_inclusive, reverse):
         def selected(key) -> bool:
+            # No comparison with a NULL bound holds.
+            if any(None in b for b in (low, high) if b is not None):
+                return False
             rank = _model_sort(key)
             if low is not None:
                 bound = _model_sort(low)
@@ -324,8 +331,10 @@ class IndexMachine(RuleBasedStateMachine):
         index, model = self.index, self.model
         for key in _KEYS:
             rows = model.get(key, set())
-            assert index.lookup(key) == frozenset(rows)
-            assert index.lookup_sorted(key) == sorted(rows)
+            # An equality probe never matches a key holding a NULL.
+            probed = set() if None in key else rows
+            assert index.lookup(key) == frozenset(probed)
+            assert index.lookup_sorted(key) == sorted(probed)
             assert index.contains(key) == bool(rows)
             if self.unique:
                 (expected,) = rows or (None,)
