@@ -1,9 +1,9 @@
 """Unified metrics registry: counters, gauges, fixed-bucket histograms.
 
-One :class:`MetricsRegistry` per serve run absorbs the counters that
-used to live scattered across subsystems (plan cache, 2PC outcomes,
-replication shipping, lock waits ...) into a single
-queryable snapshot keyed by ``name{label=value,...}``.  Everything is
+One :class:`MetricsRegistry` per serve run gathers the run's counters
+from every subsystem (plan cache, 2PC outcomes, replication shipping,
+lock waits ...) into a single queryable snapshot keyed by
+``name{label=value,...}``.  Everything is
 deterministic: fixed bucket bounds, insertion-independent snapshot
 ordering, no wall-clock anywhere -- so identically-seeded runs produce
 identical snapshots.
@@ -120,27 +120,6 @@ class MetricsRegistry:
     ) -> Histogram:
         bounds = buckets if buckets is not None else DEFAULT_BUCKETS
         return self._get(Histogram, name, labels, lambda: Histogram(bounds))
-
-    def absorb(
-        self, prefix: str, counters: Optional[Mapping[str, Any]],
-        **labels: Any,
-    ) -> None:
-        """Fold a dict of scattered counters into the registry.
-
-        Integer values accumulate into counters under
-        ``prefix.<key>``; float values (ratios, utilizations) become
-        gauges.  ``None`` dicts are ignored so callers can pass
-        optional snapshots straight through.
-        """
-        if not counters:
-            return
-        for key, value in counters.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            if isinstance(value, int):
-                self.counter(f"{prefix}.{key}", **labels).inc(value)
-            else:
-                self.gauge(f"{prefix}.{key}", **labels).set(value)
 
     def snapshot(self) -> dict:
         """Flat ``{rendered_name: value}`` view, sorted by name.

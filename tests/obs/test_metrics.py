@@ -1,4 +1,4 @@
-"""Metrics registry: instruments, labels, absorb, snapshot."""
+"""Metrics registry: instruments, labels, snapshot."""
 
 import pytest
 
@@ -56,23 +56,6 @@ class TestRegistry:
         reg.counter("n")
         with pytest.raises(TypeError):
             reg.gauge("n")
-
-    def test_absorb_splits_ints_and_floats(self):
-        reg = MetricsRegistry()
-        reg.absorb(
-            "plan_cache",
-            {"hits": 10, "misses": 2, "hit_ratio": 0.83, "flag": True},
-        )
-        snap = reg.snapshot()
-        assert snap["plan_cache.hits"] == 10
-        assert snap["plan_cache.misses"] == 2
-        assert snap["plan_cache.hit_ratio"] == 0.83
-        assert "plan_cache.flag" not in snap
-
-    def test_absorb_none_is_noop(self):
-        reg = MetricsRegistry()
-        reg.absorb("x", None)
-        assert reg.snapshot() == {}
 
     def test_snapshot_renders_labels_sorted(self):
         reg = MetricsRegistry()
