@@ -11,6 +11,11 @@ The paper's partitioner rests on three analyses (Section 4.2):
   statements whose execution they govern
   (:mod:`repro.analysis.control_deps`).
 
+From these, :mod:`repro.analysis.access_map` derives, once per
+program, which field or array / native allocation site each statement
+touches: the one answer both the partition graph and the heap-sync
+plan read.
+
 Supporting machinery: a generic worklist dataflow framework
 (:mod:`repro.analysis.dataflow`), dominator/post-dominator trees
 (:mod:`repro.analysis.dominance`) and call-graph construction with
@@ -28,6 +33,7 @@ from repro.analysis.points_to import (
     analyze_points_to,
 )
 from repro.analysis.interproc import CallGraph, build_call_graph, AnalysisError
+from repro.analysis.access_map import AccessMap, HeapAccess
 
 __all__ = [
     "DataflowProblem",
@@ -47,4 +53,6 @@ __all__ = [
     "CallGraph",
     "build_call_graph",
     "AnalysisError",
+    "AccessMap",
+    "HeapAccess",
 ]

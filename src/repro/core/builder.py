@@ -33,19 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
+from repro.analysis.access_map import AccessMap
 from repro.analysis.defuse import StatementAccess
 from repro.analysis.interproc import CallGraph
-from repro.analysis.points_to import AllocKind, PointsToResult
 from repro.lang.cfg import ENTRY
 from repro.lang.ir import (
-    Assign,
-    Atom,
     Block,
     CallKind,
     FunctionIR,
     ProgramIR,
     Stmt,
-    VarRef,
 )
 from repro.core.partition_graph import (
     DBCODE_NODE_ID,
@@ -161,17 +158,21 @@ class WeightSpec:
 class GraphBuilder:
     """Builds the *structure* of a :class:`PartitionGraph` for one
     analyzed program: nodes, edges, pins, co-location groups, weight
-    recipes.  Numeric weights come from :func:`reweight_graph`."""
+    recipes.  Numeric weights come from :func:`reweight_graph`.
+
+    Which field or allocation site a statement touches comes from the
+    program's :class:`~repro.analysis.access_map.AccessMap` -- the
+    derivation the sync plan ships from -- and from nowhere else."""
 
     def __init__(
         self,
         program: ProgramIR,
         call_graph: CallGraph,
-        points_to: PointsToResult,
+        access_map: AccessMap,
     ) -> None:
         self.program = program
         self.cg = call_graph
-        self.pts = points_to
+        self.access = access_map
         self.graph = PartitionGraph()
 
     # -- top level ------------------------------------------------------------------
@@ -236,13 +237,11 @@ class GraphBuilder:
                     )
                 )
         # Array/native allocation-site nodes, placed with their site.
-        for sid, site in self.pts.alloc_sites.items():
-            if site.kind is AllocKind.OBJECT:
-                continue  # objects are split per-field, not placed whole
+        for sid, kind in self.access.array_sites.items():
             node_id = array_node_id(sid)
             graph.add_node(
                 Node(node_id, NodeKind.ARRAY, weight=0.0, sid=sid,
-                     label=f"alloc@{sid}:{site.kind.value}")
+                     label=f"alloc@{sid}:{kind.value}")
             )
             graph.colocate([node_id, stmt_node_id(sid)])
 
@@ -388,95 +387,43 @@ class GraphBuilder:
                         ),
                     )
 
-    def _field_classes(self, func: FunctionIR, obj: Atom, field_name: str) -> list[str]:
-        """Classes whose field node an access may touch."""
-        classes: set[str] = set()
-        if isinstance(obj, VarRef):
-            if obj.name == "self":
-                classes.add(func.class_name)
-            classes.update(
-                self.pts.classes_of(func.qualified_name, obj.name)
-            )
-        out = []
-        for cls_name in sorted(classes):
-            cls = self.program.classes.get(cls_name)
-            if cls is not None and field_name in cls.fields:
-                out.append(cls_name)
-        return out
-
     def _add_field_edges(self) -> None:
-        for func in self.program.functions():
-            analysis = self.cg.analysis(func.qualified_name)
-            for stmt in func.walk():
-                acc = analysis.defuse.accesses[stmt.sid]
-                for obj, field_name in acc.field_reads:
-                    for cls in self._field_classes(func, obj, field_name):
-                        self.graph.add_edge(
-                            field_node_id(cls, field_name),
-                            stmt_node_id(stmt.sid),
-                            EdgeKind.DATA,
-                            label=f"read {field_name}",
-                            spec=WeightSpec(
-                                "size", (stmt.sid,),
-                                size_kind="field",
-                                size_key=(cls, field_name),
-                            ),
-                        )
-                for obj, field_name in acc.field_writes:
-                    for cls in self._field_classes(func, obj, field_name):
-                        self.graph.add_edge(
-                            field_node_id(cls, field_name),
-                            stmt_node_id(stmt.sid),
-                            EdgeKind.UPDATE,
-                            label=f"write {field_name}",
-                            spec=WeightSpec(
-                                "size", (stmt.sid,),
-                                size_kind="field",
-                                size_key=(cls, field_name),
-                            ),
-                        )
-
-    def _array_sites(self, func: FunctionIR, atom: Atom) -> list[int]:
-        sites = []
-        if isinstance(atom, VarRef):
-            for site in self.pts.pts(func.qualified_name, atom.name):
-                if site.kind is not AllocKind.OBJECT and site.sid > 0:
-                    sites.append(site.sid)
-        return sorted(set(sites))
+        for sid, access in self.access.statements.items():
+            for kind, verb, fields in (
+                (EdgeKind.DATA, "read", access.field_reads),
+                (EdgeKind.UPDATE, "write", access.field_writes),
+            ):
+                for cls, field_name in fields:
+                    self.graph.add_edge(
+                        field_node_id(cls, field_name),
+                        stmt_node_id(sid),
+                        kind,
+                        label=f"{verb} {field_name}",
+                        spec=WeightSpec(
+                            "size", (sid,),
+                            size_kind="field", size_key=(cls, field_name),
+                        ),
+                    )
 
     def _add_array_edges(self) -> None:
-        for func in self.program.functions():
-            analysis = self.cg.analysis(func.qualified_name)
-            for stmt in func.walk():
-                acc = analysis.defuse.accesses[stmt.sid]
-                for atom in acc.index_reads:
-                    for alloc_sid in self._array_sites(func, atom):
-                        if alloc_sid == stmt.sid:
-                            continue
-                        self.graph.add_edge(
-                            array_node_id(alloc_sid),
-                            stmt_node_id(stmt.sid),
-                            EdgeKind.DATA,
-                            label="elem-read",
-                            spec=WeightSpec(
-                                "size", (stmt.sid,),
-                                size_kind="assign", size_key=(alloc_sid,),
-                            ),
-                        )
-                for atom in acc.index_writes:
-                    for alloc_sid in self._array_sites(func, atom):
-                        if alloc_sid == stmt.sid:
-                            continue
-                        self.graph.add_edge(
-                            array_node_id(alloc_sid),
-                            stmt_node_id(stmt.sid),
-                            EdgeKind.UPDATE,
-                            label="elem-write",
-                            spec=WeightSpec(
-                                "size", (stmt.sid,),
-                                size_kind="assign", size_key=(alloc_sid,),
-                            ),
-                        )
+        for sid, access in self.access.statements.items():
+            for kind, label, sites in (
+                (EdgeKind.DATA, "elem-read", access.index_reads),
+                (EdgeKind.UPDATE, "elem-write", access.index_writes),
+            ):
+                for alloc_sid in sites:
+                    if alloc_sid == sid:
+                        continue
+                    self.graph.add_edge(
+                        array_node_id(alloc_sid),
+                        stmt_node_id(sid),
+                        kind,
+                        label=label,
+                        spec=WeightSpec(
+                            "size", (sid,),
+                            size_kind="assign", size_key=(alloc_sid,),
+                        ),
+                    )
 
     # -- ordering edges (Section 4.4) ---------------------------------------------
     #
@@ -510,29 +457,23 @@ class GraphBuilder:
 
     def _stmt_direct(self, func: FunctionIR, stmt: Stmt) -> "_AggregateAccess":
         """Aggregate for one statement alone plus its callees."""
-        analysis = self.cg.analysis(func.qualified_name)
-        acc = analysis.defuse.accesses[stmt.sid]
+        acc = self.cg.analysis(func.qualified_name).defuse.accesses[stmt.sid]
+        heap = self.access.statements[stmt.sid]
         # Any read of a variable that may alias an array observes the
         # array's contents (it may escape via return or call), so it
         # must be ordered after element writes.
         aliased_reads = {
             s
             for var in acc.var_reads
-            for s in self._array_sites(func, VarRef(var))
+            for s in self.access.sites_of(func.qualified_name, var)
         }
         agg = _AggregateAccess(
             var_reads=set(acc.var_reads),
             var_writes=set(acc.var_writes),
             field_reads={f for _, f in acc.field_reads},
             field_writes={f for _, f in acc.field_writes},
-            array_reads=aliased_reads | {
-                s for atom in acc.index_reads
-                for s in self._array_sites(func, atom)
-            },
-            array_writes={
-                s for atom in acc.index_writes
-                for s in self._array_sites(func, atom)
-            },
+            array_reads=aliased_reads | set(heap.index_reads),
+            array_writes=set(heap.index_writes),
             effectful=self._is_effectful(acc),
         )
         for callee in self.cg.callees_of(stmt.sid):
@@ -618,7 +559,7 @@ def _is_barrier(stmt: Stmt) -> bool:
 def build_graph_structure(
     program: ProgramIR,
     call_graph: CallGraph,
-    points_to: PointsToResult,
+    access_map: AccessMap,
 ) -> PartitionGraph:
     """Build the profile-independent partition-graph structure.
 
@@ -627,7 +568,7 @@ def build_graph_structure(
     result is cacheable across profiles: call :func:`reweight_graph`
     (cheap) whenever new profile data arrives.
     """
-    return GraphBuilder(program, call_graph, points_to).build()
+    return GraphBuilder(program, call_graph, access_map).build()
 
 
 def reweight_graph(
@@ -657,13 +598,13 @@ def reweight_graph(
 def build_partition_graph(
     program: ProgramIR,
     call_graph: CallGraph,
-    points_to: PointsToResult,
+    access_map: AccessMap,
     profile: ProfileData,
     config: Optional[BuilderConfig] = None,
 ) -> PartitionGraph:
     """Build the weighted partition graph for ``program`` (one-shot)."""
     return reweight_graph(
-        build_graph_structure(program, call_graph, points_to),
+        build_graph_structure(program, call_graph, access_map),
         profile,
         config,
     )

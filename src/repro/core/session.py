@@ -5,7 +5,8 @@ ladder, compile, done.  :class:`PartitionService` refactors that batch
 shape into a long-lived *session* that a serving system can keep
 re-solving as live observations arrive:
 
-* **Static artifacts** -- parsed IR, points-to, call graph and the
+* **Static artifacts** -- parsed IR, points-to, call graph, the
+  access map (which heap location each statement touches) and the
   partition-graph *structure* (nodes/edges/pins/co-location plus
   symbolic weight recipes) -- are computed once per program and
   cached on the session.
@@ -33,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from repro.analysis.access_map import AccessMap
 from repro.analysis.interproc import CallGraph, build_call_graph
-from repro.analysis.points_to import PointsToResult, analyze_points_to
+from repro.analysis.points_to import analyze_points_to
 from repro.core.budgets import DEFAULT_FRACTIONS, budget_ladder
 from repro.core.builder import (
     BuilderConfig,
@@ -111,7 +113,7 @@ class PartitionSet:
 
     program: ProgramIR
     call_graph: CallGraph
-    points_to: PointsToResult
+    access_map: AccessMap
     profile: ProfileData
     graph: PartitionGraph
     partitions: list[Partition] = field(default_factory=list)
@@ -170,6 +172,7 @@ class PartitionService:
         self.config = config if config is not None else PyxisConfig()
         self.points_to = analyze_points_to(program)
         self.call_graph = build_call_graph(program, self.points_to)
+        self.access_map = AccessMap(self.call_graph)
         self.stats = SessionStats()
         self._structure: Optional[PartitionGraph] = None
         self._profile: Optional[ProfileData] = None
@@ -221,7 +224,7 @@ class PartitionService:
         """
         if self._structure is None:
             self._structure = build_graph_structure(
-                self.program, self.call_graph, self.points_to
+                self.program, self.call_graph, self.access_map
             )
             self.stats.structure_builds += 1
             if self._profile is not None:
@@ -307,7 +310,7 @@ class PartitionService:
         out = PartitionSet(
             program=self.program,
             call_graph=self.call_graph,
-            points_to=self.points_to,
+            access_map=self.access_map,
             profile=self._profile,
             graph=graph,
         )
@@ -370,9 +373,7 @@ class PartitionService:
             sync_plan, compiled = cached
             self.stats.pyxil_reuses += 1
         else:
-            sync_plan = compute_sync_plan(
-                placed, self.call_graph, self.points_to
-            )
+            sync_plan = compute_sync_plan(placed, self.access_map)
             compiled = compile_program(
                 placed,
                 self.call_graph,

@@ -6,8 +6,8 @@ plus explicit heap-synchronization operations.  Here it comprises:
 
 * :mod:`repro.pyxil.program` -- a :class:`PlacedProgram` pairing the IR
   with a partitioning assignment (and the annotated listing of Fig. 3);
-* :mod:`repro.pyxil.sync_insertion` -- placement of sendAPP / sendDB /
-  sendNative synchronization (Section 4.5);
+* :mod:`repro.pyxil.sync_insertion` -- which heap locations ship with
+  control transfers (the sendAPP / sendDB / sendNative of Section 4.5);
 * :mod:`repro.pyxil.reorder` -- the dual-queue topological statement
   reordering that enlarges same-placement runs (Section 4.4);
 * :mod:`repro.pyxil.blocks` -- execution blocks (continuation-passing
@@ -16,7 +16,7 @@ plus explicit heap-synchronization operations.  Here it comprises:
 """
 
 from repro.pyxil.program import PlacedProgram, format_pyxil
-from repro.pyxil.sync_insertion import SyncPlan, compute_sync_plan, SyncOp
+from repro.pyxil.sync_insertion import SyncPlan, compute_sync_plan
 from repro.pyxil.reorder import reorder_blocks
 from repro.pyxil.blocks import (
     ExecutionBlock,
@@ -35,7 +35,6 @@ __all__ = [
     "format_pyxil",
     "SyncPlan",
     "compute_sync_plan",
-    "SyncOp",
     "reorder_blocks",
     "ExecutionBlock",
     "OpAssign",

@@ -104,6 +104,6 @@ def test_graph_and_sync_plan_digests_are_unchanged(name):
             )
             placed = PlacedProgram(pyxis.program, result, name=f"draw{draw}")
             lines += sync_lines(
-                compute_sync_plan(placed, pyxis.call_graph, pyxis.points_to)
+                compute_sync_plan(placed, pyxis.access_map)
             )
     assert (graph_digest(graph), _sha1(lines)) == GOLDEN[name]

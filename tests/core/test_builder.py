@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.access_map import AccessMap
 from repro.analysis.interproc import build_call_graph
 from repro.analysis.points_to import analyze_points_to
 from repro.core.builder import BuilderConfig, build_partition_graph
@@ -44,7 +45,9 @@ def built():
     profiler = Profiler(program, conn)
     profiler.invoke("App", "run", 5)
     config = BuilderConfig(latency=0.001)
-    graph = build_partition_graph(program, cg, pts, profiler.data, config)
+    graph = build_partition_graph(
+        program, cg, AccessMap(cg), profiler.data, config
+    )
     return program, profiler.data, graph
 
 

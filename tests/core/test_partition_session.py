@@ -162,7 +162,7 @@ class TestReweightEqualsRebuild:
         # Batch path: fresh build directly at profile_b (same parsed
         # program, so sids line up with the profile).
         cold = build_partition_graph(
-            session.program, session.call_graph, session.points_to,
+            session.program, session.call_graph, session.access_map,
             profile_b, config,
         )
 

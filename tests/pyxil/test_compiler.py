@@ -120,15 +120,3 @@ class TestSyncMetadata:
         # With every statement on APP, no field is remotely accessed.
         low = order_partitions.lowest().compiled
         assert not any(low.field_ships.values())
-
-    def test_sync_ops_listed_for_shipping_fields(self, order_partitions):
-        high = order_partitions.highest()
-        for (cls, fname), ships in high.compiled.field_ships.items():
-            ops = [
-                op
-                for ops in high.sync_plan.sync_ops_after.values()
-                for op in ops
-                if op.target == f"{cls}.{fname}"
-            ]
-            if ships:
-                assert ops, f"{cls}.{fname} ships but has no sync ops"

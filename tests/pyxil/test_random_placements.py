@@ -133,9 +133,7 @@ def test_random_legal_placements_match_the_oracle(name):
             db_load=0.0, budget=0.0, solver="random",
         )
         placed = PlacedProgram(pyxis.program, result, name=f"draw{draw}")
-        sync_plan = compute_sync_plan(
-            placed, pyxis.call_graph, pyxis.points_to
-        )
+        sync_plan = compute_sync_plan(placed, pyxis.access_map)
         compiled = compile_program(placed, pyxis.call_graph, sync_plan,
                                    graph=graph)
         for interp in ("tree", "source"):

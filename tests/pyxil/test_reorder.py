@@ -102,6 +102,7 @@ class Order:
         self.db.execute("INSERT INTO li (a, b) VALUES (?, ?)", i, real_cost)
         return real_cost
 '''
+        from repro.analysis.access_map import AccessMap
         from repro.analysis.interproc import build_call_graph
         from repro.analysis.points_to import analyze_points_to
         from repro.core.builder import build_partition_graph
@@ -110,7 +111,9 @@ class Order:
         program = parse_source(source, entry_points=[("Order", "body")])
         pts = analyze_points_to(program)
         cg = build_call_graph(program, pts)
-        graph = build_partition_graph(program, cg, pts, ProfileData())
+        graph = build_partition_graph(
+            program, cg, AccessMap(cg), ProfileData()
+        )
         func = program.function("Order", "body")
         first = func.body.stmts[0]
         order_edges = {

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.analysis.access_map import AccessMap
 from repro.analysis.interproc import build_call_graph
-from repro.analysis.points_to import analyze_points_to
 from repro.core.ilp import PartitioningResult
 from repro.core.partition_graph import (
     Placement,
@@ -47,21 +47,19 @@ def place_all(program, placement_map):
 @pytest.fixture(scope="module")
 def analyzed():
     program = parse_source(SOURCE, entry_points=[("Sync", "run")])
-    pts = analyze_points_to(program)
-    cg = build_call_graph(program, pts)
-    return program, pts, cg
+    return program, AccessMap(build_call_graph(program))
 
 
 class TestSyncPlan:
     def test_single_server_nothing_ships(self, analyzed):
-        program, pts, cg = analyzed
+        program, access = analyzed
         placed = place_all(program, lambda sid: Placement.APP)
-        plan = compute_sync_plan(placed, cg, pts)
+        plan = compute_sync_plan(placed, access)
         assert not plan.field_ships("Sync", "shared")
         assert not plan.field_ships("Sync", "local_only")
 
     def test_cross_server_field_ships(self, analyzed):
-        program, pts, cg = analyzed
+        program, access = analyzed
         # Put Sync.read on the DB, everything else on APP: `shared` is
         # written on APP and read on DB, so it must ship.
         read_sids = {
@@ -71,33 +69,15 @@ class TestSyncPlan:
             program,
             lambda sid: Placement.DB if sid in read_sids else Placement.APP,
         )
-        plan = compute_sync_plan(placed, cg, pts)
+        plan = compute_sync_plan(placed, access)
         assert plan.field_ships("Sync", "shared")
         # local_only never crosses: stays local.
         assert not plan.field_ships("Sync", "local_only")
 
-    def test_sync_ops_emitted_for_writers(self, analyzed):
-        program, pts, cg = analyzed
-        read_sids = {
-            s.sid for s in program.function("Sync", "read").walk()
-        }
-        placed = place_all(
-            program,
-            lambda sid: Placement.DB if sid in read_sids else Placement.APP,
-        )
-        plan = compute_sync_plan(placed, cg, pts)
-        ops = [
-            op for ops in plan.sync_ops_after.values() for op in ops
-            if op.target == "Sync.shared"
-        ]
-        assert ops
-        # shared's authoritative part is APP (our placement map): sendAPP.
-        assert all(op.kind == "sendAPP" for op in ops)
-
     def test_unknown_locations_default_to_shipping(self, analyzed):
-        program, pts, cg = analyzed
+        program, access = analyzed
         placed = place_all(program, lambda sid: Placement.APP)
-        plan = compute_sync_plan(placed, cg, pts)
+        plan = compute_sync_plan(placed, access)
         # Conservative default for anything the plan has not seen.
         assert plan.field_ships("Sync", "never_mentioned")
         assert plan.array_ships(99999)
@@ -136,30 +116,29 @@ class TestEveryUseCounts:
     @pytest.fixture(scope="class")
     def uses(self):
         program = parse_source(USES_SOURCE, entry_points=[("Uses", "run")])
-        pts = analyze_points_to(program)
-        cg = build_call_graph(program, pts)
+        access = AccessMap(build_call_graph(program))
         sids = {}
         for stmt in program.function("Uses", "run").walk():
             sids.setdefault(stmt.line, stmt.sid)
-        return program, pts, cg, sids
+        return program, access, sids
 
     def test_one_server_ships_nothing(self, uses):
-        program, pts, cg, sids = uses
+        program, access, sids = uses
         plan = compute_sync_plan(
-            place_all(program, lambda sid: Placement.APP), cg, pts
+            place_all(program, lambda sid: Placement.APP), access
         )
         assert not plan.array_ships(sids[RS_LINE])
         assert not plan.array_ships(sids[ARR_LINE])
 
     @pytest.mark.parametrize("use", sorted(USES))
     def test_a_use_on_the_other_server_ships(self, uses, use):
-        program, pts, cg, sids = uses
+        program, access, sids = uses
         line, alloc_line = USES[use]
         moved = sids[line]
         plan = compute_sync_plan(
             place_all(program, lambda sid: (
                 Placement.DB if sid == moved else Placement.APP
             )),
-            cg, pts,
+            access,
         )
         assert plan.array_ships(sids[alloc_line])
