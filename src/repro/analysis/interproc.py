@@ -144,24 +144,6 @@ class CallGraph:
     def function_of(self, sid: int) -> str:
         return self.stmt_func[sid]
 
-    def reachable_from(self, roots: list[str]) -> set[str]:
-        """Functions transitively callable from ``roots``."""
-        seen: set[str] = set()
-        stack = list(roots)
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            analysis = self.functions.get(name)
-            if analysis is None:
-                continue
-            for stmt in analysis.func.walk():
-                for callee in self.callees_of(stmt.sid):
-                    if callee not in seen:
-                        stack.append(callee)
-        return seen
-
     def check_no_recursion(self) -> None:
         """The execution-block compiler supports recursion, but the
         partition graph's call summaries assume a finite call DAG for

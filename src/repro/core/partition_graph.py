@@ -173,14 +173,6 @@ class PartitionGraph:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def cut_weight(self, assignment: dict[str, Placement]) -> float:
-        """Objective value of ``assignment`` (sum of cut weighted edges)."""
-        total = 0.0
-        for edge in self.weighted_edges():
-            if assignment[edge.src] is not assignment[edge.dst]:
-                total += edge.weight
-        return total
-
     def db_load(self, assignment: dict[str, Placement]) -> float:
         """Total node weight assigned to the database server."""
         return sum(

@@ -54,22 +54,6 @@ class T:
         program, cg = graph_for(source)
         assert len(cg.callers_of("T.f")) == 2
 
-    def test_reachable_from(self):
-        source = """
-class T:
-    def m(self, x):
-        return self.f(x)
-    def f(self, v):
-        return self.g(v)
-    def g(self, v):
-        return v
-    def island(self, v):
-        return v
-"""
-        program, cg = graph_for(source)
-        reachable = cg.reachable_from(["T.m"])
-        assert reachable == {"T.m", "T.f", "T.g"}
-
     def test_function_of(self):
         source = """
 class T:

@@ -65,17 +65,6 @@ class TestConstruction:
 
 
 class TestEvaluation:
-    def test_cut_weight(self):
-        g = small_graph()
-        assignment = {
-            "s1": Placement.APP,
-            "s2": Placement.APP,
-            "s3": Placement.DB,
-            "dbcode": Placement.DB,
-        }
-        # cut edges: s2->s3 (2.0); s3->dbcode uncut; s1->s2 uncut.
-        assert g.cut_weight(assignment) == pytest.approx(2.0)
-
     def test_db_load(self):
         g = small_graph()
         assignment = {
