@@ -119,6 +119,10 @@ class Table:
         # resolve column names per row.
         self._index_offsets: dict[str, tuple[int, ...]] = {}
         self._index_getters: dict[str, Any] = {}
+        # Every index with its key getter, the primary first.
+        self._keyed_indexes: list[tuple[HashIndex | OrderedIndex, Any]] = [
+            (self.primary_index, schema.key_of)
+        ]
         for spec in schema.indexes:
             self._add_index(spec)
 
@@ -133,6 +137,7 @@ class Table:
         offsets = tuple(self.schema.offset(col) for col in spec.columns)
         self._index_offsets[spec.name] = offsets
         self._index_getters[spec.name] = tuple_getter(offsets)
+        self._keyed_indexes.append((index, self._index_getters[spec.name]))
         for rowid, row in self._rows.items():
             index.insert(tuple(row[i] for i in offsets), rowid)
 
@@ -283,16 +288,31 @@ class Table:
                     f"update would duplicate primary key {new_key!r} "
                     f"in table {self.schema.name!r}"
                 )
-            self.primary_index.delete(old_key, rowid)
-            self.primary_index.insert(new_key, rowid)
-        for name, index in self.secondary.items():
-            old_ikey = self.index_key(name, before)
-            new_ikey = self.index_key(name, after)
-            if old_ikey != new_ikey:
-                index.delete(old_ikey, rowid)
-                index.insert(new_ikey, rowid)
+        self._reindex(rowid, before, after)
         self._rows[rowid] = after
         return UndoRecord(self.schema.name, "update", rowid, before=before)
+
+    def _reindex(self, rowid: int, before: tuple, after: tuple) -> None:
+        """Move ``rowid`` to ``after``'s key in every index whose key
+        changed.  A uniqueness failure moves back what already moved, so
+        the row stays indexed under ``before``'s keys."""
+        for done, (index, key_of) in enumerate(self._keyed_indexes):
+            old_key = key_of(before)
+            new_key = key_of(after)
+            if old_key == new_key:
+                continue
+            index.delete(old_key, rowid)
+            try:
+                index.insert(new_key, rowid)
+            except IntegrityError:
+                index.insert(old_key, rowid)
+                for index, key_of in self._keyed_indexes[:done]:
+                    old_key = key_of(before)
+                    new_key = key_of(after)
+                    if old_key != new_key:
+                        index.delete(new_key, rowid)
+                        index.insert(old_key, rowid)
+                raise
 
     def replace_nonkey(
         self, rowid: int, after: tuple, before: Optional[tuple] = None
@@ -379,18 +399,7 @@ class Table:
 
     def apply_update(self, rowid: int, after: tuple) -> None:
         """Replace the row under ``rowid`` with its after-image."""
-        before = self.get(rowid)
-        old_key = self.schema.key_of(before)
-        new_key = self.schema.key_of(after)
-        if old_key != new_key:
-            self.primary_index.delete(old_key, rowid)
-            self.primary_index.insert(new_key, rowid)
-        for name, index in self.secondary.items():
-            old_ikey = self.index_key(name, before)
-            new_ikey = self.index_key(name, after)
-            if old_ikey != new_ikey:
-                index.delete(old_ikey, rowid)
-                index.insert(new_ikey, rowid)
+        self._reindex(rowid, self.get(rowid), after)
         self._rows[rowid] = after
 
     def apply_delete(self, rowid: int) -> None:

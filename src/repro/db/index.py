@@ -11,8 +11,10 @@ Both map key tuples to **buckets**, and one rule gives a bucket its
 shape: a bare rowid ``int`` while its key has one row, a ``set`` of
 rowids from the second row on, canonically (shrinking back to one row
 returns to the ``int``, so equal contents mean equal buckets whatever
-the history).  ``unique`` indexes enforce at most one row per key and
-so never allocate a set -- that is every primary index.  The point of
+the history).  ``unique`` indexes enforce at most one row per key --
+except a key holding a NULL, which equals nothing and so never
+conflicts -- and so never allocate a set for a NULL-free key; every
+primary index is one.  The point of
 the shape is the cyclic collector: an ``int`` is not a GC-tracked
 container, a one-element ``set`` is (216 bytes, walked by every full
 collection), and nearly every bucket of a real table holds one row.
@@ -21,6 +23,10 @@ Probes follow SQL's comparisons: a key or range bound holding a NULL
 matches nothing.  Keys holding a NULL are still stored (NULL sorts
 first), since a prefix range scan must reach ``(5, NULL)`` for
 ``a = 5`` on an ``(a, b)`` index.
+
+A range bound may be a *prefix* of the stored keys: it compares on
+the columns it has, so ``b > 5`` on a ``(b, c)`` index skips every
+``(5, *)`` key and ``b <= 5`` reaches every one.
 """
 
 from __future__ import annotations
@@ -52,6 +58,9 @@ class _Sentinel:
 
 # Sorts above every other value: closes prefix range bounds.
 MAX_KEY = _Sentinel("MAX_KEY", (9, "", 0.0, ""))
+# Appended to an encoded bound, it sorts after every key the bound
+# is a prefix of.
+_PAST_EXTENSIONS = (MAX_KEY.rank,)
 # Sorts just above NULL: opens a range whose low end is unbounded
 # past the NULL keys, which no comparison matches.
 ABOVE_NULL = _Sentinel("ABOVE_NULL", (0, "", 1.0, ""))
@@ -103,7 +112,7 @@ class HashIndex:
             self._map[key] = rowid
         elif bucket == rowid or (type(bucket) is set and rowid in bucket):
             return
-        elif self.unique:
+        elif self.unique and None not in key:
             raise IntegrityError(
                 f"unique index {self.name!r} already has key {key!r}"
             )
@@ -192,27 +201,39 @@ class OrderedIndex(HashIndex):
         high_inclusive: bool,
     ) -> tuple[int, int]:
         """Resolve [low, high] bounds to a slice of the sorted key list
-        (empty when a bound holds a NULL: no comparison matches one)."""
+        (empty when a bound holds a NULL: no comparison matches one).
+
+        A bound shorter than the keys compares on its own columns: an
+        encoded prefix sorts before all of its extensions, so an
+        inclusive low and an exclusive high bound bisect on it as it
+        is, while an exclusive low bound skips, and an inclusive high
+        bound reaches, past every extension."""
         if (low is not None and None in low) or (
             high is not None and None in high
         ):
             return 0, 0
         if low is None:
             start = 0
+        elif low_inclusive:
+            start = bisect.bisect_left(
+                self._keys, _sortable(low), key=lambda e: e[0]
+            )
         else:
-            bound = _sortable(low)
-            if low_inclusive:
-                start = bisect.bisect_left(self._keys, bound, key=lambda e: e[0])
-            else:
-                start = bisect.bisect_right(self._keys, bound, key=lambda e: e[0])
+            start = bisect.bisect_right(
+                self._keys, _sortable(low) + _PAST_EXTENSIONS,
+                key=lambda e: e[0],
+            )
         if high is None:
             stop = len(self._keys)
+        elif high_inclusive:
+            stop = bisect.bisect_right(
+                self._keys, _sortable(high) + _PAST_EXTENSIONS,
+                key=lambda e: e[0],
+            )
         else:
-            bound = _sortable(high)
-            if high_inclusive:
-                stop = bisect.bisect_right(self._keys, bound, key=lambda e: e[0])
-            else:
-                stop = bisect.bisect_left(self._keys, bound, key=lambda e: e[0])
+            stop = bisect.bisect_left(
+                self._keys, _sortable(high), key=lambda e: e[0]
+            )
         return start, stop
 
     def range_scan(
@@ -226,11 +247,9 @@ class OrderedIndex(HashIndex):
     ) -> Iterator[int]:
         """Yield row ids with keys in [low, high], in key order.
 
-        ``None`` bounds are open.  Prefix keys compare correctly against
-        longer stored keys via tuple ordering, so a single-column bound
-        works on a multi-column index; use :data:`MAX_KEY` as the last
-        element of ``high`` to make a prefix bound inclusive of all its
-        extensions.
+        ``None`` bounds are open.  A bound may be a prefix of the
+        stored keys (see :meth:`_range_bounds`), so a single-column
+        bound works on a multi-column index.
         """
         start, stop = self._range_bounds(
             low, high, low_inclusive, high_inclusive

@@ -61,7 +61,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.core.codegen import SourceWriter, maybe_dump_source, source_signature
 from repro.db.engine import Database, Table, UndoRecord
 from repro.db.errors import ExecutionError, IntegrityError
-from repro.db.index import ABOVE_NULL, MAX_KEY, OrderedIndex
+from repro.db.index import ABOVE_NULL, OrderedIndex
 from repro.db.sql.ast import (
     Between,
     BinaryOp,
@@ -560,10 +560,9 @@ class _PlanCodegen:
         lo_var: str,
         hi_var: str,
     ) -> tuple[str, str]:
-        """Assign range-bound tuples (with the static MAX_KEY prefix
-        extension, and ABOVE_NULL when only a high bound limits the
-        range column) to ``lo_var`` / ``hi_var``; returns the inclusive
-        flags as repr'd keyword text."""
+        """Assign range-bound tuples (with ABOVE_NULL when only a high
+        bound limits the range column) to ``lo_var`` / ``hi_var``;
+        returns the inclusive flags as repr'd keyword text."""
         w = self.w
         low_inclusive = access.low_inclusive
         if len(access.high_asts) > len(access.low_asts):
@@ -579,18 +578,9 @@ class _PlanCodegen:
             w.line(f"{lo_var} = None")
         if access.high_asts:
             w.line(f"{hi_var} = {self.key_tuple(access.high_asts, scope, row_ref)}")
-            extend_high = len(access.high_asts) < access.index_width
-            if extend_high:
-                maxk = self.bind(MAX_KEY, "MAXK")
-                w.line(f"if {hi_var} is not None:")
-                w.indent()
-                w.line(f"{hi_var} = {hi_var} + ({maxk},)")
-                w.dedent()
-            high_inclusive = True if extend_high else access.high_inclusive
         else:
             w.line(f"{hi_var} = None")
-            high_inclusive = access.high_inclusive
-        return repr(low_inclusive), repr(high_inclusive)
+        return repr(low_inclusive), repr(access.high_inclusive)
 
     def _table_binds(self, table: Table, level: str) -> dict[str, str]:
         """Common per-table bindings, suffixed for uniqueness by level.

@@ -15,7 +15,7 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.db.engine import Database, Table
 from repro.db.errors import ExecutionError
-from repro.db.index import ABOVE_NULL, MAX_KEY, HashIndex, OrderedIndex
+from repro.db.index import ABOVE_NULL, OrderedIndex
 from repro.db.sql.planner import (
     AccessPath,
     AggregateSpec,
@@ -381,19 +381,11 @@ class Executor:
                 # its NULLs, which ``<`` / ``<=`` never match.
                 low = (low or ()) + (ABOVE_NULL,)
                 low_inclusive = True
-            # A prefix-only high bound must include all longer keys with
-            # that prefix; tuple comparison handles this because any
-            # extension of the prefix compares greater, so extend with a
-            # sentinel when the bound is a pure equality prefix.
-            high_inclusive = access.high_inclusive
-            if high is not None and len(access.high_exprs) < _index_width(index):
-                high = high + (MAX_KEY,)
-                high_inclusive = True
             yield from index.range_scan(
                 low=low,
                 high=high,
                 low_inclusive=low_inclusive,
-                high_inclusive=high_inclusive,
+                high_inclusive=access.high_inclusive,
             )
             return
         raise ExecutionError(f"unknown access kind {access.kind!r}")
@@ -581,12 +573,3 @@ class Executor:
         if isinstance(plan, DeletePlan):
             return self.execute_delete(plan, params, txn)
         raise ExecutionError(f"cannot execute {type(plan).__name__}")
-
-
-def _index_width(index: HashIndex | OrderedIndex) -> int:
-    """Number of columns in the index's keys (inferred from any key)."""
-    if isinstance(index, OrderedIndex):
-        sample = index.min_key()
-    else:  # pragma: no cover - hash indexes don't reach range code
-        sample = next(index.keys(), None)
-    return len(sample) if sample is not None else 0

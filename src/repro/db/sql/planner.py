@@ -270,10 +270,9 @@ class AccessPath:
     join's inner table can be probed with values from the outer row.
 
     The ``*_asts`` fields keep the source expressions of the compiled
-    key closures and ``index_width`` the declared column count of the
-    chosen index: the source generator (:mod:`repro.db.sql.codegen_plan`)
-    re-emits them in positional form and decides the prefix-bound
-    MAX_KEY extension statically.
+    key closures: the source generator (:mod:`repro.db.sql.codegen_plan`)
+    re-emits them in positional form.  A range bound may cover fewer
+    columns than the index; the index compares it as a prefix.
     """
 
     kind: str
@@ -287,7 +286,6 @@ class AccessPath:
     key_asts: tuple[Expr, ...] = ()
     low_asts: tuple[Expr, ...] = ()
     high_asts: tuple[Expr, ...] = ()
-    index_width: int = 0
 
 
 @dataclass
@@ -818,7 +816,6 @@ class Planner:
                     key_asts=tuple(
                         equalities[col][1] for col in schema.primary_key
                     ),
-                    index_width=len(schema.primary_key),
                 ),
                 used,
             )
@@ -843,7 +840,6 @@ class Planner:
                             key_asts=tuple(
                                 equalities[col][1] for col in spec.columns
                             ),
-                            index_width=len(spec.columns),
                         ),
                         used,
                     )
@@ -901,7 +897,6 @@ class Planner:
                     high_inclusive=high_inc,
                     low_asts=tuple(low_exprs),
                     high_asts=tuple(high_exprs),
-                    index_width=len(spec.columns),
                 ),
                 used,
             )

@@ -238,7 +238,11 @@ class IndexMachine(RuleBasedStateMachine):
             del self.model[key]
 
     def _conflicts(self, key, rowid) -> bool:
-        return self.unique and key in self.model and rowid not in self.model[key]
+        # A key holding a NULL equals nothing, so it never conflicts.
+        return (
+            self.unique and None not in key and key in self.model
+            and rowid not in self.model[key]
+        )
 
     def _entries(self) -> list:
         return [(k, r) for k, rows in self.model.items() for r in sorted(rows)]
@@ -298,13 +302,16 @@ class IndexMachine(RuleBasedStateMachine):
             # No comparison with a NULL bound holds.
             if any(None in b for b in (low, high) if b is not None):
                 return False
-            rank = _model_sort(key)
+            # A bound compares on its own columns: a prefix bound
+            # ``(a,)`` is equal to every ``(a, *)`` key.
             if low is not None:
                 bound = _model_sort(low)
+                rank = _model_sort(key)[:len(bound)]
                 if rank < bound or (rank == bound and not low_inclusive):
                     return False
             if high is not None:
                 bound = _model_sort(high)
+                rank = _model_sort(key)[:len(bound)]
                 if rank > bound or (rank == bound and not high_inclusive):
                     return False
             return True
@@ -336,7 +343,7 @@ class IndexMachine(RuleBasedStateMachine):
             assert index.lookup(key) == frozenset(probed)
             assert index.lookup_sorted(key) == sorted(probed)
             assert index.contains(key) == bool(rows)
-            if self.unique:
+            if self.unique and None not in key:
                 (expected,) = rows or (None,)
                 assert index.get_unique(key) == expected
                 assert (index.get_unique(key) is not None) == bool(rows)
@@ -361,7 +368,7 @@ class IndexMachine(RuleBasedStateMachine):
                 assert {bucket} == rows
             else:
                 assert type(bucket) is set and bucket == rows
-                assert not self.unique
+                assert not self.unique or None in key
 
 
 def _machine(index_class, unique):

@@ -295,7 +295,7 @@ GOLDEN = {
         'SELECT o_id, o_entry_d, o_ol_cnt FROM orders WHERE o_w_id = ? AND o_d_id = ? AND o_c_id = ? ORDER BY o_id DESC LIMIT 1': {
             'tables': ['orders'],
             'join_meta': [],
-            'signature': '5a7f3db942333058',
+            'signature': '2b815886ed1d13da',
             'touched': [1, 1, 1, 1],
             'rows': 'a74d321459e7d108',
         },
@@ -325,14 +325,14 @@ GOLDEN = {
         'SELECT i.i_id, i.i_title, i.i_pub_date, i.i_cost, a.a_fname, a.a_lname FROM tw_item i JOIN author a ON i.i_a_id = a.a_id WHERE i.i_subject = ? ORDER BY i.i_pub_date DESC, i.i_title LIMIT 10': {
             'tables': ['tw_item', 'author'],
             'join_meta': [['i', 'driver'], ['a', 'nested']],
-            'signature': 'd4a24250ee094f94',
+            'signature': 'bda7eed914847fb3',
             'touched': [82, 84, 84],
             'rows': '788d0bde489d332d',
         },
         'SELECT i.i_id, i.i_title, SUM(ol.ol_qty) AS sold FROM tw_order_line ol JOIN tw_item i ON ol.ol_i_id = i.i_id WHERE i.i_subject = ? GROUP BY i.i_id, i.i_title ORDER BY sold DESC LIMIT 10': {
             'tables': ['tw_item', 'tw_order_line'],
             'join_meta': [['i', 'driver'], ['ol', 'nested']],
-            'signature': '5fa839164b7815d4',
+            'signature': '31fc8d388c421331',
             'touched': [105, 102, 115],
             'rows': '9da45bb3815a457a',
         },
