@@ -208,6 +208,28 @@ class TestShardedRecovery:
         assert report.decisions == 1
         assert sum(r.resolves_applied for r in report.shard_reports) == 2
 
+    def test_checkpoint_covering_the_resolve_frame_skips_it(self, tmp_path):
+        """A checkpoint taken right after a cross-shard commit covers
+        the commit's resolve frame, the last frame of each shard log:
+        recovery restores the rows from the checkpoint and must not
+        apply that transaction a second time."""
+        sdb = make_kv_sdb()
+        manager = attach_wal(sdb, tmp_path)
+        conn = connect_sharded(sdb)
+        conn.begin()
+        conn.execute("UPDATE kv SET v = v + ? WHERE k = ?", 1, 2)  # shard 0
+        conn.execute("INSERT INTO kv (k, v) VALUES (?, ?)", 9, 90)  # shard 1
+        conn.commit()
+        manager.checkpoint(sdb.shards, truncate=False)
+        for wal in manager.wals:
+            last = scan_wal(wal.path).frames[-1]
+            assert last.kind == "resolve"
+            assert last.lsn == wal.read_checkpoint()["lsn"]
+        manager.close()
+        recovered, report = recover_sharded(tmp_path)
+        assert _sdb_state(recovered) == _sdb_state(sdb)
+        assert [r.resolves_applied for r in report.shard_reports] == [0, 0]
+
     def test_checkpoint_files_are_the_streaming_encoders_bytes(
         self, tmp_path
     ):
