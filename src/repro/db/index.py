@@ -11,13 +11,13 @@ Both map key tuples to **buckets**, and one rule gives a bucket its
 shape: a bare rowid ``int`` while its key has one row, a ``set`` of
 rowids from the second row on, canonically (shrinking back to one row
 returns to the ``int``, so equal contents mean equal buckets whatever
-the history).  ``unique`` indexes enforce at most one row per key --
-except a key holding a NULL, which equals nothing and so never
-conflicts -- and so never allocate a set for a NULL-free key; every
-primary index is one.  The point of
-the shape is the cyclic collector: an ``int`` is not a GC-tracked
-container, a one-element ``set`` is (216 bytes, walked by every full
-collection), and nearly every bucket of a real table holds one row.
+the history).  ``unique`` indexes enforce at most one row per key and
+so never allocate a set for it -- that is every primary index -- except
+for a key holding a NULL, which equals nothing and so never conflicts.
+The point of the shape is the cyclic collector: an ``int`` is not a
+GC-tracked container, a one-element ``set`` is (216 bytes, walked by
+every full collection), and nearly every bucket of a real table holds
+one row.
 
 Probes follow SQL's comparisons: a key or range bound holding a NULL
 matches nothing.  Keys holding a NULL are still stored (NULL sorts
