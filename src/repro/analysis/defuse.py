@@ -175,7 +175,7 @@ class DefUseResult:
     def edges(self) -> Iterator[tuple[int, int, str]]:
         """Yield (def_sid, use_sid, var) triples (excluding ENTRY defs)."""
         for (use_sid, var), defs in self.chains.items():
-            for def_sid in defs:
+            for def_sid in sorted(defs):
                 if def_sid != ENTRY:
                     yield def_sid, use_sid, var
 
@@ -216,7 +216,9 @@ def def_use_chains(func: FunctionIR, cfg: CFG) -> DefUseResult:
         if not acc.var_reads:
             continue
         fact = in_facts.get(sid, frozenset())
-        for var in acc.var_reads:
+        # Sorted, like ``edges``: the chains' order reaches the
+        # partition graph, and a string set's order follows the hash seed.
+        for var in sorted(acc.var_reads):
             defs = frozenset(
                 def_sid for (fact_var, def_sid) in fact if fact_var == var
             )

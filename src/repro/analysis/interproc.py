@@ -155,7 +155,7 @@ class CallGraph:
             analysis = self.functions.get(name)
             if analysis is not None:
                 for stmt in analysis.func.walk():
-                    for callee in self.callees_of(stmt.sid):
+                    for callee in sorted(self.callees_of(stmt.sid)):
                         if colors.get(callee) == 1:
                             raise AnalysisError(
                                 "recursive call cycle: "

@@ -359,7 +359,9 @@ class GraphBuilder:
     def _add_interproc_data_edges(self) -> None:
         """Call-argument and return-value data edges."""
         for site in self.cg.call_sites.values():
-            for callee_name in site.callees:
+            # Sorted: a callee set's own order follows the hash seed,
+            # and the graph's edge order must not.
+            for callee_name in sorted(site.callees):
                 callee = self.cg.functions.get(callee_name)
                 if callee is None:
                     continue
@@ -476,7 +478,7 @@ class GraphBuilder:
             array_writes=set(heap.index_writes),
             effectful=self._is_effectful(acc),
         )
-        for callee in self.cg.callees_of(stmt.sid):
+        for callee in sorted(self.cg.callees_of(stmt.sid)):
             agg.merge(self._function_summary(callee))
         return agg
 
