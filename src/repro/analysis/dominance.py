@@ -37,18 +37,6 @@ class DominatorTree:
     def parent(self, node: int) -> Optional[int]:
         return self.idom.get(node)
 
-    def path_to_root(self, node: int) -> list[int]:
-        """Nodes from ``node`` up to the root, inclusive."""
-        path = [node]
-        current = node
-        while current != self.root:
-            parent = self.idom.get(current)
-            if parent is None:
-                break
-            path.append(parent)
-            current = parent
-        return path
-
 
 def _compute(
     nodes: list[int],

@@ -149,12 +149,6 @@ class HtapMirror:
         self._attached = True
         return self
 
-    def detach(self) -> None:
-        if self._attached:
-            self.database.redo_collector = self._downstream
-            self._downstream = None
-            self._attached = False
-
     def _collect(self, ops: list[RedoOp]) -> int:
         if self._downstream is not None:
             lsn = self._downstream(ops)
@@ -184,15 +178,6 @@ class HtapMirror:
 # ---------------------------------------------------------------------------
 # Batch operators (columnar, batch-at-a-time)
 # ---------------------------------------------------------------------------
-
-
-def filter_positions(
-    table: ColumnTable, column: str, predicate: Callable[[Any], bool]
-) -> list[int]:
-    """Positions whose ``column`` value satisfies ``predicate`` -- one
-    comprehension over the whole column, no per-row dispatch."""
-    values = table.column(column)
-    return [i for i, v in enumerate(values) if predicate(v)]
 
 
 def gather(table: ColumnTable, column: str,

@@ -634,11 +634,11 @@ class WalManager:
     def mark_resolving(self, shard: int, gtid: str) -> None:
         self.wals[shard].mark_resolving(gtid)
 
-    def sync_all(self) -> bool:
-        ok = True
+    def sync_all(self) -> None:
+        """Sync every shard's log; a failed fsync on one (counted in
+        its ``sync_failures``) does not skip the rest."""
         for wal in self.wals:
-            ok = wal.sync() and ok
-        return ok
+            wal.sync()
 
     def checkpoint(
         self, databases: Sequence[Database], *, truncate: bool = True

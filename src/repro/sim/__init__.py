@@ -12,7 +12,8 @@ the reproduction:
 * :mod:`repro.sim.queueing` -- an open-loop discrete-event simulation
   that replays per-transaction stage traces against finite-core servers
   to produce latency / throughput / utilization curves.
-* :mod:`repro.sim.metrics` -- load monitoring and summary statistics.
+* :mod:`repro.sim.metrics` -- load monitoring (summary statistics live
+  in :mod:`repro.obs.summary`).
 """
 
 from repro.sim.clock import VirtualClock, EventLoop, Event, PeriodicTask
@@ -38,7 +39,7 @@ from repro.sim.queueing import (
     QueueingSimulator,
     SimResult,
 )
-from repro.sim.metrics import LoadMonitor, Summary, summarize
+from repro.sim.metrics import LoadMonitor
 
 __all__ = [
     "VirtualClock",
@@ -62,6 +63,4 @@ __all__ = [
     "QueueingSimulator",
     "SimResult",
     "LoadMonitor",
-    "Summary",
-    "summarize",
 ]

@@ -1,4 +1,4 @@
-"""Load monitoring (summary statistics live in :mod:`repro.obs.summary`).
+"""Load monitoring.
 
 Implements the feedback loop of Section 6.3: the database-server
 runtime polls CPU utilization every ``poll_interval`` seconds and the
@@ -11,14 +11,6 @@ and a 40% switching threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.obs.summary import Summary, summarize
-
-__all__ = [
-    "LoadMonitor",
-    "Summary",
-    "summarize",
-]
 
 
 @dataclass

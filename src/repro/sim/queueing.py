@@ -266,15 +266,6 @@ class CorePool:
         self._account(now)
         return min(self.busy_time / (self.cores * max(now, 1e-12)), 1.0)
 
-    def busy_seconds(self, now: float) -> float:
-        """Integrated busy-core-seconds up to ``now`` (monotonic).
-
-        Load monitors diff two readings to get windowed utilization
-        without resetting the pool's accounting.
-        """
-        self._account(now)
-        return self.busy_time
-
     def window_utilization(self, now: float) -> float:
         """Average utilization since the previous call (load-monitor
         feed for EWMA switching); the first call covers [0, now]."""

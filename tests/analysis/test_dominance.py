@@ -93,14 +93,6 @@ class TestPostDominators:
         body_sid = loop.body.stmts[-1].sid
         assert not pdom.dominates(body_sid, loop.sid)
 
-    def test_path_to_root(self):
-        func, cfg = cfg_for("        a = x\n        return a")
-        pdom = post_dominators(cfg)
-        first = func.body.stmts[0].sid
-        path = pdom.path_to_root(first)
-        assert path[0] == first
-        assert path[-1] == EXIT
-
 
 @st.composite
 def random_cfgs(draw):
@@ -132,7 +124,10 @@ def test_dominance_properties_on_random_graphs(cfg):
             continue
         assert ENTRY in dom.dom[node]
         # Every strict dominator appears on the idom chain.
-        chain = set(dom.path_to_root(node))
+        chain, current = {node}, node
+        while current != dom.root and current in dom.idom:
+            current = dom.idom[current]
+            chain.add(current)
         assert dom.dom[node] <= chain
 
 

@@ -425,6 +425,17 @@ class TestWalManager:
         with pytest.raises(WalError):
             WalManager(tmp_path, shards=0)
 
+    def test_sync_all_syncs_every_shard_past_a_failed_one(self, tmp_path):
+        manager = WalManager(tmp_path, shards=2, sync_policy="group")
+        for wal in manager.wals:
+            wal.commit_ops(ops((1, 1, 1)))
+        manager.set_fsync_fail(0, True)
+        manager.sync_all()
+        first, second = manager.wals
+        assert (first.durable_lsn, first.stats.sync_failures) == (0, 1)
+        assert (second.durable_lsn, second.stats.syncs) == (1, 1)
+        manager.close()
+
     def test_checkpoint_shape_mismatch_rejected(self, tmp_path):
         manager = WalManager(tmp_path, shards=2)
         with pytest.raises(WalError):

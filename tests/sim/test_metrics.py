@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.metrics import LoadMonitor, summarize
+from repro.obs.summary import summarize
+from repro.sim.metrics import LoadMonitor
 
 
 class TestLoadMonitor:

@@ -332,7 +332,7 @@ class TestCorePool:
         assert walker.done == [("a", 1.0), ("b", 2.0)]
         assert (pool.busy, pool.queued) == (0, 0)
         assert first.pool is None and second.pool is None
-        assert pool.busy_seconds(2.0) == 2.0
+        assert pool.utilization(2.0) == 1.0
 
     def test_drain_starts_waiters_when_the_reservation_shrinks(self):
         walker = _BareWalker(db_cores=2)
@@ -352,14 +352,6 @@ class TestCorePool:
         # Reservation can never take the last core.
         pool.set_reserved(0.0, 99)
         assert pool.available == 1
-
-    def test_busy_seconds_monotonic(self):
-        walker = _BareWalker(db_cores=2)
-        walker.start(cpu_trace(db=5.0))
-        pool = walker.db
-        first = pool.busy_seconds(1.0)
-        second = pool.busy_seconds(2.0)
-        assert second > first
 
 
 def _round_trip(name="rt", shard=0):
