@@ -30,18 +30,11 @@ a *partitioned* replica may pin (past it that replica will resync).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.db.engine import Database
 from repro.db.errors import ShardError
 from repro.obs.trace import NULL_TRACER
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.network import NetworkModel
-
-# Wire-size estimate for one shipped redo op (rowid + row payload);
-# only used to charge the replication link's NetworkModel.
-REDO_OP_BYTES = 96
 
 
 class RedoOp:
@@ -142,8 +135,6 @@ class Replica:
     # False while the replication link is partitioned away; the replica
     # stops applying and falls behind until reconnect + catch-up.
     connected: bool = True
-    # Optional simulated link the log stream is charged against.
-    link: Optional["NetworkModel"] = None
 
 
 @dataclass(frozen=True)
@@ -293,20 +284,10 @@ class ReplicaGroup:
         """Apply every log entry the replica has not seen, in order."""
         if not replica.connected:
             return
-        from repro.sim.network import NetworkPartitionedError
-
         if replica.applied_lsn < self.log.base_lsn:
             self._resync(replica)
             return
         for entry in self.log.entries_after(replica.applied_lsn):
-            if replica.link is not None:
-                try:
-                    replica.link.send(
-                        REDO_OP_BYTES * max(1, len(entry.ops)), to_db=True
-                    )
-                except NetworkPartitionedError:
-                    self.stats.ship_failures += 1
-                    return
             self._apply_entry(replica.database, entry)
             replica.applied_lsn = entry.lsn
             self.stats.entries_shipped += 1

@@ -257,7 +257,7 @@ SERVE_TPCW_COST_MODEL = CostModel(
 
 @dataclass
 class BuiltWorkload:
-    """A live workload plus the network parameters it was traced with.
+    """A live workload plus the link its options' clusters traced with.
 
     ``databases`` and ``clusters`` list each option's sharded database
     and cluster (in option order) when the workload runs against a
@@ -394,7 +394,6 @@ def make_tpcc_workload(
     elif shards > 1:
         scale = TpccScale(warehouses=max(4, scale.warehouses, shards))
     lock_groups = scale.warehouses * scale.districts_per_warehouse
-    latency = SERVE_TPCC_ONE_WAY_LATENCY
     _, pset = tpcc_partitions(scale, seed)
     low, high = pset.lowest(), pset.highest()
 
@@ -404,8 +403,8 @@ def make_tpcc_workload(
     def make_option(label: str, part) -> ProgramOption:
         cluster = Cluster(
             ClusterConfig(
-                app_cores=8, db_cores=db_cores, one_way_latency=latency,
-                db_shards=shards,
+                app_cores=8, db_cores=db_cores,
+                one_way_latency=SERVE_TPCC_ONE_WAY_LATENCY, db_shards=shards,
             ),
             SERVE_TPCC_COST_MODEL,
         )
@@ -448,7 +447,7 @@ def make_tpcc_workload(
     )
     return BuiltWorkload(
         workload=workload,
-        network=SimNetworkParams(one_way_latency=latency),
+        network=workload.options[0].app.cluster.network,
         notes={"lock_groups": lock_groups,
                "shards": shards,
                "shard_key": shard_key if shards > 1 else None,
@@ -494,7 +493,6 @@ def make_tpcw_workload(
     )
 
     scale = TpcwScale()
-    latency = SERVE_TPCW_ONE_WAY_LATENCY
     _, pset = tpcw_partitions(scale, seed)
     low, high = pset.lowest(), pset.highest()
 
@@ -502,7 +500,8 @@ def make_tpcw_workload(
         _, conn = make_tpcw_database(scale)
         cluster = Cluster(
             ClusterConfig(
-                app_cores=8, db_cores=db_cores, one_way_latency=latency
+                app_cores=8, db_cores=db_cores,
+                one_way_latency=SERVE_TPCW_ONE_WAY_LATENCY,
             ),
             SERVE_TPCW_COST_MODEL,
         )
@@ -524,7 +523,7 @@ def make_tpcw_workload(
     )
     return BuiltWorkload(
         workload=workload,
-        network=SimNetworkParams(one_way_latency=latency),
+        network=workload.options[0].app.cluster.network,
     )
 
 
@@ -578,7 +577,7 @@ def make_micro_workload(
     )
     return BuiltWorkload(
         workload=workload,
-        network=SimNetworkParams(one_way_latency=latency),
+        network=workload.options[0].app.cluster.network,
     )
 
 
@@ -787,7 +786,7 @@ def make_shifting_workload(
     )
     built = BuiltWorkload(
         workload=workload,
-        network=SimNetworkParams(one_way_latency=latency),
+        network=workload.options[0].app.cluster.network,
         notes={"fraction_on_db": {
             "app_like": low.fraction_on_db,
             "db_like": high.fraction_on_db,

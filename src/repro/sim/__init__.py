@@ -6,22 +6,20 @@ network.  This package provides the synthetic equivalent used throughout
 the reproduction:
 
 * :mod:`repro.sim.clock` -- a virtual clock and discrete-event loop.
-* :mod:`repro.sim.network` -- a latency + bandwidth network model.
 * :mod:`repro.sim.server` -- multi-core servers and their cost model.
-* :mod:`repro.sim.cluster` -- the standard two-server deployment.
-* :mod:`repro.sim.queueing` -- an open-loop discrete-event simulation
-  that replays per-transaction stage traces against finite-core servers
-  to produce latency / throughput / utilization curves.
+* :mod:`repro.sim.cluster` -- the standard two-server deployment,
+  which records a stage trace as a partitioned program runs.
+* :mod:`repro.sim.queueing` -- the link parameters
+  (``SimNetworkParams``, one latency + bandwidth price per message,
+  for the live recorder and replay alike) and an open-loop
+  discrete-event simulation that replays per-transaction stage traces
+  against finite-core servers to produce latency / throughput /
+  utilization curves.
 * :mod:`repro.sim.metrics` -- load monitoring (summary statistics live
   in :mod:`repro.obs.summary`).
 """
 
 from repro.sim.clock import VirtualClock, EventLoop, Event, PeriodicTask
-from repro.sim.network import (
-    NetworkModel,
-    NetworkPartitionedError,
-    NetworkStats,
-)
 from repro.sim.server import Server
 from repro.sim.cluster import (
     Cluster,
@@ -48,9 +46,6 @@ __all__ = [
     "PeriodicTask",
     "CorePool",
     "LockTable",
-    "NetworkModel",
-    "NetworkPartitionedError",
-    "NetworkStats",
     "Server",
     "Cluster",
     "ClusterConfig",

@@ -1,7 +1,7 @@
 """The standard two-server deployment used by every experiment.
 
 A :class:`Cluster` bundles the application server, the database server
-and the network model into one object with a shared virtual clock.
+and the link parameters into one object with a shared virtual clock.
 The Pyxis runtime charges CPU and network costs against the cluster
 while a partitioned program executes; the resulting per-transaction
 stage trace is later replayed by :mod:`repro.sim.queueing`.
@@ -14,8 +14,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.sim.clock import VirtualClock
-from repro.sim.network import NetworkModel
-from repro.sim.queueing import Stage, StageKind, TransactionTrace
+from repro.sim.queueing import (
+    SimNetworkParams,
+    Stage,
+    StageKind,
+    TransactionTrace,
+)
 from repro.sim.server import CostModel, Server
 
 
@@ -303,7 +307,7 @@ class ClusterConfig:
 
 
 class Cluster:
-    """Two servers plus a network, with trace recording.
+    """Two servers plus a link, with trace recording.
 
     While a partitioned program runs, the runtime calls
     :meth:`record_cpu` and :meth:`record_message`; the cluster folds
@@ -333,7 +337,9 @@ class Cluster:
         # first database server (callers wanting the tier use
         # ``db_servers``).
         self.db = self.db_servers[0]
-        self.network = NetworkModel(
+        # The link: the same parameters, and the same delay per
+        # message, as the replay walkers use.
+        self.network = SimNetworkParams(
             one_way_latency=self.config.one_way_latency,
             bandwidth=self.config.bandwidth,
             per_message_overhead=self.config.per_message_overhead,
@@ -480,7 +486,9 @@ class Cluster:
             self.clock._now += pending  # noqa: SLF001
             log.append(self._pending_side)
             log.append(pending)
-        delay = self.network.send(nbytes, to_db)
+        if nbytes < 0:
+            raise ValueError("cannot send a negative number of bytes")
+        delay = self.network.message_delay(nbytes)
         self.clock._now += delay  # noqa: SLF001
         log.append(_NET_TO_DB if to_db else _NET_TO_APP)
         log.append(nbytes)
@@ -497,7 +505,6 @@ class Cluster:
 
     def reset(self) -> None:
         self.clock.reset()
-        self.network.reset_stats()
         self._log = []
         self._pending = 0.0
         self._statement_shard = 0

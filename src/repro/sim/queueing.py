@@ -193,7 +193,14 @@ class TransactionTrace:
 
 @dataclass(frozen=True)
 class SimNetworkParams:
-    """Network parameters used during replay (mirrors NetworkModel)."""
+    """The link between the application and database servers.
+
+    :meth:`message_delay` is the one place a message's delay is
+    priced.  Its callers: the live recorder
+    (:meth:`repro.sim.cluster.Cluster.record_message`), the stage walk
+    both replay walkers step through (:meth:`TransactionTrace.walk`)
+    and Figure 14's completion time (``bench.experiments``).
+    """
 
     one_way_latency: float = 0.001
     bandwidth: float = 125_000_000.0

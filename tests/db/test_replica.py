@@ -17,7 +17,6 @@ from repro.db import (
     connect_sharded,
 )
 from repro.db.errors import ShardError
-from repro.sim.network import NetworkModel
 
 
 def make_group(n_replicas: int = 2) -> tuple[Database, ReplicaGroup]:
@@ -118,29 +117,6 @@ class TestPartitionAndCatchUp:
         assert group.replicas[1].applied_lsn == 2
         group.assert_replicas_consistent()
 
-    def test_partitioned_link_counts_drops_and_ship_failures(self):
-        primary, group = make_group(n_replicas=1)
-        link = NetworkModel()
-        group.replicas[0].link = link
-        commit_rows(primary, [(1, 10)])
-        assert link.app_to_db.messages == 1
-        link.set_link_down(True)
-        commit_rows(primary, [(2, 20)])
-        assert group.stats.ship_failures == 1
-        assert link.app_to_db.dropped == 1
-        assert group.replicas[0].applied_lsn == 1
-        link.set_link_down(False)
-        assert group.catch_up(0) == 2
-        group.assert_replicas_consistent()
-
-    def test_degraded_link_counts_delayed_messages(self):
-        primary, group = make_group(n_replicas=1)
-        link = NetworkModel()
-        group.replicas[0].link = link
-        link.set_latency_multiplier(4.0)
-        commit_rows(primary, [(1, 10)])
-        assert link.app_to_db.delayed == 1
-        assert group.replicas[0].applied_lsn == 1
 
 
 class TestPromotion:

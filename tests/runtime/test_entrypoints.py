@@ -27,23 +27,15 @@ class TestPartitionedApp:
         assert outcome.trace.name.endswith("Order.place_order")
 
     def test_trace_latency_consistent_with_stages(self, order_partitions):
-        from repro.sim.queueing import SimNetworkParams
-
         _, conn = make_order_database()
         cluster = Cluster()
         app = PartitionedApp(
             order_partitions.highest().compiled, cluster, conn
         )
         outcome = app.invoke_traced("Order", "place_order", 7, 0.9)
-        network = SimNetworkParams(
-            one_way_latency=cluster.config.one_way_latency,
-            bandwidth=cluster.config.bandwidth,
-            per_message_overhead=cluster.config.per_message_overhead,
-        )
         # Unloaded replay of the trace equals the recorded latency.
-        assert outcome.trace.unloaded_latency(network) == pytest.approx(
-            outcome.latency, rel=1e-6
-        )
+        replayed = outcome.trace.unloaded_latency(cluster.network)
+        assert replayed == pytest.approx(outcome.latency, rel=1e-6)
 
     def test_stats_accumulate_across_invocations(self, order_partitions):
         _, conn = make_order_database()

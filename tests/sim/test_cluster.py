@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.cluster import Cluster, ClusterConfig
-from repro.sim.network import NetworkPartitionedError
-from repro.sim.queueing import StageKind
+from repro.sim.queueing import SimNetworkParams, StageKind
 
 
 class TestClusterBasics:
@@ -14,7 +13,7 @@ class TestClusterBasics:
         cluster = Cluster()
         assert cluster.app.cores == 8
         assert cluster.db.cores == 16
-        assert cluster.network.round_trip_latency == pytest.approx(0.002)
+        assert cluster.network == SimNetworkParams(one_way_latency=0.001)
 
     def test_server_lookup(self):
         cluster = Cluster()
@@ -97,19 +96,13 @@ class TestTraceRecording:
         with pytest.raises(ValueError):
             cluster.record_cpu("app", -0.001)
 
-    def test_network_stats_accumulate(self):
-        cluster = Cluster()
-        cluster.record_message(100, to_db=True)
-        cluster.record_message(50, to_db=False)
-        assert cluster.network.total_messages() == 2
-
     def test_reset(self):
         cluster = Cluster()
         cluster.record_cpu("app", 0.001)
         cluster.record_message(10, to_db=True)
         cluster.reset()
         assert cluster.clock.now == 0.0
-        assert cluster.network.total_messages() == 0
+        assert cluster._log == []  # noqa: SLF001
 
     def test_custom_config(self):
         config = ClusterConfig(app_cores=2, db_cores=3, one_way_latency=0.01)
@@ -202,13 +195,12 @@ charge_ops = st.lists(
         st.tuples(st.just("cpu"), st.sampled_from(["app", "db", "db1"]),
                   st.floats(0.0, 1e-3)),
         st.tuples(
-            st.just("message"), st.integers(0, 5000), st.booleans(),
+            st.just("message"), st.integers(-2, 5000), st.booleans(),
             st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e-4, 1e-3)),
         ),
         st.tuples(st.just("shard"), st.integers(0, SHARDS - 1)),
         st.tuples(st.just("slow"), st.integers(0, SHARDS - 1),
                   st.sampled_from([1.0, 1.5, 3.0])),
-        st.tuples(st.just("link"), st.booleans(), st.booleans()),
     ),
     max_size=60,
 )
@@ -228,12 +220,9 @@ def _apply(cluster, op, fused):
                 cluster.record_message(nbytes, to_db=to_db)
         elif op[0] == "shard":
             cluster.set_statement_shard(op[1])
-        elif op[0] == "slow":
-            cluster.set_shard_slowdown(op[1], op[2])
         else:
-            cluster.network.set_link_down(op[1], to_db=True, to_app=False)
-            cluster.network.set_link_down(op[2], to_db=False, to_app=True)
-    except (ValueError, NetworkPartitionedError) as exc:
+            cluster.set_shard_slowdown(op[1], op[2])
+    except ValueError as exc:
         return type(exc)
     return None
 
@@ -242,10 +231,10 @@ def _apply(cluster, op, fused):
 @given(charge_ops)
 def test_message_cpu_equals_record_cpu_then_message(ops):
     """``record_message(..., cpu=s)`` is ``record_cpu`` on the sending
-    side followed by the message: same errors at the same step, same
-    stages, clock and per-direction network counters (dropped messages
-    included) -- compared exactly, since both do the same float
-    additions in the same order."""
+    side followed by the message: same errors at the same step (a
+    refused byte count included), same stages and clock -- compared
+    exactly, since both do the same float additions in the same
+    order."""
     config = ClusterConfig(db_shards=SHARDS)
     fused, split = Cluster(config), Cluster(config)
     fused.start_trace()
@@ -256,17 +245,14 @@ def test_message_cpu_equals_record_cpu_then_message(ops):
         assert fused._log == split._log  # noqa: SLF001
     assert fused.finish_trace("t") == split.finish_trace("t")
     assert fused.clock.now == split.clock.now
-    assert fused.network.app_to_db == split.network.app_to_db
-    assert fused.network.db_to_app == split.network.db_to_app
 
 
-def test_partitioned_reply_keeps_its_flushed_cpu():
+def test_refused_reply_keeps_its_flushed_cpu():
     cluster = Cluster()
     cluster.start_trace()
-    cluster.network.set_link_down(True, to_db=False, to_app=True)
-    with pytest.raises(NetworkPartitionedError):
-        cluster.record_message(10, to_db=False, cpu=0.004)
-    assert cluster.network.db_to_app.dropped == 1
+    with pytest.raises(ValueError, match="negative number of bytes"):
+        cluster.record_message(-1, to_db=False, cpu=0.004)
+    assert cluster.clock.now == 0.004
     # The next charge on that side extends the flushed stage.
     cluster.record_cpu("db", 0.001)
     stages = cluster.finish_trace("t").stages
@@ -281,5 +267,5 @@ def test_negative_message_cpu_changes_nothing():
     with pytest.raises(ValueError):
         cluster.record_message(10, to_db=True, cpu=-0.001)
     assert cluster.clock.now == 0.0
-    assert cluster.network.total_messages() == 0
+    assert cluster._log == []  # noqa: SLF001
     assert cluster.finish_trace("t").app_cpu == 0.001

@@ -4,8 +4,8 @@
 it into stages on first read.  The recorder that built a ``Stage`` per
 flush and per message is kept below, verbatim, as the oracle: on any
 sequence of calls -- shard switches, slowdowns, zero / negative CPU,
-negative byte counts, partitioned links -- both must raise the same
-errors and leave the same stages, clock and network counters.
+negative byte counts -- both must raise the same errors and leave the
+same stages and clock.
 """
 
 from dataclasses import replace
@@ -25,7 +25,6 @@ from repro.sim.cluster import (
     _decode_log,
     _new_stage,
 )
-from repro.sim.network import NetworkPartitionedError
 from repro.sim.queueing import (
     SimNetworkParams,
     Stage,
@@ -80,8 +79,8 @@ class EagerCluster(Cluster):
         # Stage's own re-validation is skipped here and below.
         self.clock._now += seconds  # noqa: SLF001
         stages = self._stages
-        # Only a message that failed after its flush (a partitioned
-        # link) leaves a CPU stage last; extend it rather than split.
+        # Only a message that failed after its flush (a negative byte
+        # count) leaves a CPU stage last; extend it rather than split.
         if stages:
             prev = stages[-1]
             if prev.kind is kind and prev.shard == shard:
@@ -111,7 +110,9 @@ class EagerCluster(Cluster):
             self._pending += cpu
         if self._pending:
             self._flush_cpu()
-        delay = self.network.send(nbytes, to_db=to_db)
+        if nbytes < 0:
+            raise ValueError("cannot send a negative number of bytes")
+        delay = self.network.message_delay(nbytes)
         self.clock._now += delay  # noqa: SLF001
         self._stages.append(_new_stage(
             Stage, (_NET_TO_DB if to_db else _NET_TO_APP, 0.0, nbytes, 0)
@@ -148,8 +149,6 @@ recorder_calls = st.lists(
         st.tuples(st.just("shard"), st.integers(0, SHARDS - 1)),
         st.tuples(st.just("slow"), st.integers(0, SHARDS - 1),
                   st.sampled_from([0.5, 1.0, 1.5, 3.0])),
-        st.tuples(st.just("link"), st.booleans(), st.booleans()),
-        st.tuples(st.just("latency"), st.sampled_from([1.0, 2.5])),
         st.tuples(st.just("finish")),
         st.tuples(st.just("start")),
         st.tuples(st.just("reset")),
@@ -170,18 +169,12 @@ def _call(cluster, op):
             return cluster.set_statement_shard(op[1]), None
         if kind == "slow":
             return cluster.set_shard_slowdown(op[1], op[2]), None
-        if kind == "link":
-            cluster.network.set_link_down(op[1], to_db=True, to_app=False)
-            cluster.network.set_link_down(op[2], to_db=False, to_app=True)
-            return None, None
-        if kind == "latency":
-            return cluster.network.set_latency_multiplier(op[1]), None
         if kind == "finish":
             return cluster.finish_trace("t"), None
         if kind == "start":
             return cluster.start_trace(), None
         return cluster.reset(), None
-    except (ValueError, NetworkPartitionedError) as exc:
+    except ValueError as exc:
         return None, (type(exc), str(exc))
 
 
@@ -214,8 +207,6 @@ def test_log_recorder_matches_the_eager_recorder(ops):
         flushed = _decode_log(log._log)  # noqa: SLF001
         _assert_stages(flushed, tuple(eager._stages))  # noqa: SLF001
         assert log._pending == eager._pending  # noqa: SLF001
-        assert log.network.app_to_db == eager.network.app_to_db
-        assert log.network.db_to_app == eager.network.db_to_app
     _assert_stages(log.finish_trace("end").stages,
                    eager.finish_trace("end").stages)
     assert log.clock.now == eager.clock.now
@@ -270,9 +261,8 @@ def test_a_failed_send_leaves_consecutive_cpu_that_decodes_merged():
     cluster = Cluster()
     cluster.start_trace()
     cluster.record_cpu("db", 0.25)
-    cluster.network.set_link_down(True, to_db=False, to_app=True)
-    with pytest.raises(NetworkPartitionedError):
-        cluster.record_message(10, to_db=False, cpu=0.5)
+    with pytest.raises(ValueError, match="negative number of bytes"):
+        cluster.record_message(-1, to_db=False, cpu=0.5)
     cluster.record_cpu("db", 0.125)
     trace = cluster.finish_trace("t")
     assert trace._log[1] == [0, 0.75, 0, 0.125]  # noqa: SLF001
