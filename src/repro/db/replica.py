@@ -154,7 +154,6 @@ class ReplicationStats:
 
     entries_shipped: int = 0
     ops_shipped: int = 0
-    ship_failures: int = 0
     # Replicas rebuilt by full snapshot copy because the log had been
     # truncated past their position (reconnect after long partition).
     resyncs: int = 0

@@ -516,11 +516,8 @@ class ServeEngine(StageWalker):
         for sdb in self._databases:
             for shard, group in enumerate(getattr(sdb, "groups", ())):
                 if group is not None:
-                    stats = group.stats
                     add("replication.entries_shipped",
-                        stats.entries_shipped, shard)
-                    add("replication.ship_failures",
-                        stats.ship_failures, shard)
+                        group.stats.entries_shipped, shard)
         return counts
 
     def _absorb_run_metrics(

@@ -98,8 +98,6 @@ def _backend_totals(built):
         for shard, group in enumerate(sdb.groups):
             add(f"replication.entries_shipped{{shard={shard}}}",
                 group.stats.entries_shipped)
-            add(f"replication.ship_failures{{shard={shard}}}",
-                group.stats.ship_failures)
     return totals
 
 

@@ -15,7 +15,11 @@ The switching digest was re-pinned once, when the report's time column
 gained the decimals that keep sub-second buckets distinct; the sweep
 stdout and the failover / WAL metrics digests once, when the always-zero
 ``rej`` column and the ``pool.*`` / ``serve.admission.rejected`` keys
-went with the session pool (traces did not change).
+went with the session pool (traces did not change).  The failover
+metrics digest was re-pinned once more, when the always-zero
+``replication.ship_failures{shard=N}`` keys went with the replica
+links that alone could count a failed shipment (nothing else in
+either export changed).
 
 ``python tests/test_cli_serve_golden.py --record`` prints a fresh
 table (run it from the repository root with ``PYTHONPATH=src:.``).
@@ -84,7 +88,7 @@ GOLDEN = {
         'stdout':
             'db8286dd424daeb87a07f6c7befe6d3a0c1b76a9af3c545dffa5f45b2fb2b93e',
         'metrics':
-            '28a3c159d26debcfea557138ca58f2c9d043633b8090b4a89edb608bf47f91d3',
+            '5d7bf25031fece72c33ce8f803efe5553f6ab1f4bf738b7058be811fe634f7cb',
         'trace':
             'ced6b6c8b8cf54843e2fce97efed62d5c0c9232fbd1ed243c4594db147f949ed',
     },
