@@ -2,9 +2,9 @@
 
 The open-loop simulator, the serving engine and the benchmark reports
 all roll samples up into the same p50/p95/p99 view; this module is the
-single implementation they share.  The percentile is the nearest-rank variant
-the paper's plots use: 1-based rank ``ceil(p/100 * n)`` into the
-sorted samples, clamped to the valid index range.
+single implementation they share.  The percentile is the nearest-rank
+variant the paper's plots use: 1-based rank ``ceil(p/100 * n)`` into
+the sorted samples, clamped to the valid index range.
 """
 
 from __future__ import annotations

@@ -67,9 +67,9 @@ class FaultEvent:
     ``crash`` kills the shard's primary at ``at`` (permanent; recovery
     is the failover controller's job, not the fault's).  ``slow``
     inflates the shard's service latency by ``factor`` from ``at``
-    until ``until`` (None = rest of the run).  ``partition`` takes the
-    shard's network link down between ``at`` and ``until``.  The
-    storage kinds hit the shard's WAL: ``tornwrite`` leaves a
+    until ``until`` (None = rest of the run).  ``partition`` cuts the
+    shard's replicas off its commit log between ``at`` and ``until``.
+    The storage kinds hit the shard's WAL: ``tornwrite`` leaves a
     half-written frame at ``at``, ``corrupt`` flips bytes in a
     committed frame, ``fsyncfail`` fails every fsync between ``at``
     and ``until``.
