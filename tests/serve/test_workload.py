@@ -6,10 +6,16 @@ import pytest
 
 from repro.runtime.entrypoints import InvocationOutcome
 from repro.serve.workload import (
+    SERVE_TPCC_ONE_WAY_LATENCY,
+    SERVE_TPCW_ONE_WAY_LATENCY,
+    SHIFT_ONE_WAY_LATENCY,
     LiveWorkload,
     ProgramOption,
     TraceWorkload,
     make_micro_workload,
+    make_shifting_workload,
+    make_tpcc_workload,
+    make_tpcw_workload,
 )
 from repro.sim.queueing import Stage, StageKind, TransactionTrace
 
@@ -126,3 +132,24 @@ class TestFactories:
         # high-budget option pushes it to the database server.
         assert app_trace.app_cpu > app_trace.db_cpu
         assert db_trace.db_cpu > db_trace.app_cpu
+
+    @pytest.mark.parametrize("factory, kwargs, latency", [
+        (make_micro_workload, {}, 0.001),
+        (make_tpcc_workload, {}, SERVE_TPCC_ONE_WAY_LATENCY),
+        (make_tpcc_workload, {"shards": 2}, SERVE_TPCC_ONE_WAY_LATENCY),
+        (make_tpcw_workload, {}, SERVE_TPCW_ONE_WAY_LATENCY),
+        (make_shifting_workload, {}, SHIFT_ONE_WAY_LATENCY),
+    ], ids=["micro", "tpcc", "tpcc_sharded", "tpcw", "shifting"])
+    def test_pooled_traces_replay_on_the_link_they_were_traced_on(
+        self, factory, kwargs, latency
+    ):
+        built = factory(pool_size=1, **kwargs)
+        built = getattr(built, "built", built)
+        assert built.network.one_way_latency == latency
+        for option in built.workload.options:
+            assert option.app.cluster.network == built.network
+            method, args = option.next_call()
+            outcome = option.app.invoke_traced(option.class_name, method, *args)
+            # Unloaded, a pooled trace replays in exactly the time its
+            # live run took: both price messages with message_delay.
+            assert outcome.trace.unloaded_latency(built.network) == outcome.latency

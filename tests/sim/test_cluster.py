@@ -23,6 +23,44 @@ class TestClusterBasics:
             cluster.server("other")
 
 
+class TestLinkModel:
+    def test_network_is_built_from_the_config_link_fields(self):
+        cluster = Cluster(ClusterConfig(
+            one_way_latency=0.0005, bandwidth=1e6, per_message_overhead=8,
+        ))
+        assert cluster.network == SimNetworkParams(
+            one_way_latency=0.0005, bandwidth=1e6, per_message_overhead=8,
+        )
+
+    @pytest.mark.parametrize("field, value", [
+        ("one_way_latency", -0.001),
+        ("bandwidth", 0.0),
+        ("per_message_overhead", -1),
+    ])
+    def test_unsound_link_field_fails_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Cluster(ClusterConfig(**{field: value}))
+
+    @pytest.mark.parametrize("nbytes", [0, 1, 1500, 1_000_000])
+    def test_message_charges_the_link_delay(self, nbytes):
+        cluster = Cluster(ClusterConfig(bandwidth=1e6))
+        cluster.start_trace()
+        cluster.record_cpu("app", 0.003)
+        delay = cluster.record_message(nbytes, to_db=True)
+        assert delay == cluster.network.message_delay(nbytes)
+        assert cluster.clock.now == 0.003 + delay
+
+    def test_replay_prices_messages_like_the_recorder(self):
+        cluster = Cluster(ClusterConfig(bandwidth=1e6))
+        cluster.start_trace()
+        cluster.record_cpu("app", 0.002)
+        cluster.record_message(300, to_db=True)
+        cluster.record_message(4000, to_db=False, cpu=0.001)
+        cluster.record_message(0, to_db=True)
+        trace = cluster.finish_trace("t")
+        assert trace.unloaded_latency(cluster.network) == cluster.clock.now
+
+
 class TestTraceRecording:
     def test_consecutive_cpu_merges_into_one_stage(self):
         cluster = Cluster()

@@ -70,6 +70,19 @@ class TestSimNetworkParams:
         network = SimNetworkParams(one_way_latency=0.0, per_message_overhead=0)
         assert network.message_delay(0) == 0.0
 
+    def test_delay_adds_wire_time_to_latency(self):
+        network = SimNetworkParams(
+            one_way_latency=0.001, bandwidth=1000.0, per_message_overhead=0
+        )
+        # 500 bytes at 1000 B/s = 0.5 s on the wire.
+        assert network.message_delay(500) == pytest.approx(0.501)
+
+    def test_overhead_is_sent_with_every_message(self):
+        network = SimNetworkParams(
+            one_way_latency=0.0, bandwidth=100.0, per_message_overhead=50
+        )
+        assert network.message_delay(0) == pytest.approx(0.5)
+
 
 class TestTransactionTrace:
     def test_cpu_demand_sums(self):
