@@ -83,8 +83,8 @@ class _ServeTxn(Txn):
 
     __slots__ = ("cid", "option")
 
-    def __init__(self, cid: int, arrived: float, root):
-        Txn.__init__(self, arrived)
+    def __init__(self, cid: int, arrived: float, key: int, root):
+        Txn.__init__(self, arrived, key)
         self.cid = cid
         self.root = root
 
@@ -291,7 +291,7 @@ class ServeEngine(StageWalker):
             self.tracer.span("client.queue", parent=root, track=track).finish()
         else:
             root = NULL_SPAN
-        self._begin_txn(_ServeTxn(cid, self.now, root))
+        self._begin_txn(_ServeTxn(cid, self.now, self._txn_key(), root))
 
     def _abort(self, txn: _ServeTxn) -> None:
         """A shard failure aborted this transaction (live, or at a

@@ -21,6 +21,17 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Callable, Optional
 
+# A stage walk's heap entry carries a walk key where other entries carry
+# ``seq``: WALK_KEY + serial * WALK_STRIDE + stage index, for the
+# transaction's serial in its run.  ``seq`` stays far below WALK_KEY, so
+# at one instant walk events run after every other event, in
+# (transaction, stage) order, whenever they were pushed.
+WALK_KEY = 1 << 62
+WALK_STRIDE = 1 << 24
+# A run queue's wake carries WAKE_KEY + its own serial: after every
+# other event at its instant, before the walk events.
+WAKE_KEY = 1 << 61
+
 
 class VirtualClock:
     """A monotonically advancing virtual clock measured in seconds."""

@@ -26,13 +26,19 @@ import enum
 import random
 from collections import deque, namedtuple
 from dataclasses import dataclass, field
-from heapq import heappush
+from heapq import heappop, heappush, heapreplace
 from math import inf
 from typing import Callable, Optional, Sequence
 
 from repro.obs.summary import percentile as _percentile
 from repro.obs.trace import NULL_TRACER
-from repro.sim.clock import EventLoop, VirtualClock
+from repro.sim.clock import (
+    WAKE_KEY,
+    WALK_KEY,
+    WALK_STRIDE,
+    EventLoop,
+    VirtualClock,
+)
 
 
 class StageKind(enum.Enum):
@@ -226,13 +232,19 @@ class SimNetworkParams:
 class CorePool:
     """FCFS run queue over the cores of one simulated server.
 
-    ``reserved`` cores model external load (other tenants); they are
-    unavailable for transactions.  Changing the reservation mid-run
-    takes effect as running work drains.
+    ``free`` is a min-heap of the time each core open to transactions
+    is next free; a core is released lazily, by the clock passing its
+    free time, not by an event.  ``reserved`` cores model external
+    load (other tenants): they are taken out of the heap into
+    ``held`` and are unavailable for transactions.  A reservation
+    increase takes the soonest-freeing cores, a decrease returns the
+    latest-freeing ones, so a change takes effect as running work
+    drains.  ``queue`` holds the stages waiting for a core, FIFO.
 
-    The pool is clock-agnostic: every scheduling hook takes the current
-    virtual time explicitly.  Work is a callable plus its arguments, so
-    a waiter queues as ``(work, args)`` and no closure is made for it.
+    The pool is clock-agnostic: every hook takes the current virtual
+    time explicitly.  Busy time is never integrated per stage: it is
+    read as the work assigned to cores less the work still ahead of
+    ``now``; reserved cores are integrated at each reservation change.
     """
 
     def __init__(self, name: str, cores: int) -> None:
@@ -241,58 +253,55 @@ class CorePool:
         self.name = name
         self.cores = cores
         self.reserved = 0
-        # Cores open to transactions; only set_reserved changes it.
-        self.available = cores
-        self.busy = 0
+        self.free = [0.0] * cores
+        self.held: list[float] = []  # ascending, none after free[0]
         self.queue: deque = deque()
-        self.busy_time = 0.0
+        self.wake: Optional[list] = None  # the pending wake's heap entry
+        self.assigned = 0.0  # CPU seconds of every stage started
+        self._reserved_time = 0.0  # reserved core-seconds to _last_change
         self._last_change = 0.0
         # Monitor window for window_utilization().
         self._window_start = 0.0
         self._window_busy = 0.0
 
-    @property
-    def queued(self) -> int:
-        """Work items waiting for a free core (the run-queue depth)."""
-        return len(self.queue)
+    def set_reserved(self, now: float, reserved: int) -> None:
+        reserved = max(0, min(reserved, self.cores - 1))
+        self._reserved_time += self.reserved * (now - self._last_change)
+        self._last_change = now
+        free, held = self.free, self.held
+        while len(held) < reserved:
+            held.append(heappop(free))
+        while len(held) > reserved:
+            heappush(free, held.pop())
+        self.reserved = reserved
 
-    def _account(self, now: float) -> None:
-        # Integrate busy-cores over time for utilization reporting.
+    def _busy_time(self, now: float) -> float:
         # External (reserved) cores count as busy: the paper's CPU plots
         # measure total machine load.
-        self.busy_time += (self.busy + self.reserved) * (now - self._last_change)
-        self._last_change = now
-
-    def set_reserved(self, now: float, reserved: int) -> None:
-        self._account(now)
-        self.reserved = max(0, min(reserved, self.cores - 1))
-        self.available = max(self.cores - self.reserved, 1)
+        ahead = 0.0
+        for when in (*self.free, *self.held):
+            if when > now:
+                ahead += when - now
+        return (
+            self.assigned - ahead + self._reserved_time
+            + self.reserved * (now - self._last_change)
+        )
 
     def utilization(self, now: float) -> float:
         """Average fraction of cores busy over [0, now]."""
-        self._account(now)
-        return min(self.busy_time / (self.cores * max(now, 1e-12)), 1.0)
+        return min(
+            self._busy_time(now) / (self.cores * max(now, 1e-12)), 1.0
+        )
 
     def window_utilization(self, now: float) -> float:
         """Average utilization since the previous call (load-monitor
         feed for EWMA switching); the first call covers [0, now]."""
-        self._account(now)
-        busy = self.busy_time - self._window_busy
+        busy_time = self._busy_time(now)
+        busy = busy_time - self._window_busy
         elapsed = max(now - self._window_start, 1e-12)
         self._window_start = now
-        self._window_busy = self.busy_time
+        self._window_busy = busy_time
         return min(busy / (self.cores * elapsed), 1.0)
-
-    def drain(self, now: float) -> None:
-        """Start queued work while cores are available (after
-        :meth:`StageWalker.step` frees a core, or the reservation
-        shrinks)."""
-        queue = self.queue
-        while queue and self.busy < self.available:
-            work, args = queue.popleft()
-            self._account(now)
-            self.busy += 1
-            work(*args)
 
 
 class LockTable:
@@ -410,23 +419,24 @@ class SimResult:
 class Txn:
     """One in-flight transaction: where it stands in its trace.
 
-    ``walk`` is the trace's ``Walk.steps``; ``pool`` is set only while
-    it holds a core, ``duration`` while a CPU stage waits for one, and
-    ``span`` is the open span of the current phase; ``root`` and
-    ``track`` are set only for a transaction whose stages are traced.
-    Simulators subclass it to carry their own payload.
+    ``walk`` is the trace's ``Walk.steps`` and ``index`` the next stage
+    to start; ``key`` is the walk key of stage 0 (stage ``i``'s event
+    carries ``key + i``); ``span`` is the open span of the current
+    stage; ``root`` and ``track`` are set only for a transaction whose
+    stages are traced.  Simulators subclass it to carry their own
+    payload.
     """
 
     __slots__ = (
-        "trace", "walk", "index", "arrived", "lock_group",
-        "pool", "duration", "span", "root", "track",
+        "trace", "walk", "index", "arrived", "lock_group", "key",
+        "span", "root", "track",
     )
 
-    def __init__(self, arrived: float) -> None:
+    def __init__(self, arrived: float, key: int) -> None:
         self.arrived = arrived
+        self.key = key
         self.index = 0
         self.lock_group: Optional[int] = None
-        self.pool: Optional[CorePool] = None
         self.span = None
         self.root = None
         self.track: Optional[str] = None
@@ -435,15 +445,16 @@ class Txn:
 class StageWalker:
     """The stage walk both simulators drive: servers, locks, an event
     loop, and :meth:`step`, the action of every walk event -- pushed as
-    ``[when, seq, bound step, (txn,)]``, no closure per stage -- that
-    moves a :class:`Txn` through its walk at one event per stage.
+    ``[when, walk key, bound step, (txn,)]``, no closure per stage --
+    that moves a :class:`Txn` through its walk at one event per stage.
 
-    A simulator subclasses the walker, sets ``txn.walk``, starts the
-    transaction with :meth:`step` (directly, or as the work of a lock
-    acquisition) and supplies :meth:`_complete`; the closed-loop engine
-    also supplies :meth:`_abort` and a ``tracer``.  Ties are broken by
-    scheduling order, so the order of the work in :meth:`step` is part
-    of the model (DESIGN.md, "Event-order contract").
+    A simulator subclasses the walker, makes each transaction with a
+    key from :meth:`_txn_key`, sets ``txn.walk``, starts it with
+    :meth:`step` (directly, or as the work of a lock acquisition) and
+    supplies :meth:`_complete`; the closed-loop engine also supplies
+    :meth:`_abort` and a ``tracer``.  Walk events at one instant run
+    in (transaction, stage) order, after every other event then
+    (DESIGN.md, "Event-order contract").
     """
 
     tracer = NULL_TRACER
@@ -468,7 +479,17 @@ class StageWalker:
         # slowdown factor stretches that shard's DB stage durations.
         self.shard_down = [False] * db_shards
         self.shard_slowdowns = [1.0] * db_shards
-        self._step = self.step  # bound once: every walk event's action
+        # Bound once: the actions of every walk event and every wake.
+        self._step = self.step
+        self._wake_action = self._wake
+        self._next_key = WALK_KEY
+        self._next_wake = WAKE_KEY
+
+    def _txn_key(self) -> int:
+        """The walk key of a new transaction (its serial's stage 0)."""
+        key = self._next_key
+        self._next_key = key + WALK_STRIDE
+        return key
 
     # -- clock and load-monitoring hooks ----------------------------------
 
@@ -497,7 +518,7 @@ class StageWalker:
         now = self.now
         for pool in self.dbs:
             pool.set_reserved(now, int(round(fraction * pool.cores)))
-            pool.drain(now)
+            self._wake(pool)
 
     def _lock_table_for(self, group: int) -> LockTable:
         return self.lock_tables[group % len(self.lock_tables)]
@@ -515,24 +536,14 @@ class StageWalker:
     # -- the walk ------------------------------------------------------------
 
     def step(self, txn: Txn) -> None:
-        """End the stage in progress; start the next, or finish.  A freed
-        core's waiter schedules its finish before this transaction's
-        next stage; core accounting is ``CorePool._account`` inline."""
+        """End the stage in progress; start the next, or finish.  The
+        core of a finished CPU stage needs no release: it is free once
+        the clock reaches its free time."""
         loop = self.loop
         now = loop.clock._now
         span = txn.span
         if span is not None:
             span.finish()
-        pool = txn.pool
-        if pool is not None:
-            pool.busy_time += (pool.busy + pool.reserved) * (
-                now - pool._last_change
-            )
-            pool._last_change = now
-            pool.busy -= 1
-            txn.pool = None
-            if pool.queue:
-                pool.drain(now)
         index = txn.index
         walk = txn.walk
         if index >= len(walk):
@@ -568,29 +579,46 @@ class StageWalker:
                         "stage.db_cpu", parent=txn.root, track=track,
                         shard=txn.trace.stages[index].shard,
                     )
-            if pool.busy >= pool.available:
-                txn.duration = delay
-                pool.queue.append((self.occupy, (txn, pool)))
+            free = pool.free
+            if pool.queue or free[0] > now:
+                pool.queue.append((txn, delay))
+                if pool.wake is None:
+                    self._arm(pool)
                 return
-            pool.busy_time += (pool.busy + pool.reserved) * (
-                now - pool._last_change
-            )
-            pool._last_change = now
-            pool.busy += 1
-            txn.pool = pool
-        # EventLoop.schedule inline: the delay was checked at its entry.
-        seq = loop._seq
-        loop._seq = seq + 1
-        heappush(loop._heap, [now + delay, seq, self._step, (txn,)])
+            heapreplace(free, now + delay)
+            pool.assigned += delay
+        heappush(
+            loop._heap, [now + delay, txn.key + index + 1, self._step, (txn,)]
+        )
 
-    def occupy(self, txn: Txn, pool: CorePool) -> None:
-        """``pool.drain`` gave a queued CPU stage a core: hold it."""
-        txn.pool = pool
+    def _arm(self, pool: CorePool) -> None:
+        """Push ``pool``'s one pending wake, at its soonest free time."""
+        key = self._next_wake
+        self._next_wake = key + 1
+        pool.wake = wake = [pool.free[0], key, self._wake_action, (pool,)]
+        heappush(self.loop._heap, wake)
+
+    def _wake(self, pool: CorePool) -> None:
+        """Start ``pool``'s waiting stages, FIFO, while a core is free;
+        while any still wait, keep one wake pending."""
+        wake = pool.wake
+        if wake is not None:
+            wake[2] = None  # fired, or superseded by this call
+            pool.wake = None
         loop = self.loop
-        when = loop.clock._now + txn.duration
-        seq = loop._seq
-        loop._seq = seq + 1
-        heappush(loop._heap, [when, seq, self._step, (txn,)])
+        now = loop.clock._now
+        queue = pool.queue
+        free = pool.free
+        while queue and free[0] <= now:
+            txn, seconds = queue.popleft()
+            heapreplace(free, now + seconds)
+            pool.assigned += seconds
+            heappush(
+                loop._heap,
+                [now + seconds, txn.key + txn.index, self._step, (txn,)],
+            )
+        if queue:
+            self._arm(pool)
 
 
 TraceSelector = Callable[[float, "QueueingSimulator"], TransactionTrace]
@@ -630,7 +658,7 @@ class QueueingSimulator(StageWalker):
         # rng order is part of the model: selection, the lock group,
         # then the next inter-arrival gap.
         trace = selector(now, self)
-        txn = Txn(now)
+        txn = Txn(now, self._txn_key())
         txn.trace = trace
         walk = trace.walk(self.network, len(self.dbs))
         txn.walk = walk.steps

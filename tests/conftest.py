@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 
 import pytest
 
@@ -16,6 +17,47 @@ needs_scipy = pytest.mark.skipif(
     importlib.util.find_spec("scipy") is None,
     reason="SciPy (the cross-check oracle) is not installed",
 )
+
+
+def span_multiset(tracer) -> list:
+    """A tracer's spans as a sorted multiset of ``(name, track, kind,
+    start, end, args, parent)``, ``parent`` the parent's ``(name,
+    track, start)``: span ids follow creation order, which is no part
+    of what a run traced."""
+    by_id = {span.span_id: span for span in tracer.spans}
+    out = []
+    for span in tracer.spans:
+        parent = by_id.get(span.parent_id)
+        if parent is not None:
+            parent = (parent.name, parent.track, parent.start)
+        out.append(repr((span.name, span.track, span.kind, span.start,
+                         span.end, sorted(span.args.items()), parent)))
+    return sorted(out)
+
+
+def exported_span_multiset(trace_json: str) -> list:
+    """An exported Chrome trace as a sorted multiset of its events, each
+    with its parent's ``(name, track, ts)`` in place of the span ids and
+    its track in place of the thread id (both follow creation order)."""
+    events = [
+        event for event in json.loads(trace_json)["traceEvents"]
+        if event["ph"] != "M"
+    ]
+    by_id = {event["args"]["span_id"]: event for event in events}
+    out = []
+    for event in events:
+        args = {k: v for k, v in event["args"].items()
+                if k not in ("span_id", "parent_id")}
+        parent = by_id.get(event["args"].get("parent_id"))
+        if parent is not None:
+            parent = (parent["name"], parent["cat"], parent["ts"])
+        out.append(json.dumps(
+            [event["name"], event["cat"], event["ph"], event["ts"],
+             event.get("dur"), args, parent],
+            sort_keys=True,
+        ))
+    return sorted(out)
+
 
 # The running example from the paper (Figure 2), in the partitionable
 # subset.  Used by front-end, analysis, pipeline and runtime tests.

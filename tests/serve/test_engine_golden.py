@@ -3,19 +3,18 @@
 ``test_serve_determinism.py`` compares two runs of the *same* code, so
 it cannot notice a change that flips a tie-break consistently.  Here
 every scenario's full result -- each ``TxnSample``, the utilization
-floats, switch events, aborts / retries, failovers and the
-loop's event count -- is digested and compared with the digest the
-commit *before* the event-core rewrite (bad5b61) produced.  Clients
-that replay pooled traces fall into lock-step (2.8% of the ``serve_sim``
-configuration's events fire at exactly the previous event's time), so
-scheduling order decides real outcomes and any reordering shows here.
+floats, switch events, aborts / retries and failovers -- is digested
+and compared with a recorded digest.  Clients that replay pooled
+traces fall into lock-step (many events fire at exactly the previous
+event's time), so the tie order decides real outcomes and any change
+to it shows here.
 
 Scenarios: the ``serve_sim`` benchmark configuration (three slice
 seeds); back-to-back clients (``think_time=0``);
 ``set_db_external_load`` mid-run; two shards with ``crash``
 and ``slow`` faults and failover, on hand-built traces and on the
 replicated TPC-C tier; and each of those traced as well as untraced
-(identical virtual results, plus the exported trace's sha256).
+(identical virtual results, plus the sha256 of the exported spans).
 """
 
 import hashlib
@@ -35,6 +34,7 @@ from repro.sim.queueing import (
     StageKind,
     TransactionTrace,
 )
+from tests.conftest import exported_span_multiset
 
 # The TPC-C scenarios execute a few transactions live; their CPU
 # durations differ between rungs in the last float bits, and the
@@ -89,10 +89,9 @@ def _synthetic_workload(shards=1):
     )
 
 
-def fingerprint(result, events, fired=()):
+def fingerprint(result, fired=()):
     controller = result.controller
     return {
-        "events": events,
         "completed": result.completed,
         "aborted": result.aborted,
         "txn_retries": result.txn_retries,
@@ -126,26 +125,19 @@ def _digest(text):
 
 def run_engine(engine, clients, duration, faults=(), script=None):
     """Run ``engine`` and return ``(completed, result digest, trace
-    digest)``.  The loop's ``run`` is replaced on the instance -- the
-    seam ``benchmarks/e2e`` uses to read the event count."""
+    digest)``; the trace digest is over the exported spans' multiset."""
     injector = FaultInjector([parse_fault_spec(spec) for spec in faults])
     engine.inject_faults(injector)
     if script is not None:
         script(engine)
-    events = []
-    inner = engine.loop.run
-
-    def counted_run(*args, **kwargs):
-        events.append(inner(*args, **kwargs))
-        return events[-1]
-
-    engine.loop.run = counted_run
     result = engine.run(clients=clients, duration=duration, name="golden")
     trace = (
-        _digest(render_chrome_trace(engine.tracer))
+        _digest("\n".join(
+            exported_span_multiset(render_chrome_trace(engine.tracer))
+        ))
         if engine.tracer.enabled else None
     )
-    virtual = _digest(repr(fingerprint(result, events, injector.fired)))
+    virtual = _digest(repr(fingerprint(result, injector.fired)))
     return result.completed, virtual, trace
 
 
@@ -245,38 +237,43 @@ SCENARIOS = {
 }
 
 # scenario -> (completed, sha256 of the fingerprint, sha256 of the
-# exported trace JSON), recorded on bad5b61.  The fingerprint digests
-# were re-recorded twice: when the session-pool and rejection counters
-# left the fingerprint, and when the per-client copy of the samples
-# did; completed counts and trace digests were kept.
+# exported spans' multiset), recorded on bad5b61.  The fingerprint
+# digests were re-recorded twice: when the session-pool and rejection
+# counters left the fingerprint, and when the per-client copy of the
+# samples did.  Everything was re-recorded once more, when walk events
+# at one instant began to run in (transaction, stage) order and busy
+# time began to be read from per-core free times; the loop's event
+# count left the fingerprint then (it is the walk's cost, not a model
+# output), and the trace digest became the spans' multiset (span ids
+# follow creation order).
 GOLDEN = {
     "back_to_back": (
         470,
-        "3a7fe322671b48394435306f54bcb4ffb2f6d04d586da7dc30b4925766f4ac9e",
-        "61d41a0e1d694a6fe337b35ae039844edfab52d957cb0678c8b38fbde76cb7ce",
+        "8fb405cc62aff7a3b55ecf6de25ebd5808419cf9291e2dcd9409244dbd93c290",
+        "3e522e4435b8a6e241d6f2affd7e5213c1c59bc30d80d158e96a5dc55fbf5f91",
     ),
     "external_load": (
         752,
-        "2294a8849c23c67301fa38ffeb9050249086a26c45fc5b18ef03aac1b739d898",
-        "8ead4ab24053ca72d791c82f12825f529bc616746871cd8d1d773bcda8f0087e",
+        "80e1634b29976ba9e2238ec44d01b97acf4ba99e9a2551a4cdc866c859b85716",
+        "af51bc4ad649bf12ae1a013ee65ce8bdcd150e5b488a657ddf5bfd3770a391e9",
     ),
     "synthetic_faults": (
-        615,
-        "583b524eaf220d16e820dc1986ca5e878fac951e3680c541f4edc97f9053a4e0",
-        "484df46fac30cdbd3f5c7f86bec7b13d9040096620e0c32dbd9efad45ae6c6ec",
+        643,
+        "5dea685ff210784799a650f6d5914508567b9df8b169cf6d623431d20709bd5b",
+        "46d825d7ff9f35ff02d578805b66bfd409605f659a6404330a0392a260b6d0af",
     ),
     "tpcc_faults": (
         838,
-        "e6f87cf0e4d4fbc0efd977429c203098e11f60039a36700fa813757372022bbf",
-        "30b970350919c7b1c1cb1be2f9a38693f5eb7594dcb6b14f34d79c52b025e3fb",
+        "8c0f0557a675ba696d3328a85d80b24b571027c35f41f50800c7e0d6896c70df",
+        "2a0c1a2bb4bb34ad1cec39ceea28d0db84e3a792b37cab269ffb04e54a9dfe3a",
     ),
 }
 
-# (completed, sha256 of the fingerprint) per slice seed, same commit.
+# (completed, sha256 of the fingerprint) per slice seed, same commits.
 GOLDEN_SERVE_SIM = [
-    (128, "45ff1edc87d8f1510896272de35e8c1ba3d80bf3fdd4fcfc03b79cbc89bc4e7e"),
-    (133, "3466ffaf09fac2f6c88848c2d28e336405415a3653b1711ea86f237ce71e12c5"),
-    (131, "72ca34d282a71940accc88c8764776660bbb56688b1c2d698ac34c9302e8c594"),
+    (129, "be792938525cca96a286013bcd4e6ac8614c3efc8dab9984c4104c862fbf68d7"),
+    (136, "36fc3141f4d0cc54678104dde4793873a546f80afe7478f87e448afb61e5d4c9"),
+    (129, "f4a3b9c2b36e154b52dfc80df6cc5aaee2ba0fec1a99b3ca93964dd657c2da13"),
 ]
 
 

@@ -432,11 +432,11 @@ class TestEventLoopAgainstModel:
 
 def test_no_closure_per_event():
     """The per-event path allocates no function object: the walker's
-    step and occupy and the loop's schedule / run contain no nested
+    step and wake and the loop's schedule / run contain no nested
     code (no lambda, def or comprehension), so a closure per stage
     cannot come back unnoticed."""
     for function in (
-        StageWalker.step, StageWalker.occupy, EventLoop.schedule,
+        StageWalker.step, StageWalker._wake, EventLoop.schedule,
         EventLoop.schedule_at, EventLoop.run,
     ):
         nested = [

@@ -1,6 +1,7 @@
 """Queueing simulator: sanity laws, contention, determinism."""
 
 import math
+from heapq import heappush
 
 import pytest
 
@@ -322,7 +323,7 @@ class _BareWalker(StageWalker):
         self.done = []
 
     def start(self, trace):
-        txn = Txn(self.now)
+        txn = Txn(self.now, self._txn_key())
         txn.trace = trace
         txn.walk = trace.walk(self.network, len(self.dbs)).steps
         self.step(txn)
@@ -333,18 +334,15 @@ class _BareWalker(StageWalker):
 
 
 class TestCorePool:
-    def test_a_busy_core_queues_and_its_release_starts_the_waiter(self):
+    def test_a_busy_core_queues_and_its_free_time_starts_the_waiter(self):
         walker = _BareWalker(app_cores=1)
         pool = walker.app
-        first = walker.start(cpu_trace(app=1.0, name="a"))
+        walker.start(cpu_trace(app=1.0, name="a"))
         second = walker.start(cpu_trace(app=1.0, name="b"))
-        assert (pool.busy, pool.queued) == (1, 1)
-        # Only a transaction holding a core points at the pool.
-        assert first.pool is pool and second.pool is None
+        assert pool.free == [1.0] and list(pool.queue) == [(second, 1.0)]
         walker.loop.run()
         assert walker.done == [("a", 1.0), ("b", 2.0)]
-        assert (pool.busy, pool.queued) == (0, 0)
-        assert first.pool is None and second.pool is None
+        assert pool.free == [2.0] and not pool.queue
         assert pool.utilization(2.0) == 1.0
 
     def test_drain_starts_waiters_when_the_reservation_shrinks(self):
@@ -352,19 +350,67 @@ class TestCorePool:
         walker.set_db_external_load(0.5)
         walker.start(cpu_trace(db=1.0, name="a"))
         walker.start(cpu_trace(db=1.0, name="b"))
-        assert walker.db.queued == 1
+        assert len(walker.db.queue) == 1
         walker.set_db_external_load(0.0)
-        assert walker.db.queued == 0
+        assert not walker.db.queue
         walker.loop.run()
         assert walker.done == [("a", 1.0), ("b", 1.0)]
 
     def test_reservation_shrinks_capacity(self):
         pool = CorePool("db", 4)
         pool.set_reserved(0.0, 3)
-        assert pool.available == 1
+        assert len(pool.free) == 1
         # Reservation can never take the last core.
         pool.set_reserved(0.0, 99)
-        assert pool.available == 1
+        assert len(pool.free) == 1
+
+    def test_reservation_takes_the_soonest_free_cores_and_returns_the_latest(
+        self,
+    ):
+        pool = CorePool("db", 4)
+        pool.free[:] = [1.0, 2.0, 3.0, 4.0]  # a heap already
+        pool.set_reserved(0.0, 2)
+        assert (pool.held, sorted(pool.free)) == ([1.0, 2.0], [3.0, 4.0])
+        pool.set_reserved(0.0, 1)
+        assert (pool.held, sorted(pool.free)) == ([1.0], [2.0, 3.0, 4.0])
+
+    def test_busy_time_is_work_started_less_work_ahead_plus_reserved(self):
+        walker = _BareWalker(db_cores=2)
+        pool = walker.db
+        walker.start(cpu_trace(db=1.0))
+        # Half of one core's second is still ahead at t=0.5.
+        assert pool.utilization(0.5) == 0.5 / (2 * 0.5)
+        walker.loop.run()
+        assert pool.utilization(2.0) == 1.0 / (2 * 2.0)
+        pool.set_reserved(2.0, 1)
+        assert pool.utilization(3.0) == (1.0 + 1.0) / (2 * 3.0)
+
+
+class TestWalkKeys:
+    def test_walk_events_at_one_instant_run_in_txn_order_however_pushed(
+        self,
+    ):
+        def run(order):
+            walker = _BareWalker(db_cores=1)
+            txns = []
+            for name, seconds in (("a", 1.0), ("b", 2.0)):
+                txn = Txn(0.0, walker._txn_key())
+                txn.trace = cpu_trace(db=seconds, name=name)
+                txn.walk = txn.trace.walk(walker.network, 1).steps
+                txns.append(txn)
+            for i in order:
+                heappush(walker.loop._heap,
+                         [0.5, txns[i].key, walker._step, (txns[i],)])
+            seen = []
+            # Scheduled after them, and still run before them.
+            walker.loop.schedule_at(
+                0.5, lambda: seen.append(list(walker.db.free))
+            )
+            walker.loop.run()
+            return walker.done, seen
+
+        done = [("a", 1.5), ("b", 3.5)]
+        assert run([0, 1]) == run([1, 0]) == (done, [[0.0]])
 
 
 def _round_trip(name="rt", shard=0):

@@ -4,9 +4,8 @@ The twin of ``tests/serve/test_engine_golden.py`` for
 :class:`~repro.sim.queueing.QueueingSimulator`: ``completed``,
 ``latencies``, ``samples``, ``trace_names``, both utilizations and the
 byte / message totals of each scenario are digested and compared with
-the digest the commit before the event-core rewrite (bad5b61) produced,
-so a change to tie-breaking, ``rng`` call order or the utilization
-arithmetic cannot pass as "still deterministic".
+a recorded digest, so a change to tie-breaking, ``rng`` call order or
+the utilization arithmetic cannot pass as "still deterministic".
 """
 
 import hashlib
@@ -109,31 +108,33 @@ def run_scenario(name):
 
 
 # scenario -> (completed, sha256 of the pinned fields), recorded on
-# bad5b61.
+# bad5b61 and re-recorded once, when walk events at one instant began
+# to run in (transaction, stage) order and busy time began to be read
+# from per-core free times (every completed count held).
 GOLDEN = {
     "external_load": (
         2750,
-        "e062ebed6c57f3279f6445764d915b05c043f119e91e1228bce1b9bfeb377bb0",
+        "ccda013813057180cb66f9b5a0460a84d40ebaebae3aad039f76c591d579b53d",
     ),
     "lock_groups": (
         2426,
-        "c9b80336d0d9c80b0eec801a6f840a9ca3bffbcd63b843e9f899ab58f5288d04",
+        "c858ba426d5015be4b13c928f2249460a1fab7196632b5b595b26696c1f8adb4",
     ),
     "selector": (
         3319,
-        "214913164b7b3e2f85f1f557deeeb66009f4838504ff975d490fabc8898a58a1",
+        "f345d230d51e5cf7bb032e6b4c34f5af3dfac5a34324c3819dd27b8e4136cfb7",
     ),
     "sequence": (
         2098,
-        "112e73f7ff85a846a4314618d1421e0575c86a8b044bd1d771657ca07211f9c9",
+        "cf80a560c1ea2fcab8cc82e6c905cd117c9f8f061f12533b57735c8c6f49fcd4",
     ),
     "single": (
         2682,
-        "2a852f5cd18be7d9ee231386711e4095e68dd16e99b1f0cc57fd2bdaa26325f0",
+        "a8c0c0ae2b46216c1fc1f907bf2a9ae6dd406810b1b6737171db7445c9cc95f3",
     ),
     "warmup": (
         1792,
-        "2ece4fd35b35ed3832f12aa75f51ee24a09490bd6b4abc25ce592c856b866bb2",
+        "3ca63c293b99e3d3dac73e67923c50f1c9b9357841d863a4838efbe774f7b2d0",
     ),
 }
 

@@ -1,28 +1,24 @@
 """The stage walk against a reference walker, on random trace sets.
 
-``StageWalker.step`` does in one frame per event what four methods and
-``CorePool.acquire`` / ``release`` did before it.  Those are kept here,
-copied unchanged from the walker they replaced, as an oracle mixin,
-with two deviations: the simulators enter it through ``step``, and it
-reads the stages from ``txn.trace`` (a ``Txn`` no longer carries
-them).  Both walkers then
-run the same random trace sets -- zero-duration stages (ties), DB shard
-indexes past the server count (the clamp), lock groups, empty traces --
-open-loop through ``QueueingSimulator`` and closed-loop through
-``ServeEngine`` with crash / slowdown / external-load changes mid-run
-and every transaction traced.  Every result field, the loop's final
-``seq`` and the exported spans must be equal: "bit-identical" is
-checked against the replaced code, not only against the goldens'
-fixed scenarios.
+The reference is the per-stage walk: one event per stage, each keyed by
+(transaction, stage), with cores released lazily and a run queue's
+waiters started by its wake.  Its ``set_db_external_load``, ``step``,
+``_arm`` and ``_wake`` are kept here unchanged as an oracle mixin.
+Both walkers run the same random trace sets -- zero-duration stages
+(ties), DB shard indexes past the server count (the clamp), lock
+groups, empty traces -- open-loop through ``QueueingSimulator`` and
+closed-loop through ``ServeEngine`` with crash / slowdown /
+external-load changes mid-run and every transaction traced.  Every
+result field, the loop's final ``seq`` and the spans must be equal;
+the spans as a multiset, since their ids follow creation order.
 """
 
 from collections import Counter
-from typing import Callable
+from heapq import heappush, heapreplace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import render_chrome_trace
 from repro.serve.controller import AdaptiveController
 from repro.serve.engine import ServeConfig, ServeEngine
 from repro.serve.workload import TraceWorkload
@@ -35,6 +31,7 @@ from repro.sim.queueing import (
     TransactionTrace,
     Txn,
 )
+from tests.conftest import span_multiset
 
 _APP_CPU = StageKind.APP_CPU
 _DB_CPU = StageKind.DB_CPU
@@ -42,147 +39,114 @@ _NET_TO_DB = StageKind.NET_TO_DB
 _NET_TO_APP = StageKind.NET_TO_APP
 
 
-# -- the oracle: the replaced walk, unchanged ----------------------------------
-
-
-class ReferenceCorePool(CorePool):
-    def acquire(self, now: float, work: Callable[..., None], *args) -> None:
-        """Run ``work(*args)`` on a free core now, or queue it FCFS."""
-        if self.busy < self.available:
-            self.busy_time += (self.busy + self.reserved) * (
-                now - self._last_change
-            )
-            self._last_change = now
-            self.busy += 1
-            work(*args)
-        else:
-            self.queue.append((work, args))
-
-    def release(self, now: float) -> None:
-        """Free one core and start queued work that now fits."""
-        self.busy_time += (self.busy + self.reserved) * (now - self._last_change)
-        self._last_change = now
-        self.busy -= 1
-        if self.queue:
-            self.drain(now)
+# -- the oracle: the per-stage walk, unchanged ---------------------------------
 
 
 class ReferenceWalk:
-    """Mixin over a simulator: the four step methods it replaced."""
+    """Mixin over a simulator: the per-stage walk."""
 
-    def _use_reference_pools(self) -> None:
-        for pool in (self.app, *self.dbs):
-            pool.__class__ = ReferenceCorePool
+    def set_db_external_load(self, fraction: float) -> None:
+        """Reserve a fraction of DB cores for external work, effective
+        now (applied uniformly across the shard servers)."""
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError("external load fraction must be in [0, 1]")
+        now = self.now
+        for pool in self.dbs:
+            pool.set_reserved(now, int(round(fraction * pool.cores)))
+            self._wake(pool)
 
     def step(self, txn: Txn) -> None:
-        # The simulators start a transaction with step(); the oracle's
-        # entry point was advance().
-        self.advance(txn)
-
-    def advance(self, txn: Txn) -> None:
-        """Start the transaction's next stage, or finish it."""
+        """End the stage in progress; start the next, or finish.  The
+        core of a finished CPU stage needs no release: it is free once
+        the clock reaches its free time."""
+        loop = self.loop
+        now = loop.clock._now
+        span = txn.span
+        if span is not None:
+            span.finish()
         index = txn.index
-        stages = txn.trace.stages  # was: txn.stages
-        if index >= len(stages):
+        walk = txn.walk
+        if index >= len(walk):
             group = txn.lock_group
             if group is not None:
                 self._lock_table_for(group).release(group)
             self._complete(txn)
             return
         txn.index = index + 1
-        kind, duration, nbytes, shard = stages[index]
+        server, delay = walk[index]
         track = txn.track
-        if kind is _APP_CPU:
-            pool = self.app
+        if server is None:
             if track is not None:
                 txn.span = self.tracer.span(
-                    "stage.app_cpu", parent=txn.root, track=track
-                )
-        elif kind is _DB_CPU:
-            dbs = self.dbs
-            server = shard if shard < len(dbs) else 0
-            if self.shard_down[server]:
-                self._abort(txn)
-                return
-            pool = dbs[server]
-            duration *= self.shard_slowdowns[server]
-            if track is not None:
-                txn.span = self.tracer.span(
-                    "stage.db_cpu", parent=txn.root, track=track, shard=shard
+                    "stage.net", parent=txn.root, track=track,
+                    nbytes=txn.trace.stages[index].nbytes,
                 )
         else:
-            if track is not None:
-                txn.span = self.tracer.span(
-                    "stage.net", parent=txn.root, track=track, nbytes=nbytes
-                )
-            self.loop.schedule(
-                self.network.message_delay(nbytes), self.after_net, txn
+            if server < 0:
+                pool = self.app
+                if track is not None:
+                    txn.span = self.tracer.span(
+                        "stage.app_cpu", parent=txn.root, track=track
+                    )
+            elif self.shard_down[server]:
+                self._abort(txn)
+                return
+            else:
+                pool = self.dbs[server]
+                delay *= self.shard_slowdowns[server]
+                if track is not None:
+                    txn.span = self.tracer.span(
+                        "stage.db_cpu", parent=txn.root, track=track,
+                        shard=txn.trace.stages[index].shard,
+                    )
+            free = pool.free
+            if pool.queue or free[0] > now:
+                pool.queue.append((txn, delay))
+                if pool.wake is None:
+                    self._arm(pool)
+                return
+            heapreplace(free, now + delay)
+            pool.assigned += delay
+        heappush(
+            loop._heap, [now + delay, txn.key + index + 1, self._step, (txn,)]
+        )
+
+    def _arm(self, pool: CorePool) -> None:
+        """Push ``pool``'s one pending wake, at its soonest free time."""
+        key = self._next_wake
+        self._next_wake = key + 1
+        pool.wake = wake = [pool.free[0], key, self._wake_action, (pool,)]
+        heappush(self.loop._heap, wake)
+
+    def _wake(self, pool: CorePool) -> None:
+        """Start ``pool``'s waiting stages, FIFO, while a core is free;
+        while any still wait, keep one wake pending."""
+        wake = pool.wake
+        if wake is not None:
+            wake[2] = None  # fired, or superseded by this call
+            pool.wake = None
+        loop = self.loop
+        now = loop.clock._now
+        queue = pool.queue
+        free = pool.free
+        while queue and free[0] <= now:
+            txn, seconds = queue.popleft()
+            heapreplace(free, now + seconds)
+            pool.assigned += seconds
+            heappush(
+                loop._heap,
+                [now + seconds, txn.key + txn.index, self._step, (txn,)],
             )
-            return
-        txn.pool = pool
-        txn.duration = duration
-        pool.acquire(self.loop.clock._now, self.occupy, txn)
-
-    def occupy(self, txn: Txn) -> None:
-        """A core is free: hold it for the stage's duration."""
-        self.loop.schedule(txn.duration, self.finish_cpu, txn)
-
-    def finish_cpu(self, txn: Txn) -> None:
-        if txn.track is not None:
-            txn.span.finish()
-        # Release first: a waiter this starts schedules its finish
-        # before this transaction's next stage is scheduled.
-        txn.pool.release(self.loop.clock._now)
-        self.advance(txn)
-
-    def after_net(self, txn: Txn) -> None:
-        if txn.track is not None:
-            txn.span.finish()
-        self.advance(txn)
+        if queue:
+            self._arm(pool)
 
 
 class ReferenceSimulator(ReferenceWalk, QueueingSimulator):
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._use_reference_pools()
-
-    def _arrive(self, selector, rate: float, horizon: float) -> None:
-        # The arrival that counted messages stage by stage (the one
-        # deviation: no txn.stages to set).
-        now = self.now
-        if now >= horizon:
-            return
-        # rng order is part of the model: selection, the lock group,
-        # then the next inter-arrival gap.
-        trace = selector(now, self)
-        txn = Txn(now)
-        txn.trace = trace
-        # Every arrival runs to completion (the run drains), so its
-        # messages are counted up front rather than stage by stage.
-        result = self._result
-        overhead = self.network.per_message_overhead
-        for kind, _, nbytes, _ in trace.stages:
-            if kind is _NET_TO_DB:
-                result.bytes_to_db += nbytes + overhead
-            elif kind is _NET_TO_APP:
-                result.bytes_to_app += nbytes + overhead
-            else:
-                continue
-            result.messages += 1
-        if trace.lock_groups:
-            group = txn.lock_group = self.rng.randrange(trace.lock_groups)
-            self.locks.acquire(group, self.advance, txn)
-        else:
-            self.advance(txn)
-        self.loop.schedule(
-            self.rng.expovariate(rate), self._arrive, selector, rate, horizon
-        )
+    pass
 
 
 class ReferenceEngine(ReferenceWalk, ServeEngine):
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._use_reference_pools()
+    pass
 
 
 # -- random trace sets -----------------------------------------------------------
@@ -294,7 +258,7 @@ def _closed_loop(cls, options, network, cores, seed, think, changes):
          for e in result.failovers],
         result.controller.switches,
         engine.loop._seq,
-        render_chrome_trace(engine.tracer),
+        span_multiset(engine.tracer),
     )
 
 

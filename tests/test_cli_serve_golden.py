@@ -19,7 +19,12 @@ went with the session pool (traces did not change).  The failover
 metrics digest was re-pinned once more, when the always-zero
 ``replication.ship_failures{shard=N}`` keys went with the replica
 links that alone could count a failed shipment (nothing else in
-either export changed).
+either export changed).  The shard-sweep and failover stdout and the
+failover / WAL metrics were re-pinned once more, when walk events at
+one instant began to run in (transaction, stage) order and core busy
+time began to be read from per-core free times; the trace exports are
+since pinned as the multiset of their spans, as span ids and thread
+ids follow creation order.
 
 ``python tests/test_cli_serve_golden.py --record`` prints a fresh
 table (run it from the repository root with ``PYTHONPATH=src:.``).
@@ -36,6 +41,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from tests.conftest import exported_span_multiset
 
 # Live executions' CPU durations differ between rungs in the last
 # float bits; the digests below were recorded on the default rungs.
@@ -78,7 +84,7 @@ GOLDEN = {
     },
     'shard_sweep': {
         'stdout':
-            'd23da31dd1b19a456ee08fda033ada5349fcf5800a935587602715406e50be3e',
+            '01e3539d01027b223aa215a9943c77397b9a0bd89421cfb2fe88f98ad66d9727',
     },
     'htap': {
         'stdout':
@@ -86,19 +92,19 @@ GOLDEN = {
     },
     'failover': {
         'stdout':
-            'db8286dd424daeb87a07f6c7befe6d3a0c1b76a9af3c545dffa5f45b2fb2b93e',
+            'ffa9d0c749ef708a4879899e57de62ee4b771c341f2679a3ed761d2a717b41e3',
         'metrics':
-            '5d7bf25031fece72c33ce8f803efe5553f6ab1f4bf738b7058be811fe634f7cb',
+            '28d35698f79d8564ef1a3d75a87fa79abb5e441a88a877657fa46a88bb1cdb39',
         'trace':
-            'ced6b6c8b8cf54843e2fce97efed62d5c0c9232fbd1ed243c4594db147f949ed',
+            '2b5582b8cf592d9c844d22286c84abb3a3029671368ecf57ae4008920f86ab7a',
     },
     'wal': {
         'stdout':
             'de72822702a13073226b811b521c52b68e24865e0da9eaa1de224fda2eeb3831',
         'metrics':
-            '95e5ea44735f9a8df4e0117ad99480af7c5afdf532a1f09d4cfeb497332a8b88',
+            '487878da51070dc1fe5ae76641f5497ff148525df464b9d67f2e443a6a96f697',
         'trace':
-            '52440afcd6929b66ce3025f40b0ace6ac6589487a2c48a499552da1de8620473',
+            'a2620de3887f6fb013128a6d4340d2931cdbc48a4f53231035cb1dfd3d7f2a9f',
     },
 }
 # GOLDEN-END
@@ -116,10 +122,12 @@ def run_scenario(name: str, tmp: Path) -> dict[str, str]:
         code = main(["serve", *args])
     assert code == 0, f"repro serve {' '.join(args)} exited {code}"
     digests = {"stdout": _sha(out.getvalue().replace(str(tmp), "<TMP>"))}
-    for export in ("metrics", "trace"):
-        path = tmp / f"{export}.json"
-        if path.exists():
-            digests[export] = _sha(path.read_text(encoding="utf-8"))
+    metrics, trace = tmp / "metrics.json", tmp / "trace.json"
+    if metrics.exists():
+        digests["metrics"] = _sha(metrics.read_text(encoding="utf-8"))
+    if trace.exists():
+        spans = exported_span_multiset(trace.read_text(encoding="utf-8"))
+        digests["trace"] = _sha("\n".join(spans))
     return digests
 
 
