@@ -10,6 +10,7 @@ import json
 import operator
 import shutil
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,24 @@ class TestFrameCodec:
     def test_garbage_header_is_corruption(self, tmp_path):
         path = tmp_path / "shard0.wal"
         path.write_bytes(b"\xff" * (FRAME_HEADER.size + 4))
+        with pytest.raises(WalCorruptionError) as err:
+            scan_wal(path)
+        assert "unreadable frame header" in str(err.value)
+
+    # Each header field alone makes the header unreadable: a known kind
+    # with an oversized length, and an unknown kind with a small length
+    # over a payload whose CRC and JSON are sound.
+    @pytest.mark.parametrize("kind_code, length, payload", [
+        (1, wal_module.MAX_FRAME_PAYLOAD + 1, b"{}"),
+        (99, 2, b"{}"),
+    ], ids=["oversized_length", "unknown_kind"])
+    def test_one_bad_header_field_is_corruption(
+        self, tmp_path, kind_code, length, payload
+    ):
+        path = tmp_path / "shard0.wal"
+        path.write_bytes(FRAME_HEADER.pack(
+            length, 1, kind_code, zlib.crc32(payload)
+        ) + payload)
         with pytest.raises(WalCorruptionError) as err:
             scan_wal(path)
         assert "unreadable frame header" in str(err.value)
