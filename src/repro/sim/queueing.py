@@ -419,12 +419,12 @@ class SimResult:
 class Txn:
     """One in-flight transaction: where it stands in its trace.
 
-    ``walk`` is the trace's ``Walk.steps`` and ``index`` the next stage
-    to start; ``key`` is the walk key of stage 0 (stage ``i``'s event
-    carries ``key + i``); ``span`` is the open span of the current
-    stage; ``root`` and ``track`` are set only for a transaction whose
-    stages are traced.  Simulators subclass it to carry their own
-    payload.
+    ``walk`` is the trace's ``Walk.steps`` and ``index`` the stage its
+    next event reaches; ``key`` is the walk key of stage 0 (the event
+    reaching stage ``i`` carries ``key + i``); ``span`` is the open span
+    of a traced stage waiting for a core; ``root`` and ``track`` are set
+    only for a transaction whose stages are traced.  Simulators subclass
+    it to carry their own payload.
     """
 
     __slots__ = (
@@ -446,7 +446,8 @@ class StageWalker:
     """The stage walk both simulators drive: servers, locks, an event
     loop, and :meth:`step`, the action of every walk event -- pushed as
     ``[when, walk key, bound step, (txn,)]``, no closure per stage --
-    that moves a :class:`Txn` through its walk at one event per stage.
+    that moves a :class:`Txn` through its walk at one event per CPU
+    stage, plus a run queue's wake when a stage has to wait.
 
     A simulator subclasses the walker, makes each transaction with a
     key from :meth:`_txn_key`, sets ``txn.walk``, starts it with
@@ -536,59 +537,94 @@ class StageWalker:
     # -- the walk ------------------------------------------------------------
 
     def step(self, txn: Txn) -> None:
-        """End the stage in progress; start the next, or finish.  The
-        core of a finished CPU stage needs no release: it is free once
-        the clock reaches its free time."""
+        """The transaction reaches CPU stage ``txn.index`` (or the end of
+        its walk; or, as it starts, stage 0 whatever its kind).  A free
+        core runs the stage at once, and the messages after it are added
+        to its end one at a time: the one event pushed is the arrival at
+        the next CPU stage.  A busy pool queues the stage instead, and
+        its wake starts it."""
         loop = self.loop
         now = loop.clock._now
-        span = txn.span
-        if span is not None:
-            span.finish()
         index = txn.index
         walk = txn.walk
-        if index >= len(walk):
+        end = len(walk)
+        if index >= end:
             group = txn.lock_group
             if group is not None:
                 self._lock_table_for(group).release(group)
             self._complete(txn)
             return
-        txn.index = index + 1
-        server, delay = walk[index]
+        server, seconds = walk[index]
         track = txn.track
-        if server is None:
-            if track is not None:
-                txn.span = self.tracer.span(
-                    "stage.net", parent=txn.root, track=track,
-                    nbytes=txn.trace.stages[index].nbytes,
-                )
-        else:
+        if server is not None:
             if server < 0:
                 pool = self.app
-                if track is not None:
-                    txn.span = self.tracer.span(
-                        "stage.app_cpu", parent=txn.root, track=track
-                    )
             elif self.shard_down[server]:
                 self._abort(txn)
                 return
             else:
                 pool = self.dbs[server]
-                delay *= self.shard_slowdowns[server]
-                if track is not None:
-                    txn.span = self.tracer.span(
-                        "stage.db_cpu", parent=txn.root, track=track,
-                        shard=txn.trace.stages[index].shard,
-                    )
+                seconds *= self.shard_slowdowns[server]
             free = pool.free
             if pool.queue or free[0] > now:
-                pool.queue.append((txn, delay))
+                txn.index = index + 1
+                pool.queue.append((txn, seconds))
+                if track is not None:
+                    txn.span = self._cpu_span(txn, index, server, now)
                 if pool.wake is None:
                     self._arm(pool)
                 return
-            heapreplace(free, now + delay)
-            pool.assigned += delay
-        heappush(
-            loop._heap, [now + delay, txn.key + index + 1, self._step, (txn,)]
+            heapreplace(free, now + seconds)
+            pool.assigned += seconds
+            if track is not None:
+                self._cpu_span(txn, index, server, now).finish(now + seconds)
+            now += seconds
+            index += 1
+        # _advance inline: this is the hot path.
+        while index < end:
+            server, seconds = walk[index]
+            if server is not None:
+                break
+            if track is not None:
+                self.tracer.span(
+                    "stage.net", parent=txn.root, track=track, start=now,
+                    nbytes=txn.trace.stages[index].nbytes,
+                ).finish(now + seconds)
+            now += seconds
+            index += 1
+        txn.index = index
+        heappush(loop._heap, [now, txn.key + index, self._step, (txn,)])
+
+    def _advance(self, txn: Txn, index: int, now: float) -> None:
+        """Add the delays of the messages from stage ``index`` on to
+        ``now``, one at a time, and push the arrival at the stage after
+        them."""
+        walk = txn.walk
+        track = txn.track
+        end = len(walk)
+        while index < end:
+            server, seconds = walk[index]
+            if server is not None:
+                break
+            if track is not None:
+                self.tracer.span(
+                    "stage.net", parent=txn.root, track=track, start=now,
+                    nbytes=txn.trace.stages[index].nbytes,
+                ).finish(now + seconds)
+            now += seconds
+            index += 1
+        txn.index = index
+        heappush(self.loop._heap, [now, txn.key + index, self._step, (txn,)])
+
+    def _cpu_span(self, txn: Txn, index: int, server: int, start: float):
+        if server < 0:
+            return self.tracer.span(
+                "stage.app_cpu", parent=txn.root, track=txn.track,
+                start=start,
+            )
+        return self.tracer.span(
+            "stage.db_cpu", parent=txn.root, track=txn.track, start=start,
+            shard=txn.trace.stages[index].shard,
         )
 
     def _arm(self, pool: CorePool) -> None:
@@ -605,18 +641,17 @@ class StageWalker:
         if wake is not None:
             wake[2] = None  # fired, or superseded by this call
             pool.wake = None
-        loop = self.loop
-        now = loop.clock._now
+        now = self.loop.clock._now
         queue = pool.queue
         free = pool.free
         while queue and free[0] <= now:
             txn, seconds = queue.popleft()
-            heapreplace(free, now + seconds)
+            end = now + seconds
+            heapreplace(free, end)
             pool.assigned += seconds
-            heappush(
-                loop._heap,
-                [now + seconds, txn.key + txn.index, self._step, (txn,)],
-            )
+            if txn.span is not None:
+                txn.span.finish(end)
+            self._advance(txn, txn.index, end)
         if queue:
             self._arm(pool)
 

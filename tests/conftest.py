@@ -6,10 +6,24 @@ import importlib.util
 import json
 
 import pytest
+from hypothesis import settings
 
 from repro.core.pipeline import Pyxis
 from repro.db import Database, connect
 from repro.db.catalog import IndexSpec
+
+# ``pytest --hypothesis-profile=deep`` searches ten times as far; CI
+# runs the walker and event-loop equivalence tests under it.
+settings.register_profile("deep", max_examples=1000)
+
+
+def examples(n: int) -> int:
+    """``n`` examples under the default profile, scaled with the loaded
+    profile's ``max_examples`` (ten times ``n`` under ``deep``)."""
+    return n * settings().max_examples // settings.get_profile(
+        "default"
+    ).max_examples
+
 
 # SciPy is the optional cross-check oracle, not a dependency: tests
 # that call it skip where it is not installed.

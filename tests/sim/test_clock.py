@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.sim.clock import Event, EventLoop, PeriodicTask, VirtualClock
 from repro.sim.queueing import StageWalker
+from tests.conftest import examples
 
 
 class TestVirtualClock:
@@ -363,7 +364,7 @@ def _interpret(loop, program):
 
 
 class TestEventLoopAgainstModel:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(st.lists(_COMMANDS, max_size=10))
     def test_same_firings_clock_counts_and_pending(self, program):
         assert _interpret(RealLoop(), program) == _interpret(
@@ -432,11 +433,12 @@ class TestEventLoopAgainstModel:
 
 def test_no_closure_per_event():
     """The per-event path allocates no function object: the walker's
-    step and wake and the loop's schedule / run contain no nested
+    step, advance and wake and the loop's schedule / run contain no nested
     code (no lambda, def or comprehension), so a closure per stage
     cannot come back unnoticed."""
     for function in (
-        StageWalker.step, StageWalker._wake, EventLoop.schedule,
+        StageWalker.step, StageWalker._advance, StageWalker._wake,
+        EventLoop.schedule,
         EventLoop.schedule_at, EventLoop.run,
     ):
         nested = [

@@ -412,6 +412,30 @@ class TestWalkKeys:
         done = [("a", 1.5), ("b", 3.5)]
         assert run([0, 1]) == run([1, 0]) == (done, [[0.0]])
 
+    def test_an_uncontended_walk_costs_one_event_per_cpu_stage(self):
+        stages = []
+        for kind in (StageKind.APP_CPU, StageKind.DB_CPU) * 2 + (
+            StageKind.APP_CPU,
+        ):
+            stages += [Stage(kind, 0.001),
+                       Stage(StageKind.NET_TO_DB, nbytes=100)]
+        trace = TransactionTrace("k5", tuple(stages))
+        walker = _BareWalker()
+        walker.start(trace)
+        # Four arrivals at a CPU stage after the first, and the end.
+        assert walker.loop.run() == 5
+        assert walker.done == [
+            ("k5", trace.unloaded_latency(walker.network))
+        ]
+
+    def test_a_stage_that_queues_adds_one_wake(self):
+        walker = _BareWalker(db_cores=1)
+        for name in ("a", "b"):
+            walker.start(cpu_trace(db=1.0, name=name))
+        # Two ends, and the wake at 1.0 that starts b.
+        assert walker.loop.run() == 3
+        assert walker.done == [("a", 1.0), ("b", 2.0)]
+
 
 def _round_trip(name="rt", shard=0):
     return TransactionTrace(name, (

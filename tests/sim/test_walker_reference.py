@@ -31,7 +31,7 @@ from repro.sim.queueing import (
     TransactionTrace,
     Txn,
 )
-from tests.conftest import span_multiset
+from tests.conftest import examples, span_multiset
 
 _APP_CPU = StageKind.APP_CPU
 _DB_CPU = StageKind.DB_CPU
@@ -195,7 +195,7 @@ def _open_loop(cls, traces, network, cores, rate, seed, load):
 
 
 class TestOpenLoop:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(
         traces=_TRACES,
         network=_NETWORK,
@@ -263,7 +263,7 @@ def _closed_loop(cls, options, network, cores, seed, think, changes):
 
 
 class TestClosedLoop:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(
         options=st.lists(_TRACES, min_size=1, max_size=2),
         network=_NETWORK,
