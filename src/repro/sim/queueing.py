@@ -89,14 +89,6 @@ class Stage(
             raise ValueError(f"stage nbytes {nbytes!r} must be >= 0")
         return tuple.__new__(cls, (kind, duration, nbytes, shard))
 
-    @property
-    def is_cpu(self) -> bool:
-        return self.kind in (StageKind.APP_CPU, StageKind.DB_CPU)
-
-    @property
-    def is_network(self) -> bool:
-        return not self.is_cpu
-
 
 @dataclass
 class TransactionTrace:

@@ -185,8 +185,9 @@ class TestTransferAccounting:
         # No two adjacent CPU stages on the same server (they merge).
         from repro.sim.queueing import StageKind
 
+        cpu = (StageKind.APP_CPU, StageKind.DB_CPU)
         for first, second in zip(trace.stages, trace.stages[1:]):
-            if first.is_cpu and second.is_cpu:
+            if first.kind in cpu and second.kind in cpu:
                 assert first.kind is not second.kind
 
 

@@ -34,10 +34,6 @@ class TestStage:
         with pytest.raises(ValueError):
             Stage(StageKind.APP_CPU, -1.0)
 
-    def test_cpu_vs_network(self):
-        assert Stage(StageKind.DB_CPU, 0.1).is_cpu
-        assert Stage(StageKind.NET_TO_DB, nbytes=10).is_network
-
     @pytest.mark.parametrize("duration", [math.nan, math.inf, -1e-9])
     def test_unsound_duration_names_field_and_value(self, duration):
         # A NaN duration used to pass and silently break the heap order.
