@@ -408,6 +408,19 @@ class TestWalkKeys:
         done = [("a", 1.5), ("b", 3.5)]
         assert run([0, 1]) == run([1, 0]) == (done, [[0.0]])
 
+    def test_a_wake_runs_before_the_walk_events_at_its_instant(self):
+        walker = _BareWalker(app_cores=1)
+        # The waiter is made first, so its walk key is the lower one.
+        waiter = Txn(0.0, walker._txn_key())
+        waiter.trace = TransactionTrace("w", (Stage(StageKind.APP_CPU),))
+        waiter.walk = waiter.trace.walk(walker.network, 1).steps
+        walker.start(cpu_trace(app=1.0, name="a"))
+        walker.loop.schedule_at(0.5, walker.step, waiter)
+        walker.loop.run()
+        # At 1.0 the wake starts the waiter's zero-second stage, whose
+        # end then sorts before a's.
+        assert walker.done == [("w", 1.0), ("a", 1.0)]
+
     def test_an_uncontended_walk_costs_one_event_per_cpu_stage(self):
         stages = []
         for kind in (StageKind.APP_CPU, StageKind.DB_CPU) * 2 + (
