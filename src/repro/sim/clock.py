@@ -7,12 +7,16 @@ real time.  The clock only moves when a component explicitly charges
 time to it (CPU work, network transfers, or event-loop scheduling).
 
 :class:`EventLoop` is the discrete-event core under both simulators.
-A heap entry is the list ``[when, seq, action, args]``: ``heapq``
-orders entries with the C list comparison (``seq`` is unique, so
-``action`` is never compared) and an action needs no closure; the
-stage walker pushes its own (plain-list) entries.  Events at the same
-instant are common and run in scheduling order, so where ``seq`` is
-taken is part of the model (DESIGN.md, "Event-order contract").
+A heap entry is the list ``[when, key, action, args]``: ``heapq``
+orders entries with the C list comparison (keys are unique, so
+``action`` is never compared) and an action needs no closure.  The
+loop's own entries carry ``seq``, their scheduling order; the stage
+walker pushes plain-list entries with a wake key or a walk key, both
+above every ``seq`` (below).  Events at the same instant are common,
+so their order is part of the model: the loop's own events first, in
+scheduling order, then run-queue wakes, then walk events in
+(transaction, stage) order, whenever they were pushed (DESIGN.md,
+"Event-order contract").
 """
 
 from __future__ import annotations
@@ -146,8 +150,9 @@ class EventLoop:
     """A minimal discrete-event loop over a :class:`VirtualClock`.
 
     Components schedule callbacks at absolute virtual times; :meth:`run`
-    pops them in time order, advancing the clock as it goes.  Ties are
-    broken by scheduling order so runs are deterministic.
+    pops them in time order, advancing the clock as it goes.  Ties among
+    the entries it pushes are broken by scheduling order (``seq``), so
+    runs are deterministic.
     """
 
     def __init__(self, clock: Optional[VirtualClock] = None) -> None:

@@ -14,10 +14,16 @@ contention -- keeps the partitioned-program interpreter single-threaded
 while still modeling the queueing effects that dominate the paper's
 figures 9, 10, 12 and 13.
 
-The walk itself -- servers, locks, one event per stage -- is
+The walk itself -- servers, locks, one event per CPU stage -- is
 :class:`StageWalker`, shared with the closed-loop engine in
 :mod:`repro.serve`; :class:`QueueingSimulator` adds the arrivals, the
-trace selector and the network totals.
+trace selector and the network totals.  A core is released lazily: a
+:class:`CorePool` keeps each core's free time, so the end of a CPU
+stage needs no event, and the messages after it are added to its end
+in the same step.  A stage that finds every core busy waits in the
+pool's FIFO for the pool's one pending wake.  Walk events at one
+instant run in (transaction, stage) order, after every other event
+(DESIGN.md, "Event-order contract").
 """
 
 from __future__ import annotations
