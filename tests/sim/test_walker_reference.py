@@ -39,7 +39,7 @@ _NET_TO_DB = StageKind.NET_TO_DB
 _NET_TO_APP = StageKind.NET_TO_APP
 
 
-# -- the oracle: the per-stage walk, unchanged ---------------------------------
+# -- the oracle: the per-stage walk, unchanged -------------------------------
 
 
 class ReferenceWalk:
