@@ -19,6 +19,7 @@ from hypothesis.stateful import RuleBasedStateMachine, rule, invariant
 
 from repro.db import Database, connect
 from repro.db.errors import IntegrityError
+from tests.conftest import examples
 
 
 def fresh_conn():
@@ -472,8 +473,9 @@ def _brute_force_join(data, tables, conditions, filters):
 
 
 def _join_deployments(data):
-    """tree / source single servers, then the 1- and 3-shard
-    router (``t1`` hash-sharded, the other tables replicated)."""
+    """tree / source single servers, then the 1- and 3-shard router
+    under both rungs (``t1`` hash-sharded, the other tables
+    replicated)."""
     from repro.db import (
         ShardedDatabase,
         ShardingScheme,
@@ -505,8 +507,12 @@ def _join_deployments(data):
         for mode in ("tree", "source")
     ]
     for shards in (1, 3):
-        sdb = ShardedDatabase.from_database(load(), shards, scheme)
-        conns.append((f"router-{shards}", connect_sharded(sdb)))
+        for mode in ("tree", "source"):
+            sdb = ShardedDatabase.from_database(load(), shards, scheme)
+            conns.append(
+                (f"router-{shards}-{mode}",
+                 connect_sharded(sdb, sql_exec=mode))
+            )
     return conns
 
 
@@ -533,3 +539,82 @@ def test_join_order_differential(rows0, rows1, rows2, statement):
     for name, rows, touched in outcomes[1:]:
         assert rows == reference_rows, (sql, name)
         assert touched == reference_touched, (sql, name)
+
+
+# -- scatter mutations: the router's UPDATE / DELETE against the tree ---------
+#
+# ``t1`` is sharded on ``id`` and no predicate below binds it by
+# equality, so every statement fans out over the router's shards.  The
+# predicates mix the ordered index (``b``: ranges, the high-only form
+# included), the hash index (``a``) and residual-only columns; ``mod``
+# raises on a row whose divisor is 0, part way through a statement.
+
+_PREDICATE_OPS = ("=", "<", ">", "<=", ">=")
+_ASSIGNMENTS = (
+    "c = mod(c, id - ?)", "c = mod(id, b - ?)", "b = b + ?", "a = ?",
+    "c = c + a",
+)
+
+
+@st.composite
+def scatter_mutations(draw):
+    """(sql, params) for one UPDATE or DELETE of ``t1``."""
+    predicates = draw(st.lists(
+        st.tuples(st.sampled_from(("a", "b", "c")),
+                  st.sampled_from(_PREDICATE_OPS), st.integers(0, 3)),
+        max_size=2,
+    ))
+    where = " AND ".join(f"{col} {op} ?" for col, op, _ in predicates)
+    params = tuple(value for _, _, value in predicates)
+    if draw(st.booleans()):
+        sql = "DELETE FROM t1"
+    else:
+        assignment = draw(st.sampled_from(_ASSIGNMENTS))
+        sql = f"UPDATE t1 SET {assignment}"
+        if "?" in assignment:
+            params = (draw(st.integers(-1, 3)),) + params
+    return (sql + f" WHERE {where}" if where else sql), params
+
+
+def _logical_tables(conn):
+    database = conn.database
+    if hasattr(database, "logical_rows"):
+        return {name: database.logical_rows(name) for name in JOIN_TABLES}
+    return {name: dict(database.table(name).scan()) for name in JOIN_TABLES}
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(join_rows, st.lists(st.tuples(cells, cells, cells), max_size=10),
+       join_rows, st.lists(scatter_mutations(), min_size=1, max_size=4))
+def test_scatter_mutation_differential(rows0, rows1, rows2, statements):
+    """Rowcounts, rows_touched (the observer stream), errors and final
+    tables match the single-server tree executor after each statement,
+    including the partial writes a failing statement leaves behind
+    without locks."""
+    data = {
+        name: [(i,) + row for i, row in enumerate(rows)]
+        for name, rows in zip(JOIN_TABLES, (rows0, rows1, rows2))
+    }
+    deployments = _join_deployments(data)
+    logs = []
+    for _, conn in deployments:
+        log = []
+        conn.observer = (
+            lambda kind, sql, touched, rows, log=log:
+            log.append((sql, touched, rows))
+        )
+        logs.append(log)
+    for sql, params in statements:
+        outcomes = []
+        for name, conn in deployments:
+            prepared = conn.prepare(sql)
+            if name.startswith("router"):
+                assert prepared.route.mode == "scatter", sql
+            try:
+                outcome = ("count", prepared.update(*params))
+            except ZeroDivisionError as err:
+                outcome = ("error", str(err))
+            outcomes.append((outcome, _logical_tables(conn)))
+        for (name, _), got in zip(deployments[1:], outcomes[1:]):
+            assert got == outcomes[0], (sql, params, name)
+    assert all(log == logs[0] for log in logs[1:])
