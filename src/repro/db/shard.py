@@ -12,12 +12,13 @@ instances, and a :class:`ShardedConnection` routes planned statements:
   so the whole plan executes point-to-point on one shard, through the
   tree executor or a per-shard compiled plan;
 * **scatter-gather** -- one sharded table without its full key (every
-  other table replicated) fans out to every shard at whatever level of
-  the join the planner placed it, and the router merges the per-shard
-  candidates back into *global scan order* before running the shared
-  SELECT tail (:func:`~repro.db.sql.executor.select_output_rows`), so
-  ORDER BY / GROUP BY / DISTINCT / LIMIT semantics -- including group
-  emission order and sort-tie order -- are bit-identical to a single
+  other table replicated) becomes the plan's
+  :class:`~repro.db.sql.planner.Gather` level, at whatever level of the
+  join the planner placed it.  The tree executor reads that level on
+  every shard and merges the rows back into *global scan order* before
+  the rest of the statement runs, so ORDER BY / GROUP BY / DISTINCT /
+  LIMIT semantics -- including group emission order and sort-tie order
+  -- and UPDATE / DELETE row order are bit-identical to a single
   server;
 * **broadcast** -- mutations of replicated tables apply to every
   shard's copy in lockstep;
@@ -27,10 +28,9 @@ instances, and a :class:`ShardedConnection` routes planned statements:
 Two invariants make the scatter merge exact rather than best-effort:
 partitions of one logical table share a global rowid allocator (see
 :meth:`~repro.db.engine.Table.use_rowid_counter`), and the row store
-stays in ascending-rowid scan order across rollbacks.  Ordering keys
-per access path mirror the single-server executor: rowid for scans,
-pk and hash-index lookups; (index key, rowid) for ordered-index range
-scans.
+stays in ascending-rowid scan order across rollbacks.  The gather's
+merge key mirrors the single-server executor: rowid for scans, pk and
+hash-index lookups; (index key, rowid) for ordered-index range scans.
 
 Cross-shard transactions run two-phase commit through
 :class:`~repro.db.txn.ShardedTransaction`, with per-shard undo logs
@@ -42,7 +42,8 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 from repro.db.catalog import Column, IndexSpec, TableSchema
 from repro.db.engine import Database, RowidAllocator, Table
@@ -54,7 +55,6 @@ from repro.db.errors import (
     TransactionError,
     TwoPhaseAbortError,
 )
-from repro.db.index import _sortable
 from repro.db.jdbc import (
     DEFAULT_PLAN_CACHE_SIZE,
     CallObserver,
@@ -76,13 +76,14 @@ from repro.db.sql.codegen_plan import (
 )
 from repro.db.sql.executor import (
     Executor,
+    Shards,
     StatementResult,
-    select_output_rows,
 )
 from repro.db.sql.parser import parse
 from repro.db.sql.planner import (
     Compiled,
     DeletePlan,
+    Gather,
     InsertPlan,
     Plan,
     Planner,
@@ -432,10 +433,6 @@ class ShardedDatabase:
         group = self.groups[shard]
         return group.generation if group is not None else 0
 
-    def is_down(self, shard: int) -> bool:
-        group = self.groups[shard]
-        return group.crashed if group is not None else False
-
     def crash_primary(self, shard: int) -> None:
         """Kill ``shard``'s primary; routing there fails with
         :class:`ShardDownError` until :meth:`promote`."""
@@ -500,15 +497,13 @@ class RoutePlan:
     ``single`` routes point-to-point through ``shard_of(params)``, the
     shard function resolved at prepare (keys are usually ``?``
     parameters, so only the key values are left to evaluate);
-    ``scatter`` fans ``scatter_target`` (at any join level) out to
-    every shard and merges;
+    ``scatter`` runs the plan's gather level over every shard;
     ``broadcast`` applies a replicated-table mutation to every copy;
     ``pinned`` runs a replicated-only read on the affinity shard.
     """
 
     mode: str  # single | scatter | broadcast | pinned
     shard_of: Optional[Callable[[Sequence[Any]], int]] = None
-    scatter_target: Optional[TableAccess] = None
 
 
 _NULL_GETTER: Compiled = lambda env, params: None  # noqa: E731
@@ -589,6 +584,16 @@ def _equality_conjuncts(
     return equalities
 
 
+def _scatter(plan: Plan, target: TableAccess, level: int) -> RoutePlan:
+    """The scatter route: ``plan`` gains a gather level at ``target``."""
+    access = target.access
+    plan.gather = Gather(
+        level,
+        access.index_name if access.kind == "index_range" else None,
+    )
+    return RoutePlan(mode="scatter")
+
+
 def route_statement(
     scheme: ShardingScheme, stmt: Statement, plan: Plan, n_shards: int
 ) -> RoutePlan:
@@ -667,10 +672,10 @@ def route_statement(
         )
 
     if isinstance(plan, (UpdatePlan, DeletePlan)):
-        return RoutePlan(mode="scatter", scatter_target=plan.target)
+        return _scatter(plan, plan.target, 0)
 
     if len(sharded) == 1:
-        return RoutePlan(mode="scatter", scatter_target=unkeyed[0])
+        return _scatter(plan, unkeyed[0], accesses.index(unkeyed[0]))
 
     missing = {
         access.table_name: [
@@ -978,16 +983,12 @@ class ShardedConnection:
         elif mode == "broadcast":
             return self._run_broadcast(prepared, params, txn)
         else:
-            plan = prepared.plan
-            assert route.scatter_target is not None
-            if isinstance(plan, SelectPlan):
-                return self._scatter_select(
-                    plan, route.scatter_target, params, txn
-                )
-            if isinstance(plan, UpdatePlan):
-                return self._scatter_update(plan, params, txn)
-            assert isinstance(plan, DeletePlan)
-            return self._scatter_delete(plan, params, txn)
+            # Scatter: the tree executor runs the plan's gather level
+            # over every shard's executor.
+            return Shards(
+                self.executors, partial(self._branch, txn),
+                self._affinity, self._shard_ready,
+            ).execute(prepared.plan, params)
         if span is not None:
             span.annotate(shard=shard)
         # Read-your-writes replica offload applies to plain reads only:
@@ -1072,208 +1073,6 @@ class ShardedConnection:
         assert first_result is not None
         return first_result
 
-    # -- scatter-gather -------------------------------------------------------
-
-    def _outer_order_key(
-        self, table: Table, access, row: tuple, rowid: int
-    ) -> tuple:
-        """Global ordering key reproducing single-server candidate
-        order: rowid for scan/pk/index_eq (rowids are globally
-        allocated), (ranked index key, rowid) for ordered ranges."""
-        if access.kind == "index_range" and access.index_name is not None:
-            return (_sortable(table.index_key(access.index_name, row)), rowid)
-        return (rowid,)
-
-    def _iter_shard_outer(
-        self,
-        shard: int,
-        target: TableAccess,
-        params: Sequence[Any],
-        touched: list[int],
-        env: dict,
-    ) -> Iterator[tuple[tuple, int, tuple]]:
-        """Yield (order_key, rowid, row) for one shard's share of the
-        scatter target under the outer rows bound in ``env``, counting
-        touched rows and filtering like the executor."""
-        self._shard_ready(shard)
-        executor = self.executors[shard]
-        table = self.database.shards[shard].table(target.table_name)
-        access = target.access
-        for rowid in executor.candidate_rowids(table, access, env, params):
-            row = table.fetch(rowid)
-            if row is None:
-                continue
-            touched[0] += 1
-            if target.residual is not None:
-                verdict = target.residual(
-                    {**env, target.binding: row}, params
-                )
-                if verdict is None or not verdict:
-                    continue
-            yield (
-                self._outer_order_key(table, access, row, rowid),
-                rowid,
-                row,
-            )
-
-    def _gather(
-        self,
-        target: TableAccess,
-        params: Sequence[Any],
-        per_touched: list[list[int]],
-        env: dict,
-    ) -> list[tuple[tuple, int, int, tuple]]:
-        """(order_key, shard, rowid, row) for the scatter target from
-        every shard, merged into the single server's candidate order
-        (rowids are globally allocated, so the order keys are too).
-        Materialized before the caller acts on any row: a scatter
-        mutation, like the single server's, fails mid-statement at the
-        same global row."""
-        items = [
-            (okey, shard, rowid, row)
-            for shard in range(self.database.n_shards)
-            for okey, rowid, row in self._iter_shard_outer(
-                shard, target, params, per_touched[shard], env
-            )
-        ]
-        items.sort(key=lambda item: item[0])
-        return items
-
-    def _scatter_select(
-        self,
-        plan: SelectPlan,
-        target: TableAccess,
-        params: Sequence[Any],
-        txn: Optional[ShardedTransaction],
-    ) -> StatementResult:
-        """Router-side nested loop with the sharded ``target`` at any
-        join level.  Levels above it read replicated tables on the
-        affinity shard; at its level every shard's candidates are
-        gathered per outer row and merged; levels below it read
-        replicated tables on the shard that holds the gathered row.
-        Each row is touched where the single server would touch it and
-        in the same order, so rows, row order and rows_touched match."""
-        if txn is not None:
-            for shard in range(self.database.n_shards):
-                branch = txn.branch(shard)
-                for name in plan.lock_tables:
-                    branch.lock_table(name, exclusive=False)
-        level = plan.tables.index(target)
-        self._shard_ready(self._affinity)
-        outer_touched = [0]
-        per_touched = [[0] for _ in self.database.shards]
-
-        def env_stream() -> Iterator[dict]:
-            for env in self.executors[self._affinity].join_envs(
-                plan.tables[:level], params, outer_touched
-            ):
-                for _, shard, _, row in self._gather(
-                    target, params, per_touched, env
-                ):
-                    yield from self.executors[shard].join_envs(
-                        plan.tables, params, per_touched[shard],
-                        start=level + 1, env={**env, target.binding: row},
-                    )
-
-        rows = select_output_rows(plan, env_stream(), params)
-        total = self._notify_scatter(
-            "select", plan.tables[0].table_name, per_touched,
-            outer_touched[0],
-        )
-        result = StatementResult(columns=list(plan.column_names))
-        result.rows = rows
-        result.rowcount = len(rows)
-        result.rows_touched = total
-        return result
-
-    def _notify_scatter(
-        self,
-        operation: str,
-        table_name: str,
-        per_touched: list[list[int]],
-        outer_touched: int = 0,
-    ) -> int:
-        """Report per-shard row touches; returns the total.
-
-        Shards notify in ascending-touched order so the *dominant*
-        shard fires last: the simulated cluster's observer attributes
-        the statement's subsequent DB-CPU charge to the most recent
-        shard, and the heaviest participant is the least-wrong home
-        for a scatter statement's cost.  ``outer_touched`` (replicated
-        levels above the sharded one, read on the affinity shard) is
-        reported there but does not rank: every shard holds those rows,
-        so only the sharded level's touches say where the work was.
-        Untouched shards stay silent (no work, no attribution change);
-        a statement that touched nothing anywhere still notifies the
-        affinity shard once, mirroring the single server's
-        unconditional notify.
-        """
-        ranked = sorted(
-            range(self.database.n_shards),
-            key=lambda shard: (per_touched[shard][0], shard),
-        )
-        total = 0
-        for shard in ranked:
-            touched = per_touched[shard][0]
-            if shard == self._affinity:
-                touched += outer_touched
-            if touched > 0:
-                self.database.shards[shard].notify(
-                    operation, table_name, touched
-                )
-                total += touched
-        if total == 0:
-            self.database.shards[self._affinity].notify(
-                operation, table_name, 0
-            )
-        return total
-
-    def _scatter_update(
-        self,
-        plan: UpdatePlan,
-        params: Sequence[Any],
-        txn: Optional[ShardedTransaction],
-    ) -> StatementResult:
-        target = plan.target
-        per_touched = [[0] for _ in self.database.shards]
-        items = self._gather(target, params, per_touched, {})
-        for _, shard, rowid, _ in items:
-            branch = self._branch(txn, shard)
-            if branch is not None:
-                branch.lock_row(target.table_name, rowid)
-            table = self.database.shards[shard].table(target.table_name)
-            row = table.get(rowid)
-            env = {target.binding: row}
-            changes = {
-                column: expr(env, params)
-                for column, expr in plan.assignments
-            }
-            undo = table.update(rowid, changes)
-            if branch is not None:
-                branch.record_undo(undo)
-        total = self._notify_scatter("update", target.table_name, per_touched)
-        return StatementResult(rowcount=len(items), rows_touched=total)
-
-    def _scatter_delete(
-        self,
-        plan: DeletePlan,
-        params: Sequence[Any],
-        txn: Optional[ShardedTransaction],
-    ) -> StatementResult:
-        target = plan.target
-        per_touched = [[0] for _ in self.database.shards]
-        items = self._gather(target, params, per_touched, {})
-        for _, shard, rowid, _ in items:
-            branch = self._branch(txn, shard)
-            if branch is not None:
-                branch.lock_row(target.table_name, rowid)
-            table = self.database.shards[shard].table(target.table_name)
-            undo = table.delete(rowid)
-            if branch is not None:
-                branch.record_undo(undo)
-        total = self._notify_scatter("delete", target.table_name, per_touched)
-        return StatementResult(rowcount=len(items), rows_touched=total)
-
     # -- convenience API (mirrors Connection) ---------------------------------
 
     def query(self, sql: str, *params: Any) -> ResultSet:
@@ -1354,7 +1153,8 @@ def connect_sharded(
 
     ``sql_exec`` selects the statement executor for single-shard /
     broadcast statements (``tree`` / ``source``);
-    scatter-gather statements always merge at the router.  None reads
+    scatter-gather statements run their gather level on the tree
+    executor.  None reads
     ``REPRO_SQL_EXEC`` (default: source).  ``replica_reads`` lets
     out-of-transaction point reads run on a replica that has caught up
     to this session's commit watermark (read-your-writes).

@@ -18,13 +18,16 @@ flat generated Python function -- built as text, compiled with
   batch once and run residual filters / projections as comprehension
   loops; aggregates fold column lists; point statements collapse to
   straight-line code;
-* **joins pick a strategy per level** -- in the planner's order, an
-  outer-dependent key probe under an indexed or filtered driver is an
-  index nested loop; where every driver row probes (an unfiltered
-  driving scan) or the inner has no index to probe (a scan with an
-  equality key) the level builds one hash table per statement, unless
-  the inner holds fewer than :data:`HASH_JOIN_MIN_ROWS` rows at
-  generation time, when it keeps nested-loop probes;
+* **joins run the strategy resolved per level** -- in the planner's
+  order, each level emits what
+  :func:`~repro.db.sql.planner.resolve_join_strategies` resolved for
+  the plan on this database, once, at generation: an index nested
+  loop for an outer-dependent key probe under an indexed or filtered
+  driver, one hash build per statement where every driver row probes
+  (an unfiltered driving scan) or the inner has no index to probe (a
+  scan with an equality key), nested-loop probes on a tiny inner.
+  The resolved tuple is also what ``join_meta`` and the header line
+  record;
 * **the sort / DISTINCT / LIMIT tail** calls the tree executor's own
   :func:`~repro.db.sql.executor.sort_result_rows`,
   :func:`~repro.db.sql.executor.distinct_rows` and
@@ -61,7 +64,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.core.codegen import SourceWriter, maybe_dump_source, source_signature
 from repro.db.engine import Database, Table, UndoRecord
 from repro.db.errors import ExecutionError, IntegrityError
-from repro.db.index import ABOVE_NULL, OrderedIndex
+from repro.db.index import OrderedIndex
 from repro.db.sql.ast import (
     Between,
     BinaryOp,
@@ -95,20 +98,12 @@ from repro.db.sql.planner import (
     UpdatePlan,
     _like_matcher,
     extract_equi_conjuncts,
+    resolve_join_strategies,
     scope_positions,
 )
 
 if False:  # pragma: no cover - import cycle guard for type checkers
     from repro.db.txn import Transaction
-
-# Hash-build threshold for the levels that build at all (the planner's
-# ``hash`` / ``hash_scan`` classes), fixed at generation time from the
-# inner table's size.  Below it a hash build costs more than it saves
-# (an index probe is already one dict lookup), so the generated code
-# keeps nested-loop probes.  Deterministic by construction: the
-# decision depends only on len(table) at prepare time.
-HASH_JOIN_MIN_ROWS = 16
-
 
 # SQL executor selection: "source" (the default) generates Python source
 # text per plan (this module), falling back to the tree executor for a
@@ -168,6 +163,18 @@ def _sql_between(value: Any, low: Any, high: Any, negated: bool) -> Optional[boo
     return (not result) if negated else result
 
 
+_PLAIN_LITERALS = frozenset((int, float, str, bool, type(None)))
+_JOIN_STRATEGIES = frozenset(
+    ("driver", "lookup", "scan", "nested", "hash", "hash_scan")
+)
+
+
+def _tuple_text(parts) -> str:
+    """A tuple display of expression texts (a 1-tuple keeps its comma)."""
+    parts = list(parts)
+    return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+
+
 def _fold_agg(spec, values: list) -> _Aggregator:
     """Fold one aggregate over a materialized argument column; the
     caller takes ``result()`` once every per-row expression has run."""
@@ -195,8 +202,9 @@ class _PlanCodegen:
     call -- measurable at microsecond statement latencies).
     """
 
-    def __init__(self, database: Database) -> None:
+    def __init__(self, database: Database, strategies: tuple) -> None:
         self.database = database
+        self.strategies = strategies  # resolve_join_strategies(plan, database)
         self.w = SourceWriter()
         self._bind_names: list[str] = []      # _g_<hint> in bind order
         self._bind_objects: list[Any] = []    # same order; exec namespace
@@ -204,8 +212,6 @@ class _PlanCodegen:
         self._used_names: set[str] = set()
         self._temps = 0
         self._tbinds: dict[tuple[int, str], dict[str, str]] = {}
-        self.join_meta: list[tuple[str, str]] = []
-        self.join_header: Optional[str] = None
 
     # -- binding -------------------------------------------------------------
 
@@ -254,7 +260,11 @@ class _PlanCodegen:
         """
         w = self.expr  # recursion shorthand
         if isinstance(ast, Literal):
-            return repr(ast.value)
+            if type(ast.value) in _PLAIN_LITERALS:
+                return repr(ast.value)
+            # A planner-made range-bound component: an index sentinel,
+            # bound under its name.
+            return self.bind(ast.value, ast.value.name)
         if isinstance(ast, Parameter):
             return f"params[{ast.index}]"
         if isinstance(ast, ColumnRef):
@@ -377,7 +387,7 @@ class _PlanCodegen:
         if not asts:
             raise PlanCodegenError("empty key expression list")
         parts = [self.expr(a, scope, row_ref) for a in asts]
-        return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+        return _tuple_text(parts)
 
     # -- row-reference contexts ----------------------------------------------
 
@@ -526,7 +536,7 @@ class _PlanCodegen:
                 if key.ast is None:
                     raise PlanCodegenError("sort key source expression")
                 parts.append(self.expr(key.ast, scope, row_ref))
-        return "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+        return _tuple_text(parts)
 
     def _projection_is_pure(self, plan: SelectPlan) -> bool:
         """True when every output is a plain column reference and there
@@ -552,35 +562,32 @@ class _PlanCodegen:
             raise PlanCodegenError("residual source expression")
         return None
 
-    def _emit_range_bounds(
+    def _range_call(
         self,
+        table: Table,
         access: AccessPath,
         scope: Scope,
         row_ref: Optional[Callable[[ColumnRef], str]],
-        lo_var: str,
-        hi_var: str,
-    ) -> tuple[str, str]:
-        """Assign range-bound tuples (with ABOVE_NULL when only a high
-        bound limits the range column) to ``lo_var`` / ``hi_var``;
-        returns the inclusive flags as repr'd keyword text."""
-        w = self.w
-        low_inclusive = access.low_inclusive
-        if len(access.high_asts) > len(access.low_asts):
-            # Only a high bound on the range column: start above its
-            # NULLs, which ``<`` / ``<=`` never match.
-            parts = [self.expr(a, scope, row_ref) for a in access.low_asts]
-            parts.append(self.bind(ABOVE_NULL, "ABOVE_NULL"))
-            w.line(f"{lo_var} = ({', '.join(parts)},)")
-            low_inclusive = True
-        elif access.low_asts:
-            w.line(f"{lo_var} = {self.key_tuple(access.low_asts, scope, row_ref)}")
-        else:
-            w.line(f"{lo_var} = None")
-        if access.high_asts:
-            w.line(f"{hi_var} = {self.key_tuple(access.high_asts, scope, row_ref)}")
-        else:
-            w.line(f"{hi_var} = None")
-        return repr(low_inclusive), repr(access.high_inclusive)
+        level: str,
+    ) -> str:
+        """Assign the range bounds (stored normalised by the planner) to
+        ``_lo<level>`` / ``_hi<level>``; returns the ``range_rowids`` call
+        over them."""
+        index = self._secondary(table, access)
+        if not isinstance(index, OrderedIndex):  # pragma: no cover
+            raise ExecutionError(
+                f"index {access.index_name!r} does not support ranges"
+            )
+        range_fn = self.bind(index.range_rowids, f"range{level}")
+        for var, asts in ((f"_lo{level}", access.low_asts),
+                          (f"_hi{level}", access.high_asts)):
+            bound = self.key_tuple(asts, scope, row_ref) if asts else None
+            self.w.line(f"{var} = {bound}")
+        return (
+            f"{range_fn}(_lo{level}, _hi{level}, "
+            f"low_inclusive={access.low_inclusive!r}, "
+            f"high_inclusive={access.high_inclusive!r})"
+        )
 
     def _table_binds(self, table: Table, level: str) -> dict[str, str]:
         """Common per-table bindings, suffixed for uniqueness by level.
@@ -668,19 +675,10 @@ class _PlanCodegen:
                 w.line(f"{match_var} = batch")
             return
         if kind == "index_range":
-            index = self._secondary(table, access)
-            if not isinstance(index, OrderedIndex):  # pragma: no cover
-                raise ExecutionError(
-                    f"index {access.index_name!r} does not support ranges"
-                )
-            range_fn = self.bind(index.range_rowids, "range0")
-            lo_inc, hi_inc = self._emit_range_bounds(
-                access, scope, None, "_lo0", "_hi0"
-            )
+            rowids = self._range_call(table, access, scope, None, "0")
             w.line(
                 f"batch = [row for row in map({binds['fetch']}, "
-                f"{range_fn}(_lo0, _hi0, low_inclusive={lo_inc}, "
-                f"high_inclusive={hi_inc})) if row is not None]"
+                f"{rowids}) if row is not None]"
             )
             w.line("touched = len(batch)")
             if residual is not None:
@@ -859,10 +857,7 @@ class _PlanCodegen:
                 self.expr(spec.arg_ast, scope, row_ref)
                 for _, spec in arg_specs
             ]
-            tup = (
-                "(" + ", ".join(parts)
-                + ("," if len(parts) == 1 else "") + ")"
-            )
+            tup = _tuple_text(parts)
             w.line(f"_argrows = [{tup} for row in match]")
         fold = self.bind(_fold_agg, "fold") if arg_specs else None
         for column, (i, spec) in enumerate(arg_specs):
@@ -907,29 +902,11 @@ class _PlanCodegen:
                 values.append(f"_e{j}")
             else:  # pragma: no cover - defensive, mirrors the tree
                 values.append("None")
-        tup = (
-            "(" + ", ".join(values)
-            + ("," if len(values) == 1 else "") + ")"
-        )
+        tup = _tuple_text(values)
         w.line(f"rows = [{tup}]")
         self._emit_select_tail(first, names, tail, "touched")
 
     # -- joins ----------------------------------------------------------------
-
-    def _choose_strategy(self, ta: TableAccess, table: Table) -> str:
-        """Resolve the planner's static strategy class for one join
-        level against the inner table's current size (a prepare-time
-        snapshot, like every other binding a prepared plan carries).
-        Hash candidates degrade to scan/nested below MIN_ROWS."""
-        static = ta.join_strategy
-        if static in ("driver", "lookup", "scan", "nested"):
-            return static
-        small = len(table) < HASH_JOIN_MIN_ROWS
-        if static == "hash_scan":
-            return "scan" if small else "hash_scan"
-        if static != "hash":
-            raise PlanCodegenError(f"unknown join strategy {static!r}")
-        return "nested" if small else "hash"
 
     def _emit_join_prelude(
         self,
@@ -955,10 +932,7 @@ class _PlanCodegen:
             # counts as a probed candidate via _n<level>.
             assert equi is not None
             offsets, _ = equi
-            key = (
-                "(" + ", ".join(f"_hr[{o}]" for o in offsets)
-                + ("," if len(offsets) == 1 else "") + ")"
-            )
+            key = _tuple_text(f"_hr[{o}]" for o in offsets)
             null_test = " or ".join(
                 f"_hk[{i}] is None" for i in range(len(offsets))
             )
@@ -1012,30 +986,20 @@ class _PlanCodegen:
                 )
                 return
             if access.kind == "index_range":
-                index = self._secondary(table, access)
-                if not isinstance(index, OrderedIndex):  # pragma: no cover
-                    raise ExecutionError(
-                        f"index {access.index_name!r} does not support ranges"
-                    )
-                range_fn = self.bind(index.range_rowids, f"range{level}")
-                lo_inc, hi_inc = self._emit_range_bounds(
-                    access, scope, None, f"_lo{level}", f"_hi{level}"
+                rowids = self._range_call(
+                    table, access, scope, None, str(level)
                 )
                 w.line(
                     f"_c{level} = [_cw{level} for _cw{level} in "
-                    f"map({binds['fetch']}, {range_fn}(_lo{level}, "
-                    f"_hi{level}, low_inclusive={lo_inc}, "
-                    f"high_inclusive={hi_inc})) if _cw{level} is not None]"
+                    f"map({binds['fetch']}, {rowids}) "
+                    f"if _cw{level} is not None]"
                 )
                 return
             raise ExecutionError(f"unknown access kind {access.kind!r}")
         if strategy == "hash":
             if access.kind == "pk":
                 offsets = table.schema.primary_key_offsets()
-                key = (
-                    "(" + ", ".join(f"_hr[{o}]" for o in offsets)
-                    + ("," if len(offsets) == 1 else "") + ")"
-                )
+                key = _tuple_text(f"_hr[{o}]" for o in offsets)
                 w.line(f"_h{level} = {{}}")
                 w.line(f"for _hr in {binds['rows']}.values():")
                 w.indent()
@@ -1045,10 +1009,7 @@ class _PlanCodegen:
             if access.kind == "index_eq":
                 index = self._secondary(table, access)
                 offsets = table._index_offsets[access.index_name]
-                key = (
-                    "(" + ", ".join(f"_hr[{o}]" for o in offsets)
-                    + ("," if len(offsets) == 1 else "") + ")"
-                )
+                key = _tuple_text(f"_hr[{o}]" for o in offsets)
                 # A NULL key matches no probe (lookup_sorted's rule).
                 null_test = " or ".join(
                     f"_hk[{i}] is None" for i in range(len(offsets))
@@ -1116,10 +1077,7 @@ class _PlanCodegen:
             # (SQL `=`), mirroring the skipped NULL build keys.
             assert equi is not None
             _, probe_parts = equi
-            probe = (
-                "(" + ", ".join(probe_parts)
-                + ("," if len(probe_parts) == 1 else "") + ")"
-            )
+            probe = _tuple_text(probe_parts)
             null_test = " and ".join(
                 f"_pk{idx}[{i}] is not None"
                 for i in range(len(probe_parts))
@@ -1201,19 +1159,8 @@ class _PlanCodegen:
             w.dedent()
             return
         if kind == "index_range":
-            index = self._secondary(table, access)
-            if not isinstance(index, OrderedIndex):  # pragma: no cover
-                raise ExecutionError(
-                    f"index {access.index_name!r} does not support ranges"
-                )
-            range_fn = self.bind(index.range_rowids, f"range{idx}")
-            lo_inc, hi_inc = self._emit_range_bounds(
-                access, scope, multi, f"_lo{idx}", f"_hi{idx}"
-            )
-            w.line(
-                f"for _x{idx} in {range_fn}(_lo{idx}, _hi{idx}, "
-                f"low_inclusive={lo_inc}, high_inclusive={hi_inc}):"
-            )
+            rowids = self._range_call(table, access, scope, multi, str(idx))
+            w.line(f"for _x{idx} in {rowids}:")
             w.indent()
             w.line(f"{rv} = {binds['fetch']}(_x{idx})")
             w.line(f"if {rv} is not None:")
@@ -1234,9 +1181,10 @@ class _PlanCodegen:
         positions = scope_positions(scope)
         multi = self.multi_ref(scope)
         levels: list = []
-        for L, ta in enumerate(plan.tables):
+        for ta, strategy in zip(plan.tables, self.strategies):
+            if strategy not in _JOIN_STRATEGIES:
+                raise PlanCodegenError(f"unknown join strategy {strategy!r}")
             table = self.database.table(ta.table_name)
-            strategy = self._choose_strategy(ta, table)
             equi = None
             if strategy == "hash_scan":
                 # A scanned inner table is the nested-loop worst case;
@@ -1262,14 +1210,6 @@ class _PlanCodegen:
                 residual = self._residual_expr(ta, scope, multi)
             levels.append(
                 (ta, table, residual, positions[ta.binding], strategy, equi)
-            )
-            self.join_meta.append((ta.binding, strategy))
-        if len(levels) > 1:
-            # Why this order and these strategies, readable from a dump.
-            self.join_header = " | ".join(
-                f"{ta.binding} {ta.access.kind} {strategy} "
-                f"rank={ta.join_rank}"
-                for ta, _, _, _, strategy, _ in levels
             )
 
         w.line("touched = 0")
@@ -1326,10 +1266,7 @@ class _PlanCodegen:
         if not group_parts:
             group_key = "()"
         else:
-            group_key = (
-                "(" + ", ".join(group_parts)
-                + ("," if len(group_parts) == 1 else "") + ")"
-            )
+            group_key = _tuple_text(group_parts)
             # Column values are validated int / float / str / bool /
             # None (or subclasses): already their own hashable key.
             if not all(isinstance(g, ColumnRef) for g in plan.group_asts):
@@ -1381,10 +1318,7 @@ class _PlanCodegen:
                 extra_slot += 1
             else:  # pragma: no cover - defensive, mirrors the tree
                 values.append("None")
-        tup = (
-            "(" + ", ".join(values)
-            + ("," if len(values) == 1 else "") + ")"
-        )
+        tup = _tuple_text(values)
         w.line(f"rows = [{tup} for _ge in groups.values()]")
         self._emit_select_tail(first, names, tail, "touched")
 
@@ -1455,10 +1389,7 @@ class _PlanCodegen:
             rows_name = self._table_binds(table, "t")["rows"]
             ie = self.bind(IntegrityError, "IE")
             offsets = table.schema.primary_key_offsets()
-            key = (
-                "(" + ", ".join(f"row[{o}]" for o in offsets)
-                + ("," if len(offsets) == 1 else "") + ")"
-            )
+            key = _tuple_text(f"row[{o}]" for o in offsets)
             w.line(f"_pk = {key}")
             null_test = " or ".join(
                 f"_pk[{i}] is None" for i in range(len(offsets))
@@ -1486,10 +1417,7 @@ class _PlanCodegen:
             for iname, index in table.secondary.items():
                 ins = self.bind(index.insert, f"ins_{iname}")
                 ioffsets = table._index_offsets[iname]
-                ikey = (
-                    "(" + ", ".join(f"row[{o}]" for o in ioffsets)
-                    + ("," if len(ioffsets) == 1 else "") + ")"
-                )
+                ikey = _tuple_text(f"row[{o}]" for o in ioffsets)
                 w.line(f"{ins}({ikey}, rowid)")
             w.line(f"{rows_name}[rowid] = row")
             self.emit_undo_record("undo", name, "insert")
@@ -1526,10 +1454,7 @@ class _PlanCodegen:
                 self.validator_expr(table, offset, f"params[{ast.index}]")
                 for offset, ast in zip(eval_offsets, plan.value_asts)
             ]
-            tup = (
-                "(" + ", ".join(parts)
-                + ("," if len(parts) == 1 else "") + ")"
-            )
+            tup = _tuple_text(parts)
             w.line(f"row = {tup}")
             self._emit_insert_commit(plan, table)
             return
@@ -1544,10 +1469,7 @@ class _PlanCodegen:
                 self.validator_expr(table, offset, f"_v{i}")
                 for i, offset in enumerate(eval_offsets)
             ]
-            tup = (
-                "(" + ", ".join(parts)
-                + ("," if len(parts) == 1 else "") + ")"
-            )
+            tup = _tuple_text(parts)
             w.line(f"row = {tup}")
             self._emit_insert_commit(plan, table)
             return
@@ -1564,7 +1486,7 @@ class _PlanCodegen:
         for offset in range(n_columns):
             value = f"_s{offset}" if offset in assigned else "None"
             parts.append(self.validator_expr(table, offset, value))
-        tup = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+        tup = _tuple_text(parts)
         w.line(f"row = {tup}")
         self._emit_insert_commit(plan, table)
 
@@ -1628,18 +1550,9 @@ class _PlanCodegen:
                 f"if (row := {binds['fetch']}(rowid)) is not None]"
             )
         elif kind == "index_range":
-            index = self._secondary(table, access)
-            if not isinstance(index, OrderedIndex):  # pragma: no cover
-                raise ExecutionError(
-                    f"index {access.index_name!r} does not support ranges"
-                )
-            range_fn = self.bind(index.range_rowids, "range0")
-            lo_inc, hi_inc = self._emit_range_bounds(
-                access, scope, None, "_lo0", "_hi0"
-            )
+            rowids = self._range_call(table, access, scope, None, "0")
             w.line(
-                f"_pairs = [(rowid, row) for rowid in {range_fn}(_lo0, "
-                f"_hi0, low_inclusive={lo_inc}, high_inclusive={hi_inc}) "
+                f"_pairs = [(rowid, row) for rowid in {rowids} "
                 f"if (row := {binds['fetch']}(rowid)) is not None]"
             )
         else:
@@ -1676,7 +1589,7 @@ class _PlanCodegen:
                 parts.append(f"row[{offset}]")
             else:
                 parts.append(self.validator_expr(table, offset, f"_v{i}"))
-        tup = "(" + ", ".join(parts) + ("," if len(parts) == 1 else "") + ")"
+        tup = _tuple_text(parts)
         w.line(f"{after_var} = {tup}")
 
     def emit_update(self, plan: UpdatePlan) -> None:
@@ -1866,8 +1779,15 @@ def generate_plan_source(
     accumulate while statements emit, and each becomes a parameter of
     the closure-maker, applied to a stable ``_B<i>`` key from the
     returned namespace.  ``run`` itself takes only ``(params, txn)``
-    so statement execution pays no per-call binding cost."""
-    gen = _PlanCodegen(database)
+    so statement execution pays no per-call binding cost.
+
+    Each join level's strategy is resolved here, once for the plan on
+    ``database``: the generator emits it, and the join metadata (and
+    the header line that makes a dump say why) is derived from it."""
+    if getattr(plan, "gather", None) is not None:
+        raise PlanCodegenError("a gather level runs on the tree executor")
+    strategies = resolve_join_strategies(plan, database)
+    gen = _PlanCodegen(database, strategies)
     gen.w.indent()  # body emits inside _make's inner run
     gen.w.indent()
     if isinstance(plan, SelectPlan):
@@ -1891,16 +1811,27 @@ def generate_plan_source(
     body = gen.w.text()
     names = ", ".join(gen._bind_names)
     keys = ", ".join(f"_B{i}" for i in range(len(gen._bind_names)))
+    join_meta: tuple[tuple[str, str], ...] = ()
+    header = ", ".join(table_names)
+    if len(strategies) > 1:
+        join_meta = tuple(
+            (ta.binding, strategy)
+            for ta, strategy in zip(plan.tables, strategies)
+        )
+        header = " | ".join(
+            f"{ta.binding} {ta.access.kind} {strategy} rank={ta.join_rank}"
+            for ta, strategy in zip(plan.tables, strategies)
+        )
     text = (
         "# generated by repro.db.sql.codegen_plan\n"
-        f"# plan: {kind} {gen.join_header or ', '.join(table_names)}\n"
+        f"# plan: {kind} {header}\n"
         f"def _make({names}):\n"
         "    def run(params, txn):\n"
         f"{body}"
         "    return run\n"
         f"run = _make({keys})\n"
     )
-    return text, gen.namespace(), kind, table_names, tuple(gen.join_meta)
+    return text, gen.namespace(), kind, table_names, join_meta
 
 
 def compile_plan_source(plan: Plan, database: Database) -> SourcePlan:

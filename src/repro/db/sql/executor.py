@@ -4,22 +4,23 @@ Walks the operator tree produced by the planner and returns a
 :class:`StatementResult`.  Mutations append undo records to the active
 transaction (when one is supplied) so rollback can restore state.
 The executor also counts rows touched, which the cluster simulator
-converts into CPU cost for the database server.
+converts into CPU cost for the database server.  A plan's gather level
+runs the same loops over a sharded tier's shards (:class:`Shards`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.db.engine import Database, Table
 from repro.db.errors import ExecutionError
-from repro.db.index import ABOVE_NULL, OrderedIndex
+from repro.db.index import OrderedIndex
 from repro.db.sql.planner import (
     AccessPath,
     AggregateSpec,
     DeletePlan,
+    Gather,
     InsertPlan,
     Plan,
     SelectPlan,
@@ -235,9 +236,7 @@ def project_envs(
     """Project a non-aggregate env stream and apply ORDER BY.
 
     Hidden sort values (one trailing slot per sort key) are appended
-    per row and stripped by :func:`sort_result_rows`.  Shared by the
-    tree executor and the shard router's scatter-gather path, which
-    feeds it a cross-shard merged env stream.
+    per row and stripped by :func:`sort_result_rows`.
     """
     rows: list[tuple] = []
     for env in envs:
@@ -260,8 +259,8 @@ def aggregate_envs(
     """Aggregate an env stream (GROUP BY / whole-input) and sort.
 
     Group emission order is first appearance in the stream -- the
-    reason the shard router must merge per-shard streams back into
-    global scan order before aggregating.
+    reason a gather level merges per-shard rows back into global scan
+    order before aggregating.
     """
     groups: dict[tuple, tuple[list[Any], list[_Aggregator]]] = {}
     order: list[tuple] = []
@@ -329,146 +328,89 @@ def select_output_rows(
 
 
 class Executor:
-    """Executes plans against a :class:`Database`."""
+    """Executes plans against a :class:`Database`.
+
+    A plan with a :class:`~repro.db.sql.planner.Gather` level runs on a
+    sharded tier's per-shard executors at once (:class:`Shards`), through
+    the same loops: each row is read, locked and logged on the shard
+    that holds it.
+    """
 
     def __init__(self, database: Database) -> None:
         self.database = database
 
     # -- row sources ----------------------------------------------------------
 
-    def _candidate_rowids(
+    def _access_rowids(
         self,
         table: Table,
         access: AccessPath,
         env: dict,
         params: Sequence[Any],
-    ) -> Iterator[int]:
-        if access.kind == "scan":
-            yield from list(table.rowids())
-            return
-        if access.kind == "pk":
+    ) -> Iterable[int]:
+        kind = access.kind
+        if kind == "scan":
+            return list(table.rowids())
+        if kind == "pk":
             key = tuple(expr(env, params) for expr in access.key_exprs)
             rowid = table.lookup_pk(key)
-            if rowid is not None:
-                yield rowid
-            return
-        if access.kind == "index_eq":
-            assert access.index_name is not None
-            index = table.secondary[access.index_name]
+            return () if rowid is None else (rowid,)
+        if kind == "index_eq":
             key = tuple(expr(env, params) for expr in access.key_exprs)
-            yield from index.lookup_sorted(key)
-            return
-        if access.kind == "index_range":
-            assert access.index_name is not None
+            return table.secondary[access.index_name].lookup_sorted(key)
+        if kind == "index_range":
             index = table.secondary[access.index_name]
             if not isinstance(index, OrderedIndex):  # pragma: no cover
                 raise ExecutionError(
                     f"index {access.index_name!r} does not support ranges"
                 )
-            low = (
-                tuple(expr(env, params) for expr in access.low_exprs)
-                if access.low_exprs
-                else None
-            )
-            high = (
-                tuple(expr(env, params) for expr in access.high_exprs)
-                if access.high_exprs
-                else None
-            )
-            low_inclusive = access.low_inclusive
-            if len(access.high_exprs) > len(access.low_exprs):
-                # Only a high bound on the range column: start above
-                # its NULLs, which ``<`` / ``<=`` never match.
-                low = (low or ()) + (ABOVE_NULL,)
-                low_inclusive = True
-            yield from index.range_scan(
-                low=low,
-                high=high,
-                low_inclusive=low_inclusive,
+            # The planner stored the bounds normalised.
+            return index.range_scan(
+                low=_bound(access.low_exprs, env, params),
+                high=_bound(access.high_exprs, env, params),
+                low_inclusive=access.low_inclusive,
                 high_inclusive=access.high_inclusive,
             )
-            return
-        raise ExecutionError(f"unknown access kind {access.kind!r}")
+        raise ExecutionError(f"unknown access kind {kind!r}")
 
-    def candidate_rowids(
-        self,
-        table: Table,
-        access: AccessPath,
-        env: dict,
-        params: Sequence[Any],
-    ) -> Iterator[int]:
-        """Public access-path row source (shard router scatter path)."""
-        return self._candidate_rowids(table, access, env, params)
-
-    def _iter_table(
+    def _matches(
         self,
         table_access: TableAccess,
         env: dict,
         params: Sequence[Any],
         touched: list[int],
-    ) -> Iterator[dict]:
+    ) -> Iterator[tuple[int, dict]]:
+        """The fetch / touched / residual loop: (rowid, ``env`` with the
+        row bound) per candidate row that passes the residual, counting
+        every fetched row in ``touched[0]``."""
         table = self.database.table(table_access.table_name)
-        for rowid in self._candidate_rowids(
+        binding, residual = table_access.binding, table_access.residual
+        for rowid in self._access_rowids(
             table, table_access.access, env, params
         ):
-            if not table.has_rowid(rowid):
+            row = table.fetch(rowid)
+            if row is None:
                 continue
-            row = table.get(rowid)
             touched[0] += 1
             new_env = dict(env)
-            new_env[table_access.binding] = row
-            if table_access.residual is not None:
-                verdict = table_access.residual(new_env, params)
+            new_env[binding] = row
+            if residual is not None:
+                verdict = residual(new_env, params)
                 if verdict is None or not verdict:
                     continue
-            yield new_env
+            yield rowid, new_env
 
-    def _join_rows(
+    # -- dispatch ----------------------------------------------------------------
+
+    def execute(
         self,
-        tables: list[TableAccess],
-        params: Sequence[Any],
-        touched: list[int],
-    ) -> Iterator[dict]:
-        yield from self.join_envs(tables, params, touched)
-
-    def join_envs(
-        self,
-        tables: list[TableAccess],
-        params: Sequence[Any],
-        touched: list[int],
-        start: int = 0,
-        env: Optional[dict] = None,
-    ) -> Iterator[dict]:
-        """Nested-loop join starting at table ``start`` with ``env``
-        already bound.  The shard router uses the seeded form to join
-        a sharded outer row against that shard's replicated inner
-        tables."""
-
-        def recurse(idx: int, env: dict) -> Iterator[dict]:
-            if idx >= len(tables):
-                yield env
-                return
-            for new_env in self._iter_table(tables[idx], env, params, touched):
-                yield from recurse(idx + 1, new_env)
-
-        yield from recurse(start, env if env is not None else {})
-
-    # -- SELECT ------------------------------------------------------------------
-
-    def execute_select(
-        self, plan: SelectPlan, params: Sequence[Any]
+        plan: Plan,
+        params: Sequence[Any] = (),
+        txn: Optional["Transaction"] = None,
     ) -> StatementResult:
-        touched = [0]
-        result = StatementResult(columns=list(plan.column_names))
-        envs = self._join_rows(plan.tables, params, touched)
-        rows = select_output_rows(plan, envs, params)
-        result.rows = rows
-        result.rowcount = len(rows)
-        result.rows_touched = touched[0]
-        self.database.notify("select", plan.tables[0].table_name, touched[0])
-        return result
-
-    # -- mutations ---------------------------------------------------------------
+        if isinstance(plan, InsertPlan):
+            return self.execute_insert(plan, params, txn)
+        return Shards([self], lambda _: txn).execute(plan, params)
 
     def execute_insert(
         self,
@@ -491,85 +433,178 @@ class Executor:
         self.database.notify("insert", plan.table_name, 1)
         return StatementResult(rowcount=1, rows_touched=1)
 
-    def _target_rowids(
-        self,
-        target: TableAccess,
-        params: Sequence[Any],
-        touched: list[int],
-    ) -> list[int]:
-        table = self.database.table(target.table_name)
-        matches: list[int] = []
-        for rowid in self._candidate_rowids(table, target.access, {}, params):
-            if not table.has_rowid(rowid):
-                continue
-            row = table.get(rowid)
-            touched[0] += 1
-            if target.residual is not None:
-                env = {target.binding: row}
-                verdict = target.residual(env, params)
-                if verdict is None or not verdict:
-                    continue
-            matches.append(rowid)
-        return matches
 
-    def execute_update(
-        self,
-        plan: UpdatePlan,
-        params: Sequence[Any],
-        txn: Optional["Transaction"] = None,
-    ) -> StatementResult:
-        table = self.database.table(plan.target.table_name)
-        touched = [0]
-        rowids = self._target_rowids(plan.target, params, touched)
-        for rowid in rowids:
-            if txn is not None:
-                txn.lock_row(plan.target.table_name, rowid)
-            row = table.get(rowid)
-            env = {plan.target.binding: row}
-            changes = {
-                column: expr(env, params) for column, expr in plan.assignments
-            }
-            undo = table.update(rowid, changes)
-            if txn is not None:
-                txn.record_undo(undo)
-        self.database.notify("update", plan.target.table_name, touched[0])
-        return StatementResult(rowcount=len(rowids), rows_touched=touched[0])
+def _bound(exprs: Sequence[Any], env: dict, params: Sequence[Any]):
+    return tuple(expr(env, params) for expr in exprs) if exprs else None
 
-    def execute_delete(
-        self,
-        plan: DeletePlan,
-        params: Sequence[Any],
-        txn: Optional["Transaction"] = None,
-    ) -> StatementResult:
-        table = self.database.table(plan.target.table_name)
-        touched = [0]
-        rowids = self._target_rowids(plan.target, params, touched)
-        for rowid in rowids:
-            if txn is not None:
-                txn.lock_row(plan.target.table_name, rowid)
-            undo = table.delete(rowid)
-            if txn is not None:
-                txn.record_undo(undo)
-        self.database.notify("delete", plan.target.table_name, touched[0])
-        return StatementResult(rowcount=len(rowids), rows_touched=touched[0])
 
-    # -- dispatch ----------------------------------------------------------------
+def _ready(shard: int) -> None:
+    """A single server's shard is always there."""
 
-    def execute(
+
+class Shards:
+    """The executors one SELECT / UPDATE / DELETE runs on, and the rows
+    it touched on each.
+
+    A single server is one shard.  A plan with a gather level runs on a
+    sharded tier's every shard: ``executors[i]`` reads shard ``i``;
+    ``ready(i)`` runs before a shard is read (a router refuses a down
+    shard there and may re-mint ``executors[i]``); ``branch(i)`` is the
+    transaction that locks and logs on shard ``i``, None outside one.
+    Levels above the gather read replicated tables on ``home``.
+    """
+
+    def __init__(
         self,
-        plan: Plan,
-        params: Sequence[Any] = (),
-        txn: Optional["Transaction"] = None,
-    ) -> StatementResult:
+        executors: list[Executor],
+        branch: Callable[[int], Optional["Transaction"]],
+        home: int = 0,
+        ready: Callable[[int], None] = _ready,
+    ) -> None:
+        self.executors = executors
+        self.branch = branch
+        self.home = home
+        self.ready = ready
+        self.touched = [[0] for _ in executors]
+        self.above = [0]  # rows of the levels above the gather, on home
+
+    def execute(self, plan: Plan, params: Sequence[Any]) -> StatementResult:
+        """Run a SELECT, UPDATE or DELETE."""
         if isinstance(plan, SelectPlan):
+            for shard in range(len(self.executors)):
+                txn = self.branch(shard)
+                if txn is not None:
+                    for name in plan.lock_tables:
+                        txn.lock_table(name, exclusive=False)
+            self.ready(self.home)
+            envs = (
+                env for _, _, env in self._join(plan.tables, plan.gather, params)
+            )
+            rows = select_output_rows(plan, envs, params)
+            touched = self.notify("select", plan.tables[0].table_name)
+            return StatementResult(
+                list(plan.column_names), rows, len(rows), touched
+            )
+        if not isinstance(plan, (UpdatePlan, DeletePlan)):
+            raise ExecutionError(f"cannot execute {type(plan).__name__}")
+        target = plan.target
+        name = target.table_name
+        update = isinstance(plan, UpdatePlan)
+        # Every target row is found before the first one changes.
+        found = [
+            (shard, rowid)
+            for shard, rowid, _ in self._join([target], plan.gather, params)
+        ]
+        for shard, rowid in found:
+            txn = self.branch(shard)
             if txn is not None:
-                for name in plan.lock_tables:
-                    txn.lock_table(name, exclusive=False)
-            return self.execute_select(plan, params)
-        if isinstance(plan, InsertPlan):
-            return self.execute_insert(plan, params, txn)
-        if isinstance(plan, UpdatePlan):
-            return self.execute_update(plan, params, txn)
-        if isinstance(plan, DeletePlan):
-            return self.execute_delete(plan, params, txn)
-        raise ExecutionError(f"cannot execute {type(plan).__name__}")
+                txn.lock_row(name, rowid)
+            table = self.executors[shard].database.table(name)
+            if update:
+                env = {target.binding: table.get(rowid)}
+                changes = {
+                    column: expr(env, params)
+                    for column, expr in plan.assignments
+                }
+                undo = table.update(rowid, changes)
+            else:
+                undo = table.delete(rowid)
+            if txn is not None:
+                txn.record_undo(undo)
+        touched = self.notify("update" if update else "delete", name)
+        return StatementResult(rowcount=len(found), rows_touched=touched)
+
+    def _join(
+        self,
+        tables: Sequence[TableAccess],
+        gather: Optional[Gather],
+        params: Sequence[Any],
+    ) -> Iterator[tuple[int, int, dict]]:
+        """Nested-loop join in the single server's order: (shard, rowid,
+        env) per result, the shard and rowid of the last level's row.
+        Levels above the gather read on ``home``, the gather level on
+        every shard, and the levels below it on the gathered row's."""
+        level = -1 if gather is None else gather.level
+
+        def recurse(idx: int, shard: int, rowid: int, env: dict):
+            if idx == len(tables):
+                yield shard, rowid, env
+                return
+            if idx == level:
+                found = self.gather(gather, tables[idx], env, params)
+            else:
+                touched = self.above if idx < level else self.touched[shard]
+                found = (
+                    (shard, row_id, new_env)
+                    for row_id, new_env in self.executors[shard]._matches(
+                        tables[idx], env, params, touched
+                    )
+                )
+            for owner, row_id, new_env in found:
+                yield from recurse(idx + 1, owner, row_id, new_env)
+
+        return recurse(0, self.home, -1, {})
+
+    def gather(
+        self,
+        gather: Gather,
+        table_access: TableAccess,
+        env: dict,
+        params: Sequence[Any],
+    ) -> list[tuple[int, int, dict]]:
+        """(shard, rowid, env) for the gathered level's rows under
+        ``env`` on every shard, merged into the single server's
+        candidate order.  Every shard is read before the caller uses
+        any row: a mutation, like the single server's, fails at the
+        same global row."""
+        found = []
+        for shard in range(len(self.executors)):
+            self.ready(shard)
+            executor = self.executors[shard]
+            table = executor.database.table(table_access.table_name)
+            for rowid, new_env in executor._matches(
+                table_access, env, params, self.touched[shard]
+            ):
+                row = new_env[table_access.binding]
+                found.append(
+                    (gather.merge_key(table, row, rowid), shard, rowid,
+                     new_env)
+                )
+        found.sort(key=itemgetter(0))
+        return [(shard, rowid, new_env) for _, shard, rowid, new_env in found]
+
+    def notify(self, operation: str, table_name: str) -> int:
+        """Report the statement's row touches per shard; returns the
+        total.
+
+        Shards notify in ascending-touched order so the *dominant*
+        shard fires last: the simulated cluster's observer attributes
+        the statement's subsequent DB-CPU charge to the most recent
+        shard, and the heaviest participant is the least-wrong home
+        for a scatter statement's cost.  Rows of the levels above the
+        gather (replicated tables, read on ``home``) are reported there
+        but do not rank: every shard holds those rows, so only the
+        sharded levels say where the work was.  Untouched shards stay
+        silent (no work, no attribution change); a statement that
+        touched nothing anywhere still notifies ``home`` once.  A
+        single server therefore notifies once, with every row touched.
+        """
+        ranked = sorted(
+            range(len(self.executors)),
+            key=lambda shard: (self.touched[shard][0], shard),
+        )
+        total = 0
+        for shard in ranked:
+            touched = self.touched[shard][0]
+            if shard == self.home:
+                touched += self.above[0]
+            if touched > 0:
+                self.executors[shard].database.notify(
+                    operation, table_name, touched
+                )
+                total += touched
+        if total == 0:
+            self.executors[self.home].database.notify(
+                operation, table_name, 0
+            )
+        return total

@@ -15,6 +15,12 @@ unplaced table whose access path -- given the tables already placed --
 ranks best in the list above (unique before non-unique index, a
 filtered scan before a bare one), ties keeping the written order.  The
 order reads the schema and the statement only, never a table size.
+
+The physical decisions every executor reads are made here, once:
+range bounds are stored normalised on :class:`AccessPath`, each join
+level's strategy is resolved against the database a statement runs on
+(:func:`resolve_join_strategies`), and a sharded deployment's fan-out
+is a :class:`Gather` level of the plan.
 """
 
 from __future__ import annotations
@@ -24,8 +30,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.db.catalog import Catalog, TableSchema
-from repro.db.engine import Database
+from repro.db.engine import Database, Table
 from repro.db.errors import PlanError, UnknownColumnError
+from repro.db.index import ABOVE_NULL, _sortable
 from repro.db.sql.ast import (
     Assignment,
     Between,
@@ -272,7 +279,9 @@ class AccessPath:
     The ``*_asts`` fields keep the source expressions of the compiled
     key closures: the source generator (:mod:`repro.db.sql.codegen_plan`)
     re-emits them in positional form.  A range bound may cover fewer
-    columns than the index; the index compares it as a prefix.
+    columns than the index; the index compares it as a prefix.  Bounds
+    are stored normalised: every executor passes them to the index as
+    they are.
     """
 
     kind: str
@@ -294,10 +303,11 @@ class TableAccess:
 
     ``join_strategy`` is the planner's static classification of how
     this level can fetch join candidates (``driver`` / ``lookup`` /
-    ``hash_scan`` / ``scan`` / ``hash`` / ``nested``); the codegen rung
-    resolves the two hash classes against prepare-time table sizes
-    (falling back to nested loops on tiny inners, one in-memory build
-    otherwise) and records the final pick per plan.
+    ``hash_scan`` / ``scan`` / ``hash`` / ``nested``), the same on every
+    database.  :func:`resolve_join_strategies` turns it into the
+    physical strategy on one database, once per prepared statement and
+    database; the source rung emits that and records it as its
+    ``join_meta``.
     """
 
     table_name: str
@@ -308,6 +318,28 @@ class TableAccess:
     join_strategy: Optional[str] = None
     # Access-path rank that placed this table in a SELECT's join order.
     join_rank: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class Gather:
+    """Where a plan fans out over a sharded tier's shards.
+
+    ``level`` is the position in the join (0 for an UPDATE / DELETE
+    target) of the one sharded table no equality binds; every other
+    table is replicated.  The tree executor reads that level on every
+    shard and merges the rows into the single server's candidate order
+    by :meth:`merge_key`: rowids are allocated globally, so the rowid
+    orders scans and index lookups, and an ordered range leads with its
+    ranked index key (``order_index``).
+    """
+
+    level: int
+    order_index: Optional[str] = None
+
+    def merge_key(self, table: Table, row: tuple, rowid: int) -> tuple:
+        if self.order_index is None:
+            return (rowid,)
+        return (_sortable(table.index_key(self.order_index, row)), rowid)
 
 
 @dataclass
@@ -366,6 +398,7 @@ class SelectPlan:
     # run scan/filter/project batch-at-a-time (materialize candidates
     # once, then comprehension passes) instead of row-at-a-time.
     batch_eligible: bool = False
+    gather: Optional[Gather] = None
 
 
 @dataclass
@@ -382,12 +415,14 @@ class UpdatePlan:
     assignments: list[tuple[str, Compiled]]
     assignment_asts: list[tuple[str, Expr]] = field(default_factory=list)
     scope: Optional[Scope] = None
+    gather: Optional[Gather] = None
 
 
 @dataclass
 class DeletePlan:
     target: TableAccess
     scope: Optional[Scope] = None
+    gather: Optional[Gather] = None
 
 
 Plan = SelectPlan | InsertPlan | UpdatePlan | DeletePlan
@@ -395,9 +430,35 @@ Plan = SelectPlan | InsertPlan | UpdatePlan | DeletePlan
 
 # -- join-strategy analysis ---------------------------------------------------
 #
-# Static (size-independent) classification of join levels, shared by the
-# planner (which records the class on each TableAccess) and the source
-# codegen rung (which resolves hash candidates against table sizes).
+# Static (size-independent) classification of join levels, recorded on
+# each TableAccess, and its resolution against one database's table
+# sizes, which the source codegen rung emits.
+
+# Hash-build threshold for the levels that build at all (the ``hash`` /
+# ``hash_scan`` classes), read from the inner table's size when a
+# statement is prepared on a database.  Below it a hash build costs
+# more than it saves (an index probe is already one dict lookup), so
+# the level keeps nested-loop probes.
+HASH_JOIN_MIN_ROWS = 16
+
+
+def resolve_join_strategies(plan: Plan, database: Database) -> tuple:
+    """The physical strategy of each level of a SELECT on ``database``
+    (empty for other statements): the static class, with a hash class
+    on an inner smaller than :data:`HASH_JOIN_MIN_ROWS` degraded to its
+    nested-loop form (``hash`` to ``nested``, ``hash_scan`` to
+    ``scan``).  Deterministic: it reads only table sizes at prepare."""
+    if not isinstance(plan, SelectPlan):
+        return ()
+    resolved = []
+    for ta in plan.tables:
+        strategy = ta.join_strategy
+        if strategy in ("hash", "hash_scan") and (
+            len(database.table(ta.table_name)) < HASH_JOIN_MIN_ROWS
+        ):
+            strategy = "nested" if strategy == "hash" else "scan"
+        resolved.append(strategy)
+    return tuple(resolved)
 
 
 def scope_positions(scope: Scope) -> dict[str, int]:
@@ -881,6 +942,10 @@ class Planner:
                     high_bound = value
                     high_inc = op == "<="
                     used.append(conj)
+            if high_bound is not None and low_bound is None:
+                # Only a high bound on the range column: start above
+                # its NULLs, which ``<`` / ``<=`` never match.
+                low_bound, low_inc = Literal(ABOVE_NULL), True
             if low_bound is not None:
                 low_exprs = low_exprs + [low_bound]
             if high_bound is not None:

@@ -15,13 +15,12 @@ import pytest
 from repro.core import codegen as core_codegen
 from repro.db import Database, connect
 from repro.db.sql.codegen_plan import (
-    HASH_JOIN_MIN_ROWS,
     compile_plan_source,
     generate_plan_source,
     maybe_compile_plan_source,
 )
 from repro.db.sql.parser import parse
-from repro.db.sql.planner import Planner
+from repro.db.sql.planner import HASH_JOIN_MIN_ROWS, Planner
 
 
 def _join_db(inner_rows):

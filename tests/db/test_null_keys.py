@@ -20,7 +20,7 @@ from repro.db import (
 )
 from repro.db.catalog import IndexSpec
 from repro.db.errors import IntegrityError
-from repro.db.sql.codegen_plan import HASH_JOIN_MIN_ROWS
+from repro.db.sql.planner import HASH_JOIN_MIN_ROWS
 
 SMALL = [(1, None, None), (2, 5, 7), (3, None, None)]
 # Past the hash-join threshold, so the source rung builds a hash table

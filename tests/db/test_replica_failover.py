@@ -85,7 +85,7 @@ class TestMidScriptFailover:
         # Kill the primary between statements; the failure detector's
         # job is played by hand here (the serve tier automates it).
         sharded_db.crash_primary(crash_shard)
-        assert sharded_db.is_down(crash_shard)
+        assert sharded_db.groups[crash_shard].crashed
         report = sharded_db.promote(crash_shard)
         assert report.generation == 1
 
