@@ -289,12 +289,6 @@ class OrderedIndex(HashIndex):
     def keys(self) -> Iterator[Key]:
         return (key for _, key in self._keys)
 
-    def min_key(self) -> Optional[Key]:
-        return self._keys[0][1] if self._keys else None
-
-    def max_key(self) -> Optional[Key]:
-        return self._keys[-1][1] if self._keys else None
-
     def clear(self) -> None:
         super().clear()
         self._keys.clear()

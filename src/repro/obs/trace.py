@@ -202,8 +202,5 @@ class Tracer:
     def find(self, name: str) -> list[Span]:
         return [s for s in self.spans if s.name == name]
 
-    def children_of(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
 
 NULL_TRACER = Tracer(enabled=False)

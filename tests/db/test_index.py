@@ -103,13 +103,12 @@ class TestOrderedIndex:
         # Prefix low bound (1,) selects all keys starting at (1, ...).
         assert list(index.range_scan(low=(1,), high=(1, "zzz"))) == [10, 11]
 
-    def test_min_max_keys(self):
+    def test_keys_in_order(self):
         index = OrderedIndex("i")
-        assert index.min_key() is None
+        assert list(index.keys()) == []
         index.insert((5,), 1)
         index.insert((2,), 2)
-        assert index.min_key() == (2,)
-        assert index.max_key() == (5,)
+        assert list(index.keys()) == [(2,), (5,)]
 
     def test_delete_removes_key_when_empty(self):
         index = OrderedIndex("i")
@@ -351,8 +350,6 @@ class IndexMachine(RuleBasedStateMachine):
         if self.index_class is OrderedIndex:
             ordered = sorted(model, key=_model_sort)
             assert list(index.keys()) == ordered
-            assert index.min_key() == (ordered[0] if ordered else None)
-            assert index.max_key() == (ordered[-1] if ordered else None)
         else:
             # Dict order: a key that emptied and came back goes last.
             assert list(index.keys()) == list(model)

@@ -32,7 +32,9 @@ class TestSpans:
         root.finish()
         assert child.parent_id == root.span_id
         assert root.parent_id is None
-        assert tracer.children_of(root) == [child]
+        assert [
+            span for span in tracer.spans if span.parent_id == root.span_id
+        ] == [child]
 
     def test_span_ids_are_sequential_per_tracer(self):
         tracer = Tracer(clock=VirtualClock())
