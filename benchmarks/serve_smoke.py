@@ -6,8 +6,10 @@ at the repository root -- transactions per *virtual* second (the
 modeled system's throughput, deterministic across machines) plus the
 wall-clock cost of simulating it (machine-dependent, recorded for the
 performance trajectory): the wall of all three configurations, and the
-adaptive run's event count with its wall time per event, the
-discrete-event core's own number.
+adaptive run's event count with its event loop's wall time per
+completed transaction.  Per transaction, not per event: a change that
+makes the loop fire fewer events without making each cheaper reads as
+a slower event, though the loop got faster.
 
 Every other field is a virtual-clock model output, so a re-record may
 not move it: before rewriting the file the smoke fails, naming the
@@ -29,6 +31,7 @@ from unittest import mock
 import pytest
 
 from repro.bench.serve_experiments import serve_load_sweep
+from repro.serve.stats import SweepPoint
 from repro.sim.clock import EventLoop
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -42,7 +45,7 @@ DURATION = 20.0
 # only fields a re-record may change.
 COST_FIELDS = (
     "wall_seconds_all_configs", "adaptive_events",
-    "adaptive_wall_us_per_event",
+    "adaptive_wall_us_per_txn",
 )
 
 
@@ -60,7 +63,9 @@ def check_model_unchanged(recorded: dict, measured: dict) -> None:
 
 def run_serve_smoke() -> dict:
     loop_runs = []  # (events, wall seconds) of each engine's event loop
+    completions = []  # completed transactions of each run
     inner = EventLoop.run
+    from_result = SweepPoint.from_result.__func__
 
     def timed_run(loop, *args, **kwargs):
         begin = time.perf_counter()
@@ -68,8 +73,13 @@ def run_serve_smoke() -> dict:
         loop_runs.append((events, time.perf_counter() - begin))
         return events
 
+    def counted(cls, result):
+        completions.append(result.completed)
+        return from_result(cls, result)
+
     start = time.perf_counter()
-    with mock.patch.object(EventLoop, "run", timed_run):
+    with mock.patch.object(EventLoop, "run", timed_run), \
+            mock.patch.object(SweepPoint, "from_result", classmethod(counted)):
         sweep = serve_load_sweep(
             fast=True,
             client_counts=[CLIENTS],
@@ -94,7 +104,7 @@ def run_serve_smoke() -> dict:
             sweep.curves["static_high"][0].throughput,
         "wall_seconds_all_configs": wall,
         "adaptive_events": events,
-        "adaptive_wall_us_per_event": 1e6 * loop_wall / events,
+        "adaptive_wall_us_per_txn": 1e6 * loop_wall / completions[-1],
     }
     if OUTPUT.exists():
         check_model_unchanged(json.loads(OUTPUT.read_text()), payload)
@@ -104,7 +114,7 @@ def run_serve_smoke() -> dict:
 
 def test_model_guard_names_the_moved_field():
     recorded = json.loads(OUTPUT.read_text())
-    faster = dict(recorded, adaptive_wall_us_per_event=0.5,
+    faster = dict(recorded, adaptive_wall_us_per_txn=0.5,
                   wall_seconds_all_configs=1.0, adaptive_events=1)
     check_model_unchanged(recorded, faster)  # cost fields may move
     for key in ("adaptive_txn_per_virtual_second", "adaptive_p95_latency_ms",
@@ -127,7 +137,7 @@ def test_serve_smoke(request):
         f"(static {payload['static_low_txn_per_virtual_second']:.1f} / "
         f"{payload['static_high_txn_per_virtual_second']:.1f}), "
         f"{payload['wall_seconds_all_configs']:.1f}s wall, "
-        f"{payload['adaptive_wall_us_per_event']:.2f} us per event -> "
+        f"{payload['adaptive_wall_us_per_txn']:.1f} us per transaction -> "
         f"{OUTPUT.name}"
     )
     # Non-failing perf record, but the modeled throughput is virtual-
