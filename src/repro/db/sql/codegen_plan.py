@@ -1784,8 +1784,6 @@ def generate_plan_source(
     Each join level's strategy is resolved here, once for the plan on
     ``database``: the generator emits it, and the join metadata (and
     the header line that makes a dump say why) is derived from it."""
-    if getattr(plan, "gather", None) is not None:
-        raise PlanCodegenError("a gather level runs on the tree executor")
     strategies = resolve_join_strategies(plan, database)
     gen = _PlanCodegen(database, strategies)
     gen.w.indent()  # body emits inside _make's inner run

@@ -516,7 +516,7 @@ def _join_deployments(data):
     return conns
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @given(join_rows, join_rows, join_rows, join_statements())
 def test_join_order_differential(rows0, rows1, rows2, statement):
     sql, params, tables, conditions, filters = statement
