@@ -5,15 +5,22 @@ CPUs; Pyxis (given a small budget) produces a JDBC-like partition that
 sustains higher throughput under DB CPU pressure.
 """
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import assert_report_digest, run_once
 from repro.bench.experiments import fig10
 from repro.bench.report import format_curves
+
+# sha256 of the printed report (see ``assert_report_digest``).
+REPORT_SHA256 = (
+    "6fd12c4810761abe8a2458fb701b1f8fc602b4ea3fb4f69e055d7245af435e08"
+)
 
 
 def test_fig10_tpcc_3core(benchmark):
     result = run_once(benchmark, lambda: fig10(fast=True))
+    report = format_curves(result)
     print()
-    print(format_curves(result))
+    print(report)
+    assert_report_digest(report, REPORT_SHA256)
 
     # Manual is fastest at the lowest offered rate...
     lowest = {

@@ -6,15 +6,22 @@ DB is loaded the EWMA-driven switcher moves to the JDBC-like partition
 the better of the two static implementations.
 """
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import assert_report_digest, run_once
 from repro.bench.experiments import fig11
 from repro.bench.report import format_fig11
+
+# sha256 of the printed report (see ``assert_report_digest``).
+REPORT_SHA256 = (
+    "03c859b26789a4aecff3079fbf16d2b178afc71564fc1464e71ff1eaff3a4a89"
+)
 
 
 def test_fig11_dynamic_switching(benchmark):
     result = run_once(benchmark, lambda: fig11(fast=True))
+    report = format_fig11(result)
     print()
-    print(format_fig11(result))
+    print(report)
+    assert_report_digest(report, REPORT_SHA256)
 
     def phase_mean(name: str, start: float, end: float) -> float:
         samples = [

@@ -8,9 +8,14 @@ the application server.
 
 import pytest
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import assert_report_digest, run_once
 from repro.bench.experiments import fig12
 from repro.bench.report import format_curves
+
+# sha256 of the printed report (see ``assert_report_digest``).
+REPORT_SHA256 = (
+    "aa8adcaf46f26027653e993236bf4ff408021209ec12d4dfdbf5a921008e34a5"
+)
 
 # ``pyxis - manual`` best latency (ms) recorded on the commit before the
 # planner chose join orders (JDBC 8.81 / Manual 6.31 / Pyxis 7.39 ms).
@@ -25,8 +30,10 @@ FIG9_PYXIS_OVER_MANUAL = 1.082
 
 def test_fig12_tpcw_16core(benchmark):
     result = run_once(benchmark, lambda: fig12(fast=True))
+    report = format_curves(result)
     print()
-    print(format_curves(result))
+    print(report)
+    assert_report_digest(report, REPORT_SHA256)
 
     jdbc = result.best_latency("jdbc")
     manual = result.best_latency("manual")

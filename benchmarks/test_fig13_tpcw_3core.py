@@ -5,15 +5,22 @@ logic saturates the 3 cores; JDBC and the Pyxis low-budget partition
 sustain higher WIPS.
 """
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import assert_report_digest, run_once
 from repro.bench.experiments import fig13
 from repro.bench.report import format_curves
+
+# sha256 of the printed report (see ``assert_report_digest``).
+REPORT_SHA256 = (
+    "cfa1544be870cd6be3cfbbc460bbd14ec96561d3996422c2c644e6b565ff1ffb"
+)
 
 
 def test_fig13_tpcw_3core(benchmark):
     result = run_once(benchmark, lambda: fig13(fast=True))
+    report = format_curves(result)
     print()
-    print(format_curves(result))
+    print(report)
+    assert_report_digest(report, REPORT_SHA256)
 
     lowest = {
         impl: result.curves[impl][0].latency_ms

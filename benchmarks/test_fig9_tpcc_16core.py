@@ -5,15 +5,22 @@ coincide; JDBC pays ~3x the latency; JDBC's throughput caps earlier
 (lock contention on district rows).
 """
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import assert_report_digest, run_once
 from repro.bench.experiments import fig9
 from repro.bench.report import format_curves
+
+# sha256 of the printed report (see ``assert_report_digest``).
+REPORT_SHA256 = (
+    "36997f329947be24c00f316219ab75a6df6efe4b4e549c713255d652ca1265fc"
+)
 
 
 def test_fig9_tpcc_16core(benchmark):
     result = run_once(benchmark, lambda: fig9(fast=True))
+    report = format_curves(result)
     print()
-    print(format_curves(result))
+    print(report)
+    assert_report_digest(report, REPORT_SHA256)
 
     jdbc_best = result.best_latency("jdbc")
     manual_best = result.best_latency("manual")
