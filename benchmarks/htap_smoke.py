@@ -53,8 +53,8 @@ def run_htap_smoke() -> dict:
         "analytics_interval_seconds": result.analytics_interval,
         "report_window_seconds": result.report_window,
         "analytics_load_fraction": result.analytics_load,
-        "oltp_only_throughput_txn_s": result.oltp_only_throughput,
-        "htap_throughput_txn_s": result.htap_throughput,
+        "oltp_only_throughput_txn_s": result.oltp_only.throughput,
+        "htap_throughput_txn_s": result.htap.throughput,
         "degradation_fraction": result.degradation,
         "degradation_ceiling": DEGRADATION_CEILING,
         "analytics_reports": result.reports_run,

@@ -57,8 +57,9 @@ def run_replica_smoke() -> dict:
         seed=17,
     )
     wall = time.perf_counter() - start
-    event = result.failovers[0] if result.failovers else None
-    metrics = result.metrics
+    run = result.run
+    event = run.failovers[0] if run.failovers else None
+    metrics = run.metrics
     payload = {
         "workload": "tpcc-new-order",
         "clients": CLIENTS,
@@ -77,12 +78,12 @@ def run_replica_smoke() -> dict:
             "generation": event.generation,
             "recovery_virtual_seconds": event.recovery_time,
         } if event is not None else None,
-        "throughput_txn_per_virtual_second": result.throughput,
+        "throughput_txn_per_virtual_second": run.throughput,
         "pre_fault_throughput": result.pre_fault_throughput,
         "post_failover_throughput": result.post_failover_throughput,
         "recovered_fraction": result.recovered_fraction,
-        "txn_aborts": result.aborted,
-        "txn_retries": result.txn_retries,
+        "txn_aborts": run.aborted,
+        "txn_retries": run.txn_retries,
         "two_pc": {
             "commits": metrics["two_pc.commits"],
             "aborts": metrics["two_pc.aborts"],

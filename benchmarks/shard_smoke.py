@@ -55,7 +55,7 @@ def run_shard_smoke() -> dict:
         "warehouses": sweep.notes.get("warehouses"),
         "points": [
             {
-                "shards": p.shards,
+                "shards": shards,
                 "adaptive_txn_per_virtual_second": p.throughput,
                 "p95_latency_ms": p.p95_ms,
                 "db_shard_utilization": [
@@ -63,7 +63,7 @@ def run_shard_smoke() -> dict:
                 ],
                 "switches": p.switches,
             }
-            for p in sweep.points
+            for shards, p in sweep.points.items()
         ],
         "speedup_4_shards_vs_1": sweep.speedup,
         "speedup_floor": SPEEDUP_FLOOR,

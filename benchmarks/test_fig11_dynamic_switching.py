@@ -23,15 +23,20 @@ def test_fig11_dynamic_switching(benchmark):
     print(report)
     assert_report_digest(report, REPORT_SHA256)
 
+    buckets = {
+        name: run.latency_buckets(result.bucket)
+        for name, run in result.runs.items()
+    }
+
     def phase_mean(name: str, start: float, end: float) -> float:
         samples = [
-            latency for when, latency in result.buckets[name]
+            latency for when, latency in buckets[name]
             if start <= when < end
         ]
         return sum(samples) / len(samples)
 
     load_time = result.load_time
-    end = max(when for when, _ in result.buckets["pyxis"])
+    end = max(when for when, _ in buckets["pyxis"])
 
     # Before the load: Pyxis tracks Manual (within 25%), beats JDBC.
     pre_pyxis = phase_mean("pyxis", 0, load_time)
@@ -50,6 +55,7 @@ def test_fig11_dynamic_switching(benchmark):
     assert post_pyxis < post_jdbc * 1.5
 
     # The partition mix flips from manual-like to jdbc-like.
-    fractions = [frac["jdbc_like"] for _, frac in result.pyxis_mix]
+    mix = result.runs["pyxis"].trace_mix(result.mix_bucket)
+    fractions = [frac.get(result.jdbc_like, 0.0) for _, frac in mix]
     assert fractions[0] < 0.05
     assert fractions[-1] > 0.95

@@ -14,7 +14,7 @@ real compiled-block program (see repro.serve.workload.LiveWorkload).
 Run:  PYTHONPATH=src python examples/dynamic_switching.py
 """
 
-from repro.bench.serve_experiments import serve_dynamic_switching
+from repro.bench.serve_experiments import ADAPTIVE, serve_dynamic_switching
 from repro.bench.report import format_serve_switching
 
 
@@ -27,12 +27,15 @@ def main(fast: bool = True) -> None:
           "after the spike the mix flips to\n100% JDBC-like and adaptive "
           "latency settles near static_low's while\nstatic_high degrades.")
     print()
-    mix_start = result.adaptive_mix[0][1]
-    mix_end = result.adaptive_mix[-1][1]
+    adaptive = result.runs[ADAPTIVE]
+    # Option 0 is the JDBC-like partition (the lowest budget).
+    mix = adaptive.option_mix(result.bucket)
+    mix_start = mix[0][1].get(0, 0.0)
+    mix_end = mix[-1][1].get(0, 0.0)
     print(f"JDBC-like fraction: {mix_start * 100:.0f}% -> "
           f"{mix_end * 100:.0f}%")
-    assert result.controller is not None
-    if result.controller.switches == 0:
+    assert adaptive.controller is not None
+    if adaptive.controller.switches == 0:
         raise SystemExit("expected at least one partition switch")
 
 

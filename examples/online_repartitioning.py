@@ -35,7 +35,7 @@ def main(fast: bool = True) -> None:
     if summary.mints == 0:
         raise SystemExit("expected at least one online repartitioning")
     best_static = result.best_static(post_shift=True)
-    repart = result.post_shift_throughput[REPARTITION]
+    repart = result.post_shift_throughput(REPARTITION)
     if repart < best_static:
         raise SystemExit(
             f"repartition ({repart:.1f}/s) lost to the best static "

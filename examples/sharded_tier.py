@@ -95,11 +95,11 @@ def main() -> int:
         fast=True, shard_counts=(1, 4), clients=64, db_cores=2,
         duration=8.0,
     )
-    for point in sweep.points:
+    for shards, point in sweep.points.items():
         util = ", ".join(
             f"{100 * u:.0f}%" for u in point.db_shard_utilization
         )
-        print(f"  {point.shards} shard(s): {point.throughput:7.1f} txn/s "
+        print(f"  {shards} shard(s): {point.throughput:7.1f} txn/s "
               f"(p95 {point.p95_ms:.0f} ms; db [{util}])")
     print(f"speedup: {sweep.speedup:.2f}x")
 

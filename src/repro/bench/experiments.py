@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional
 
 from repro.bench.harness import (
-    BaselineMode,
     TraceSet,
     collect_tpcc_traces,
     collect_tpcw_traces,
-    run_baseline_traced,
     sweep,
-    tag_lock_groups,
 )
 from repro.core.pipeline import Pyxis, PyxisConfig
 from repro.runtime.entrypoints import PartitionedApp
@@ -222,8 +219,6 @@ def _run_tpcc_experiment(
     result = ExperimentResult(name=name)
     for impl, sims in curves.items():
         result.curves[impl] = [CurvePoint.from_sim(s) for s in sims]
-    result.notes["rates"] = rates
-    result.notes["lock_groups"] = setup.lock_groups
     result.notes["db_cores"] = db_cores
     return result
 
@@ -255,13 +250,18 @@ def fig10(fast: bool = True) -> ExperimentResult:
 
 @dataclass
 class Fig11Result:
-    """Latency time series per implementation plus the Pyxis mix."""
+    """The jdbc, manual and pyxis runs under the same mid-run DB load.
 
-    buckets: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
-    pyxis_mix: list[tuple[float, dict[str, float]]] = field(default_factory=list)
-    load_time: float = 0.0
-    rate: float = 0.0
-    notes: dict[str, Any] = field(default_factory=dict)
+    The figure plots each run's mean latency per ``bucket`` seconds and
+    the share of Pyxis's completions that ran the ``jdbc_like`` trace
+    per ``mix_bucket`` seconds.
+    """
+
+    load_time: float
+    bucket: float
+    mix_bucket: float
+    jdbc_like: str
+    runs: dict[str, SimResult] = field(default_factory=dict)
 
 
 def fig11(fast: bool = True) -> Fig11Result:
@@ -274,7 +274,6 @@ def fig11(fast: bool = True) -> Fig11Result:
     """
     duration = 120.0 if fast else 600.0
     load_time = duration * 0.3
-    bucket = duration / 20.0
     n_inputs = 8 if fast else 30
 
     setup = _tpcc_setup(16, n_inputs)
@@ -292,8 +291,10 @@ def fig11(fast: bool = True) -> Fig11Result:
     free = rate * (0.75 * manual_demand + 0.25 * jdbc_demand)
     reserved_fraction = max(0.0, 1.0 - free / 16)
 
-    result = Fig11Result(load_time=load_time, rate=rate)
-    result.notes["reserved_fraction"] = reserved_fraction
+    result = Fig11Result(
+        load_time=load_time, bucket=duration / 20.0,
+        mix_bucket=duration / 10.0, jdbc_like=low.traces["pyxis"][0].name,
+    )
 
     def run(name: str, selector) -> SimResult:
         sim = QueueingSimulator(app_cores=8, db_cores=16, network=network)
@@ -304,8 +305,7 @@ def fig11(fast: bool = True) -> Fig11Result:
 
     for name, samples in (("jdbc", high.traces["jdbc"]),
                           ("manual", high.traces["manual"])):
-        sim_result = run(name, samples)
-        result.buckets[name] = sim_result.latency_buckets(bucket)
+        result.runs[name] = run(name, samples)
 
     # Pyxis: EWMA-driven selection between the two partitions' traces.
     switcher: DynamicSwitcher[list[TransactionTrace]] = DynamicSwitcher(
@@ -326,14 +326,9 @@ def fig11(fast: bool = True) -> Fig11Result:
         options = switcher.choose()
         return simulator.rng.choice(options)
 
-    pyxis_result = sim.run(selector, rate=rate, duration=duration, name="pyxis")
-    result.buckets["pyxis"] = pyxis_result.latency_buckets(bucket)
-    low_name = low.traces["pyxis"][0].name
-    mix = pyxis_result.trace_mix(duration / 10.0)
-    result.pyxis_mix = [
-        (when, {"jdbc_like": fractions.get(low_name, 0.0)})
-        for when, fractions in mix
-    ]
+    result.runs["pyxis"] = sim.run(
+        selector, rate=rate, duration=duration, name="pyxis"
+    )
     return result
 
 
@@ -399,7 +394,6 @@ def _run_tpcw_experiment(
     result = ExperimentResult(name=name)
     for impl, sims in curves.items():
         result.curves[impl] = [CurvePoint.from_sim(s) for s in sims]
-    result.notes["rates"] = rates
     result.notes["db_cores"] = db_cores
     return result
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.bench.experiments import (
     ExperimentResult,
     Fig11Result,
@@ -11,6 +9,8 @@ from repro.bench.experiments import (
     Micro1Result,
 )
 from repro.bench.serve_experiments import (
+    ADAPTIVE,
+    REPARTITION,
     FailoverRunResult,
     HtapRunResult,
     RepartitionRunResult,
@@ -43,23 +43,31 @@ def format_curves(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
+def _by_time(runs: dict, width: float) -> dict[float, dict[str, float]]:
+    """Mean latency per ``width``-second bucket of each run, keyed by
+    the bucket's rounded midpoint and then by run label."""
+    by_time: dict[float, dict[str, float]] = {}
+    for name, run in runs.items():
+        for when, latency in run.latency_buckets(width):
+            by_time.setdefault(round(when, 3), {})[name] = latency
+    return by_time
+
+
 def format_fig11(result: Fig11Result) -> str:
+    names = sorted(result.runs)
     lines = [
-        f"== fig11: dynamic switching (rate={result.rate:.0f}/s, "
+        f"== fig11: dynamic switching "
+        f"(rate={result.runs['pyxis'].offered_rate:.0f}/s, "
         f"DB loaded at t={result.load_time:.0f}s) =="
     ]
-    header = f"{'t (s)':>8} " + " ".join(
-        f"{name:>12}" for name in sorted(result.buckets)
-    )
+    header = f"{'t (s)':>8} " + " ".join(f"{name:>12}" for name in names)
     lines.append(header + "   jdbc-like %")
-    by_time: dict[float, dict[str, float]] = {}
-    for name, series in result.buckets.items():
-        for when, latency in series:
-            by_time.setdefault(round(when, 3), {})[name] = latency
-    mix_lookup = {round(when, 3): frac for when, frac in result.pyxis_mix}
+    by_time = _by_time(result.runs, result.bucket)
+    mix = result.runs["pyxis"].trace_mix(result.mix_bucket)
+    mix_lookup = {round(t, 3): f.get(result.jdbc_like, 0.0) for t, f in mix}
     for when in sorted(by_time):
         row = f"{when:>8.0f} "
-        for name in sorted(result.buckets):
+        for name in names:
             latency = by_time[when].get(name)
             row += (
                 f"{1000 * latency:>11.1f}ms" if latency is not None
@@ -69,7 +77,7 @@ def format_fig11(result: Fig11Result) -> str:
             mix_lookup, key=lambda t: abs(t - when), default=None
         )
         if nearest is not None and abs(nearest - when) <= result.load_time:
-            row += f"   {100 * mix_lookup[nearest].get('jdbc_like', 0.0):.0f}%"
+            row += f"   {100 * mix_lookup[nearest]:.0f}%"
         lines.append(row)
     return "\n".join(lines)
 
@@ -146,17 +154,17 @@ def format_serve_shard_sweep(result: ShardSweepResult) -> str:
     )
     lines.append(header)
     lines.append("-" * len(header))
-    for p in result.points:
+    for shards, p in result.points.items():
         per_shard = " ".join(
             f"{100 * u:.0f}" for u in p.db_shard_utilization
         )
         lines.append(
-            f"{p.shards:>6} {p.throughput:>8.1f} {p.p95_ms:>8.2f} "
-            f"{100 * p.app_utilization:>6.1f} {per_shard:<24} "
+            f"{shards:>6} {p.throughput:>8.1f} {p.p95_ms:>8.2f} "
+            f"{100 * p.app_util:>6.1f} {per_shard:<24} "
             f"{p.switches:>3}"
         )
     lines.append(
-        f"speedup at {max(p.shards for p in result.points)} shards: "
+        f"speedup at {max(result.points)} shards: "
         f"{result.speedup:.2f}x over the single-server baseline"
     )
     return "\n".join(lines)
@@ -191,15 +199,16 @@ def _replica_reads_line(metrics: dict) -> str | None:
 
 def format_serve_failover(result: FailoverRunResult) -> str:
     """Fault-injected run: recovery time and throughput on both sides."""
+    run = result.run
     lines = [
-        f"== serve failover: tpcc ({result.clients} clients, "
+        f"== serve failover: tpcc ({run.clients} clients, "
         f"{result.shards} shard(s) x (primary + {result.replicas} "
         f"replica(s))) =="
     ]
     lines.append("faults fired:")
     for when, label in result.faults_fired:
         lines.append(f"  t={when:6.2f}s  {label}")
-    for event in result.failovers:
+    for event in run.failovers:
         lines.append(
             f"failover: shard {event.shard} -> replica "
             f"{event.chosen_replica} (replayed {event.replayed_entries} "
@@ -207,17 +216,16 @@ def format_serve_failover(result: FailoverRunResult) -> str:
             f"+{event.detected_at - event.crashed_at:.2f}s, promoted "
             f"+{event.recovery_time:.2f}s after the crash"
         )
-    if not result.failovers:
+    if not run.failovers:
         lines.append("failover: none (no promotion happened)")
     lines.append(
-        f"throughput: {result.throughput:.1f} txn/s overall; "
+        f"throughput: {run.throughput:.1f} txn/s overall; "
         f"pre-fault {result.pre_fault_throughput:.1f}, post-failover "
         f"{result.post_failover_throughput:.1f} "
         f"({100 * result.recovered_fraction:.0f}% recovered)"
     )
-    lines.append(_two_pc_line(result.metrics, result.aborted,
-                              result.txn_retries))
-    reads_line = _replica_reads_line(result.metrics)
+    lines.append(_two_pc_line(run.metrics, run.aborted, run.txn_retries))
+    reads_line = _replica_reads_line(run.metrics)
     if reads_line is not None:
         lines.append(reads_line)
     lines.append(
@@ -231,14 +239,14 @@ def format_serve_failover(result: FailoverRunResult) -> str:
 def format_serve_htap(result: HtapRunResult) -> str:
     """HTAP run: OLTP cost of the concurrent analytics sessions."""
     lines = [
-        f"== serve htap: tpcc ({result.clients} clients, analytics "
+        f"== serve htap: tpcc ({result.htap.clients} clients, analytics "
         f"every {result.analytics_interval:g}s reserving "
         f"{100 * result.analytics_load:.0f}% of DB cores for "
         f"{result.report_window:g}s) =="
     ]
     lines.append(
-        f"throughput: {result.oltp_only_throughput:.1f} txn/s OLTP-only "
-        f"-> {result.htap_throughput:.1f} txn/s with analytics "
+        f"throughput: {result.oltp_only.throughput:.1f} txn/s OLTP-only "
+        f"-> {result.htap.throughput:.1f} txn/s with analytics "
         f"({100 * result.degradation:.1f}% degradation)"
     )
     lines.append(
@@ -266,10 +274,11 @@ def format_serve_htap(result: HtapRunResult) -> str:
 
 def format_wal_recovery(result: WalRecoveryResult) -> str:
     """Whole-cluster crash: durability ledger and the recovery verdict."""
+    pre_kill = result.pre_kill
     lines = [
-        f"== wal crash/recovery: tpcc ({result.clients} clients, "
+        f"== wal crash/recovery: tpcc ({pre_kill.clients} clients, "
         f"{result.shards} shard(s), sync={result.sync_policy}, "
-        f"killed at t={result.kill_at:g}s of {result.duration:g}s) =="
+        f"killed at t={pre_kill.duration:g}s of {result.duration:g}s) =="
     ]
     lines.append(f"wal dir: {result.wal_dir}")
     lines.append("faults fired:")
@@ -278,8 +287,8 @@ def format_wal_recovery(result: WalRecoveryResult) -> str:
     if not result.faults_fired:
         lines.append("  none")
     lines.append(
-        f"pre-kill: {result.pre_kill_completed} txn(s) at "
-        f"{result.pre_kill_throughput:.1f}/s; {result.checkpoints} "
+        f"pre-kill: {pre_kill.completed} txn(s) at "
+        f"{pre_kill.throughput:.1f}/s; {result.checkpoints} "
         f"checkpoint(s), {result.wal_bytes} log byte(s) written"
     )
     if result.sync_failures or result.lost_frames:
@@ -310,29 +319,29 @@ def format_wal_recovery(result: WalRecoveryResult) -> str:
             "state check skipped: the crash lost acknowledged commits "
             "(fsync faults), so divergence is the expected outcome"
         )
-    if result.restarted:
+    restart = result.post_restart
+    if restart is not None:
         lines.append(
-            f"restart: served {result.post_restart_completed} txn(s) at "
-            f"{result.post_restart_throughput:.1f}/s from the recovered "
-            "state"
+            f"restart: served {restart.completed} txn(s) at "
+            f"{restart.throughput:.1f}/s from the recovered state"
         )
     return "\n".join(lines)
 
 
 def format_serve_switching(result: ServeSwitchResult) -> str:
     """Latency time series plus the adaptive partition mix."""
+    adaptive = result.runs[ADAPTIVE]
     lines = [
-        f"== serve dynamic switching ({result.clients} clients, "
+        f"== serve dynamic switching ({adaptive.clients} clients, "
         f"DB loaded at t={result.load_time:.0f}s) =="
     ]
-    labels = list(result.buckets)
+    labels = list(result.runs)
     header = f"{'t (s)':>8} " + " ".join(f"{name:>13}" for name in labels)
     lines.append(header + "   jdbc-like %")
-    by_time: dict[float, dict[str, float]] = {}
-    for name, series in result.buckets.items():
-        for when, latency in series:
-            by_time.setdefault(round(when, 3), {})[name] = latency
-    mix_lookup = {round(when, 3): frac for when, frac in result.adaptive_mix}
+    by_time = _by_time(result.runs, result.bucket)
+    # Option 0 is the JDBC-like partition (the lowest budget).
+    mix = adaptive.option_mix(result.bucket)
+    mix_lookup = {round(t, 3): f.get(0, 0.0) for t, f in mix}
     # As few decimals as keep every bucket's time label distinct.
     times = sorted(by_time)
     digits = next(
@@ -354,11 +363,12 @@ def format_serve_switching(result: ServeSwitchResult) -> str:
     lines.append(
         "throughput: "
         + ", ".join(
-            f"{name} {tput:.1f}/s" for name, tput in result.throughput.items()
+            f"{name} {run.throughput:.1f}/s"
+            for name, run in result.runs.items()
         )
     )
-    if result.controller is not None:
-        ctrl = result.controller
+    ctrl = adaptive.controller
+    if ctrl is not None:
         events = ", ".join(
             f"t={e.now:.0f}s {e.from_index}->{e.to_index} "
             f"(ewma {e.level:.0f}%)"
@@ -376,8 +386,9 @@ def format_serve_switching(result: ServeSwitchResult) -> str:
 
 def format_serve_repartition(result: RepartitionRunResult) -> str:
     """Mix-shift scenario: static ladder vs adaptive vs repartition."""
+    clients = result.runs[ADAPTIVE].clients
     lines = [
-        f"== online repartitioning ({result.clients} clients, "
+        f"== online repartitioning ({clients} clients, "
         f"mix shifts browse->checkout at t={result.shift_time:.0f}s) =="
     ]
     header = (
@@ -385,12 +396,12 @@ def format_serve_repartition(result: RepartitionRunResult) -> str:
     )
     lines.append(header)
     lines.append("-" * len(header))
-    for label, tput in result.throughput.items():
-        post = result.post_shift_throughput.get(label, 0.0)
-        lines.append(f"{label:<14} {tput:>8.1f} {post:>13.1f}")
+    for label, run in result.runs.items():
+        post = result.post_shift_throughput(label)
+        lines.append(f"{label:<14} {run.throughput:>8.1f} {post:>13.1f}")
     lines.append("-" * len(header))
     best = result.best_static(post_shift=True)
-    repart = result.post_shift_throughput.get("repartition", 0.0)
+    repart = result.post_shift_throughput(REPARTITION)
     if best > 0:
         lines.append(
             f"post-shift: repartition {repart:.1f}/s vs best static "

@@ -18,6 +18,14 @@ closed-loop serving engine instead of open-loop trace replay:
 Every scenario builds, wires and runs its engines through one private
 function, :func:`_serve`, and executes real compiled-block programs
 through the serving workload layer (:mod:`repro.serve.workload`).
+
+A scenario's result keeps the :class:`~repro.serve.stats.ServeResult`
+runs it made, keyed by configuration label or phase, next to what no
+run holds (the scenario's settings, fault and recovery ledgers,
+analytics answers); reports read throughput, windows and time series
+from the runs.  The sweeps are the exception: they keep one
+:class:`~repro.serve.stats.SweepPoint` summary per run, as a sweep's
+runs hold tens of thousands of samples each.
 """
 
 from __future__ import annotations
@@ -36,12 +44,7 @@ from repro.serve.controller import (
     StaticController,
 )
 from repro.serve.engine import ServeConfig, ServeEngine
-from repro.serve.stats import (
-    FailoverEvent,
-    LoadSweepResult,
-    ServeResult,
-    SweepPoint,
-)
+from repro.serve.stats import LoadSweepResult, ServeResult, SweepPoint
 from repro.serve.workload import (
     WORKLOAD_FACTORIES,
     BuiltWorkload,
@@ -155,13 +158,14 @@ def _serve(
     return engine, run
 
 
-def _export(result, engine: ServeEngine, run: ServeResult, meta: dict):
-    """Attach a run's metrics and rendered exporter payloads (the
-    trace only when the engine traced) to a scenario result."""
-    result.metrics = run.metrics
-    result.metrics_json = render_metrics(run.metrics, meta=meta)
-    if engine.tracer.enabled:
-        result.trace_json = render_chrome_trace(engine.tracer)
+def _exports(engine: ServeEngine, run: ServeResult, meta: dict) -> dict:
+    """A run's rendered exporter payloads as result keywords: the
+    metrics always, the trace only when the engine traced."""
+    return dict(
+        metrics_json=render_metrics(run.metrics, meta=meta),
+        trace_json=(render_chrome_trace(engine.tracer)
+                    if engine.tracer.enabled else None),
+    )
 
 
 def _built_workload(workload: str, fast: bool, **kwargs) -> BuiltWorkload:
@@ -212,11 +216,10 @@ def serve_load_sweep(
         )
 
     result = LoadSweepResult(workload=workload)
-    result.notes.update(built.notes)
     result.notes.update(
-        db_cores=db_cores, duration=duration, think_time=think_time,
-        poll_interval=poll, client_counts=counts,
+        db_cores=db_cores, think_time=think_time,
         labels=built.workload.labels,
+        fraction_on_db=built.notes.get("fraction_on_db"),
     )
     controllers: dict[str, list[SwitcherSummary]] = {}
     for label in (STATIC_LOW, STATIC_HIGH, ADAPTIVE):
@@ -242,46 +245,24 @@ def serve_load_sweep(
 
 
 @dataclass
-class ShardSweepPoint:
-    """Adaptive serving at one shard count."""
-
-    shards: int
-    throughput: float
-    p95_ms: float
-    app_utilization: float
-    db_shard_utilization: list[float] = field(default_factory=list)
-    switches: int = 0
-
-    @property
-    def db_utilization(self) -> float:
-        series = self.db_shard_utilization
-        return sum(series) / len(series) if series else 0.0
-
-
-@dataclass
 class ShardSweepResult:
-    """Adaptive TPC-C throughput versus database shard count."""
+    """Adaptive TPC-C throughput versus database shard count: one
+    sweep point per shard count, in sweep order."""
 
     clients: int
     db_cores: int
     duration: float
     shard_key: str
-    points: list[ShardSweepPoint] = field(default_factory=list)
+    points: dict[int, SweepPoint] = field(default_factory=dict)
     notes: dict[str, Any] = field(default_factory=dict)
-
-    def point(self, shards: int) -> ShardSweepPoint:
-        for point in self.points:
-            if point.shards == shards:
-                return point
-        raise KeyError(f"no point for {shards} shard(s)")
 
     @property
     def speedup(self) -> float:
         """Max-shard-count throughput over the single-server baseline."""
         if len(self.points) < 2:
             return 1.0
-        base = self.point(min(p.shards for p in self.points)).throughput
-        top = self.point(max(p.shards for p in self.points)).throughput
+        base = self.points[min(self.points)].throughput
+        top = self.points[max(self.points)].throughput
         return top / base if base > 0 else 0.0
 
 
@@ -311,7 +292,6 @@ def serve_shard_sweep(
         clients=clients, db_cores=db_cores, duration=duration,
         shard_key=shard_key,
     )
-    result.notes.update(think_time=think_time, seed=seed)
     warehouses = max(4, max(shard_counts))
     for shards in shard_counts:
         built = make_tpcc_workload(
@@ -323,17 +303,7 @@ def serve_shard_sweep(
             db_cores=db_cores, think_time=think_time, seed=seed,
             shards=shards, name=f"shards{shards}", notes=result.notes,
         )
-        controller = run.controller
-        result.points.append(
-            ShardSweepPoint(
-                shards=shards,
-                throughput=run.throughput,
-                p95_ms=1000.0 * run.percentile(95),
-                app_utilization=run.app_utilization,
-                db_shard_utilization=list(run.db_shard_utilization),
-                switches=controller.switches if controller else 0,
-            )
-        )
+        result.points[shards] = SweepPoint.from_result(run)
         result.notes.setdefault("warehouses", built.notes.get("warehouses"))
     return result
 
@@ -345,33 +315,50 @@ def serve_shard_sweep(
 
 @dataclass
 class FailoverRunResult:
-    """One fault-injected serve run against the replicated shard tier."""
+    """One fault-injected serve run against the replicated shard tier.
 
-    clients: int
-    duration: float
+    ``run`` holds the throughput, aborts, retries, failovers and
+    metrics; the windows either side of the fault are read from it.
+    """
+
     shards: int
     replicas: int
-    fault_specs: list[str] = field(default_factory=list)
-    faults_fired: list[tuple[float, str]] = field(default_factory=list)
-    failovers: list[FailoverEvent] = field(default_factory=list)
-    throughput: float = 0.0
-    pre_fault_throughput: float = 0.0
-    post_failover_throughput: float = 0.0
-    aborted: int = 0
-    txn_retries: int = 0
-    metrics: Optional[dict] = None
-    replicas_consistent: bool = False
+    fault_specs: list[str]
+    faults_fired: list[tuple[float, str]]
+    run: ServeResult
+    replicas_consistent: bool
     # Rendered exporter payloads (deterministic: identically seeded
     # runs produce byte-identical strings).  trace_json is None unless
     # the run was started with tracing=True.
-    trace_json: Optional[str] = None
-    metrics_json: Optional[str] = None
-    notes: dict[str, Any] = field(default_factory=dict)
+    metrics_json: str
+    trace_json: Optional[str]
 
     @property
     def recovery_time(self) -> float:
         """Crash-to-promotion gap of the first failover (0 if none)."""
-        return self.failovers[0].recovery_time if self.failovers else 0.0
+        failovers = self.run.failovers
+        return failovers[0].recovery_time if failovers else 0.0
+
+    @property
+    def pre_fault_throughput(self) -> float:
+        """Throughput from the end of warm-up to the first fault."""
+        first = min(parse_fault_spec(s).at for s in self.fault_specs)
+        return self.run.window_throughput(self.run.warmup, first)
+
+    @property
+    def post_failover_throughput(self) -> float:
+        """Throughput from the first promotion to the end of the run.
+
+        With no promotion (e.g. slow / partition-only faults), the
+        window opens when the last transient fault lifts."""
+        if self.run.failovers:
+            start = self.run.failovers[0].promoted_at
+        else:
+            start = max(
+                e.until if e.until is not None else e.at
+                for e in map(parse_fault_spec, self.fault_specs)
+            )
+        return self.run.window_throughput(start, self.run.duration)
 
     @property
     def recovered_fraction(self) -> float:
@@ -434,42 +421,17 @@ def serve_failover(
         db_cores=db_cores, think_time=think_time, seed=seed, shards=shards,
         name="failover", faults=injector, tracing=tracing,
     )
-    result = FailoverRunResult(
-        clients=clients, duration=duration, shards=shards,
-        replicas=replicas, fault_specs=list(fault_specs),
-        faults_fired=list(injector.fired),
-        failovers=list(run.failovers),
-        throughput=run.throughput,
-        aborted=run.aborted, txn_retries=run.txn_retries,
-    )
-    _export(result, engine, run, {
+    exports = _exports(engine, run, {
         "scenario": "failover", "seed": seed, "clients": clients,
         "shards": shards, "replicas": replicas,
     })
-    first_fault = min(e.at for e in events)
-    result.pre_fault_throughput = run.window_throughput(
-        run.warmup, first_fault
-    )
-    if run.failovers:
-        recovered_at = run.failovers[0].promoted_at
-    else:
-        # No promotion (e.g. slow/partition-only faults): measure from
-        # the moment the last transient fault lifts.
-        recovered_at = max(
-            e.until if e.until is not None else e.at for e in events
-        )
-    result.post_failover_throughput = run.window_throughput(
-        recovered_at, duration
-    )
     for sdb in built.databases:
         sdb.assert_replica_groups_consistent()
-    result.replicas_consistent = True
-    result.notes.update(
-        db_cores=db_cores, think_time=think_time, seed=seed,
-        warehouses=built.notes.get("warehouses"),
-        completed=run.completed,
+    return FailoverRunResult(
+        shards=shards, replicas=replicas, fault_specs=list(fault_specs),
+        faults_fired=list(injector.fired), run=run,
+        replicas_consistent=True, **exports,
     )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -481,26 +443,29 @@ def serve_failover(
 class WalRecoveryResult:
     """One crash/recover(/restart) run against WAL-backed shards.
 
-    ``identical`` is the differential verdict: for every partition
-    option, the database rebuilt from checkpoint + redo replay matches
-    the killed cluster's in-memory state table-for-table, row-for-row,
-    rowid-for-rowid.  Torn-write and corrupt-frame injection damage
-    only on-disk bytes, so that in-memory state *is* the uninjected
-    oracle.  The check is skipped (``identity_checked`` False) when an
-    active ``fsyncfail`` fault lost acknowledged commits -- durability
-    loss is then the expected outcome and ``lost_frames`` reports it.
+    ``pre_kill`` is the run the crash ended (its duration is the kill
+    time); ``post_restart`` is the run served from the recovered state,
+    None without a restart.  ``identical`` is the differential verdict:
+    for every partition option, the database rebuilt from checkpoint +
+    redo replay matches the killed cluster's in-memory state
+    table-for-table, row-for-row, rowid-for-rowid.  Torn-write and
+    corrupt-frame injection damage only on-disk bytes, so that
+    in-memory state *is* the uninjected oracle.  The check is skipped
+    (``identity_checked`` False) when an active ``fsyncfail`` fault
+    lost acknowledged commits -- durability loss is then the expected
+    outcome and ``lost_frames`` reports it.
     """
 
-    clients: int
     duration: float
-    kill_at: float
     shards: int
     sync_policy: str
     wal_dir: str
-    fault_specs: list[str] = field(default_factory=list)
-    faults_fired: list[tuple[float, str]] = field(default_factory=list)
-    pre_kill_throughput: float = 0.0
-    pre_kill_completed: int = 0
+    fault_specs: list[str]
+    faults_fired: list[tuple[float, str]]
+    pre_kill: ServeResult
+    metrics_json: str
+    trace_json: Optional[str]
+    post_restart: Optional[ServeResult] = None
     checkpoints: int = 0
     wal_bytes: int = 0
     sync_failures: int = 0
@@ -513,13 +478,6 @@ class WalRecoveryResult:
     identity_checked: bool = False
     identical: bool = False
     mismatches: list[str] = field(default_factory=list)
-    restarted: bool = False
-    post_restart_throughput: float = 0.0
-    post_restart_completed: int = 0
-    metrics: Optional[dict] = None
-    metrics_json: Optional[str] = None
-    trace_json: Optional[str] = None
-    notes: dict[str, Any] = field(default_factory=dict)
 
 
 def _state_fingerprint(sdb) -> list[dict]:
@@ -702,17 +660,14 @@ def serve_wal_recovery(
         tracing=tracing,
     )
     result = WalRecoveryResult(
-        clients=clients, duration=duration, kill_at=kill_at,
-        shards=shards, sync_policy=sync_policy, wal_dir=str(wal_dir),
-        fault_specs=list(fault_specs),
-        pre_kill_throughput=run.throughput,
-        pre_kill_completed=run.completed,
+        duration=duration, shards=shards, sync_policy=sync_policy,
+        wal_dir=str(wal_dir), fault_specs=list(fault_specs),
+        faults_fired=list(injector.fired), pre_kill=run,
+        **_exports(engine, run, {
+            "scenario": "wal_recovery", "seed": seed, "clients": clients,
+            "shards": shards, "sync_policy": sync_policy,
+        }),
     )
-    result.faults_fired = list(injector.fired)
-    _export(result, engine, run, {
-        "scenario": "wal_recovery", "seed": seed, "clients": clients,
-        "shards": shards, "sync_policy": sync_policy,
-    })
 
     # -- the crash: flush acknowledged commits, lose the rest ------------
     for manager in managers:
@@ -757,12 +712,6 @@ def serve_wal_recovery(
             )
     result.identity_checked = result.lost_frames == 0
     result.identical = result.identity_checked and not result.mismatches
-    result.notes.update(
-        db_cores=db_cores, think_time=think_time, seed=seed,
-        checkpoint_interval=interval,
-        warehouses=built.notes.get("warehouses"),
-        armed_faults=list(engine.armed_storage_faults),
-    )
 
     # -- optional restart: serve the rest of the run from disk -----------
     if restart:
@@ -780,15 +729,12 @@ def serve_wal_recovery(
                 built.clusters[i].attach_sharded_database(sdb)
             built.databases[i] = sdb
         remaining = duration - kill_at
-        _, run2 = _serve(
+        _, result.post_restart = _serve(
             built, ADAPTIVE, clients=clients, duration=remaining,
             poll=remaining / 5.0, db_cores=db_cores, think_time=think_time,
             seed=seed, shards=shards, warmup=False, name="wal_post_restart",
             wal_managers=managers2,
         )
-        result.restarted = True
-        result.post_restart_throughput = run2.throughput
-        result.post_restart_completed = run2.completed
         for manager in managers2:
             manager.sync_all()
             manager.close()
@@ -797,15 +743,12 @@ def serve_wal_recovery(
 
 @dataclass
 class ServeSwitchResult:
-    """Latency time series per configuration plus the adaptive mix."""
+    """One run per configuration under the same mid-run DB load spike;
+    reports read each run per ``bucket`` seconds of completion time."""
 
-    clients: int
-    duration: float
     load_time: float
-    buckets: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
-    adaptive_mix: list[tuple[float, float]] = field(default_factory=list)
-    controller: Optional[SwitcherSummary] = None
-    throughput: dict[str, float] = field(default_factory=dict)
+    bucket: float
+    runs: dict[str, ServeResult] = field(default_factory=dict)
     notes: dict[str, Any] = field(default_factory=dict)
 
 
@@ -828,41 +771,24 @@ def serve_dynamic_switching(
     duration = duration if duration is not None else (45.0 if fast else 300.0)
     load_time = duration * 0.3
     poll = duration / 20.0
-    bucket = duration / 12.0
     if built is None:
         built = _built_workload(
             workload, fast, db_cores=db_cores, seed=seed, shards=shards,
             shard_key=shard_key, replicas=replicas,
         )
 
-    result = ServeSwitchResult(
-        clients=clients, duration=duration, load_time=load_time
-    )
-    result.notes.update(built.notes)
-    result.notes.update(
-        db_cores=db_cores, think_time=think_time,
-        external_load=external_load, poll_interval=poll,
-        labels=built.workload.labels,
-    )
+    result = ServeSwitchResult(load_time=load_time, bucket=duration / 12.0)
 
     def spike(engine: ServeEngine) -> None:
         engine.set_db_external_load(external_load)
 
     for label in (STATIC_LOW, STATIC_HIGH, ADAPTIVE):
-        _, serve_result = _serve(
+        _, result.runs[label] = _serve(
             built, label, clients=clients, duration=duration, poll=poll,
             db_cores=db_cores, think_time=think_time, seed=seed,
             shards=shards, warmup=False, events=[(load_time, spike)],
             notes=result.notes,
         )
-        result.buckets[label] = serve_result.latency_buckets(bucket)
-        result.throughput[label] = serve_result.throughput
-        if label == ADAPTIVE:
-            result.controller = serve_result.controller
-            result.adaptive_mix = [
-                (when, mix.get(0, 0.0))
-                for when, mix in serve_result.option_mix(bucket)
-            ]
     return result
 
 
@@ -873,27 +799,24 @@ def serve_dynamic_switching(
 
 @dataclass
 class RepartitionRunResult:
-    """Throughput per configuration under a mid-run mix shift."""
+    """One run per configuration under the same mid-run mix shift."""
 
-    clients: int
-    duration: float
     shift_time: float
-    throughput: dict[str, float] = field(default_factory=dict)
-    post_shift_throughput: dict[str, float] = field(default_factory=dict)
-    buckets: dict[str, list[tuple[float, float]]] = field(
-        default_factory=dict
-    )
-    option_mix: list[tuple[float, dict[int, float]]] = field(
-        default_factory=list
-    )
+    runs: dict[str, ServeResult] = field(default_factory=dict)
     repartition: Optional[RepartitionSummary] = None
     notes: dict[str, Any] = field(default_factory=dict)
 
+    def post_shift_throughput(self, label: str) -> float:
+        """``label``'s throughput from the shift to the end of its run."""
+        run = self.runs[label]
+        return run.window_throughput(self.shift_time, run.duration)
+
     def best_static(self, post_shift: bool = True) -> float:
-        series = (
-            self.post_shift_throughput if post_shift else self.throughput
+        return max(
+            self.post_shift_throughput(label) if post_shift
+            else self.runs[label].throughput
+            for label in (STATIC_LOW, STATIC_HIGH)
         )
-        return max(series[STATIC_LOW], series[STATIC_HIGH])
 
 
 def serve_repartition(
@@ -918,14 +841,7 @@ def serve_repartition(
     duration = duration if duration is not None else (60.0 if fast else 240.0)
     shift_time = duration * 0.35
     poll = duration / 20.0
-    bucket = duration / 12.0
-
-    result = RepartitionRunResult(
-        clients=clients, duration=duration, shift_time=shift_time
-    )
-    result.notes.update(
-        db_cores=db_cores, think_time=think_time, poll_interval=poll,
-    )
+    result = RepartitionRunResult(shift_time=shift_time)
 
     for label in (STATIC_LOW, STATIC_HIGH, ADAPTIVE, REPARTITION):
         # Fresh workload per configuration: minted options and trace
@@ -934,21 +850,15 @@ def serve_repartition(
             db_cores=db_cores, seed=seed, pool_size=6,
         )
         n_initial_options = len(shifting.built.workload.labels)
-        engine, serve_result = _serve(
+        engine, result.runs[label] = _serve(
             shifting.built, label, clients=clients, duration=duration,
             poll=poll, db_cores=db_cores, think_time=think_time, seed=seed,
             warmup=False, shifting=shifting,
             events=[(shift_time,
                      lambda _: shifting.mix.set_phase("checkout"))],
         )
-        result.throughput[label] = serve_result.throughput
-        result.post_shift_throughput[label] = serve_result.window_throughput(
-            shift_time, serve_result.duration
-        )
-        result.buckets[label] = serve_result.latency_buckets(bucket)
         if label == REPARTITION:
             result.repartition = engine.controller.repartition_summary()
-            result.option_mix = serve_result.option_mix(bucket)
             result.notes["minted_labels"] = list(
                 shifting.built.workload.labels[n_initial_options:]
             )
@@ -967,38 +877,36 @@ def serve_repartition(
 class HtapRunResult:
     """OLTP throughput with and without concurrent analytics.
 
-    The analytical sessions never touch the row store: they scan the
+    ``oltp_only`` and ``htap`` are the two identically seeded runs,
+    without and with the analytical sessions.  The analytical sessions
+    never touch the row store: they scan the
     :class:`~repro.db.htap.HtapMirror` columnar copy that the redo
     stream maintains, so the only OLTP cost is the DB CPU the reports
     reserve while they run.  ``degradation`` is the fraction of
     OLTP-only throughput lost to that reservation.
     """
 
-    clients: int
-    duration: float
     analytics_interval: float
     report_window: float
     analytics_load: float
-    oltp_only_throughput: float = 0.0
-    htap_throughput: float = 0.0
+    oltp_only: ServeResult
+    htap: ServeResult
+    metrics_json: str
+    trace_json: Optional[str]
     reports_run: int = 0
     analytics_rows_scanned: int = 0
     best_sellers: list = field(default_factory=list)
     district_groups: int = 0
     mirror_counters: dict = field(default_factory=dict)
     mirrors_consistent: bool = False
-    metrics: Optional[dict] = None
-    metrics_json: Optional[str] = None
-    trace_json: Optional[str] = None
     notes: dict[str, Any] = field(default_factory=dict)
 
     @property
     def degradation(self) -> float:
-        if self.oltp_only_throughput <= 0:
+        base = self.oltp_only.throughput
+        if base <= 0:
             return 0.0
-        return max(
-            0.0, 1.0 - self.htap_throughput / self.oltp_only_throughput
-        )
+        return max(0.0, 1.0 - self.htap.throughput / base)
 
 
 HTAP_MIRROR_TABLES = ("order_line", "item", "district")
@@ -1046,12 +954,6 @@ def serve_htap(
     if window >= interval:
         raise ValueError("report_window must be shorter than the interval")
 
-    result = HtapRunResult(
-        clients=clients, duration=duration,
-        analytics_interval=interval, report_window=window,
-        analytics_load=analytics_load,
-    )
-
     def one_run(with_htap: bool):
         built = make_tpcc_workload(
             db_cores=db_cores, seed=seed, pool_size=6 if fast else 16,
@@ -1080,17 +982,18 @@ def serve_htap(
             events=[(interval, analytic_session)] if with_htap else (),
             tracing=tracing and with_htap,
         )
-        return built, engine, run, sessions
+        return engine, run, sessions
 
-    _, _, baseline, _ = one_run(with_htap=False)
-    result.oltp_only_throughput = baseline.throughput
-
-    built, engine, run, sessions = one_run(with_htap=True)
-    result.htap_throughput = run.throughput
-    _export(result, engine, run,
-            {"scenario": "htap", "seed": seed, "clients": clients})
-    result.reports_run = sum(s.reports_run for s in sessions)
-    result.analytics_rows_scanned = sum(s.rows_scanned for s in sessions)
+    _, baseline, _ = one_run(with_htap=False)
+    engine, run, sessions = one_run(with_htap=True)
+    result = HtapRunResult(
+        analytics_interval=interval, report_window=window,
+        analytics_load=analytics_load, oltp_only=baseline, htap=run,
+        **_exports(engine, run,
+                   {"scenario": "htap", "seed": seed, "clients": clients}),
+        reports_run=sum(s.reports_run for s in sessions),
+        analytics_rows_scanned=sum(s.rows_scanned for s in sessions),
+    )
     # Final reports from the first option's mirror: the analytics path
     # produced real answers over the freshly mutated data.
     primary = sessions[0]
@@ -1111,10 +1014,4 @@ def serve_htap(
                 result.notes["mirror_divergence"] = name
                 return result
     result.mirrors_consistent = True
-    result.notes.update(
-        db_cores=db_cores, think_time=think_time, seed=seed,
-        warehouses=built.notes.get("warehouses"),
-        completed=run.completed,
-        live_executions=run.live_executions,
-    )
     return result

@@ -148,6 +148,8 @@ class SweepPoint:
     app_util: float
     db_util: float
     switches: int
+    # Per-shard DB server utilization (db_util is their mean).
+    db_shard_utilization: tuple[float, ...] = ()
 
     @classmethod
     def from_result(cls, result: ServeResult) -> "SweepPoint":
@@ -167,6 +169,7 @@ class SweepPoint:
             app_util=result.app_utilization,
             db_util=result.db_utilization,
             switches=switches,
+            db_shard_utilization=tuple(result.db_shard_utilization),
         )
 
 

@@ -18,7 +18,13 @@ from repro.bench.report import (
     format_serve_switching,
 )
 from repro.bench.serve_experiments import ServeSwitchResult
-from repro.serve.stats import LoadSweepResult, SweepPoint
+from repro.serve.stats import (
+    LoadSweepResult,
+    ServeResult,
+    SweepPoint,
+    TxnSample,
+)
+from repro.sim.queueing import SimResult
 
 
 def point(rate, latency_ms):
@@ -55,13 +61,20 @@ class TestExperimentResult:
 
 class TestFig11Formatting:
     def test_renders_series_and_mix(self):
-        result = Fig11Result(load_time=30.0, rate=100.0)
-        result.buckets = {
-            "jdbc": [(15.0, 0.05), (45.0, 0.05)],
-            "manual": [(15.0, 0.01), (45.0, 0.09)],
-            "pyxis": [(15.0, 0.012), (45.0, 0.055)],
+        latencies = {
+            "jdbc": (0.05, 0.05),
+            "manual": (0.01, 0.09),
+            "pyxis": (0.012, 0.055),
         }
-        result.pyxis_mix = [(15.0, {"jdbc_like": 0.0}), (45.0, {"jdbc_like": 1.0})]
+        result = Fig11Result(
+            load_time=30.0, bucket=30.0, mix_bucket=30.0, jdbc_like="low",
+        )
+        for name, (before, after) in latencies.items():
+            result.runs[name] = SimResult(
+                name=name, offered_rate=100.0, duration=60.0, completed=2,
+                samples=[(15.0, before), (45.0, after)],
+                trace_names=[(15.0, "high"), (45.0, "low")],
+            )
         text = format_fig11(result)
         assert "dynamic switching" in text
         assert "jdbc" in text and "pyxis" in text
@@ -91,10 +104,12 @@ class TestServeSweepFormatting:
 class TestServeSwitchingFormatting:
     def time_labels(self, width):
         mids = [(i + 0.5) * width for i in range(12)]
+        run = ServeResult(
+            name="adaptive", clients=4, duration=12 * width, completed=12,
+            samples=[TxnSample(t, 0.01, "t", 0, 1) for t in mids],
+        )
         result = ServeSwitchResult(
-            clients=4, duration=12 * width, load_time=3 * width,
-            buckets={"adaptive": [(t, 0.01) for t in mids]},
-            adaptive_mix=[(t, 0.0) for t in mids],
+            load_time=3 * width, bucket=width, runs={"adaptive": run},
         )
         rows = format_serve_switching(result).splitlines()[2:14]
         return [row.split()[0] for row in rows]

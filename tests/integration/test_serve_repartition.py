@@ -35,9 +35,8 @@ def run():
 class TestScenarioShape:
     def test_all_configurations_ran(self, run):
         expected = {STATIC_LOW, STATIC_HIGH, ADAPTIVE, REPARTITION}
-        assert set(run.throughput) == expected
-        assert set(run.post_shift_throughput) == expected
-        assert 0.0 < run.shift_time < run.duration
+        assert set(run.runs) == expected
+        assert 0.0 < run.shift_time < run.runs[ADAPTIVE].duration
 
     def test_static_ladder_degrades_after_shift(self, run):
         # Both pre-baked rungs lose throughput once the mix flips:
@@ -45,8 +44,8 @@ class TestScenarioShape:
         # 2-core database with checkout digests.
         for label in (STATIC_LOW, STATIC_HIGH):
             assert (
-                run.post_shift_throughput[label]
-                < 0.8 * run.throughput[label]
+                run.post_shift_throughput(label)
+                < 0.8 * run.runs[label].throughput
             )
 
 
@@ -65,8 +64,9 @@ class TestRepartitionMintsOnline:
 
     def test_minted_partition_takes_the_traffic(self, run):
         # The final option-mix bucket routes to a minted candidate.
-        assert run.option_mix, "expected option mix buckets"
-        _, final_mix = run.option_mix[-1]
+        option_mix = run.runs[REPARTITION].option_mix(DURATION / 12.0)
+        assert option_mix, "expected option mix buckets"
+        _, final_mix = option_mix[-1]
         minted_share = sum(
             share for option, share in final_mix.items() if option >= 2
         )
@@ -87,7 +87,7 @@ class TestRepartitionMintsOnline:
 class TestRepartitionBeatsStaticLadder:
     def test_post_shift_throughput_at_least_best_static(self, run):
         best = run.best_static(post_shift=True)
-        repart = run.post_shift_throughput[REPARTITION]
+        repart = run.post_shift_throughput(REPARTITION)
         assert repart >= best, (
             f"repartition {repart:.1f}/s lost to best static {best:.1f}/s"
         )
@@ -96,12 +96,12 @@ class TestRepartitionBeatsStaticLadder:
 
     def test_whole_run_throughput_at_least_best_static(self, run):
         best = run.best_static(post_shift=False)
-        assert run.throughput[REPARTITION] >= best
+        assert run.runs[REPARTITION].throughput >= best
 
     def test_repartition_beats_plain_adaptive_after_shift(self, run):
         # The adaptive switcher only has the two offline rungs to
         # choose from; minting is what wins the post-shift phase.
         assert (
-            run.post_shift_throughput[REPARTITION]
-            >= 1.2 * run.post_shift_throughput[ADAPTIVE]
+            run.post_shift_throughput(REPARTITION)
+            >= 1.2 * run.post_shift_throughput(ADAPTIVE)
         )

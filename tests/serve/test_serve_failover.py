@@ -29,8 +29,8 @@ class TestKillPrimaryAcceptance:
 
     def test_failover_happened_automatically(self, result):
         assert [label for _, label in result.faults_fired] == ["crash db1"]
-        assert len(result.failovers) == 1
-        event = result.failovers[0]
+        assert len(result.run.failovers) == 1
+        event = result.run.failovers[0]
         assert event.shard == 1
         assert event.crashed_at == pytest.approx(4.8)
         assert event.generation == 1
@@ -43,14 +43,14 @@ class TestKillPrimaryAcceptance:
         assert result.pre_fault_throughput > 0
         assert result.post_failover_throughput > 0
         assert result.recovered_fraction >= 0.5
-        assert result.throughput > 0
+        assert result.run.throughput > 0
 
     def test_in_flight_work_aborted_and_retried(self, result):
         # Clients caught mid-transaction when the primary died abort
         # cleanly and re-submit after the backoff.
-        assert result.aborted > 0
-        assert 0 < result.txn_retries <= result.aborted
-        assert result.metrics["two_pc.commits"] > 0
+        assert result.run.aborted > 0
+        assert 0 < result.run.txn_retries <= result.run.aborted
+        assert result.run.metrics["two_pc.commits"] > 0
 
     def test_replica_groups_end_bit_identical(self, result):
         assert result.replicas_consistent
@@ -74,7 +74,7 @@ class TestTransientFaults:
             "slow db0 x8", "restore db0 speed",
         ]
         # No crash: the supervisor has nothing to promote.
-        assert result.failovers == []
+        assert result.run.failovers == []
         assert result.post_failover_throughput > 0
         assert result.replicas_consistent
 
@@ -85,7 +85,7 @@ class TestTransientFaults:
         )
         labels = [label for _, label in result.faults_fired]
         assert labels == ["partition db1", "heal db1"]
-        assert result.failovers == []
+        assert result.run.failovers == []
         # Replicas fell behind during the partition but the final
         # consistency check forces catch-up and proves bit-identity.
         assert result.replicas_consistent

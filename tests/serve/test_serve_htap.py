@@ -27,14 +27,14 @@ class TestServeHtap:
         assert result.mirrors_consistent
         assert result.mirror_counters["commits_applied"] > 0
         # ...and the OLTP mix paid at most the acceptance bound.
-        assert result.oltp_only_throughput > 0
+        assert result.oltp_only.throughput > 0
         assert result.degradation <= 0.10
 
     def test_htap_run_is_deterministic(self):
         a = run_scenario()
         b = run_scenario()
-        assert a.oltp_only_throughput == b.oltp_only_throughput
-        assert a.htap_throughput == b.htap_throughput
+        assert a.oltp_only.throughput == b.oltp_only.throughput
+        assert a.htap.throughput == b.htap.throughput
         assert a.best_sellers == b.best_sellers
         assert a.reports_run == b.reports_run
 

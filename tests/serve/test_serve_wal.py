@@ -42,15 +42,15 @@ class TestCrashRecoveryAcceptance:
         assert result.sync_failures == 0
 
     def test_redo_was_actually_replayed(self, result):
-        assert result.pre_kill_completed > 0
+        assert result.pre_kill.completed > 0
         assert result.commits_applied > 0
         assert result.checkpoints >= 2  # periodic, both options
         assert result.wal_bytes > 0
 
     def test_cluster_restarts_and_serves_from_recovered_state(self, result):
-        assert result.restarted
-        assert result.post_restart_completed > 0
-        assert result.post_restart_throughput > 0
+        assert result.post_restart is not None
+        assert result.post_restart.completed > 0
+        assert result.post_restart.throughput > 0
 
     def test_report_renders_the_story(self, result):
         text = format_wal_recovery(result)
