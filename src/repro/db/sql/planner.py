@@ -34,7 +34,6 @@ from repro.db.engine import Database, Table
 from repro.db.errors import PlanError, UnknownColumnError
 from repro.db.index import ABOVE_NULL, _sortable
 from repro.db.sql.ast import (
-    Assignment,
     Between,
     BinaryOp,
     ColumnRef,
@@ -45,10 +44,8 @@ from repro.db.sql.ast import (
     Insert,
     IsNull,
     Literal,
-    OrderItem,
     Parameter,
     Select,
-    SelectItem,
     Statement,
     TableRef,
     UnaryOp,

@@ -93,14 +93,6 @@ class DynamicSwitcher(Generic[T]):
         self.samples_total = 0
         self.switches_total = 0
 
-    @property
-    def low_budget(self) -> T:
-        return self.options[0]
-
-    @property
-    def high_budget(self) -> T:
-        return self.options[-1]
-
     def add_option(self, option: T, now: Optional[float] = None) -> int:
         """Register a dynamically minted candidate; returns its index.
 

@@ -10,12 +10,10 @@ and final table state.
 """
 
 import random
-from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule, invariant
 
 from repro.db import Database, connect
 from repro.db.errors import IntegrityError
@@ -37,7 +35,7 @@ values = st.integers(-100, 100)
 tags = st.sampled_from(["a", "b", "c"])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     st.lists(st.tuples(keys, values, tags), max_size=40),
     st.integers(-100, 100),
@@ -57,7 +55,7 @@ def test_inserts_then_filtered_sum_matches_model(rows, threshold):
     assert got == expected
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.lists(st.tuples(keys, values, tags), max_size=40))
 def test_group_by_counts_match_model(rows):
     conn = fresh_conn()
@@ -76,7 +74,7 @@ def test_group_by_counts_match_model(rows):
     assert got == model
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(
     st.lists(st.tuples(keys, values), max_size=30),
     st.lists(st.tuples(keys, values), max_size=15),
@@ -110,7 +108,7 @@ def test_insert_update_delete_matches_model(inserts, updates, deletes):
     assert [(r["k"], r["v"]) for r in rows] == sorted(model.items())
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(
     st.lists(st.tuples(keys, values), max_size=25, unique_by=lambda t: t[0]),
 )
@@ -130,7 +128,7 @@ def test_transaction_rollback_is_identity(rows):
     assert before == after
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(st.lists(st.tuples(keys, values), max_size=30, unique_by=lambda t: t[0]))
 def test_order_by_matches_sorted_model(rows):
     conn = fresh_conn()

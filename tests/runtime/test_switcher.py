@@ -76,11 +76,6 @@ class TestDynamicSwitcher:
         switcher.observe_load(0.0, 99.0)
         assert switcher.choose() == "only"
 
-    def test_low_high_properties(self):
-        switcher = make_switcher()
-        assert switcher.low_budget == "low_budget"
-        assert switcher.high_budget == "high_budget"
-
 
 class TestBoundedHistory:
     def test_history_is_a_ring_buffer(self):
@@ -139,7 +134,7 @@ class TestAddOption:
         switcher = make_switcher()
         index = switcher.add_option("minted")
         assert index == 2
-        assert switcher.high_budget == "minted"
+        assert switcher.options[-1] == "minted"
         # Idle (no samples): the highest-budget option is chosen.
         assert switcher.choose() == "minted"
         assert switcher.current_index() == 2
