@@ -14,10 +14,11 @@ from repro.bench.report import (
     format_fig11,
     format_fig14,
     format_micro1,
+    format_serve_shard_sweep,
     format_serve_sweep,
     format_serve_switching,
 )
-from repro.bench.serve_experiments import ServeSwitchResult
+from repro.bench.serve_experiments import ServeSwitchResult, ShardSweepResult
 from repro.serve.stats import (
     LoadSweepResult,
     ServeResult,
@@ -121,6 +122,38 @@ class TestServeSwitchingFormatting:
 
     def test_whole_second_labels_when_buckets_are_wide(self):
         assert self.time_labels(3.75)[:3] == ["2", "6", "9"]
+
+
+class TestServeShardSweepFormatting:
+    def make(self):
+        result = ShardSweepResult(
+            clients=8, db_cores=2, duration=1.0, shard_key="w_id",
+        )
+        for shards, tput in ((1, 100.0), (2, 180.0)):
+            util = tuple(0.9 / shards + 0.1 * i for i in range(shards))
+            result.points[shards] = SweepPoint(
+                clients=8, throughput=tput, mean_ms=2.0, p50_ms=1.5,
+                p95_ms=4.0, p99_ms=6.0, app_util=0.2,
+                db_util=sum(util) / shards, switches=shards - 1,
+                db_shard_utilization=util,
+            )
+        return result
+
+    def test_one_row_per_shard_count_with_each_shard_utilization(self):
+        lines = format_serve_shard_sweep(self.make()).splitlines()
+        assert lines[3].split() == ["1", "100.0", "4.00", "20.0", "90", "0"]
+        assert lines[4].split() == [
+            "2", "180.0", "4.00", "20.0", "45", "55", "1",
+        ]
+        assert lines[5] == (
+            "speedup at 2 shards: 1.80x over the single-server baseline"
+        )
+
+    def test_speedup_is_top_over_single_server(self):
+        result = self.make()
+        assert result.speedup == pytest.approx(1.8)
+        del result.points[2]
+        assert result.speedup == 1.0
 
 
 class TestFig14Formatting:
